@@ -256,7 +256,7 @@ def _random_module_map(maps, rng, field):
             for km, e in tab.items():
                 cell = dst.setdefault(km, {})
                 for j, v in e.items():
-                    cell[j] = field.add(cell.get(j, field.zero()), field.mul(c, v))
+                    field.accumulate(cell, j, field.mul(c, v))
     return ModuleMap(maps[0].src, maps[0].dst, maps[0].degree, combined)
 
 

@@ -30,11 +30,12 @@ class CyclicError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# chain-level operators on the unnormalized cyclic bar
+# chain-level operators on single cyclic bar chain keys of a category,
+# normalized or not (pure key manipulations; no bar is assembled)
 
-def t_of_key(bar: CyclicBar, key):
+def t_of_key(a: DgCategory, key):
     """Cyclic rotation of one chain: (new key, sign scalar)."""
-    f = bar.field
+    f = a.field
     objs, keys = key
     m = len(keys) - 1
     deg_last = keys[m][0]
@@ -45,25 +46,13 @@ def t_of_key(bar: CyclicBar, key):
     return (new_objs, new_keys), sign
 
 
-def s_of_key(bar: CyclicBar, key):
+def s_of_key(a: DgCategory, key):
     """Extra degeneracy: prepend the identity at the loop start."""
     objs, keys = key
-    uk = bar.a.unit_key(objs[0])
+    uk = a.unit_key(objs[0])
     if uk is None:
         raise CyclicError("extra degeneracy needs unit basis vectors")
     return (objs + (objs[0],), (uk,) + keys)
-
-
-def _apply_linear(f, op, elem):
-    out = {}
-    for key, c in elem.items():
-        for k2, v in op(key).items():
-            w = f.add(out.get(k2, f.zero()), f.mul(c, v))
-            if w:
-                out[k2] = w
-            else:
-                out.pop(k2, None)
-    return out
 
 
 def cyclic_operator(a: DgCategory, n: int) -> Matrix:
@@ -78,7 +67,7 @@ def cyclic_operator(a: DgCategory, n: int) -> Matrix:
     f = a.field
     entries = {}
     for col, key in enumerate(keys):
-        k2, sign = t_of_key(bar, key)
+        k2, sign = t_of_key(a, key)
         entries[(index[k2], col)] = sign
     return Matrix(f, len(keys), len(keys), entries)
 
@@ -96,7 +85,6 @@ class MixedComplex:
         f = base.field
         self.field = f
         self.norm = CyclicBar(base, bar_bound, normalized=True)
-        self.unnorm = CyclicBar(base, bar_bound, normalized=False)
         self.plan = _ContributionPlan(base)
 
         # chains per homological degree n = bar - internal
@@ -135,36 +123,24 @@ class MixedComplex:
         return self.norm.total_diff_of(key)
 
     def _B_elem(self, key):
-        f = self.field
+        a, f = self.base, self.field
         m = self.norm.bar_degree(key)
-        # norm operator on the unnormalized lift
-        acc = {}
-        cur = {key: f.one()}
+        # s N on the unnormalized lift: t permutes chain keys up to sign, and
+        # s is injective on keys
+        out = {}
+        k, c = key, f.one()
         for _ in range(m + 1):
-            for k2, v in cur.items():
-                w = f.add(acc.get(k2, f.zero()), v)
-                if w:
-                    acc[k2] = w
-                else:
-                    acc.pop(k2, None)
-            cur = _apply_linear(f, lambda kk: dict([t_of_key(self.unnorm, kk)]), cur)
-        out = _apply_linear(f, lambda kk: {s_of_key(self.unnorm, kk): f.one()}, acc)
+            f.accumulate(out, s_of_key(a, k), c)
+            k, sign = t_of_key(a, k)
+            c = f.mul(c, sign)
         # 1 - t
-        t_out = _apply_linear(f, lambda kk: dict([t_of_key(self.unnorm, kk)]), out)
-        for k2, v in t_out.items():
-            w = f.sub(out.get(k2, f.zero()), v)
-            if w:
-                out[k2] = w
-            else:
-                out.pop(k2, None)
+        for k2, v in list(out.items()):
+            k3, sign = t_of_key(a, k2)
+            f.accumulate(out, k3, f.neg(f.mul(sign, v)))
         # project to the normalized complex and apply the level sign
         sgn = f.of_int((-1) ** ((m + 1) % 2))
-        proj = {}
         norm_index = self.norm.index_by_bar.get(m + 1, {})
-        for k2, v in out.items():
-            if k2 in norm_index:
-                proj[k2] = f.mul(sgn, v)
-        return proj
+        return {k2: f.mul(sgn, v) for k2, v in out.items() if k2 in norm_index}
 
     def _matrix(self, n_src: int, n_tgt: int, elem_fn) -> Matrix:
         f = self.field
@@ -250,12 +226,7 @@ def _column_total_matrix(mx: MixedComplex, n: int, q_lo: int, q_hi: int) -> Matr
         B = mx.B_mats.get(k)
         if B is not None and q + 1 in tgt_off:
             for (i, j), v in B.entries.items():
-                key = (tgt_off[q + 1] + i, src_off[q] + j)
-                w = f.add(entries.get(key, f.zero()), v)
-                if w:
-                    entries[key] = w
-                else:
-                    entries.pop(key, None)
+                f.accumulate(entries, (tgt_off[q + 1] + i, src_off[q] + j), v)
     return Matrix(f, n_tgt, n_src, entries)
 
 

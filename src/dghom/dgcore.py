@@ -22,16 +22,6 @@ from .exactfield import ChainComplex, FieldSpec, Matrix
 # ---------------------------------------------------------------------------
 # elements: sparse {(deg, idx): scalar} within one hom pair
 
-def elem_add(field, a, b):
-    out = dict(a)
-    for k, v in b.items():
-        w = field.add(out.get(k, field.zero()), v)
-        if w:
-            out[k] = w
-        else:
-            out.pop(k, None)
-    return out
-
 def elem_scale(field, c, a):
     if not c:
         return {}
@@ -106,12 +96,7 @@ class DgCategory:
             for (i, j), w in m.entries.items():
                 if j != idx:
                     continue
-                key = (deg + 1, i)
-                val = f.add(out.get(key, f.zero()), f.mul(w, v))
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
+                f.accumulate(out, (deg + 1, i), f.mul(w, v))
         return out
 
     def compose_elems(self, x, y, z, g: dict, f_elem: dict) -> dict:
@@ -127,12 +112,7 @@ class DgCategory:
                 c = f.mul(vg, vf)
                 deg = kg[0] + kf[0]
                 for ih, w in prod.items():
-                    key = (deg, ih)
-                    val = f.add(out.get(key, f.zero()), f.mul(c, w))
-                    if val:
-                        out[key] = val
-                    else:
-                        out.pop(key, None)
+                    f.accumulate(out, (deg, ih), f.mul(c, w))
         return out
 
     def basis_keys(self, x, y):
@@ -206,12 +186,7 @@ class DgFunctor:
             for (i, j), w in m.entries.items():
                 if j != idx:
                     continue
-                key = (deg, i)
-                val = f.add(out.get(key, f.zero()), f.mul(w, v))
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
+                f.accumulate(out, (deg, i), f.mul(w, v))
         return out
 
 
@@ -265,8 +240,9 @@ def validate(a: DgCategory) -> ValidationReport:
             for kf in a.basis_keys(x, y):
                 fe = {kf: f.one()}
                 lhs = a.d_elem(x, z, a.compose_elems(x, y, z, g, fe))
-                rhs = elem_add(f, a.compose_elems(x, y, z, dg, fe),
-                               elem_scale(f, sign, a.compose_elems(x, y, z, g, a.d_elem(x, y, fe))))
+                rhs = a.compose_elems(x, y, z, dg, fe)
+                for k, v in a.compose_elems(x, y, z, g, a.d_elem(x, y, fe)).items():
+                    f.accumulate(rhs, k, f.mul(sign, v))
                 if not elem_eq(lhs, rhs):
                     rep.add("Leibniz", (x, y, z, kg, kf))
     # associativity on basis triples
@@ -488,62 +464,51 @@ def tensor(*cats: DgCategory) -> DgCategory:
                                 newcombo = combo[:i] + ((k[0] + 1, r),) + combo[i + 1:]
                                 dd, row = index[newcombo]
                                 sgn = field.of_int((-1) ** (sign_exp % 2))
-                                key = (row, col)
-                                w = field.add(entries.get(key, field.zero()), field.mul(sgn, v))
-                                if w:
-                                    entries[key] = w
-                                else:
-                                    entries.pop(key, None)
+                                field.accumulate(entries, (row, col), field.mul(sgn, v))
                         sign_exp += k[0]
                 if entries:
                     diffs[d] = Matrix(field, len(by_degree.get(d + 1, ())), len(combos), entries)
             homs[(x, y)] = ChainComplex(field, spaces, diffs)
     comp = {}
-    for x in objects:
-        for y in objects:
-            for z in objects:
-                xy = info.enumerate_pair(x, y)
-                yz = info.enumerate_pair(y, z)
-                idx_xz = info.index[(x, z)]
-                table = {}
-                for dg, gcombos in yz.items():
-                    for ig, gcombo in enumerate(gcombos):
-                        for df, fcombos in xy.items():
-                            for if_, fcombo in enumerate(fcombos):
-                                # per-factor products; Koszul sign from g_j crossing f_i, i<j
-                                coeff = field.one()
-                                parts = []
-                                ok = True
-                                for i, (kg, kf) in enumerate(zip(gcombo, fcombo)):
-                                    prod = cats[i].comp.get((x[i], y[i], z[i]), {}).get((kg, kf))
-                                    if not prod:
-                                        ok = False
-                                        break
-                                    parts.append((kg[0] + kf[0], prod))
-                                if not ok:
-                                    continue
-                                sign_exp = sum(gcombo[j][0] * fcombo[i][0]
-                                               for i in range(len(cats))
-                                               for j in range(i + 1, len(cats)))
-                                if sign_exp % 2:
-                                    coeff = neg_one
-                                out = {}
-                                for combo in itertools.product(*[[(deg, ih, v) for ih, v in prod.items()]
-                                                                 for deg, prod in parts]):
-                                    keytuple = tuple((deg, ih) for deg, ih, _ in combo)
-                                    val = coeff
-                                    for _, _, v in combo:
-                                        val = field.mul(val, v)
-                                    dd, ih_flat = idx_xz[keytuple]
-                                    w = field.add(out.get(ih_flat, field.zero()), val)
-                                    if w:
-                                        out[ih_flat] = w
-                                    else:
-                                        out.pop(ih_flat, None)
-                                if out:
-                                    table[((dg, ig), (df, if_))] = out
-                if table:
-                    comp[(x, y, z)] = table
+    for x, y, z in walks(objects, hom_graph(homs, {}), 2):
+        xy = info.enumerate_pair(x, y)
+        yz = info.enumerate_pair(y, z)
+        idx_xz = info.index[(x, z)]
+        table = {}
+        for dg, gcombos in yz.items():
+            for ig, gcombo in enumerate(gcombos):
+                for df, fcombos in xy.items():
+                    for if_, fcombo in enumerate(fcombos):
+                        # per-factor products; Koszul sign from g_j crossing f_i, i<j
+                        coeff = field.one()
+                        parts = []
+                        ok = True
+                        for i, (kg, kf) in enumerate(zip(gcombo, fcombo)):
+                            prod = cats[i].comp.get((x[i], y[i], z[i]), {}).get((kg, kf))
+                            if not prod:
+                                ok = False
+                                break
+                            parts.append((kg[0] + kf[0], prod))
+                        if not ok:
+                            continue
+                        sign_exp = sum(gcombo[j][0] * fcombo[i][0]
+                                       for i in range(len(cats))
+                                       for j in range(i + 1, len(cats)))
+                        if sign_exp % 2:
+                            coeff = neg_one
+                        out = {}
+                        for combo in itertools.product(*[[(deg, ih, v) for ih, v in prod.items()]
+                                                         for deg, prod in parts]):
+                            keytuple = tuple((deg, ih) for deg, ih, _ in combo)
+                            val = coeff
+                            for _, _, v in combo:
+                                val = field.mul(val, v)
+                            dd, ih_flat = idx_xz[keytuple]
+                            field.accumulate(out, ih_flat, val)
+                        if out:
+                            table[((dg, ig), (df, if_))] = out
+        if table:
+            comp[(x, y, z)] = table
     units = {}
     for x in objects:
         index = info.index[(x, x)]
@@ -554,9 +519,8 @@ def tensor(*cats: DgCategory) -> DgCategory:
             val = field.one()
             for _, v in combo:
                 val = field.mul(val, v)
-            d, i = index[keytuple]
-            expansion[(d, i)] = field.add(expansion.get((d, i), field.zero()), val)
-        units[x] = {k: v for k, v in expansion.items() if v}
+            field.accumulate(expansion, index[keytuple], val)
+        units[x] = expansion
     name = " (x) ".join(c.name or "?" for c in cats)
     out = DgCategory(field, objects, homs, comp, units, name=name,
                      closed=all(c.closed for c in cats))
@@ -601,19 +565,35 @@ def swap_functor(a: DgCategory, b: DgCategory) -> DgFunctor:
     return DgFunctor(src, tgt, object_map, hom_maps, name="swap")
 
 
-def nonunit_graph(a: DgCategory):
-    """Digraph on objects with an edge x -> y when hom(x, y) has a
-    non-unit basis element; drives chain-vanishing certificates."""
+def hom_graph(homs, unit_keys):
+    """Digraph on objects with an edge x -> y when hom(x, y) has a basis
+    element other than the unit key ``unit_keys.get(x)`` of a loop.  With
+    no unit keys it is the nonempty-hom digraph."""
     edges = {}
-    for (x, y), c in a.homs.items():
+    for (x, y), c in homs.items():
         keys = {(d, i) for d in c.support() for i in range(c.dim(d))}
         if x == y:
-            uk = a.unit_key(x)
-            if uk is not None:
-                keys.discard(uk)
+            keys.discard(unit_keys.get(x))
         if keys:
             edges.setdefault(x, set()).add(y)
     return edges
+
+
+def nonunit_graph(a: DgCategory):
+    """Digraph on objects with an edge x -> y when hom(x, y) has a
+    non-unit basis element; drives chain-vanishing certificates."""
+    return hom_graph(a.homs, {x: a.unit_key(x) for x in a.objects})
+
+
+def walks(objects, edges, m):
+    """Object tuples (x_0, ..., x_m) with an edge x_i -> x_{i+1} for every
+    i, listed in the lexicographic order of ``objects`` (the order of
+    itertools.product over objects, restricted to walks)."""
+    succ = {x: [y for y in objects if y in edges.get(x, ())] for x in objects}
+    layer = [(x,) for x in objects]
+    for _ in range(m):
+        layer = [w + (y,) for w in layer for y in succ[w[-1]]]
+    return layer
 
 
 def longest_path_bound(a: DgCategory):

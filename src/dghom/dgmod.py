@@ -20,8 +20,8 @@ from __future__ import annotations
 import itertools
 
 from .exactfield import ChainComplex, Matrix, kernel_basis
-from .dgcore import (DgCategory, DgFunctor, ValidationReport, elem_add, elem_scale,
-                     elem_eq, opposite, tensor, tensor_info)
+from .dgcore import (DgCategory, DgFunctor, ValidationReport, elem_scale, elem_eq,
+                     hom_graph, longest_path_bound, opposite, tensor, tensor_info, walks)
 
 
 class DgModule:
@@ -71,12 +71,7 @@ class DgModule:
             for (i, j), w in m.entries.items():
                 if j != idx:
                     continue
-                key = (deg + 1, i)
-                val = f.add(out.get(key, f.zero()), f.mul(w, v))
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
+                f.accumulate(out, (deg + 1, i), f.mul(w, v))
         return out
 
     def act(self, x, y, m_elem: dict, f_elem: dict) -> dict:
@@ -92,12 +87,7 @@ class DgModule:
                 c = f.mul(vm, vf)
                 deg = kf[0] + km[0]
                 for i, w in prod.items():
-                    key = (deg, i)
-                    val = f.add(out.get(key, f.zero()), f.mul(c, w))
-                    if val:
-                        out[key] = val
-                    else:
-                        out.pop(key, None)
+                    f.accumulate(out, (deg, i), f.mul(c, w))
         return out
 
     def support_bounds(self):
@@ -140,8 +130,9 @@ def validate_module(m: DgModule) -> ValidationReport:
                 me = {km: f.one()}
                 lhs = m.d_value(x, m.act(x, y, me, fe))
                 sign = f.of_int((-1) ** (km[0] % 2))
-                rhs = elem_add(f, m.act(x, y, m.d_value(y, me), fe),
-                               elem_scale(f, sign, m.act(x, y, me, dfe)))
+                rhs = m.act(x, y, m.d_value(y, me), fe)
+                for k, v in m.act(x, y, me, dfe).items():
+                    f.accumulate(rhs, k, f.mul(sign, v))
                 if not elem_eq(lhs, rhs):
                     rep.add("module chain map", (x, y, kf, km))
     for (x, y, z) in itertools.product(a.objects, repeat=3):
@@ -202,50 +193,6 @@ def shift_module(m: DgModule, j: int) -> DgModule:
     return DgModule(m.base, values, action, name=f"{m.name}[{j}]" if m.name else "")
 
 
-def direct_sum_module(m1: DgModule, m2: DgModule) -> DgModule:
-    if m1.base != m2.base:
-        raise ValueError("direct sum over different bases")
-    f = m1.base.field
-    values = {}
-    offsets = {}
-    for x in m1.base.objects:
-        c1, c2 = m1.value(x), m2.value(x)
-        spaces = {}
-        offs = {}
-        for d in sorted(set(c1.support()) | set(c2.support())):
-            labels = tuple(f"L:{l}" for l in c1.labels(d)) + tuple(f"R:{l}" for l in c2.labels(d))
-            spaces[d] = labels
-            offs[d] = c1.dim(d)
-        diffs = {}
-        for d in spaces:
-            entries = {}
-            md = c1.diffs.get(d)
-            if md:
-                entries.update(md.entries)
-            md2 = c2.diffs.get(d)
-            if md2:
-                for (i, jj), v in md2.entries.items():
-                    entries[(i + offs.get(d + 1, c1.dim(d + 1)), jj + offs[d])] = v
-            if entries:
-                diffs[d] = Matrix(f, len(spaces.get(d + 1, ())), len(spaces[d]), entries)
-        values[x] = ChainComplex(f, spaces, diffs)
-        offsets[x] = offs
-    action = {}
-    for pair in set(m1.action) | set(m2.action):
-        x, y = pair
-        tab = {}
-        for ((kf), (km)), prod in m1.action.get(pair, {}).items():
-            tab[(kf, km)] = dict(prod)
-        for ((kf), (km)), prod in m2.action.get(pair, {}).items():
-            dm, im = km
-            src_off = offsets[y].get(dm, m1.value(y).dim(dm))
-            dst_deg = kf[0] + dm
-            dst_off = offsets[x].get(dst_deg, m1.value(x).dim(dst_deg))
-            tab[(kf, (dm, im + src_off))] = {i + dst_off: v for i, v in prod.items()}
-        action[pair] = tab
-    return DgModule(m1.base, values, action)
-
-
 def pullback_module(F: DgFunctor, m: DgModule) -> DgModule:
     """Restriction along a dg functor: value(x) = m.value(Fx), action
     through F; module axioms are inherited."""
@@ -302,16 +249,11 @@ def external_tensor_module(m: DgModule, n: DgModule) -> DgModule:
             for col, (km, kn) in enumerate(lst):
                 for k2, v in m.d_value(x, {km: f.one()}).items():
                     dd, row = index[(k2, kn)]
-                    entries[(row, col)] = f.add(entries.get((row, col), f.zero()), v)
+                    f.accumulate(entries, (row, col), v)
                 sgn = f.of_int((-1) ** (km[0] % 2))
                 for k2, v in n.d_value(y, {kn: f.one()}).items():
                     dd, row = index[(km, k2)]
-                    w = f.add(entries.get((row, col), f.zero()), f.mul(sgn, v))
-                    if w:
-                        entries[(row, col)] = w
-                    else:
-                        entries.pop((row, col), None)
-            entries = {k: v for k, v in entries.items() if v}
+                    f.accumulate(entries, (row, col), f.mul(sgn, v))
             if entries:
                 diffs[d] = Matrix(f, len(by_degree.get(d + 1, ())), len(lst), entries)
         values[obj] = ChainComplex(f, spaces, diffs)
@@ -337,9 +279,7 @@ def external_tensor_module(m: DgModule, n: DgModule) -> DgModule:
                         for ku, cu in u.items():
                             for kv, cv in v.items():
                                 dd, i_out = out_index[(ku, kv)]
-                                val = f.mul(sgn, f.mul(cu, cv))
-                                outs[i_out] = f.add(outs.get(i_out, f.zero()), val)
-                        outs = {i: c for i, c in outs.items() if c}
+                                f.accumulate(outs, i_out, f.mul(sgn, f.mul(cu, cv)))
                         if outs:
                             tab[((dh, ih), (dv, iv))] = outs
             if tab:
@@ -525,7 +465,6 @@ def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
     face/differential outputs with a unit in a middle slot are
     degenerate hence dropped.
     """
-    from .dgcore import longest_path_bound
     f = mid.field
     hom_bounds = mid.hom_degree_bounds()
     if normalized is None:
@@ -585,6 +524,7 @@ def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
         if normalized and u == v and unit_keys[u] is not None:
             keys = [k for k in keys if k != unit_keys[u]]
         hom_keys[(u, v)] = keys
+    edges = hom_graph(mid.homs, unit_keys)
 
     def drop_degenerate(okey):
         if not normalized:
@@ -606,18 +546,9 @@ def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
                 pair = (la, rc)
             chains = {}   # total degree -> list of keys
             for p in range(P + 1):
-                for objs in itertools.product(mid.objects, repeat=p + 1):
+                for objs in walks(mid.objects, edges, p):
                     # objs = (b_0, ..., b_p); betas a_i in hom(b_{i-1}, b_i)
-                    beta_lists = []
-                    ok = True
-                    for i in range(1, p + 1):
-                        ks = hom_keys[(objs[i - 1], objs[i])]
-                        if not ks:
-                            ok = False
-                            break
-                        beta_lists.append(ks)
-                    if not ok:
-                        continue
+                    beta_lists = [hom_keys[(objs[i - 1], objs[i])] for i in range(1, p + 1)]
                     xv = X.value(xobj(la, objs[p]))
                     yv = Y.value(yobj(objs[0], rc))
                     if not xv.spaces or not yv.spaces:
@@ -654,11 +585,7 @@ def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
                             if lo <= ot <= hi:
                                 raise AssertionError("bar chain missing from index")
                             continue
-                        w = f.add(entries.get((row, col), f.zero()), v)
-                        if w:
-                            entries[(row, col)] = w
-                        else:
-                            entries.pop((row, col), None)
+                        f.accumulate(entries, (row, col), v)
                 if entries:
                     diffs[t] = Matrix(f, n_rows, len(chains[t]), entries)
             spaces = {t: tuple(repr(k) for k in lst) for t, lst in chains.items()}
@@ -676,20 +603,11 @@ def _bar_diff(X, Y, mid, f, key, la, rc, x_act, y_act, xobj, yobj):
     p = len(betas)
     out = {}
 
-    def emit(okey, v):
-        if not v:
-            return
-        w = f.add(out.get(okey, f.zero()), v)
-        if w:
-            out[okey] = w
-        else:
-            out.pop(okey, None)
-
     # face 0: X-action by a_p
     if p:
         res = x_act(la, objs[p - 1], objs[p], {km: f.one()}, betas[0])
         for km2, v in res.items():
-            emit((objs[:p], km2, betas[1:], kn), v)
+            f.accumulate(out, (objs[:p], km2, betas[1:], kn), v)
     # middle faces i = 1..p-1: compose a_{p-i+1} . a_{p-i}
     for i in range(1, p):
         g_key, f_key = betas[i - 1], betas[i]
@@ -700,7 +618,7 @@ def _bar_diff(X, Y, mid, f, key, la, rc, x_act, y_act, xobj, yobj):
         for kc, v in comp.items():
             nobjs = objs[:p - i] + objs[p - i + 1:]
             nbetas = betas[:i - 1] + (kc,) + betas[i + 1:]
-            emit((nobjs, km, nbetas, kn), f.mul(sgn, v))
+            f.accumulate(out, (nobjs, km, nbetas, kn), f.mul(sgn, v))
     # face p: left action of a_1 on the Y side, with the Koszul sign of
     # the left-module dictionary g.n = (-1)^{|g||n|} n .op g
     if p:
@@ -708,13 +626,13 @@ def _bar_diff(X, Y, mid, f, key, la, rc, x_act, y_act, xobj, yobj):
         sgn = f.of_int((-1) ** ((p + a1[0] * kn[0]) % 2))
         res = y_act(rc, objs[1], objs[0], {kn: f.one()}, a1)
         for kn2, v in res.items():
-            emit((objs[1:], km, betas[:-1], kn2), f.mul(sgn, v))
+            f.accumulate(out, (objs[1:], km, betas[:-1], kn2), f.mul(sgn, v))
 
     # internal differential with Koszul signs from the left; global (-1)^p
     sign_accum = p % 2
     dx = X.d_value(xobj(la, objs[p]), {km: f.one()})
     for km2, v in dx.items():
-        emit((objs, km2, betas, kn), f.mul(f.of_int((-1) ** sign_accum), v))
+        f.accumulate(out, (objs, km2, betas, kn), f.mul(f.of_int((-1) ** sign_accum), v))
     sign_accum += km[0]
     for i, bk in enumerate(betas):
         # beta_i spans hom(objs[p-i-1], objs[p-i])
@@ -722,12 +640,12 @@ def _bar_diff(X, Y, mid, f, key, la, rc, x_act, y_act, xobj, yobj):
         de = mid.d_elem(u, v_obj, {bk: f.one()})
         sgn = f.of_int((-1) ** (sign_accum % 2))
         for bk2, v in de.items():
-            emit((objs, km, betas[:i] + (bk2,) + betas[i + 1:], kn), f.mul(sgn, v))
+            f.accumulate(out, (objs, km, betas[:i] + (bk2,) + betas[i + 1:], kn), f.mul(sgn, v))
         sign_accum += bk[0]
     dy = Y.d_value(yobj(objs[0], rc), {kn: f.one()})
     sgn = f.of_int((-1) ** (sign_accum % 2))
     for kn2, v in dy.items():
-        emit((objs, km, betas, kn2), f.mul(sgn, v))
+        f.accumulate(out, (objs, km, betas, kn2), f.mul(sgn, v))
     return out
 
 
@@ -785,12 +703,7 @@ class ModuleMap:
         out = {}
         for km, c in elem.items():
             for j, v in tab.get(km, {}).items():
-                key = (km[0] + self.degree, j)
-                w = f.add(out.get(key, f.zero()), f.mul(c, v))
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
+                f.accumulate(out, (km[0] + self.degree, j), f.mul(c, v))
         return out
 
     def check(self):
@@ -858,8 +771,7 @@ def module_map_space(src: DgModule, dst: DgModule, n: int):
                     comps.setdefault(i, {})[index[(x, km, j)]] = v
             for km2, v in src.d_value(x, {km: f.one()}).items():
                 for j in range(tgt.dim(km2[0] + n)):
-                    comps.setdefault(j, {}).setdefault(index[(x, km2, j)], f.zero())
-                    comps[j][index[(x, km2, j)]] = f.sub(comps[j][index[(x, km2, j)]], v)
+                    f.accumulate(comps.setdefault(j, {}), index[(x, km2, j)], f.neg(v))
             for comp in comps.values():
                 add_row(comp)
     # linearity: f(m.a) - (-1)^{n|a|} f(m).a = 0
@@ -872,17 +784,13 @@ def module_map_space(src: DgModule, dst: DgModule, n: int):
                 comps = {}
                 for km2, v in acted.items():
                     for j in range(dst.value(x).dim(km2[0] + n)):
-                        k = index[(x, km2, j)]
-                        comps.setdefault((km2[0] + n, j), {}).setdefault(k, f.zero())
-                        comps[(km2[0] + n, j)][k] = f.add(comps[(km2[0] + n, j)][k], v)
+                        f.accumulate(comps.setdefault((km2[0] + n, j), {}), index[(x, km2, j)], v)
                 for j in range(dst.value(y).dim(km[0] + n)):
                     out = dst.act(x, y, {(km[0] + n, j): f.one()}, fe)
                     for kk, v in out.items():
-                        k = index[(y, km, j)]
-                        comps.setdefault(kk, {}).setdefault(k, f.zero())
-                        comps[kk][k] = f.sub(comps[kk][k], f.mul(sgn, v))
+                        f.accumulate(comps.setdefault(kk, {}), index[(y, km, j)], f.neg(f.mul(sgn, v)))
                 for comp in comps.values():
-                    add_row({k: v for k, v in comp.items() if v})
+                    add_row(comp)
 
     mat_entries = {}
     for r, row in enumerate(rows):

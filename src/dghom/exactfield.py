@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+_Q_ZERO = Fraction(0)
+
+
 class FieldError(ValueError):
     pass
 
@@ -95,6 +98,19 @@ class FieldSpec:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
+    def accumulate(self, store: dict, key, val):
+        """store[key] += val on a sparse vector, which never stores a zero:
+        a key whose value cancels is removed."""
+        # add() inlined: this is the innermost loop of every assembly
+        if self.kind:
+            w = (store.get(key, 0) + val) % self.kind
+        else:
+            w = store.get(key, _Q_ZERO) + val
+        if w:
+            store[key] = w
+        else:
+            store.pop(key, None)
+
     def parse(self, text: str):
         """Parse a scalar literal: integer, or p/q over the rationals."""
         text = text.strip()
@@ -155,11 +171,7 @@ class Matrix:
         f = self.field
         out = dict(self.entries)
         for k, v in other.entries.items():
-            w = f.add(out.get(k, f.zero()), v)
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
+            f.accumulate(out, k, v)
         return Matrix(f, self.rows, self.cols, out)
 
     def scale(self, c) -> "Matrix":
@@ -182,12 +194,7 @@ class Matrix:
         out = {}
         for (i, k), u in self.entries.items():
             for j, v in by_row.get(k, ()):
-                key = (i, j)
-                w = f.add(out.get(key, f.zero()), f.mul(u, v))
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
+                f.accumulate(out, (i, j), f.mul(u, v))
         return Matrix(f, self.rows, other.cols, out)
 
     def transpose(self) -> "Matrix":
@@ -208,11 +215,7 @@ class Matrix:
             if not c:
                 continue
             for i, v in by_col.get(j, ()):
-                w = f.add(out.get(i, f.zero()), f.mul(v, c))
-                if w:
-                    out[i] = w
-                else:
-                    out.pop(i, None)
+                f.accumulate(out, i, f.mul(v, c))
         return out
 
     def to_dense(self):

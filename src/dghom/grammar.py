@@ -62,6 +62,13 @@ def _parse_field(parts, ln):
     raise GrammarError(f"bad field declaration {' '.join(parts)!r}", ln)
 
 
+def _scalar(field, text, ln):
+    try:
+        return field.parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise GrammarError(f"bad scalar {text!r} for field {field.describe()}", ln)
+
+
 def loads(text: str):
     """Parse a category or quiver file.  Returns (DgCategory, certificate)
     where the certificate is the realization certificate for quivers and
@@ -153,7 +160,7 @@ def _load_dgcat(lines) -> DgCategory:
         if dt != ds + 1:
             raise GrammarError(f"diff must raise degree by 1 ({src}: {ds} -> {tgt}: {dt})", ln)
         spaces, diffs = homs[(x, y)]
-        diffs.setdefault(ds, {})[(itgt, isrc)] = field.parse(scalar)
+        diffs.setdefault(ds, {})[(itgt, isrc)] = _scalar(field, scalar, ln)
     hom_complexes = {}
     for (x, y), (spaces, diffs) in homs.items():
         mats = {}
@@ -174,8 +181,7 @@ def _load_dgcat(lines) -> DgCategory:
         if kh[0] != kg[0] + kf[0]:
             raise GrammarError("composition must preserve total degree", ln)
         table = comp.setdefault((x, y, z), {})
-        prod = table.setdefault((kg, kf), {})
-        prod[kh[1]] = field.add(prod.get(kh[1], field.zero()), field.parse(scalar))
+        field.accumulate(table.setdefault((kg, kf), {}), kh[1], _scalar(field, scalar, ln))
     unit_elems = {}
     for x in objects:
         if x not in units:
@@ -184,8 +190,7 @@ def _load_dgcat(lines) -> DgCategory:
         for label, scalar, ln in units[x]:
             if (x, x, label) not in key_of:
                 raise GrammarError(f"unit references unknown basis {label!r}", ln)
-            k = key_of[(x, x, label)]
-            elem[k] = field.add(elem.get(k, field.zero()), field.parse(scalar))
+            field.accumulate(elem, key_of[(x, x, label)], _scalar(field, scalar, ln))
         unit_elems[x] = elem
     return DgCategory(field, objects, hom_complexes, comp, unit_elems)
 
@@ -251,7 +256,7 @@ def _load_quiver(lines):
                 endpoints = (s, t)
             elif endpoints != (s, t):
                 raise GrammarError("relation terms have mismatched endpoints", ln)
-            terms[word] = field.add(terms.get(word, field.zero()), field.parse(coeff))
+            field.accumulate(terms, word, _scalar(field, coeff, ln))
         try:
             relations.append(PathElement(endpoints[0], endpoints[1], terms))
         except Exception as exc:
@@ -321,7 +326,3 @@ def _label_name(lbl) -> str:
     s = "".join(ch if (ch.isalnum() or ch in "_-.:()|") else "_" for ch in s)
     return s or "b"
 
-
-def dump_path(a: DgCategory, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(a))

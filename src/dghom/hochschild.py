@@ -25,8 +25,8 @@ from __future__ import annotations
 import itertools
 
 from .exactfield import ChainComplex, Matrix, homology_dims, homology_quotient
-from .dgcore import (DgCategory, elem_add, elem_scale, longest_path_bound,
-                     tensor, tensor_info)
+from .dgcore import (DgCategory, elem_scale, hom_graph, longest_path_bound,
+                     tensor, tensor_info, walks)
 
 
 class HochschildError(ValueError):
@@ -127,8 +127,9 @@ class CyclicBar:
         self._unit_keys = {x: a.unit_key(x) for x in a.objects}
         self.keys_by_bar = {}
         self.index_by_bar = {}
+        edges = hom_graph(a.homs, self._unit_keys if normalized else {})
         for m in range(bar_bound + 1):
-            keys = list(self._enumerate(m))
+            keys = list(self._enumerate(m, edges))
             keys.sort(key=repr)
             self.keys_by_bar[m] = keys
             self.index_by_bar[m] = {k: i for i, k in enumerate(keys)}
@@ -141,29 +142,13 @@ class CyclicBar:
                 if (d, i) != uk:
                     yield (d, i)
 
-    def _enumerate(self, m):
+    def _enumerate(self, m, edges):
         a = self.a
-        if m == 0:
-            for x in a.objects:
-                for k in a.basis_keys(x, x):
-                    yield ((x,), (k,))
-            return
-        # inner path x_0 -> ... -> x_m on non-unit factors, wrap f_m any
-        for objs in itertools.product(a.objects, repeat=m + 1):
-            inner_lists = []
-            ok = True
-            for j in range(m):
-                ks = list(self._inner_keys(objs[j], objs[j + 1]))
-                if not ks:
-                    ok = False
-                    break
-                inner_lists.append(ks)
-            if not ok:
-                continue
-            outer = list(a.basis_keys(objs[m], objs[0]))
-            if not outer:
-                continue
-            for kf_m in outer:
+        # inner walk x_0 -> ... -> x_m along edges of inner factors (non-unit
+        # when normalized), wrap f_m any
+        for objs in walks(a.objects, edges, m):
+            inner_lists = [list(self._inner_keys(objs[j], objs[j + 1])) for j in range(m)]
+            for kf_m in a.basis_keys(objs[m], objs[0]):
                 # tuple order (f_m, f_{m-1}, ..., f_0)
                 for inner in itertools.product(*reversed(inner_lists)):
                     yield (objs, (kf_m,) + inner)
@@ -212,12 +197,7 @@ class CyclicBar:
                         break
                 if degenerate:
                     continue
-            k = (objs, keys)
-            w = f.add(out.get(k, f.zero()), coeff)
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
+            f.accumulate(out, (objs, keys), coeff)
         return out
 
     def face(self, key, i) -> dict:
@@ -269,11 +249,7 @@ class CyclicBar:
         for i in range(m + 1):
             sgn = f.of_int((-1) ** (i % 2))
             for k2, v in self.face(key, i).items():
-                w = f.add(out.get(k2, f.zero()), f.mul(sgn, v))
-                if w:
-                    out[k2] = w
-                else:
-                    out.pop(k2, None)
+                f.accumulate(out, k2, f.mul(sgn, v))
         return out
 
     def bprime_of(self, key) -> dict:
@@ -286,11 +262,7 @@ class CyclicBar:
         for i in range(1, m + 1):
             sgn = f.of_int((-1) ** (i % 2))
             for k2, v in self.face(key, i).items():
-                w = f.add(out.get(k2, f.zero()), f.mul(sgn, v))
-                if w:
-                    out[k2] = w
-                else:
-                    out.pop(k2, None)
+                f.accumulate(out, k2, f.mul(sgn, v))
         return out
 
     def dint_of(self, key) -> dict:
@@ -308,11 +280,7 @@ class CyclicBar:
                 elems = [{keys[p]: f.one()} if p != pos else elem_scale(f, sgn, de)
                          for p in range(m + 1)]
                 for k2, v in self._project(objs, elems).items():
-                    w = f.add(out.get(k2, f.zero()), v)
-                    if w:
-                        out[k2] = w
-                    else:
-                        out.pop(k2, None)
+                    f.accumulate(out, k2, v)
             acc += keys[pos][0]
         return out
 
@@ -323,11 +291,7 @@ class CyclicBar:
         out = dict(self.b_of(key))
         sgn = f.of_int((-1) ** (m % 2))
         for k2, v in self.dint_of(key).items():
-            w = f.add(out.get(k2, f.zero()), f.mul(sgn, v))
-            if w:
-                out[k2] = w
-            else:
-                out.pop(k2, None)
+            f.accumulate(out, k2, f.mul(sgn, v))
         return out
 
     def total_complex(self):
@@ -496,28 +460,20 @@ def ch0(a: DgCategory, x, e) -> Ch0Class:
         for j in range(n):
             acc = {}
             for k in range(n):
-                acc = elem_add(f, acc, a.compose_elems(x, x, x, e[i][k], e[k][j]))
+                for kk, v in a.compose_elems(x, x, x, e[i][k], e[k][j]).items():
+                    f.accumulate(acc, kk, v)
             if not acc == {kk: v for kk, v in e[i][j].items() if v}:
                 raise ValueError("matrix is not idempotent")
     hc, dim, project, index0 = _hh0_quotient(a)
     trace = {}
     for i in range(n):
-        trace = elem_add(f, trace, e[i][i])
+        for k, v in e[i][i].items():
+            f.accumulate(trace, k, v)
     vec = {}
     for (d, idx), v in trace.items():
         key = ((x,), ((d, idx),))
         vec[index0[key]] = v
     return Ch0Class(f, project(vec), dim)
-
-
-def hh0_class_of_elem(a: DgCategory, x, elem) -> Ch0Class:
-    """Class in HH_0 of a closed degree-0 endomorphism."""
-    hc, dim, project, index0 = _hh0_quotient(a)
-    vec = {}
-    for (d, idx), v in elem.items():
-        key = ((x,), ((d, idx),))
-        vec[index0[key]] = v
-    return Ch0Class(a.field, project(vec), dim)
 
 
 # ---------------------------------------------------------------------------
@@ -619,12 +575,7 @@ class ShuffleMap:
             for (ka, kb, src, tgt) in reversed(factors):
                 keys.append(self._pair_hom_key(src[0], tgt[0], ka, src[1], tgt[1], kb))
             chain = (objs_ab, tuple(keys))
-            sgn = f.of_int((-1) ** (sign_exp % 2))
-            w = f.add(out.get(chain, f.zero()), sgn)
-            if w:
-                out[chain] = w
-            else:
-                out.pop(chain, None)
+            f.accumulate(out, chain, f.of_int((-1) ** (sign_exp % 2)))
         return out
 
     def check_certificate(self):
@@ -645,16 +596,16 @@ class ShuffleMap:
             lhs = {}
             for k2, v in self.bar_a.total_diff_of(key_a).items():
                 for kk, vv in self.apply_pair(k2, key_b).items():
-                    _acc(f, lhs, kk, f.mul(v, vv))
+                    f.accumulate(lhs, kk, f.mul(v, vv))
             sgn = f.of_int((-1) ** (ta % 2))
             for k2, v in self.bar_b.total_diff_of(key_b).items():
                 for kk, vv in self.apply_pair(key_a, k2).items():
-                    _acc(f, lhs, kk, f.mul(f.mul(sgn, v), vv))
+                    f.accumulate(lhs, kk, f.mul(f.mul(sgn, v), vv))
             rhs = {}
             for kk, vv in self.apply_pair(key_a, key_b).items():
                 for k3, v3 in self.bar_ab.total_diff_of(kk).items():
-                    _acc(f, rhs, k3, f.mul(vv, v3))
-            if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
+                    f.accumulate(rhs, k3, f.mul(vv, v3))
+            if lhs != rhs:
                 raise HochschildError(
                     f"shuffle chain-map certificate failed on {key_a} (x) {key_b}; "
                     "this is an internal sign error")
@@ -684,16 +635,6 @@ def _staircase(positions, p, q):
             j += 1
         pts.append((i, j))
     return pts
-
-
-def _acc(f, store, key, val):
-    if not val:
-        return
-    w = f.add(store.get(key, f.zero()), val)
-    if w:
-        store[key] = w
-    else:
-        store.pop(key, None)
 
 
 def shuffle_map(a: DgCategory, b: DgCategory, window,

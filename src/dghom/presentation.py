@@ -127,12 +127,7 @@ class Presentation:
             sign_exp = sum(degs[i + 1:]) % 2
             sgn = f.of_int((-1) ** sign_exp)
             for w2, c in dg.terms.items():
-                new = word[:i] + w2 + word[i + 1:]
-                v = f.add(out.get(new, f.zero()), f.mul(sgn, c))
-                if v:
-                    out[new] = v
-                else:
-                    out.pop(new, None)
+                f.accumulate(out, word[:i] + w2 + word[i + 1:], f.mul(sgn, c))
         return out
 
     def monomial_relations_only(self) -> bool:
@@ -176,11 +171,7 @@ def _d_of_element(p: Presentation, e: PathElement) -> dict:
     out = {}
     for w, c in e.terms.items():
         for w2, v in p.d_of_word(w).items():
-            s = f.add(out.get(w2, f.zero()), f.mul(c, v))
-            if s:
-                out[w2] = s
-            else:
-                out.pop(w2, None)
+            f.accumulate(out, w2, f.mul(c, v))
     return out
 
 

@@ -28,10 +28,6 @@ from .dgmod import (Bimodule, DgModule, bar_composite, diagonal_bimodule,
 from .hochschild import chain_support_bound, hh_dims, _ContributionPlan
 
 
-class SaturationError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -267,15 +263,6 @@ class TriangleResult:
         return f"TriangleResult({self.status}, evidence={self.evidence})"
 
 
-def _decompose_pair_value(m: DgModule, obj, key):
-    """Split a value basis key of an external-tensor-shaped module."""
-    pk = getattr(m, "_pair_keys", None)
-    if pk is None:
-        raise SaturationError("module lacks pair bookkeeping")
-    d, i = key
-    return pk[obj][d][i]
-
-
 def _triangle_modules(a: DgCategory):
     """The two composable bimodules whose derived tensor over
     B' = a (x) a^op (x) a is the triangle composite: X = id (x) coev and
@@ -321,16 +308,11 @@ def _triangle_modules(a: DgCategory):
                 for col, (km, kn) in enumerate(lst):
                     for k2, vv in a.d_elem(pair_of[0][0], pair_of[0][1], {km: f.one()}).items():
                         dd, row = index[(k2, kn)]
-                        entries[(row, col)] = f.add(entries.get((row, col), f.zero()), vv)
+                        f.accumulate(entries, (row, col), vv)
                     sgn = f.of_int((-1) ** (km[0] % 2))
                     for k2, vv in a.d_elem(pair_of[1][0], pair_of[1][1], {kn: f.one()}).items():
                         dd, row = index[(km, k2)]
-                        w2 = f.add(entries.get((row, col), f.zero()), f.mul(sgn, vv))
-                        if w2:
-                            entries[(row, col)] = w2
-                        else:
-                            entries.pop((row, col), None)
-                entries = {k: v for k, v in entries.items() if v}
+                        f.accumulate(entries, (row, col), f.mul(sgn, vv))
                 if entries:
                     diffs[d] = Matrix(f, len(by_degree.get(d + 1, ())), len(lst), entries)
             values[obj] = ChainComplex(f, spaces, diffs)
@@ -354,8 +336,7 @@ def _triangle_modules(a: DgCategory):
                             outs = {}
                             for (ku, kv), cc in res.items():
                                 dd, i_out = out_index[(ku, kv)]
-                                outs[i_out] = f.add(outs.get(i_out, f.zero()), cc)
-                            outs = {i: c for i, c in outs.items() if c}
+                                f.accumulate(outs, i_out, cc)
                             if outs:
                                 tab[((dh, ih), (dv, iv))] = outs
                 if tab:

@@ -232,3 +232,71 @@ def brute_tor_dims(cat, m_values, m_action, n_values, n_action, n_max):
 
 def convolution(da: dict, db: dict, n: int) -> int:
     return sum(da.get(i, 0) * db.get(n - i, 0) for i in range(n + 1))
+
+
+# ---------------------------------------------------------------------------
+# chain bases by filtering every object tuple (the library walks the
+# nonempty-hom digraph instead)
+
+def _basis(c):
+    return [(d, i) for d in c.support() for i in range(c.dim(d))]
+
+
+def _factor_keys(cat, x, y, normalized):
+    keys = _basis(cat.hom(x, y))
+    if normalized and x == y and cat.unit_key(x) in keys:
+        keys.remove(cat.unit_key(x))
+    return keys
+
+
+def brute_cyclic_keys(cat, m, normalized):
+    """Cyclic bar chain keys (objs, (f_m, ..., f_0)) at bar degree m."""
+    out = set()
+    for objs in itertools.product(cat.objects, repeat=m + 1):
+        inner = [_factor_keys(cat, objs[j], objs[j + 1], normalized) for j in range(m)]
+        for kf_m in _basis(cat.hom(objs[m], objs[0])):
+            for rest in itertools.product(*reversed(inner)):
+                out.add((objs, (kf_m,) + rest))
+    return out
+
+
+def brute_bar_chain_keys(X, Y, mid, window_coh, bar_bound, normalized,
+                         left_spect=None, right_spect=None):
+    """Two-sided bar chain keys (objs, km, (a_p, ..., a_1), kn) per
+    spectator pair and total cohomological degree in the window closure."""
+    lo, hi = window_coh[0] - 1, window_coh[1] + 1
+    spect = left_spect is not None or right_spect is not None
+    out = {}
+    for la in (left_spect.objects if left_spect is not None else (None,)):
+        for rc in (right_spect.objects if right_spect is not None else (None,)):
+            chains = {}
+            for p in range(bar_bound + 1):
+                for objs in itertools.product(mid.objects, repeat=p + 1):
+                    betas = [_factor_keys(mid, objs[i - 1], objs[i], normalized)
+                             for i in range(1, p + 1)]
+                    xv = X.value((la, objs[p]) if left_spect is not None else objs[p])
+                    yv = Y.value((objs[0], rc) if right_spect is not None else objs[0])
+                    for km in _basis(xv):
+                        for kn in _basis(yv):
+                            for bs in itertools.product(*betas):
+                                bt = bs[::-1]
+                                t = km[0] + kn[0] + sum(k[0] for k in bt) - p
+                                if lo <= t <= hi:
+                                    chains.setdefault(t, set()).add((objs, km, bt, kn))
+            out[(la, rc) if spect else ()] = chains
+    return out
+
+
+def brute_tensor_comp_shape(cats):
+    """Per object triple of tensor(*cats) with a nonzero composition, the
+    number of composable basis pairs: products of per-factor basis
+    products never cancel, so it is the product of the factor counts."""
+    objects = list(itertools.product(*(c.objects for c in cats)))
+    out = {}
+    for x, y, z in itertools.product(objects, repeat=3):
+        n = 1
+        for i, c in enumerate(cats):
+            n *= len(c.comp.get((x[i], y[i], z[i]), {}))
+        if n:
+            out[(x, y, z)] = n
+    return out

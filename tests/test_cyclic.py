@@ -47,12 +47,12 @@ class TestCyclicOperator:
                     lhs = {}
                     for k2, v in bar.bprime_of(key).items():
                         lhs[k2] = f.add(lhs.get(k2, f.zero()), v)
-                        k3, sgn = t_of_key(bar, k2)
+                        k3, sgn = t_of_key(bar.a, k2)
                         lhs[k3] = f.sub(lhs.get(k3, f.zero()), f.mul(sgn, v))
                     rhs = {}
                     for k2, v in bar.b_of(key).items():
                         rhs[k2] = f.add(rhs.get(k2, f.zero()), v)
-                    k2, sgn = t_of_key(bar, key)
+                    k2, sgn = t_of_key(bar.a, key)
                     for k3, v in bar.b_of(k2).items():
                         rhs[k3] = f.sub(rhs.get(k3, f.zero()), f.mul(sgn, v))
                     assert {k: v for k, v in lhs.items() if v} == \
@@ -67,12 +67,12 @@ class TestCyclicOperator:
                 lhs = {}
                 for k2, v in bar.bprime_of(key).items():
                     lhs[k2] = f.add(lhs.get(k2, f.zero()), v)
-                    k3, sgn = t_of_key(bar, k2)
+                    k3, sgn = t_of_key(bar.a, k2)
                     lhs[k3] = f.sub(lhs.get(k3, f.zero()), f.mul(sgn, v))
                 rhs = {}
                 for k2, v in bar.b_of(key).items():
                     rhs[k2] = f.add(rhs.get(k2, f.zero()), v)
-                k2, sgn = t_of_key(bar, key)
+                k2, sgn = t_of_key(bar.a, key)
                 for k3, v in bar.b_of(k2).items():
                     rhs[k3] = f.sub(rhs.get(k3, f.zero()), f.mul(sgn, v))
                 assert {k: v for k, v in lhs.items() if v} == \

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import dghom
 from dghom import grammar
 from dghom.cli import main
 from dghom.dgcore import sphere_cell, tensor, validate
@@ -134,6 +136,20 @@ class TestCli:
         bad.write_text("dgcat\nnonsense\n")
         assert main(["validate", str(bad)]) == 2
 
+    @pytest.mark.parametrize("text, line", [
+        (UNIT_TEXT.replace("* * * 1 1 1 1", "* * * 1 1 1 1/0"), 6),
+        (UNIT_TEXT.replace("field q", "field fp 5").replace("* * * 1 1 1 1", "* * * 1 1 1 1/5"), 6),
+        (UNIT_TEXT.replace("* * * 1 1 1 1", "* * * 1 1 1 abc"), 6),
+        (UNIT_TEXT.replace("unit * 1 1", "unit * 1 1/0"), 5),
+        (UNIT_TEXT.replace("basis * * 1 0", "basis * * 1 0\nbasis * * h -1") + "diff * * h 1 x\n", 8),
+        (KX2_QUIVER.replace("relation 1 x.x", "relation 1/0 x.x"), 6),
+    ], ids=["compose-1/0", "fp5-1/5", "compose-abc", "unit-1/0", "diff-x", "relation-1/0"])
+    def test_bad_scalar_exit_2(self, text, line, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main(["validate", str(bad)]) == 2
+        assert f"line {line}: bad scalar" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self):
         assert main(["hh", "/nonexistent/file.dg"]) == 2
 
@@ -230,8 +246,12 @@ class TestCli:
         assert "dims.0.dim\t2" in text
 
     def test_console_script_runs(self, files):
+        # the child finds the package where this process found it
+        src = os.path.dirname(os.path.dirname(dghom.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, "-m", "dghom.cli", "hh",
                                files["unit.dg"], "--n-max", "2"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "HH_0 = 1" in proc.stdout
