@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 _Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
 
 
 class FieldError(ValueError):
@@ -70,10 +72,10 @@ class FieldSpec:
         return self.kind == 0
 
     def zero(self):
-        return Fraction(0) if self.kind == 0 else 0
+        return _Q_ZERO if self.kind == 0 else 0
 
     def one(self):
-        return Fraction(1) if self.kind == 0 else 1
+        return _Q_ONE if self.kind == 0 else 1
 
     def of_int(self, n: int):
         return Fraction(n) if self.kind == 0 else n % self.kind
@@ -204,17 +206,24 @@ class Matrix:
     def column(self, j: int) -> dict:
         return {i: v for (i, jj), v in self.entries.items() if jj == j}
 
+    def columns(self) -> dict:
+        """Every nonzero column at once, {j: {i: scalar}}, in one pass over
+        the entries; index a matrix this way once rather than calling
+        ``column`` per column."""
+        by_col = {}
+        for (i, j), v in self.entries.items():
+            by_col.setdefault(j, {})[i] = v
+        return by_col
+
     def apply(self, vec: dict) -> dict:
         """Apply to a sparse column vector {index: scalar}."""
         f = self.field
         out = {}
-        by_col = {}
-        for (i, j), v in self.entries.items():
-            by_col.setdefault(j, []).append((i, v))
+        by_col = self.columns()
         for j, c in vec.items():
             if not c:
                 continue
-            for i, v in by_col.get(j, ()):
+            for i, v in by_col.get(j, {}).items():
                 f.accumulate(out, i, f.mul(v, c))
         return out
 
@@ -229,7 +238,9 @@ class Subspace:
 
     Vectors are sparse dicts {index: scalar}.  Supports membership
     reduction and coordinates of a vector with respect to the inserted
-    generators (used for quotient-space coordinates).
+    generators (used for quotient-space coordinates).  It tracks those
+    combinations and keeps a reduced basis, which kernels, images and
+    projections need; ``rank`` needs neither and does not use it.
     """
 
     def __init__(self, field: FieldSpec):
@@ -314,40 +325,103 @@ class Subspace:
 
 
 def rank(m: Matrix) -> int:
-    sp = Subspace(m.field)
+    """Rank by rank-only sparse elimination.
+
+    Nothing is tracked and nothing back-substituted: each row is reduced
+    by the pivot row at its leading column until that column holds no
+    pivot yet, and then becomes the pivot row there.  Over Q every row is
+    first cleared of denominators and reduced fraction-free on integers
+    (Bareiss 1968); over F_p pivot rows are scaled to lead with 1.
+    """
+    p = m.field.kind
     rows = {}
     for (i, j), v in m.entries.items():
         rows.setdefault(i, {})[j] = v
+    pivots = {}
     for i in sorted(rows):
-        sp.insert(rows[i])
-    return sp.dim
+        vec = rows[i] if p else _integer_row(rows[i])
+        while vec:
+            c = min(vec)
+            prow = pivots.get(c)
+            if prow is None:
+                if p:
+                    inv = pow(vec[c], p - 2, p)
+                    vec = {j: v * inv % p for j, v in vec.items()}
+                pivots[c] = vec
+                break
+            vec = _eliminate_mod(vec, prow, c, p) if p else _eliminate_int(vec, prow, c)
+    return len(pivots)
+
+
+def _integer_row(row: dict) -> dict:
+    """A rational row scaled to coprime integer entries."""
+    den = lcm(*(v.denominator for v in row.values()))
+    vec = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+    return _primitive(vec)
+
+
+def _primitive(vec: dict) -> dict:
+    """Divide an integer row by the gcd of its entries, which keeps the
+    entries of fraction-free elimination small."""
+    g = gcd(*vec.values())
+    return {j: v // g for j, v in vec.items()} if g > 1 else vec
+
+
+def _eliminate_int(vec: dict, prow: dict, c: int) -> dict:
+    """a*vec - b*prow with a, b the coprime cofactors that clear column c."""
+    a, b = prow[c], vec[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        vec = {j: a * v for j, v in vec.items()}
+    for j, v in prow.items():
+        w = vec.get(j, 0) - b * v
+        if w:
+            vec[j] = w
+        else:
+            del vec[j]
+    return _primitive(vec)
+
+
+def _eliminate_mod(vec: dict, prow: dict, c: int, p: int) -> dict:
+    """vec - vec[c]*prow mod p, for a pivot row leading with 1 at column c."""
+    b = vec[c]
+    for j, v in prow.items():
+        w = (vec.get(j, 0) - b * v) % p
+        if w:
+            vec[j] = w
+        else:
+            del vec[j]
+    return vec
 
 
 def kernel_basis(m: Matrix) -> Matrix:
     """Columns form a basis of the null space of m."""
-    f = m.field
-    sp = Subspace(f)
-    members = []  # combos over column indices whose reduction vanished
-    by_col = {}
-    for (i, j), v in m.entries.items():
-        by_col.setdefault(j, {})[i] = v
-    for j in range(m.cols):
-        added, combo = sp.insert_tracked(by_col.get(j, {}))
-        if not added:
-            members.append(combo)
+    members = _kernel_vectors(m)
     entries = {}
     for col, combo in enumerate(members):
         for i, v in combo.items():
             entries[(i, col)] = v
-    return Matrix(f, m.cols, len(members), entries)
+    return Matrix(m.field, m.cols, len(members), entries)
+
+
+def _kernel_vectors(m: Matrix) -> list:
+    """A basis of the null space of m as sparse vectors: the combinations
+    over the columns whose reduction vanished."""
+    sp = Subspace(m.field)
+    members = []
+    by_col = m.columns()
+    for j in range(m.cols):
+        added, combo = sp.insert_tracked(by_col.get(j, {}))
+        if not added:
+            members.append(combo)
+    return members
 
 
 def image_basis(m: Matrix) -> Subspace:
     """Column space of m as an incremental Subspace."""
     sp = Subspace(m.field)
-    by_col = {}
-    for (i, j), v in m.entries.items():
-        by_col.setdefault(j, {})[i] = v
+    by_col = m.columns()
     for j in sorted(by_col):
         sp.insert(by_col[j])
     return sp
@@ -368,6 +442,9 @@ class ChainComplex:
     spaces: dict
     diffs: dict
     specified: tuple | None = None
+    # not a field: rank per degree, made on the first diff_rank call
+    # (bar constructions build thousands of complexes never ranked)
+    _ranks = None
 
     def __post_init__(self):
         self.spaces = {d: tuple(labels) for d, labels in self.spaces.items() if labels}
@@ -393,6 +470,15 @@ class ChainComplex:
         if m is None:
             return Matrix.zeros(self.field, self.dim(d + 1), self.dim(d))
         return m
+
+    def diff_rank(self, d: int) -> int:
+        """rank diff(d), computed once per complex and degree."""
+        if self._ranks is None:
+            self._ranks = {}
+        if d not in self._ranks:
+            m = self.diffs.get(d)
+            self._ranks[d] = rank(m) if m is not None else 0
+        return self._ranks[d]
 
     def support(self):
         return sorted(self.spaces)
@@ -423,16 +509,7 @@ def homology_dims(c: ChainComplex, window: tuple) -> dict:
         raise WindowError(
             f"unspecified degrees: window [{lo},{hi}] needs [{lo - 1},{hi + 1}] "
             f"but complex is specified on {list(c.specified)}")
-    out = {}
-    for d in range(lo, hi + 1):
-        n = c.dim(d)
-        if n == 0:
-            out[d] = 0
-            continue
-        r_out = rank(c.diff(d)) if c.dim(d + 1) else 0
-        r_in = rank(c.diff(d - 1)) if c.dim(d - 1) else 0
-        out[d] = n - r_out - r_in
-    return out
+    return {d: c.dim(d) - c.diff_rank(d) - c.diff_rank(d - 1) for d in range(lo, hi + 1)}
 
 
 def euler_char(c: ChainComplex) -> int:
@@ -453,12 +530,10 @@ def homology_quotient(d_in: Matrix, d_out: Matrix):
     """
     f = d_in.field
     bound = image_basis(d_in)
-    ker = kernel_basis(d_out)
     reps = []
     quot = Subspace(f)
     # residuals of kernel vectors modulo boundaries; keep the independent ones
-    for j in range(ker.cols):
-        vec = ker.column(j)
+    for vec in _kernel_vectors(d_out):
         res = bound.residual(vec)
         if res and quot.insert(res):
             reps.append(vec)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 
-from .exactfield import ChainComplex, FieldSpec, Matrix
+from .exactfield import ChainComplex, FieldError, FieldSpec, Matrix
 from .dgcore import DgCategory
 from .presentation import PathElement, Presentation, realize
 
@@ -53,13 +53,30 @@ def _parse_field(parts, ln):
     if parts == ["q"]:
         return FieldSpec.rationals()
     if len(parts) == 2 and parts[0] == "fp":
-        try:
-            return FieldSpec.prime(int(parts[1]))
-        except Exception as exc:
-            raise GrammarError(str(exc), ln)
-    if len(parts) == 1 and parts[0].startswith("fp:"):
-        return FieldSpec.prime(int(parts[0][3:]))
-    raise GrammarError(f"bad field declaration {' '.join(parts)!r}", ln)
+        text = parts[1]
+    elif len(parts) == 1 and parts[0].startswith("fp:"):
+        text = parts[0][3:]
+    else:
+        raise GrammarError(f"bad field declaration {' '.join(parts)!r}", ln)
+    p = _integer(text, "field", ln)
+    try:
+        return FieldSpec.prime(p)
+    except FieldError as exc:
+        raise GrammarError(str(exc), ln)
+
+
+def _integer(text, what, ln):
+    try:
+        return int(text)
+    except ValueError:
+        raise GrammarError(f"bad integer {text!r} for {what}", ln)
+
+
+def _one_integer(parts, ln):
+    """The value of a `keyword <integer>` line."""
+    if len(parts) != 2:
+        raise GrammarError(f"{parts[0]} takes one integer", ln)
+    return _integer(parts[1], parts[0], ln)
 
 
 def _scalar(field, text, ln):
@@ -110,11 +127,8 @@ def _load_dgcat(lines) -> DgCategory:
         elif kw == "basis":
             if len(parts) != 5:
                 raise GrammarError("basis takes: x y label degree", ln)
-            x, y, label, deg = parts[1], parts[2], parts[3], parts[4]
-            try:
-                deg = int(deg)
-            except ValueError:
-                raise GrammarError(f"bad degree {deg!r}", ln)
+            x, y, label = parts[1], parts[2], parts[3]
+            deg = _integer(parts[4], "basis degree", ln)
             if (x, y, label) in label_at:
                 raise GrammarError(f"duplicate basis label {label!r} for {x}->{y}", ln)
             bases.setdefault((x, y), []).append((label, deg))
@@ -213,16 +227,18 @@ def _load_quiver(lines):
         if kw == "field":
             field = _parse_field(parts[1:], ln)
         elif kw == "wordlength":
-            wordlength = int(parts[1])
+            wordlength = _one_integer(parts, ln)
         elif kw == "degreebound":
-            degreebound = int(parts[1])
+            degreebound = _one_integer(parts, ln)
         elif kw == "vertex":
+            if len(parts) != 2:
+                raise GrammarError("vertex takes one name", ln)
             vertices.append(parts[1])
         elif kw == "arrow":
             if len(parts) not in (4, 5):
                 raise GrammarError("arrow takes: name src tgt [degree]", ln)
-            deg = int(parts[4]) if len(parts) == 5 else 0
-            arrows.append((parts[1], parts[2], parts[3], deg))
+            deg = _integer(parts[4], "arrow degree", ln) if len(parts) == 5 else 0
+            arrows.append((parts[1], parts[2], parts[3], deg, ln))
         elif kw == "relation":
             if len(parts) < 3 or len(parts) % 2 == 0:
                 raise GrammarError("relation takes coeff/path pairs", ln)
@@ -235,7 +251,10 @@ def _load_quiver(lines):
         raise GrammarError("quiver input requires a wordlength bound")
     if degreebound is None:
         degreebound = max(1, 2 * wordlength)
-    gens = {name: (src, tgt, deg) for (name, src, tgt, deg) in arrows}
+    for name, src, tgt, _deg, ln in arrows:
+        if src not in vertices or tgt not in vertices:
+            raise GrammarError(f"arrow {name!r} has an unknown endpoint", ln)
+    gens = {name: (src, tgt, deg) for (name, src, tgt, deg, _ln) in arrows}
     pres = Presentation(field, vertices, gens)
     relations = []
     for raw, ln in relations_raw:

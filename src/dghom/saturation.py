@@ -534,11 +534,14 @@ def _comparison_quasi_iso(a: DgCategory, res, X, Y, window):
                 continue
             dim_t, reps, project = homology_quotient(target.diff(t - 1), target.diff(t))
             dim_c, reps_c, _ = homology_quotient(cx.diff(t - 1), cx.diff(t))
+            # images of all representatives in one product, indexed once
+            reps_mat = Matrix(f, cx.dim(t), len(reps_c),
+                              {(i, k): v for k, vec in enumerate(reps_c) for i, v in vec.items()})
+            imgs = c_mats[t].mul(reps_mat).columns()
             image = Subspace(f)
             img_rank = 0
-            for vec in reps_c:
-                img = c_mats[t].apply(vec)
-                coords = project(img)
+            for k in range(len(reps_c)):
+                coords = project(imgs.get(k, {}))
                 if image.insert({i: c for i, c in enumerate(coords) if c}):
                     img_rank += 1
             if img_rank != h_dim:

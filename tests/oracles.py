@@ -3,6 +3,8 @@
 Everything here deliberately avoids the library's own linear algebra and
 sign conventions: dense Gaussian elimination, textbook bar complexes in
 the a_0 (x) ... (x) a_n orientation, and direct convolution counting.
+The one exception is `subspace_rank`, which checks `rank` against the
+library's other elimination, the combination-tracking `Subspace`.
 """
 
 import itertools
@@ -38,6 +40,20 @@ def dense_rank(rows, field: FieldSpec) -> int:
         if row == nrows:
             break
     return rank
+
+
+def subspace_rank(m) -> int:
+    """Rank through the library's combination-tracking route: insert every
+    row into a `Subspace`, which reduces it in Fraction/F_p arithmetic and
+    keeps a fully reduced basis.  An elimination independent of `rank`."""
+    from dghom.exactfield import Subspace
+    sp = Subspace(m.field)
+    rows = {}
+    for (i, j), v in m.entries.items():
+        rows.setdefault(i, {})[j] = v
+    for i in sorted(rows):
+        sp.insert(rows[i])
+    return sp.dim
 
 
 def matrix_to_dense(m):

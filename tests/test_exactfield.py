@@ -1,13 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dghom import exactfield
 from dghom.exactfield import (ChainComplex, FieldSpec, FieldError, Matrix, WindowError,
                               euler_char, homology_dims, kernel_basis, rank)
-from oracles import dense_rank, matrix_to_dense, random_sparse_matrix
+from dghom.hochschild import hochschild_complex
+from oracles import dense_rank, matrix_to_dense, random_sparse_matrix, subspace_rank
 
 Q = FieldSpec.rationals()
+F2 = FieldSpec.prime(2)
 F5 = FieldSpec.prime(5)
+F_BIG = FieldSpec.prime(2 ** 31 - 1)
 
 
 def M(field, rows, cols, entries):
@@ -72,6 +77,113 @@ class TestRankKernel:
         for _ in range(40):
             m = random_sparse_matrix(rng, field, rng.randrange(1, 9), rng.randrange(1, 9))
             assert rank(m) == dense_rank(matrix_to_dense(m), field)
+
+    def test_columns_index(self, rng):
+        m = random_sparse_matrix(rng, Q, 6, 7)
+        cols = m.columns()
+        for j in range(m.cols):
+            assert cols.get(j, {}) == m.column(j)
+
+
+def assert_rank_agrees(m):
+    r = rank(m)
+    assert r == subspace_rank(m) == dense_rank(matrix_to_dense(m), m.field)
+    return r
+
+
+def random_fraction_matrix(rng, rows, cols, density=0.5):
+    entries = {}
+    for i in range(rows):
+        for j in range(cols):
+            if rng.random() < density:
+                entries[(i, j)] = Fraction(rng.randrange(-9, 10), rng.randrange(1, 13))
+    return Matrix(Q, rows, cols, entries)
+
+
+def full_column_rank(rng, field, rows, k):
+    """A rows x k matrix whose top k x k block is lower triangular with a
+    nonzero diagonal, so its rank is k."""
+    nonzero = [v for v in range(-9, 10) if field.of_int(v)]
+    entries = {}
+    for i in range(rows):
+        for j in range(min(i + 1, k)):
+            v = field.of_int(rng.choice(nonzero) if i == j else rng.randrange(-9, 10))
+            if v:
+                entries[(i, j)] = v
+    return Matrix(field, rows, k, entries)
+
+
+def known_rank_product(rng, field, n, k, m):
+    """An n x m matrix of rank exactly k: the product of an n x k and a
+    k x m factor of rank k, with its rows and columns shuffled."""
+    prod = full_column_rank(rng, field, n, k).mul(full_column_rank(rng, field, m, k).transpose())
+    row_perm, col_perm = rng.sample(range(n), n), rng.sample(range(m), m)
+    return Matrix(field, n, m, {(row_perm[i], col_perm[j]): v
+                                for (i, j), v in prod.entries.items()})
+
+
+class TestRankOnlyKernel:
+    def test_fraction_entries(self, rng):
+        for _ in range(30):
+            assert_rank_agrees(random_fraction_matrix(rng, rng.randrange(1, 10), rng.randrange(1, 10)))
+
+    def test_fraction_rows_dependent(self):
+        # (1/2, 1/3) and (3/4, 1/2) are proportional; denominators must clear exactly
+        m = Matrix(Q, 2, 2, {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 3),
+                             (1, 0): Fraction(3, 4), (1, 1): Fraction(1, 2)})
+        assert assert_rank_agrees(m) == 1
+
+    @pytest.mark.parametrize("field", [Q, F2, F5, F_BIG], ids=["Q", "F2", "F5", "F2^31-1"])
+    def test_known_rank_products(self, field, rng):
+        for n, k, m in [(5, 2, 6), (12, 7, 10), (25, 13, 30), (40, 23, 38)]:
+            assert assert_rank_agrees(known_rank_product(rng, field, n, k, m)) == k
+
+    @pytest.mark.parametrize("field", [F2, F5, F_BIG], ids=["F2", "F5", "F2^31-1"])
+    def test_prime_fields_sparse(self, field, rng):
+        for _ in range(30):
+            assert_rank_agrees(random_sparse_matrix(rng, field, rng.randrange(1, 12), rng.randrange(1, 12)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 7).flatmap(lambda r: st.integers(1, 7).flatmap(
+        lambda c: st.lists(st.lists(st.integers(-6, 6), min_size=c, max_size=c),
+                           min_size=r, max_size=r))))
+    def test_rank_mod_p_at_most_rank_q(self, rows):
+        # the rank of an integer matrix can only drop mod p
+        def over(field):
+            return Matrix(field, len(rows), len(rows[0]),
+                          {(i, j): field.of_int(v) for i, row in enumerate(rows)
+                           for j, v in enumerate(row)})
+        r_q = rank(over(Q))
+        for p in (2, 3, 5):
+            assert rank(over(FieldSpec.prime(p))) <= r_q
+
+
+@pytest.fixture
+def ranked(monkeypatch):
+    """The ids of the matrices passed to exactfield.rank during the test."""
+    calls = []
+
+    def counting_rank(m):
+        calls.append(id(m))
+        return rank(m)
+
+    monkeypatch.setattr(exactfield, "rank", counting_rank)
+    return calls
+
+
+class TestRankCache:
+    def test_each_differential_ranked_once(self, ranked):
+        c = ChainComplex(Q, {0: ("x",), 1: ("y0", "y1"), 2: ("z",)},
+                         {0: M(Q, 2, 1, {(0, 0): 1}), 1: M(Q, 1, 2, {(0, 1): 1})})
+        assert homology_dims(c, (-1, 3)) == {-1: 0, 0: 0, 1: 0, 2: 0, 3: 0}
+        assert homology_dims(c, (0, 2)) == {0: 0, 1: 0, 2: 0}
+        assert sorted(ranked) == sorted({id(c.diff(0)), id(c.diff(1))})
+
+    def test_repeated_hh_dims_rank_once(self, ranked, corpus):
+        hc = hochschild_complex(corpus["kx2"], 4)
+        first = [hc.hh_dim(n) for n in range(4)]
+        assert [hc.hh_dim(n) for n in range(4)] == first
+        assert ranked and len(ranked) == len(set(ranked))
 
 
 def two_term(field, n0, n1, entries):

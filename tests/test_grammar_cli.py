@@ -136,19 +136,32 @@ class TestCli:
         bad.write_text("dgcat\nnonsense\n")
         assert main(["validate", str(bad)]) == 2
 
-    @pytest.mark.parametrize("text, line", [
-        (UNIT_TEXT.replace("* * * 1 1 1 1", "* * * 1 1 1 1/0"), 6),
-        (UNIT_TEXT.replace("field q", "field fp 5").replace("* * * 1 1 1 1", "* * * 1 1 1 1/5"), 6),
-        (UNIT_TEXT.replace("* * * 1 1 1 1", "* * * 1 1 1 abc"), 6),
-        (UNIT_TEXT.replace("unit * 1 1", "unit * 1 1/0"), 5),
-        (UNIT_TEXT.replace("basis * * 1 0", "basis * * 1 0\nbasis * * h -1") + "diff * * h 1 x\n", 8),
-        (KX2_QUIVER.replace("relation 1 x.x", "relation 1/0 x.x"), 6),
-    ], ids=["compose-1/0", "fp5-1/5", "compose-abc", "unit-1/0", "diff-x", "relation-1/0"])
-    def test_bad_scalar_exit_2(self, text, line, tmp_path, capsys):
+    @pytest.mark.parametrize("text, line, message", [
+        (UNIT_TEXT.replace("* * * 1 1 1 1", "* * * 1 1 1 1/0"), 6, "bad scalar"),
+        (UNIT_TEXT.replace("field q", "field fp 5").replace("* * * 1 1 1 1", "* * * 1 1 1 1/5"), 6,
+         "bad scalar"),
+        (UNIT_TEXT.replace("* * * 1 1 1 1", "* * * 1 1 1 abc"), 6, "bad scalar"),
+        (UNIT_TEXT.replace("unit * 1 1", "unit * 1 1/0"), 5, "bad scalar"),
+        (UNIT_TEXT.replace("basis * * 1 0", "basis * * 1 0\nbasis * * h -1") + "diff * * h 1 x\n", 8,
+         "bad scalar"),
+        (KX2_QUIVER.replace("relation 1 x.x", "relation 1/0 x.x"), 6, "bad scalar"),
+        (KX2_QUIVER.replace("wordlength 3", "wordlength x"), 3, "bad integer 'x' for wordlength"),
+        (KX2_QUIVER.replace("wordlength 3", "wordlength"), 3, "wordlength takes one integer"),
+        (KX2_QUIVER + "degreebound q\n", 7, "bad integer 'q' for degreebound"),
+        (KX2_QUIVER.replace("arrow x v v", "arrow x v v z"), 5, "bad integer 'z' for arrow degree"),
+        (KX2_QUIVER.replace("arrow x v v", "arrow x v w"), 5, "arrow 'x' has an unknown endpoint"),
+        (KX2_QUIVER.replace("vertex v", "vertex"), 4, "vertex takes one name"),
+        (KX2_QUIVER.replace("field q", "field fp:x"), 2, "bad integer 'x' for field"),
+        (KX2_QUIVER.replace("field q", "field fp x"), 2, "bad integer 'x' for field"),
+        (KX2_QUIVER.replace("field q", "field fp:6"), 2, "not a prime: 6"),
+    ], ids=["compose-1/0", "fp5-1/5", "compose-abc", "unit-1/0", "diff-x", "relation-1/0",
+            "wordlength-x", "wordlength-bare", "degreebound-q", "arrow-degree-z",
+            "arrow-endpoint", "vertex-bare", "field-fp:x", "field-fp-x", "field-fp:6"])
+    def test_bad_scalar_exit_2(self, text, line, message, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
         assert main(["validate", str(bad)]) == 2
-        assert f"line {line}: bad scalar" in capsys.readouterr().err
+        assert f"line {line}: {message}" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self):
         assert main(["hh", "/nonexistent/file.dg"]) == 2
