@@ -41,9 +41,21 @@ def _parse_field(text) -> FieldSpec:
 def _parse_window(text):
     try:
         lo, hi = text.split("..")
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except Exception:
         raise InputError(f"bad window {text!r} (expected a..b)")
+    if lo > hi:
+        raise InputError(f"empty window {text!r} (expected a..b with a <= b)")
+    return lo, hi
+
+
+def _require_at_least(args, **least):
+    """Refuse a numeric argument below the least value it is defined for,
+    before any computation could crash on it or report on no data."""
+    for name, low in least.items():
+        value = getattr(args, name)
+        if value is not None and value < low:
+            raise InputError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
 
 
 def _load(path):
@@ -109,6 +121,7 @@ def cmd_validate(args):
 
 
 def cmd_hh(args):
+    _require_at_least(args, n_max=0, bar_bound=1)
     cat, cert = _load(args.input)
     _require_closed(cat, cert, args.input)
     dims = hh_dims(cat, args.n_max, args.bar_bound)
@@ -126,6 +139,7 @@ def cmd_hh(args):
 
 
 def cmd_hc(args):
+    _require_at_least(args, n_max=0, bar_bound=2)
     cat, cert = _load(args.input)
     _require_closed(cat, cert, args.input)
     dims = hc_dims(cat, args.n_max, args.bar_bound)
@@ -143,9 +157,10 @@ def cmd_hc(args):
 
 
 def cmd_hp(args):
+    _require_at_least(args, levels=2, bar_bound=2)
+    window = _parse_window(args.window)
     cat, cert = _load(args.input)
     _require_closed(cat, cert, args.input)
-    window = _parse_window(args.window)
     rep = hcminus_hp_dims(cat, window, args.levels, args.bar_bound)
     report = {"invariant": "hp+hcminus", "input": os.path.basename(args.input),
               "field": cat.field.describe()}
@@ -210,6 +225,7 @@ def cmd_cell(args):
 
 
 def cmd_saturate(args):
+    _require_at_least(args, bound=0)
     cat, cert = _load(args.input)
     _require_closed(cat, cert, args.input)
     rep = saturation_report(cat, args.bound)
@@ -226,6 +242,7 @@ def cmd_saturate(args):
 
 
 def cmd_euler(args):
+    _require_at_least(args, bound=0, bar_bound=1)
     cat, cert = _load(args.input)
     _require_closed(cat, cert, args.input)
     sat = saturation_report(cat, args.bound)
@@ -316,6 +333,7 @@ def _check_kunneth(cat):
 
 
 def cmd_check(args):
+    _require_at_least(args, bound=0)
     rng = random.Random(20260811)
     if args.corpus:
         if not os.path.isdir(args.corpus):

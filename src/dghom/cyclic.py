@@ -40,16 +40,17 @@ def t_of_key(a: DgCategory, key):
     m = len(keys) - 1
     deg_last = keys[m][0]
     others = sum(k[0] for k in keys[:m])
-    sign = f.of_int((-1) ** ((m + deg_last * others) % 2))
+    sign = f.sign(m + deg_last * others)
     new_objs = objs[1:] + (objs[0],)
     new_keys = (keys[m],) + keys[:m]
     return (new_objs, new_keys), sign
 
 
-def s_of_key(a: DgCategory, key):
-    """Extra degeneracy: prepend the identity at the loop start."""
+def s_of_key(unit_keys: dict, key):
+    """Extra degeneracy: prepend the identity at the loop start, given
+    the unit key of each object (``CyclicBar.unit_keys``)."""
     objs, keys = key
-    uk = a.unit_key(objs[0])
+    uk = unit_keys[objs[0]]
     if uk is None:
         raise CyclicError("extra degeneracy needs unit basis vectors")
     return (objs + (objs[0],), (uk,) + keys)
@@ -98,6 +99,8 @@ class MixedComplex:
         self.index = {n: {k: i for i, k in enumerate(lst)} for n, lst in self.keys.items()}
         self.b_mats = {}
         self.B_mats = {}
+        # (n, first, last nonempty column) -> rank; see _column_rank
+        self.column_ranks = {}
         for n in sorted(self.keys):
             self.b_mats[n] = self._matrix(n, n - 1, self._b_elem)
         for n in sorted(self.keys):
@@ -124,23 +127,21 @@ class MixedComplex:
 
     def _B_elem(self, key):
         a, f = self.base, self.field
+        unit_keys = self.norm.unit_keys
         m = self.norm.bar_degree(key)
-        # s N on the unnormalized lift: t permutes chain keys up to sign, and
-        # s is injective on keys
+        norm_index = self.norm.index_by_bar.get(m + 1, {})
+        # (-1)^{m+1} s N, projected to the normalized complex: t permutes
+        # chain keys up to sign.  The -t s N half of (1 - t) s N is dropped
+        # by the projection, since t s puts the unit of x_0 at inner slot 1
         out = {}
-        k, c = key, f.one()
+        k, c = key, f.sign(m + 1)
         for _ in range(m + 1):
-            f.accumulate(out, s_of_key(a, k), c)
+            k2 = s_of_key(unit_keys, k)
+            if k2 in norm_index:
+                f.accumulate(out, k2, c)
             k, sign = t_of_key(a, k)
             c = f.mul(c, sign)
-        # 1 - t
-        for k2, v in list(out.items()):
-            k3, sign = t_of_key(a, k2)
-            f.accumulate(out, k3, f.neg(f.mul(sign, v)))
-        # project to the normalized complex and apply the level sign
-        sgn = f.of_int((-1) ** ((m + 1) % 2))
-        norm_index = self.norm.index_by_bar.get(m + 1, {})
-        return {k2: f.mul(sgn, v) for k2, v in out.items() if k2 in norm_index}
+        return out
 
     def _matrix(self, n_src: int, n_tgt: int, elem_fn) -> Matrix:
         f = self.field
@@ -230,11 +231,22 @@ def _column_total_matrix(mx: MixedComplex, n: int, q_lo: int, q_hi: int) -> Matr
     return Matrix(f, n_tgt, n_src, entries)
 
 
+def _column_rank(mx: MixedComplex, n: int, q_lo: int, q_hi: int) -> int:
+    """rank of _column_total_matrix(mx, n, q_lo, q_hi), ranked once per
+    mixed complex: the interval is clamped to the columns nonempty in
+    degree n or n-1, so equal clamped intervals give equal matrices."""
+    qs = [q for q in range(q_lo, q_hi + 1) if mx.dim(n + 2 * q) or mx.dim(n - 1 + 2 * q)]
+    if not qs:
+        return 0
+    key = (n, qs[0], qs[-1])
+    if key not in mx.column_ranks:
+        mx.column_ranks[key] = rank(_column_total_matrix(mx, n, q_lo, q_hi))
+    return mx.column_ranks[key]
+
+
 def _column_homology(mx: MixedComplex, n: int, q_lo: int, q_hi: int) -> int:
-    d_in = _column_total_matrix(mx, n + 1, q_lo, q_hi)
-    d_out = _column_total_matrix(mx, n, q_lo, q_hi)
     total = sum(mx.dim(k) for _, k in _column_total_dims(mx, n, q_lo, q_hi))
-    return total - rank(d_out) - rank(d_in)
+    return total - _column_rank(mx, n, q_lo, q_hi) - _column_rank(mx, n + 1, q_lo, q_hi)
 
 
 def _min_offset(mx: MixedComplex, n: int) -> int:

@@ -89,14 +89,9 @@ class DgCategory:
         f = self.field
         c = self.hom(x, y)
         out = {}
-        for (deg, idx), v in elem.items():
-            m = c.diffs.get(deg)
-            if m is None:
-                continue
-            for (i, j), w in m.entries.items():
-                if j != idx:
-                    continue
-                f.accumulate(out, (deg + 1, i), f.mul(w, v))
+        for key, v in elem.items():
+            for k2, w in c.d_of(key):
+                f.accumulate(out, k2, f.mul(w, v))
         return out
 
     def compose_elems(self, x, y, z, g: dict, f_elem: dict) -> dict:
@@ -236,7 +231,7 @@ def validate(a: DgCategory) -> ValidationReport:
         for kg in a.basis_keys(y, z):
             g = {kg: f.one()}
             dg = a.d_elem(y, z, g)
-            sign = f.of_int((-1) ** (kg[0] % 2))
+            sign = f.sign(kg[0])
             for kf in a.basis_keys(x, y):
                 fe = {kf: f.one()}
                 lhs = a.d_elem(x, z, a.compose_elems(x, y, z, g, fe))
@@ -387,7 +382,7 @@ def opposite(a: DgCategory) -> DgCategory:
         out = {}
         for ((kf, kg), prod) in table.items():
             # kf in a.hom(y,x) composed after kg in a.hom(z,y)
-            sign = f.of_int((-1) ** ((kf[0] * kg[0]) % 2))
+            sign = f.sign(kf[0] * kg[0])
             out[(kg, kf)] = {ih: f.mul(sign, v) for ih, v in prod.items()}
         if out:
             comp[(x, y, z)] = out
@@ -463,7 +458,7 @@ def tensor(*cats: DgCategory) -> DgCategory:
                                     continue
                                 newcombo = combo[:i] + ((k[0] + 1, r),) + combo[i + 1:]
                                 dd, row = index[newcombo]
-                                sgn = field.of_int((-1) ** (sign_exp % 2))
+                                sgn = field.sign(sign_exp)
                                 field.accumulate(entries, (row, col), field.mul(sgn, v))
                         sign_exp += k[0]
                 if entries:
@@ -556,7 +551,7 @@ def swap_functor(a: DgCategory, b: DgCategory) -> DgFunctor:
                 entries = {}
                 for col, (ka, kb) in enumerate(combos):
                     dd, row = idx_t[(kb, ka)]
-                    sgn = field.of_int((-1) ** ((ka[0] * kb[0]) % 2))
+                    sgn = field.sign(ka[0] * kb[0])
                     entries[(row, col)] = sgn
                 n_rows = len(info_t.keys[(sx, sy)].get(d, ()))
                 if entries:

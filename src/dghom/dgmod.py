@@ -64,14 +64,9 @@ class DgModule:
         f = self.base.field
         c = self.value(x)
         out = {}
-        for (deg, idx), v in elem.items():
-            m = c.diffs.get(deg)
-            if m is None:
-                continue
-            for (i, j), w in m.entries.items():
-                if j != idx:
-                    continue
-                f.accumulate(out, (deg + 1, i), f.mul(w, v))
+        for key, v in elem.items():
+            for k2, w in c.d_of(key):
+                f.accumulate(out, k2, f.mul(w, v))
         return out
 
     def act(self, x, y, m_elem: dict, f_elem: dict) -> dict:
@@ -129,7 +124,7 @@ def validate_module(m: DgModule) -> ValidationReport:
             for km in m.basis_keys(y):
                 me = {km: f.one()}
                 lhs = m.d_value(x, m.act(x, y, me, fe))
-                sign = f.of_int((-1) ** (km[0] % 2))
+                sign = f.sign(km[0])
                 rhs = m.act(x, y, m.d_value(y, me), fe)
                 for k, v in m.act(x, y, me, dfe).items():
                     f.accumulate(rhs, k, f.mul(sign, v))
@@ -187,7 +182,7 @@ def shift_module(m: DgModule, j: int) -> DgModule:
     for pair, tab in m.action.items():
         out = {}
         for ((df, i_f), (dm, i_m)), prod in tab.items():
-            sgn = f.of_int((-1) ** ((j * df) % 2))
+            sgn = f.sign(j * df)
             out[((df, i_f), (dm - j, i_m))] = {i: f.mul(sgn, v) for i, v in prod.items()}
         action[pair] = out
     return DgModule(m.base, values, action, name=f"{m.name}[{j}]" if m.name else "")
@@ -250,7 +245,7 @@ def external_tensor_module(m: DgModule, n: DgModule) -> DgModule:
                 for k2, v in m.d_value(x, {km: f.one()}).items():
                     dd, row = index[(k2, kn)]
                     f.accumulate(entries, (row, col), v)
-                sgn = f.of_int((-1) ** (km[0] % 2))
+                sgn = f.sign(km[0])
                 for k2, v in n.d_value(y, {kn: f.one()}).items():
                     dd, row = index[(km, k2)]
                     f.accumulate(entries, (row, col), f.mul(sgn, v))
@@ -274,7 +269,7 @@ def external_tensor_module(m: DgModule, n: DgModule) -> DgModule:
                         v = n.act(xo[1], yo[1], {kn: f.one()}, {kg: f.one()})
                         if not v:
                             continue
-                        sgn = f.of_int((-1) ** ((kf[0] * kn[0]) % 2))
+                        sgn = f.sign(kf[0] * kn[0])
                         outs = {}
                         for ku, cu in u.items():
                             for kv, cv in v.items():
@@ -343,7 +338,7 @@ def diagonal_bimodule(a: DgCategory) -> Bimodule:
                         fmg = a.compose_elems(y, xp, x, fe, mg)
                         if not fmg:
                             continue
-                        sgn = f.of_int((-1) ** ((kf[0] * km[0]) % 2))
+                        sgn = f.sign(kf[0] * km[0])
                         tab[((dh, ih), km)] = {i: f.mul(sgn, v) for (d, i), v in fmg.items()}
             if tab:
                 action[(xo, yo)] = tab
@@ -478,8 +473,6 @@ def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
     lo, hi = w0 - 1, w1 + 1
     unit_keys = {u: mid.unit_key(u) for u in mid.objects} if normalized else {}
 
-    x_info = tensor_info(X.base) if left_spect is not None else None
-    y_info = tensor_info(Y.base) if right_spect is not None else None
     left_objs = left_spect.objects if left_spect is not None else (None,)
     right_objs = right_spect.objects if right_spect is not None else (None,)
 
@@ -489,33 +482,7 @@ def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
     def yobj(b, rc):
         return (b, rc) if right_spect is not None else b
 
-    # decompose/act helpers
-    def x_act(la, b_new, b_old, xelem, beta_key):
-        """Action of 1_la (x) beta on the X side."""
-        if left_spect is None:
-            return X.act(b_new, b_old, xelem, {beta_key: f.one()})
-        src, dst = (la, b_new), (la, b_old)
-        x_info.enumerate_pair(src, dst)
-        index = x_info.index[(src, dst)]
-        fe = {}
-        for ku, cu in left_spect.unit(la).items():
-            d, i = index[(ku, beta_key)]
-            fe[(d, i)] = cu
-        return X.act(src, dst, xelem, fe)
-
-    def y_act(rc, b_new, b_old, yelem, beta_key):
-        """Right action of beta-as-opposite (x) 1_rc on the Y side:
-        beta in mid.hom(b_old, b_new) = opposite(mid).hom(b_new, b_old)."""
-        if right_spect is None:
-            return Y.act(b_new, b_old, yelem, {beta_key: f.one()})
-        src, dst = (b_new, rc), (b_old, rc)
-        y_info.enumerate_pair(src, dst)
-        index = y_info.index[(src, dst)]
-        fe = {}
-        for ku, cu in right_spect.unit(rc).items():
-            d, i = index[(beta_key, ku)]
-            fe[(d, i)] = cu
-        return Y.act(src, dst, yelem, fe)
+    diff = _bar_differential(X, Y, mid, left_spect, right_spect)
 
     # chain enumeration: key = (objs tuple (b_0..b_p), km, betas (a_p..a_1), kn)
     hom_keys = {}
@@ -574,7 +541,7 @@ def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
                 tgt = index.get(t + 1, {})
                 n_rows = len(chains.get(t + 1, ()))
                 for col, key in enumerate(chains[t]):
-                    out = _bar_diff(X, Y, mid, f, key, la, rc, x_act, y_act, xobj, yobj)
+                    out = diff(key, la, rc)
                     for okey, v in out.items():
                         row = tgt.get(okey)
                         if row is None:
@@ -595,58 +562,104 @@ def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
     return BarResult(results, all_keys, flag, P, window_coh)
 
 
-def _bar_diff(X, Y, mid, f, key, la, rc, x_act, y_act, xobj, yobj):
-    """Total differential of one bar chain: simplicial faces with
-    alternating signs plus (-1)^p times the internal Koszul-left
-    differential."""
-    objs, km, betas, kn = key
-    p = len(betas)
-    out = {}
+def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory,
+                      left_spect: DgCategory | None = None,
+                      right_spect: DgCategory | None = None):
+    """The total differential of the two-sided bar chains of
+    ``bar_composite``, as a function diff(key, la, rc) -> {chain key:
+    scalar} of a chain and its spectator objects (None without one):
+    simplicial faces with alternating signs plus (-1)^p times the
+    internal Koszul-left differential.
 
-    # face 0: X-action by a_p
-    if p:
-        res = x_act(la, objs[p - 1], objs[p], {km: f.one()}, betas[0])
-        for km2, v in res.items():
-            f.accumulate(out, (objs[:p], km2, betas[1:], kn), v)
-    # middle faces i = 1..p-1: compose a_{p-i+1} . a_{p-i}
-    for i in range(1, p):
-        g_key, f_key = betas[i - 1], betas[i]
-        # betas[i-1] in hom(objs[p-i], objs[p-i+1]), betas[i] in hom(objs[p-i-1], objs[p-i])
-        comp = mid.compose_elems(objs[p - i - 1], objs[p - i], objs[p - i + 1],
-                                 {g_key: f.one()}, {f_key: f.one()})
-        sgn = f.of_int((-1) ** (i % 2))
-        for kc, v in comp.items():
-            nobjs = objs[:p - i] + objs[p - i + 1:]
-            nbetas = betas[:i - 1] + (kc,) + betas[i + 1:]
-            f.accumulate(out, (nobjs, km, nbetas, kn), f.mul(sgn, v))
-    # face p: left action of a_1 on the Y side, with the Koszul sign of
-    # the left-module dictionary g.n = (-1)^{|g||n|} n .op g
-    if p:
-        a1 = betas[-1]
-        sgn = f.of_int((-1) ** ((p + a1[0] * kn[0]) % 2))
-        res = y_act(rc, objs[1], objs[0], {kn: f.one()}, a1)
-        for kn2, v in res.items():
-            f.accumulate(out, (objs[1:], km, betas[:-1], kn2), f.mul(sgn, v))
+    Actions, products and differentials are read from the structure
+    tables.  A middle factor beta acts on a side with spectators as the
+    hom element 1_la (x) beta (or beta (x) 1_rc), expanded into basis
+    keys of the tensor category."""
+    f = mid.field
+    one = f.one()
+    comp, homs = mid.comp, mid.homs
+    x_info = tensor_info(X.base) if left_spect is not None else None
+    y_info = tensor_info(Y.base) if right_spect is not None else None
 
-    # internal differential with Koszul signs from the left; global (-1)^p
-    sign_accum = p % 2
-    dx = X.d_value(xobj(la, objs[p]), {km: f.one()})
-    for km2, v in dx.items():
-        f.accumulate(out, (objs, km2, betas, kn), f.mul(f.of_int((-1) ** sign_accum), v))
-    sign_accum += km[0]
-    for i, bk in enumerate(betas):
-        # beta_i spans hom(objs[p-i-1], objs[p-i])
-        u, v_obj = objs[p - i - 1], objs[p - i]
-        de = mid.d_elem(u, v_obj, {bk: f.one()})
-        sgn = f.of_int((-1) ** (sign_accum % 2))
-        for bk2, v in de.items():
-            f.accumulate(out, (objs, km, betas[:i] + (bk2,) + betas[i + 1:], kn), f.mul(sgn, v))
-        sign_accum += bk[0]
-    dy = Y.d_value(yobj(objs[0], rc), {kn: f.one()})
-    sgn = f.of_int((-1) ** (sign_accum % 2))
-    for kn2, v in dy.items():
-        f.accumulate(out, (objs, km, betas, kn2), f.mul(sgn, v))
-    return out
+    def x_side(la, b_new, b_old, beta):
+        """(X-action table, ((hom key, scalar), ...)) of 1_la (x) beta."""
+        if left_spect is None:
+            return X.action.get((b_new, b_old), {}), ((beta, one),)
+        src, dst = (la, b_new), (la, b_old)
+        x_info.enumerate_pair(src, dst)
+        index = x_info.index[(src, dst)]
+        return (X.action.get((src, dst), {}),
+                tuple((index[(ku, beta)], cu) for ku, cu in left_spect.unit(la).items()))
+
+    def y_side(rc, b_new, b_old, beta):
+        """(Y-action table, ((hom key, scalar), ...)) of beta-as-opposite
+        (x) 1_rc: beta in mid.hom(b_old, b_new) = opposite(mid).hom(b_new, b_old)."""
+        if right_spect is None:
+            return Y.action.get((b_new, b_old), {}), ((beta, one),)
+        src, dst = (b_new, rc), (b_old, rc)
+        y_info.enumerate_pair(src, dst)
+        index = y_info.index[(src, dst)]
+        return (Y.action.get((src, dst), {}),
+                tuple((index[(beta, ku)], cu) for ku, cu in right_spect.unit(rc).items()))
+
+    def diff(key, la, rc):
+        objs, km, betas, kn = key
+        p = len(betas)
+        out = {}
+        if p:
+            # face 0: X-action by a_p
+            tab, terms = x_side(la, objs[p - 1], objs[p], betas[0])
+            head, rest = objs[:p], betas[1:]
+            for hk, c in terms:
+                prod = tab.get((hk, km))
+                if prod:
+                    deg = hk[0] + km[0]
+                    for i, v in prod.items():
+                        f.accumulate(out, (head, (deg, i), rest, kn), f.mul(c, v))
+            # middle faces i = 1..p-1: compose a_{p-i+1} . a_{p-i}, where
+            # betas[i-1] is in hom(objs[p-i], objs[p-i+1]) and betas[i] in
+            # hom(objs[p-i-1], objs[p-i])
+            for i in range(1, p):
+                kg, kf = betas[i - 1], betas[i]
+                prod = comp.get((objs[p - i - 1], objs[p - i], objs[p - i + 1]), {}).get((kg, kf))
+                if prod:
+                    deg = kg[0] + kf[0]
+                    nobjs = objs[:p - i] + objs[p - i + 1:]
+                    before, after = betas[:i - 1], betas[i + 1:]
+                    for ih, v in prod.items():
+                        f.accumulate(out, (nobjs, km, before + ((deg, ih),) + after, kn),
+                                     f.neg(v) if i & 1 else v)
+            # face p: left action of a_1 on the Y side, with the Koszul sign
+            # of the left-module dictionary g.n = (-1)^{|g||n|} n .op g
+            a1 = betas[-1]
+            sgn = f.sign(p + a1[0] * kn[0])
+            tab, terms = y_side(rc, objs[1], objs[0], a1)
+            tail, rest = objs[1:], betas[:-1]
+            for hk, c in terms:
+                prod = tab.get((hk, kn))
+                if prod:
+                    deg = hk[0] + kn[0]
+                    for i, v in prod.items():
+                        f.accumulate(out, (tail, km, rest, (deg, i)), f.mul(sgn, f.mul(c, v)))
+
+        # internal differential with Koszul signs from the left; global (-1)^p
+        sign_accum = p
+        xv = X.value((la, objs[p]) if left_spect is not None else objs[p])
+        for km2, v in xv.d_of(km):
+            f.accumulate(out, (objs, km2, betas, kn), f.neg(v) if sign_accum & 1 else v)
+        sign_accum += km[0]
+        for i, bk in enumerate(betas):
+            # beta_i spans hom(objs[p-i-1], objs[p-i])
+            for bk2, v in homs[(objs[p - i - 1], objs[p - i])].d_of(bk):
+                f.accumulate(out, (objs, km, betas[:i] + (bk2,) + betas[i + 1:], kn),
+                             f.neg(v) if sign_accum & 1 else v)
+            sign_accum += bk[0]
+        yv = Y.value((objs[0], rc) if right_spect is not None else objs[0])
+        for kn2, v in yv.d_of(kn):
+            f.accumulate(out, (objs, km, betas, kn2), f.neg(v) if sign_accum & 1 else v)
+        return out
+
+    return diff
 
 
 def bar_tor(m: DgModule, n: DgModule, window, bar_bound=None):
@@ -720,7 +733,7 @@ class ModuleMap:
         for (x, y) in itertools.product(a.objects, repeat=2):
             for kf in a.basis_keys(x, y):
                 fe = {kf: f.one()}
-                sgn = f.of_int((-1) ** ((n * kf[0]) % 2))
+                sgn = f.sign(n * kf[0])
                 for km in self.src.basis_keys(y):
                     me = {km: f.one()}
                     lhs = self.apply(x, self.src.act(x, y, me, fe))
@@ -778,7 +791,7 @@ def module_map_space(src: DgModule, dst: DgModule, n: int):
     for (x, y) in itertools.product(a.objects, repeat=2):
         for kf in a.basis_keys(x, y):
             fe = {kf: f.one()}
-            sgn = f.of_int((-1) ** ((n * kf[0]) % 2))
+            sgn = f.sign(n * kf[0])
             for km in src.basis_keys(y):
                 acted = src.act(x, y, {km: f.one()}, fe)
                 comps = {}

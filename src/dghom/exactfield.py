@@ -14,10 +14,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-_Q_ZERO = Fraction(0)
-_Q_ONE = Fraction(1)
-
-
 class FieldError(ValueError):
     pass
 
@@ -50,7 +46,13 @@ def _is_prime(p: int) -> bool:
 class FieldSpec:
     """The base field: ``kind`` is 0 for Q, otherwise the prime p.
 
-    Scalars are Fraction instances over Q and ints in [0, p) over F_p.
+    Scalars are ints in [0, p) over F_p.  Over Q a scalar is an int or a
+    Fraction: the constructors here give an int whenever the value is
+    integral, so bar and cyclic assembly, whose structure constants are
+    integers, allocates no Fraction.  Fraction arithmetic may still leave
+    an integral Fraction; int and Fraction compare and hash alike, so
+    code never tells the two apart.  Scalars are never divided with
+    ``/`` (an int quotient is a float), only through ``inv``/``div``.
     """
 
     kind: int = 0
@@ -72,13 +74,17 @@ class FieldSpec:
         return self.kind == 0
 
     def zero(self):
-        return _Q_ZERO if self.kind == 0 else 0
+        return 0
 
     def one(self):
-        return _Q_ONE if self.kind == 0 else 1
+        return 1
 
     def of_int(self, n: int):
-        return Fraction(n) if self.kind == 0 else n % self.kind
+        return n % self.kind if self.kind else n
+
+    def sign(self, k: int):
+        """(-1)^k as a scalar: 1, or -1 (p - 1 over F_p)."""
+        return self.kind - 1 if k & 1 else 1
 
     def add(self, a, b):
         return a + b if self.kind == 0 else (a + b) % self.kind
@@ -95,7 +101,7 @@ class FieldSpec:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a if self.kind == 0 else pow(a, self.kind - 2, self.kind)
+        return Fraction(1, a) if self.kind == 0 else pow(a, self.kind - 2, self.kind)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -104,10 +110,9 @@ class FieldSpec:
         """store[key] += val on a sparse vector, which never stores a zero:
         a key whose value cancels is removed."""
         # add() inlined: this is the innermost loop of every assembly
+        w = store.get(key, 0) + val
         if self.kind:
-            w = (store.get(key, 0) + val) % self.kind
-        else:
-            w = store.get(key, _Q_ZERO) + val
+            w %= self.kind
         if w:
             store[key] = w
         else:
@@ -117,7 +122,8 @@ class FieldSpec:
         """Parse a scalar literal: integer, or p/q over the rationals."""
         text = text.strip()
         if self.kind == 0:
-            return Fraction(text)
+            q = Fraction(text)
+            return q.numerator if q.denominator == 1 else q
         if "/" in text:
             num, den = text.split("/")
             return self.div(self.of_int(int(num)), self.of_int(int(den)))
@@ -442,9 +448,11 @@ class ChainComplex:
     spaces: dict
     diffs: dict
     specified: tuple | None = None
-    # not a field: rank per degree, made on the first diff_rank call
-    # (bar constructions build thousands of complexes never ranked)
+    # not fields: rank per degree, made on the first diff_rank call, and
+    # the column index of d_of, made on its first call (bar constructions
+    # build thousands of complexes never ranked or differentiated)
     _ranks = None
+    _d_cols = None
 
     def __post_init__(self):
         self.spaces = {d: tuple(labels) for d, labels in self.spaces.items() if labels}
@@ -479,6 +487,18 @@ class ChainComplex:
             m = self.diffs.get(d)
             self._ranks[d] = rank(m) if m is not None else 0
         return self._ranks[d]
+
+    def d_of(self, key):
+        """The differential of the basis element key = (degree, index): a
+        read-only sequence of ((degree + 1, row), scalar), empty when the
+        element is closed."""
+        if self._d_cols is None:
+            cols = {}
+            for d, m in self.diffs.items():
+                for (i, j), v in m.entries.items():
+                    cols.setdefault((d, j), []).append(((d + 1, i), v))
+            self._d_cols = cols
+        return self._d_cols.get(key, ())
 
     def support(self):
         return sorted(self.spaces)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 
 from .exactfield import ChainComplex, Matrix, homology_dims, homology_quotient
-from .dgcore import (DgCategory, elem_scale, hom_graph, longest_path_bound,
+from .dgcore import (DgCategory, hom_graph, longest_path_bound,
                      tensor, tensor_info, walks)
 
 
@@ -124,10 +124,10 @@ class CyclicBar:
         self.bar_bound = bar_bound
         self.normalized = normalized
         self.field = a.field
-        self._unit_keys = {x: a.unit_key(x) for x in a.objects}
+        self.unit_keys = {x: a.unit_key(x) for x in a.objects}
         self.keys_by_bar = {}
         self.index_by_bar = {}
-        edges = hom_graph(a.homs, self._unit_keys if normalized else {})
+        edges = hom_graph(a.homs, self.unit_keys if normalized else {})
         for m in range(bar_bound + 1):
             keys = list(self._enumerate(m, edges))
             keys.sort(key=repr)
@@ -136,7 +136,7 @@ class CyclicBar:
 
     def _inner_keys(self, x, y):
         c = self.a.hom(x, y)
-        uk = self._unit_keys[x] if (self.normalized and x == y) else None
+        uk = self.unit_keys[x] if (self.normalized and x == y) else None
         for d in c.support():
             for i in range(c.dim(d)):
                 if (d, i) != uk:
@@ -177,68 +177,40 @@ class CyclicBar:
         j = m - pos  # the factor f_j
         return objs[j], objs[j + 1]
 
-    def _project(self, objs, elems):
-        """Expand a tuple of factor elements into chain keys, dropping
-        degenerate components when normalized."""
-        f = self.field
-        m = len(elems) - 1
-        out = {}
-        for combo in itertools.product(*[list(e.items()) for e in elems]):
-            keys = tuple(k for k, _ in combo)
-            coeff = f.one()
-            for _, v in combo:
-                coeff = f.mul(coeff, v)
-            if self.normalized:
-                degenerate = False
-                for pos in range(1, m + 1):
-                    j = m - pos
-                    if objs[j] == objs[j + 1] and keys[pos] == self._unit_keys[objs[j]]:
-                        degenerate = True
-                        break
-                if degenerate:
-                    continue
-            f.accumulate(out, (objs, keys), coeff)
-        return out
-
     def face(self, key, i) -> dict:
         """Face d_i (wrap-around at i = 0) as a combination of chains one
-        bar degree down, without the alternating-sum sign."""
-        a, f = self.a, self.field
+        bar degree down, without the alternating-sum sign.
+
+        The product is read from the composition table.  When normalized,
+        only the composed slot can be degenerate: the other inner factors
+        keep their objects and were non-unit already."""
         objs, keys = key
         m = len(keys) - 1
         if m == 0:
             raise ValueError("no faces on bar degree 0")
+        f = self.field
         if i == 0:
             # rotate f_0 to the front with the full Koszul sign, compose with f_m
-            degs = [k[0] for k in keys]
-            sigma = degs[-1] * sum(degs[:-1])
-            sgn = f.of_int((-1) ** (sigma % 2))
-            comp = a.compose_elems(objs[m], objs[0], objs[1],
-                                   {keys[m]: f.one()}, {keys[0]: f.one()})
-            if not comp:
-                return {}
+            x, y, z = objs[m], objs[0], objs[1]
+            kg, kf = keys[m], keys[0]
             new_objs = objs[1:]
-            elems = [elem_scale(f, sgn, comp)] + [{keys[pos]: f.one()} for pos in range(1, m)]
-            return self._project(new_objs, elems)
-        # compose f_i . f_{i-1}: positions m-i, m-i+1
-        pos = m - i
-        if i < m:
-            src, mid_, tgt = objs[i - 1], objs[i], objs[i + 1]
+            head, tail = (), keys[1:m]
+            flip = (kg[0] * (sum(k[0] for k in keys) - kg[0])) & 1
         else:
-            src, mid_, tgt = objs[m - 1], objs[m], objs[0]
-        comp = a.compose_elems(src, mid_, tgt, {keys[pos]: f.one()}, {keys[pos + 1]: f.one()})
-        if not comp:
+            # compose f_i . f_{i-1}, at tuple positions m-i, m-i+1
+            pos = m - i
+            x, y, z = objs[i - 1], objs[i], objs[(i + 1) % (m + 1)]
+            kg, kf = keys[pos], keys[pos + 1]
+            new_objs = objs[:i] + objs[i + 1:]
+            head, tail = keys[:pos], keys[pos + 2:]
+            flip = 0
+        prod = self.a.comp.get((x, y, z), {}).get((kg, kf))
+        if not prod:
             return {}
-        new_objs = objs[:i] + objs[i + 1:]
-        elems = []
-        for newpos in range(m):
-            if newpos < pos:
-                elems.append({keys[newpos]: f.one()})
-            elif newpos == pos:
-                elems.append(comp)
-            else:
-                elems.append({keys[newpos + 1]: f.one()})
-        return self._project(new_objs, elems)
+        deg = kg[0] + kf[0]
+        unit = self.unit_keys[x] if (self.normalized and head and x == z) else None
+        return {(new_objs, head + ((deg, ih),) + tail): f.neg(w) if flip else w
+                for ih, w in prod.items() if (deg, ih) != unit}
 
     def b_of(self, key) -> dict:
         f = self.field
@@ -247,9 +219,8 @@ class CyclicBar:
             return {}
         out = {}
         for i in range(m + 1):
-            sgn = f.of_int((-1) ** (i % 2))
             for k2, v in self.face(key, i).items():
-                f.accumulate(out, k2, f.mul(sgn, v))
+                f.accumulate(out, k2, f.neg(v) if i & 1 else v)
         return out
 
     def bprime_of(self, key) -> dict:
@@ -260,27 +231,30 @@ class CyclicBar:
             return {}
         out = {}
         for i in range(1, m + 1):
-            sgn = f.of_int((-1) ** (i % 2))
             for k2, v in self.face(key, i).items():
-                f.accumulate(out, k2, f.mul(sgn, v))
+                f.accumulate(out, k2, f.neg(v) if i & 1 else v)
         return out
 
     def dint_of(self, key) -> dict:
-        """Internal differential, Koszul signs accumulated from the left."""
-        a, f = self.a, self.field
+        """Internal differential, Koszul signs accumulated from the left.
+
+        Columns come from the hom complexes' differentials; when
+        normalized, only the differentiated slot can become degenerate."""
+        f = self.field
         objs, keys = key
         m = len(keys) - 1
         out = {}
         acc = 0
         for pos in range(m + 1):
-            src, tgt = self._hom_pair(key, pos)
-            de = a.d_elem(src, tgt, {keys[pos]: f.one()})
-            if de:
-                sgn = f.of_int((-1) ** (acc % 2))
-                elems = [{keys[p]: f.one()} if p != pos else elem_scale(f, sgn, de)
-                         for p in range(m + 1)]
-                for k2, v in self._project(objs, elems).items():
-                    f.accumulate(out, k2, v)
+            x, y = self._hom_pair(key, pos)
+            col = self.a.hom(x, y).d_of(keys[pos])
+            if col:
+                unit = self.unit_keys[x] if (self.normalized and pos and x == y) else None
+                head, tail = keys[:pos], keys[pos + 1:]
+                # one slot changes per term, so no two terms share a key
+                for k2, v in col:
+                    if k2 != unit:
+                        out[(objs, head + (k2,) + tail)] = f.neg(v) if acc & 1 else v
             acc += keys[pos][0]
         return out
 
@@ -288,10 +262,9 @@ class CyclicBar:
         """D = b + (-1)^m d_int, raising total cohomological degree by 1."""
         f = self.field
         m = self.bar_degree(key)
-        out = dict(self.b_of(key))
-        sgn = f.of_int((-1) ** (m % 2))
+        out = self.b_of(key)
         for k2, v in self.dint_of(key).items():
-            f.accumulate(out, k2, f.mul(sgn, v))
+            f.accumulate(out, k2, f.neg(v) if m & 1 else v)
         return out
 
     def total_complex(self):
@@ -575,7 +548,7 @@ class ShuffleMap:
             for (ka, kb, src, tgt) in reversed(factors):
                 keys.append(self._pair_hom_key(src[0], tgt[0], ka, src[1], tgt[1], kb))
             chain = (objs_ab, tuple(keys))
-            f.accumulate(out, chain, f.of_int((-1) ** (sign_exp % 2)))
+            f.accumulate(out, chain, f.sign(sign_exp))
         return out
 
     def check_certificate(self):
@@ -597,7 +570,7 @@ class ShuffleMap:
             for k2, v in self.bar_a.total_diff_of(key_a).items():
                 for kk, vv in self.apply_pair(k2, key_b).items():
                     f.accumulate(lhs, kk, f.mul(v, vv))
-            sgn = f.of_int((-1) ** (ta % 2))
+            sgn = f.sign(ta)
             for k2, v in self.bar_b.total_diff_of(key_b).items():
                 for kk, vv in self.apply_pair(key_a, k2).items():
                     f.accumulate(lhs, kk, f.mul(f.mul(sgn, v), vv))

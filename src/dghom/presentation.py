@@ -124,8 +124,7 @@ class Presentation:
             dg = self.differentials.get(g)
             if dg is None or dg.is_zero():
                 continue
-            sign_exp = sum(degs[i + 1:]) % 2
-            sgn = f.of_int((-1) ** sign_exp)
+            sgn = f.sign(sum(degs[i + 1:]))
             for w2, c in dg.terms.items():
                 f.accumulate(out, word[:i] + w2 + word[i + 1:], f.mul(sgn, c))
         return out

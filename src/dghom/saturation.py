@@ -184,6 +184,8 @@ def smoothness_certify(a: DgCategory, bound: int) -> SmoothnessResult:
     """certified(L) when Tor over the enveloping category of the diagonal
     against the semisimple quotient first vanishes at degree L+1 <= bound+1;
     inconclusive otherwise (with the Tor table computed so far)."""
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
     if not getattr(a, "closed", True):
         return SmoothnessResult("inconclusive", bound, "input realization is not closed")
     reason = _degree_zero_hypotheses(a)
@@ -309,7 +311,7 @@ def _triangle_modules(a: DgCategory):
                     for k2, vv in a.d_elem(pair_of[0][0], pair_of[0][1], {km: f.one()}).items():
                         dd, row = index[(k2, kn)]
                         f.accumulate(entries, (row, col), vv)
-                    sgn = f.of_int((-1) ** (km[0] % 2))
+                    sgn = f.sign(km[0])
                     for k2, vv in a.d_elem(pair_of[1][0], pair_of[1][1], {kn: f.one()}).items():
                         dd, row = index[(km, k2)]
                         f.accumulate(entries, (row, col), f.mul(sgn, vv))
@@ -393,7 +395,7 @@ def _triangle_modules(a: DgCategory):
         if not second:
             return {}
         out = {}
-        sgn = f.of_int((-1) ** (sign_exp % 2))
+        sgn = f.sign(sign_exp)
         for ku, cu in first.items():
             for kv, cv in second.items():
                 out[(ku, kv)] = f.mul(sgn, f.mul(cu, cv))
@@ -491,7 +493,7 @@ def _comparison_quasi_iso(a: DgCategory, res, X, Y, window):
         kp, kq = X._pair_keys[(x, b)][km[0]][km[1]]
         kr, ks = Y._pair_keys[(b, w)][kn[0]][kn[1]]
         # p in hom(a1, x), q in hom(v, u), r in hom(u, a1), s in hom(w, v)
-        sgn = f.of_int((-1) ** ((kq[0] * kr[0]) % 2))
+        sgn = f.sign(kq[0] * kr[0])
         qs = a.compose_elems(w, v, u, {kq: f.one()}, {ks: f.one()})
         if not qs:
             return {}

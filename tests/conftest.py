@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from dghom.exactfield import FieldSpec
+from dghom.exactfield import ChainComplex, FieldSpec, Matrix
 from dghom.corpus import builtin_corpus, kx2, path12, product_kk, unit
-from dghom.dgcore import disk_cell, opposite, sphere_cell, tensor
+from dghom.dgcore import DgCategory, disk_cell, opposite, sphere_cell, tensor
 from dghom.presentation import PathElement, from_quiver, realize
 
 Q = FieldSpec.rationals()
@@ -30,6 +30,28 @@ def exterior_deg(field, degree):
     assert cert.is_closed
     cat.name = f"ext({degree})"
     return cat
+
+
+def matrix_category(field, c=1):
+    """Two isomorphic objects with every hom the field in degree 0: the
+    non-unit arrows 1 -> 2 -> 1 compose to c times a unit (a face of a
+    normalized bar chain lands on a degenerate chain)."""
+    objs = ("1", "2")
+    one = field.one()
+    homs = {(x, y): ChainComplex(field, {0: (f"{x}{y}",)}, {}) for x in objs for y in objs}
+    comp = {(x, y, z): {((0, 0), (0, 0)): {0: c if x != y != z else one}}
+            for x in objs for y in objs for z in objs}
+    return DgCategory(field, objs, homs, comp, {x: {(0, 0): one} for x in objs}, name="M2")
+
+
+def contractible_category(field):
+    """k[h]/(h^2) with |h| = -1 and dh = 1: the internal differential of
+    an inner bar factor h is the unit, a degenerate chain."""
+    one = field.one()
+    hom = ChainComplex(field, {-1: ("h",), 0: ("1",)}, {-1: Matrix(field, 1, 1, {(0, 0): one})})
+    u, h = (0, 0), (-1, 0)
+    comp = {("*", "*", "*"): {(u, u): {0: one}, (u, h): {0: one}, (h, u): {0: one}}}
+    return DgCategory(field, ("*",), {("*", "*"): hom}, comp, {"*": {u: one}}, name="cone")
 
 
 def random_small_category(rng, field=Q, max_dim=4):

@@ -3,8 +3,12 @@
 Everything here deliberately avoids the library's own linear algebra and
 sign conventions: dense Gaussian elimination, textbook bar complexes in
 the a_0 (x) ... (x) a_n orientation, and direct convolution counting.
-The one exception is `subspace_rank`, which checks `rank` against the
-library's other elimination, the combination-tracking `Subspace`.
+Two exceptions: `subspace_rank` checks `rank` against the library's
+other elimination, the combination-tracking `Subspace`; and the bar
+operator references at the end (`reference_face`, `reference_bar_diff`
+and their companions) share the library's sign conventions but reach
+every product, action and differential through the generic bilinear
+calls on singleton elements, which the library's bar operators bypass.
 """
 
 import itertools
@@ -316,3 +320,197 @@ def brute_tensor_comp_shape(cats):
         if n:
             out[(x, y, z)] = n
     return out
+
+
+# ---------------------------------------------------------------------------
+# bar operators through the generic bilinear calls on singleton elements
+# (the library reads the composition, action and differential tables
+# directly)
+
+def _d_scan(c, elem):
+    """Differential of a sparse element of the complex c, by scanning
+    every entry of its differential matrices."""
+    f = c.field
+    out = {}
+    for (deg, idx), v in elem.items():
+        m = c.diffs.get(deg)
+        if m is None:
+            continue
+        for (i, j), w in m.entries.items():
+            if j == idx:
+                f.accumulate(out, (deg + 1, i), f.mul(w, v))
+    return out
+
+
+def _project(bar, objs, elems):
+    """Expand a tuple of factor elements into cyclic bar chain keys,
+    dropping a chain with a unit in any inner slot when normalized."""
+    f = bar.field
+    m = len(elems) - 1
+    out = {}
+    for combo in itertools.product(*[list(e.items()) for e in elems]):
+        keys = tuple(k for k, _ in combo)
+        coeff = f.one()
+        for _, v in combo:
+            coeff = f.mul(coeff, v)
+        if bar.normalized and any(
+                objs[m - pos] == objs[m - pos + 1]
+                and keys[pos] == bar.a.unit_key(objs[m - pos])
+                for pos in range(1, m + 1)):
+            continue
+        f.accumulate(out, (objs, keys), coeff)
+    return out
+
+
+def reference_face(bar, key, i):
+    """CyclicBar.face through compose_elems on singleton elements."""
+    from dghom.dgcore import elem_scale
+    a, f = bar.a, bar.field
+    objs, keys = key
+    m = len(keys) - 1
+    if i == 0:
+        degs = [k[0] for k in keys]
+        sgn = f.of_int((-1) ** ((degs[-1] * sum(degs[:-1])) % 2))
+        comp = a.compose_elems(objs[m], objs[0], objs[1],
+                               {keys[m]: f.one()}, {keys[0]: f.one()})
+        elems = [elem_scale(f, sgn, comp)] + [{keys[pos]: f.one()} for pos in range(1, m)]
+        return _project(bar, objs[1:], elems) if comp else {}
+    pos = m - i
+    if i < m:
+        src, mid, tgt = objs[i - 1], objs[i], objs[i + 1]
+    else:
+        src, mid, tgt = objs[m - 1], objs[m], objs[0]
+    comp = a.compose_elems(src, mid, tgt, {keys[pos]: f.one()}, {keys[pos + 1]: f.one()})
+    if not comp:
+        return {}
+    elems = [{keys[p]: f.one()} for p in range(pos)] + [comp]
+    elems += [{keys[p + 1]: f.one()} for p in range(pos + 1, m)]
+    return _project(bar, objs[:i] + objs[i + 1:], elems)
+
+
+def reference_b(bar, key):
+    f = bar.field
+    m = len(key[1]) - 1
+    out = {}
+    for i in range(m + 1 if m else 0):
+        sgn = f.of_int((-1) ** i)
+        for k2, v in reference_face(bar, key, i).items():
+            f.accumulate(out, k2, f.mul(sgn, v))
+    return out
+
+
+def reference_dint(bar, key):
+    """CyclicBar.dint_of through a scan of the hom differentials."""
+    f = bar.field
+    objs, keys = key
+    m = len(keys) - 1
+    out = {}
+    acc = 0
+    for pos in range(m + 1):
+        j = m - pos
+        src, tgt = (objs[m], objs[0]) if pos == 0 else (objs[j], objs[j + 1])
+        de = _d_scan(bar.a.hom(src, tgt), {keys[pos]: f.one()})
+        if de:
+            sgn = f.of_int((-1) ** (acc % 2))
+            elems = [{keys[p]: f.one()} for p in range(m + 1)]
+            elems[pos] = {k: f.mul(sgn, v) for k, v in de.items()}
+            for k2, v in _project(bar, objs, elems).items():
+                f.accumulate(out, k2, v)
+        acc += keys[pos][0]
+    return out
+
+
+def reference_total_diff(bar, key):
+    f = bar.field
+    out = reference_b(bar, key)
+    sgn = f.of_int((-1) ** (len(key[1]) - 1))
+    for k2, v in reference_dint(bar, key).items():
+        f.accumulate(out, k2, f.mul(sgn, v))
+    return out
+
+
+def reference_bar_diff(X, Y, mid, key, la=None, rc=None, left_spect=None, right_spect=None):
+    """Total differential of one two-sided bar chain of bar_composite,
+    through DgModule.act, compose_elems and differential scans on
+    singleton elements."""
+    from dghom.dgcore import tensor_info
+    f = mid.field
+    one = f.one()
+
+    def xobj(b):
+        return (la, b) if left_spect is not None else b
+
+    def yobj(b):
+        return (b, rc) if right_spect is not None else b
+
+    def x_act(b_new, b_old, xelem, beta_key):
+        if left_spect is None:
+            return X.act(b_new, b_old, xelem, {beta_key: one})
+        src, dst = (la, b_new), (la, b_old)
+        info = tensor_info(X.base)
+        info.enumerate_pair(src, dst)
+        fe = {info.index[(src, dst)][(ku, beta_key)]: cu for ku, cu in left_spect.unit(la).items()}
+        return X.act(src, dst, xelem, fe)
+
+    def y_act(b_new, b_old, yelem, beta_key):
+        if right_spect is None:
+            return Y.act(b_new, b_old, yelem, {beta_key: one})
+        src, dst = (b_new, rc), (b_old, rc)
+        info = tensor_info(Y.base)
+        info.enumerate_pair(src, dst)
+        fe = {info.index[(src, dst)][(beta_key, ku)]: cu for ku, cu in right_spect.unit(rc).items()}
+        return Y.act(src, dst, yelem, fe)
+
+    objs, km, betas, kn = key
+    p = len(betas)
+    out = {}
+    if p:
+        for km2, v in x_act(objs[p - 1], objs[p], {km: one}, betas[0]).items():
+            f.accumulate(out, (objs[:p], km2, betas[1:], kn), v)
+    for i in range(1, p):
+        comp = mid.compose_elems(objs[p - i - 1], objs[p - i], objs[p - i + 1],
+                                 {betas[i - 1]: one}, {betas[i]: one})
+        sgn = f.of_int((-1) ** (i % 2))
+        for kc, v in comp.items():
+            f.accumulate(out, (objs[:p - i] + objs[p - i + 1:], km,
+                               betas[:i - 1] + (kc,) + betas[i + 1:], kn), f.mul(sgn, v))
+    if p:
+        a1 = betas[-1]
+        sgn = f.of_int((-1) ** ((p + a1[0] * kn[0]) % 2))
+        for kn2, v in y_act(objs[1], objs[0], {kn: one}, a1).items():
+            f.accumulate(out, (objs[1:], km, betas[:-1], kn2), f.mul(sgn, v))
+    sign_accum = p % 2
+    for km2, v in _d_scan(X.value(xobj(objs[p])), {km: one}).items():
+        f.accumulate(out, (objs, km2, betas, kn), f.mul(f.of_int((-1) ** sign_accum), v))
+    sign_accum += km[0]
+    for i, bk in enumerate(betas):
+        de = _d_scan(mid.hom(objs[p - i - 1], objs[p - i]), {bk: one})
+        sgn = f.of_int((-1) ** (sign_accum % 2))
+        for bk2, v in de.items():
+            f.accumulate(out, (objs, km, betas[:i] + (bk2,) + betas[i + 1:], kn), f.mul(sgn, v))
+        sign_accum += bk[0]
+    sgn = f.of_int((-1) ** (sign_accum % 2))
+    for kn2, v in _d_scan(Y.value(yobj(objs[0])), {kn: one}).items():
+        f.accumulate(out, (objs, km, betas, kn2), f.mul(sgn, v))
+    return out
+
+
+def reference_connes_B(mx, key):
+    """MixedComplex._B_elem by the full formula (-1)^{m+1} (1 - t) s N on
+    the unnormalized lift, projected to the normalized chains."""
+    from dghom.cyclic import t_of_key
+    a, f = mx.base, mx.field
+    m = len(key[1]) - 1
+    out = {}
+    k, c = key, f.one()
+    for _ in range(m + 1):
+        objs, keys = k
+        f.accumulate(out, (objs + (objs[0],), (a.unit_key(objs[0]),) + keys), c)
+        k, sign = t_of_key(a, k)
+        c = f.mul(c, sign)
+    for k2, v in list(out.items()):
+        k3, sign = t_of_key(a, k2)
+        f.accumulate(out, k3, f.neg(f.mul(sign, v)))
+    sgn = f.of_int((-1) ** (m + 1))
+    norm_index = mx.norm.index_by_bar.get(m + 1, {})
+    return {k2: f.mul(sgn, v) for k2, v in out.items() if k2 in norm_index}

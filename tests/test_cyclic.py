@@ -1,8 +1,10 @@
 import pytest
 
-from dghom.exactfield import Matrix
+from dghom import cyclic
+from dghom.exactfield import Matrix, rank
 from dghom.dgcore import sphere_cell
-from dghom.cyclic import (CyclicError, cyclic_operator, hc_dims,
+from dghom.cyclic import (CyclicError, _column_homology, _column_total_dims,
+                          _column_total_matrix, cyclic_operator, hc_dims,
                           hcminus_hp_dims, mixed_complex, t_of_key)
 from dghom.hochschild import CyclicBar, hh_dims
 from conftest import Q, F2, exterior_deg
@@ -179,3 +181,44 @@ class TestTowers:
     def test_levels_guard(self, corpus):
         with pytest.raises(CyclicError):
             hcminus_hp_dims(corpus["unit"], (0, 1), 1)
+
+
+class TestColumnRanks:
+    @staticmethod
+    def _content(m):
+        return (m.rows, m.cols, frozenset(m.entries.items()))
+
+    def test_each_matrix_ranked_once(self, corpus, monkeypatch):
+        # neighbouring degrees share a column-total matrix (d_out of n+1 is
+        # d_in of n): every matrix built for a rank is one not ranked before
+        built, ranked = [], []
+
+        def recording_matrix(mx, n, q_lo, q_hi):
+            m = _column_total_matrix(mx, n, q_lo, q_hi)
+            built.append((n, m.rows, m.cols, frozenset(m.entries.items())))
+            return m
+
+        def counting_rank(m):
+            ranked.append(m)
+            return rank(m)
+
+        monkeypatch.setattr(cyclic, "_column_total_matrix", recording_matrix)
+        monkeypatch.setattr(cyclic, "rank", counting_rank)
+        for run in (lambda: hcminus_hp_dims(corpus["kx2"], (0, 1), 6),
+                    lambda: hc_dims(corpus["kx2"], 6)):
+            built.clear()
+            ranked.clear()
+            run()
+            assert built and len(built) == len(set(built)) == len(ranked)
+
+    def test_memo_matches_direct_ranks(self, corpus):
+        for name in ("unit", "kx2", "path12"):
+            mx = mixed_complex(corpus[name], 6)
+            for n in range(-1, 6):
+                for q_lo in range(-3, 1):
+                    for q_hi in range(q_lo, 4):
+                        d_in = _column_total_matrix(mx, n + 1, q_lo, q_hi)
+                        d_out = _column_total_matrix(mx, n, q_lo, q_hi)
+                        total = sum(mx.dim(k) for _, k in _column_total_dims(mx, n, q_lo, q_hi))
+                        want = total - rank(d_out) - rank(d_in)
+                        assert _column_homology(mx, n, q_lo, q_hi) == want, (name, n, q_lo, q_hi)

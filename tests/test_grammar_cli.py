@@ -163,6 +163,27 @@ class TestCli:
         assert main(["validate", str(bad)]) == 2
         assert f"line {line}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["hp", "kx2.quiver", "--levels", "1"], "--levels must be >= 2, got 1"),
+        (["hp", "kx2.quiver", "--window", "1..0"], "empty window '1..0'"),
+        (["hp", "kx2.quiver", "--bar-bound", "1"], "--bar-bound must be >= 2, got 1"),
+        (["hc", "kx2.quiver", "--n-max", "-1"], "--n-max must be >= 0, got -1"),
+        (["hc", "kx2.quiver", "--bar-bound", "1"], "--bar-bound must be >= 2, got 1"),
+        (["hh", "unit.dg", "--bar-bound", "0"], "--bar-bound must be >= 1, got 0"),
+        (["hh", "unit.dg", "--n-max", "-2"], "--n-max must be >= 0, got -2"),
+        (["saturate", "kx2.quiver", "--bound", "-3"], "--bound must be >= 0, got -3"),
+        (["euler", "unit.dg", "--bound", "-1"], "--bound must be >= 0, got -1"),
+        (["euler", "unit.dg", "--bar-bound", "0"], "--bar-bound must be >= 1, got 0"),
+        (["check", "--bound", "-1"], "--bound must be >= 0, got -1"),
+    ], ids=["hp-levels-1", "hp-window-1..0", "hp-bar-bound-1", "hc-n-max--1", "hc-bar-bound-1",
+            "hh-bar-bound-0", "hh-n-max--2", "saturate-bound--3", "euler-bound--1",
+            "euler-bar-bound-0", "check-bound--1"])
+    def test_bad_argument_exit_2(self, argv, message, files, capsys):
+        argv = [files.get(a, a) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"input error: {message}" in err and "Traceback" not in err
+
     def test_missing_file_exit_2(self):
         assert main(["hh", "/nonexistent/file.dg"]) == 2
 

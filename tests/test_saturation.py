@@ -53,6 +53,12 @@ class TestSmoothness:
         assert r.status == "inconclusive" and r.level == bound
         assert all(r.tor_dims[n] == 1 for n in range(bound + 2))
 
+    @pytest.mark.parametrize("bound", [-1, -3])
+    def test_negative_bound_refused(self, corpus, bound):
+        # no Tor is computed below degree 0, so no certificate may be issued
+        with pytest.raises(ValueError, match="bound must be >= 0"):
+            smoothness_certify(corpus["kx2"], bound)
+
     def test_graded_input_honestly_inconclusive(self):
         r = smoothness_certify(sphere_cell(1, Q), 4)
         assert r.status == "inconclusive"

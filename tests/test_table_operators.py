@@ -1,0 +1,104 @@
+"""The bar and cyclic operators read the composition, action and
+differential tables directly; they must equal the references in
+`oracles.py`, which reach the same structure through the generic
+bilinear calls on singleton elements, on every chain."""
+
+from dghom.dgcore import disk_cell, opposite, validate
+from dghom.cyclic import mixed_complex
+from dghom.dgmod import _bar_differential, bar_composite, diagonal_bimodule, yoneda_module
+from dghom.hochschild import CyclicBar
+from dghom.saturation import semisimple_quotient_left_module
+from conftest import (Q, F5, contractible_category, exterior_deg, matrix_category,
+                      random_small_category)
+from oracles import (reference_b, reference_bar_diff, reference_connes_B, reference_dint,
+                     reference_face, reference_total_diff)
+
+
+def _categories(corpus, rng):
+    cats = list(corpus.values())
+    cats += [matrix_category(Q), matrix_category(F5), contractible_category(Q),
+             exterior_deg(Q, 1), exterior_deg(Q, -1)]
+    cats += [disk_cell(n, Q) for n in (0, 1, 2)]
+    cats += [random_small_category(rng) for _ in range(8)]
+    for cat in cats:
+        assert validate(cat).ok, cat
+    return cats
+
+
+def test_cyclic_bar_operators(corpus, rng):
+    checked = 0
+    for cat in _categories(corpus, rng):
+        for normalized in (True, False):
+            if normalized and not cat.unit_is_basis():
+                continue
+            bar = CyclicBar(cat, 4, normalized=normalized)
+            for m, keys in bar.keys_by_bar.items():
+                for key in keys:
+                    for i in range(m + 1 if m else 0):
+                        assert bar.face(key, i) == reference_face(bar, key, i), (cat, key, i)
+                    assert bar.b_of(key) == reference_b(bar, key), (cat, key)
+                    assert bar.dint_of(key) == reference_dint(bar, key), (cat, key)
+                    assert bar.total_diff_of(key) == reference_total_diff(bar, key), (cat, key)
+                    checked += 1
+    assert checked > 500
+
+
+def test_connes_operator(corpus, rng):
+    checked = 0
+    for cat in _categories(corpus, rng):
+        if not cat.unit_is_basis():
+            continue
+        mx = mixed_complex(cat, 6)
+        for keys in mx.keys.values():
+            for key in keys:
+                assert mx._B_elem(key) == reference_connes_B(mx, key), (cat, key)
+                checked += 1
+    assert checked > 100
+
+
+def _bar_diff_agrees(X, Y, mid, res, left_spect=None, right_spect=None):
+    diff = _bar_differential(X, Y, mid, left_spect, right_spect)
+    n = 0
+    for pair, chains in res.chain_keys.items():
+        la, rc = pair if pair else (None, None)
+        for keys in chains.values():
+            for key in keys:
+                want = reference_bar_diff(X, Y, mid, key, la, rc, left_spect, right_spect)
+                assert diff(key, la, rc) == want, (mid, key)
+                n += 1
+    return n
+
+
+def test_bar_differential(corpus, rng):
+    checked = 0
+    for cat in _categories(corpus, rng):
+        op = opposite(cat)
+        for normalized in (True, False):
+            if normalized and not cat.unit_is_basis():
+                continue
+            for x in cat.objects:
+                X = yoneda_module(cat, x)
+                Y = yoneda_module(op, cat.objects[-1])
+                res = bar_composite(X, Y, cat, (-3, 0), 3, normalized=normalized)
+                checked += _bar_diff_agrees(X, Y, cat, res)
+    assert checked > 500
+
+
+def test_bar_differential_smoothness_route(corpus):
+    # the diagonal bimodule against the semisimple quotient, as in
+    # smoothness_certify
+    for cat in list(corpus.values()) + [matrix_category(Q)]:
+        diag = diagonal_bimodule(cat)
+        s_mod = semisimple_quotient_left_module(cat)
+        res = bar_composite(diag.module, s_mod, diag.base, (-3, 0))
+        assert _bar_diff_agrees(diag.module, s_mod, diag.base, res)
+
+
+def test_bar_differential_with_spectators(corpus, rng):
+    cats = list(corpus.values()) + [matrix_category(Q), disk_cell(1, Q)]
+    cats += [random_small_category(rng) for _ in range(4)]
+    for cat in cats:
+        d = diagonal_bimodule(cat).module
+        op = opposite(cat)
+        res = bar_composite(d, d, cat, (-2, 0), 2, left_spect=op, right_spect=cat)
+        assert _bar_diff_agrees(d, d, cat, res, left_spect=op, right_spect=cat)
