@@ -20,7 +20,7 @@ them exhaustively on the realized ranges):
 
 from __future__ import annotations
 
-from .exactfield import Matrix, rank
+from .exactfield import Matrix, operator_matrix, rank
 from .dgcore import DgCategory
 from .hochschild import CyclicBar, _ContributionPlan, chain_support_bound
 
@@ -62,15 +62,9 @@ def cyclic_operator(a: DgCategory, n: int) -> Matrix:
     docstring (sign (-1)^{(n-1) + Koszul})."""
     if n < 1:
         raise CyclicError("n must be >= 1")
-    bar = CyclicBar(a, n - 1, normalized=False)
-    keys = bar.keys_by_bar[n - 1]
+    keys = CyclicBar(a, n - 1, normalized=False).keys_by_bar[n - 1]
     index = {k: i for i, k in enumerate(keys)}
-    f = a.field
-    entries = {}
-    for col, key in enumerate(keys):
-        k2, sign = t_of_key(a, key)
-        entries[(index[k2], col)] = sign
-    return Matrix(f, len(keys), len(keys), entries)
+    return operator_matrix(a.field, keys, index, lambda key: dict([t_of_key(a, key)]))
 
 
 class MixedComplex:
@@ -88,23 +82,16 @@ class MixedComplex:
         self.norm = CyclicBar(base, bar_bound, normalized=True)
         self.plan = _ContributionPlan(base)
 
-        # chains per homological degree n = bar - internal
-        self.keys = {}
-        for m, lst in self.norm.keys_by_bar.items():
-            for k in lst:
-                n = m - self.norm.internal_degree(k)
-                self.keys.setdefault(n, []).append(k)
-        for lst in self.keys.values():
-            lst.sort(key=repr)
-        self.index = {n: {k: i for i, k in enumerate(lst)} for n, lst in self.keys.items()}
-        self.b_mats = {}
-        self.B_mats = {}
+        # chains per homological degree n = bar - internal = -(total degree);
+        # b is the total differential, so its matrices are the total complex's
+        total, by_t = self.norm.total_complex()
+        self.keys = {-t: keys for t, keys in by_t.items()}
+        self.index = {n: {k: i for i, k in enumerate(keys)} for n, keys in self.keys.items()}
+        self.b_mats = {n: total.diff(-n) for n in self.keys}
+        self.B_mats = {n: operator_matrix(f, keys, self.index.get(n + 1, {}), self._B_elem)
+                       for n, keys in self.keys.items()}
         # (n, first, last nonempty column) -> rank; see _column_rank
         self.column_ranks = {}
-        for n in sorted(self.keys):
-            self.b_mats[n] = self._matrix(n, n - 1, self._b_elem)
-        for n in sorted(self.keys):
-            self.B_mats[n] = self._matrix(n, n + 1, self._B_elem)
         self._verify_identities()
 
     # -- assembly -------------------------------------------------------
@@ -122,14 +109,12 @@ class MixedComplex:
     def support(self):
         return sorted(self.keys)
 
-    def _b_elem(self, key):
-        return self.norm.total_diff_of(key)
-
     def _B_elem(self, key):
         a, f = self.base, self.field
         unit_keys = self.norm.unit_keys
         m = self.norm.bar_degree(key)
-        norm_index = self.norm.index_by_bar.get(m + 1, {})
+        # B keeps the internal degree and raises the bar degree by one
+        norm_index = self.index.get(m - self.norm.internal_degree(key) + 1, {})
         # (-1)^{m+1} s N, projected to the normalized complex: t permutes
         # chain keys up to sign.  The -t s N half of (1 - t) s N is dropped
         # by the projection, since t s puts the unit of x_0 at inner slot 1
@@ -142,19 +127,6 @@ class MixedComplex:
             k, sign = t_of_key(a, k)
             c = f.mul(c, sign)
         return out
-
-    def _matrix(self, n_src: int, n_tgt: int, elem_fn) -> Matrix:
-        f = self.field
-        src = self.keys.get(n_src, ())
-        tgt_index = self.index.get(n_tgt, {})
-        entries = {}
-        for col, key in enumerate(src):
-            for k2, v in elem_fn(key).items():
-                row = tgt_index.get(k2)
-                if row is None:
-                    raise AssertionError("operator left the assembled degree range")
-                entries[(row, col)] = v
-        return Matrix(f, len(self.keys.get(n_tgt, ())), len(src), entries)
 
     # -- identities ------------------------------------------------------
 

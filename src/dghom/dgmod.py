@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 
-from .exactfield import ChainComplex, Matrix, kernel_basis
+from .exactfield import ChainComplex, Matrix, kernel_basis, operator_complex
 from .dgcore import (DgCategory, DgFunctor, ValidationReport, elem_scale, elem_eq,
                      hom_graph, longest_path_bound, opposite, tensor, tensor_info, walks)
 
@@ -482,9 +482,10 @@ def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
     def yobj(b, rc):
         return (b, rc) if right_spect is not None else b
 
-    diff = _bar_differential(X, Y, mid, left_spect, right_spect)
+    diff = _bar_differential(X, Y, mid, unit_keys, left_spect, right_spect)
 
-    # chain enumeration: key = (objs tuple (b_0..b_p), km, betas (a_p..a_1), kn)
+    # chain enumeration: key = (objs tuple (b_0..b_p), km, betas (a_p..a_1), kn),
+    # each degree in enumeration order
     hom_keys = {}
     for (u, v) in itertools.product(mid.objects, repeat=2):
         keys = list(mid.basis_keys(u, v))
@@ -492,17 +493,6 @@ def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
             keys = [k for k in keys if k != unit_keys[u]]
         hom_keys[(u, v)] = keys
     edges = hom_graph(mid.homs, unit_keys)
-
-    def drop_degenerate(okey):
-        if not normalized:
-            return False
-        objs, _km, betas, _kn = okey
-        p = len(betas)
-        for i, bk in enumerate(betas):
-            u = objs[p - i - 1]
-            if u == objs[p - i] and bk == unit_keys[u]:
-                return True
-        return False
 
     results = {}
     all_keys = {}
@@ -530,39 +520,13 @@ def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
                                 t = q - p
                                 if lo <= t <= hi:
                                     chains.setdefault(t, []).append((objs, km, bt, kn))
-            for t in chains:
-                chains[t].sort(key=repr)
-            index = {t: {key: i for i, key in enumerate(lst)} for t, lst in chains.items()}
-
-            # differential matrices
-            diffs = {}
-            for t in sorted(chains):
-                entries = {}
-                tgt = index.get(t + 1, {})
-                n_rows = len(chains.get(t + 1, ()))
-                for col, key in enumerate(chains[t]):
-                    out = diff(key, la, rc)
-                    for okey, v in out.items():
-                        row = tgt.get(okey)
-                        if row is None:
-                            if drop_degenerate(okey):
-                                continue
-                            oq = okey[1][0] + okey[3][0] + sum(k[0] for k in okey[2])
-                            ot = oq - len(okey[2])
-                            if lo <= ot <= hi:
-                                raise AssertionError("bar chain missing from index")
-                            continue
-                        f.accumulate(entries, (row, col), v)
-                if entries:
-                    diffs[t] = Matrix(f, n_rows, len(chains[t]), entries)
-            spaces = {t: tuple(repr(k) for k in lst) for t, lst in chains.items()}
-            cx = ChainComplex(f, spaces, diffs, specified=(lo, hi))
-            results[pair] = cx
+            results[pair] = operator_complex(f, chains, lambda key: diff(key, la, rc),
+                                             specified=(lo, hi))
             all_keys[pair] = chains
     return BarResult(results, all_keys, flag, P, window_coh)
 
 
-def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory,
+def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory, unit_keys: dict,
                       left_spect: DgCategory | None = None,
                       right_spect: DgCategory | None = None):
     """The total differential of the two-sided bar chains of
@@ -570,6 +534,12 @@ def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory,
     scalar} of a chain and its spectator objects (None without one):
     simplicial faces with alternating signs plus (-1)^p times the
     internal Koszul-left differential.
+
+    ``unit_keys`` maps each middle object to its unit key for the
+    normalized bar ({} for the unnormalized one): a term with a unit in
+    the composed or the differentiated middle slot is degenerate and
+    dropped; the other middle factors keep their objects and were
+    non-unit already.
 
     Actions, products and differentials are read from the structure
     tables.  A middle factor beta acts on a side with spectators as the
@@ -621,14 +591,17 @@ def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory,
             # hom(objs[p-i-1], objs[p-i])
             for i in range(1, p):
                 kg, kf = betas[i - 1], betas[i]
-                prod = comp.get((objs[p - i - 1], objs[p - i], objs[p - i + 1]), {}).get((kg, kf))
+                src, tgt = objs[p - i - 1], objs[p - i + 1]
+                prod = comp.get((src, objs[p - i], tgt), {}).get((kg, kf))
                 if prod:
                     deg = kg[0] + kf[0]
+                    unit = unit_keys.get(src) if src == tgt else None
                     nobjs = objs[:p - i] + objs[p - i + 1:]
                     before, after = betas[:i - 1], betas[i + 1:]
                     for ih, v in prod.items():
-                        f.accumulate(out, (nobjs, km, before + ((deg, ih),) + after, kn),
-                                     f.neg(v) if i & 1 else v)
+                        if (deg, ih) != unit:
+                            f.accumulate(out, (nobjs, km, before + ((deg, ih),) + after, kn),
+                                         f.neg(v) if i & 1 else v)
             # face p: left action of a_1 on the Y side, with the Koszul sign
             # of the left-module dictionary g.n = (-1)^{|g||n|} n .op g
             a1 = betas[-1]
@@ -650,9 +623,12 @@ def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory,
         sign_accum += km[0]
         for i, bk in enumerate(betas):
             # beta_i spans hom(objs[p-i-1], objs[p-i])
-            for bk2, v in homs[(objs[p - i - 1], objs[p - i])].d_of(bk):
-                f.accumulate(out, (objs, km, betas[:i] + (bk2,) + betas[i + 1:], kn),
-                             f.neg(v) if sign_accum & 1 else v)
+            src, tgt = objs[p - i - 1], objs[p - i]
+            unit = unit_keys.get(src) if src == tgt else None
+            for bk2, v in homs[(src, tgt)].d_of(bk):
+                if bk2 != unit:
+                    f.accumulate(out, (objs, km, betas[:i] + (bk2,) + betas[i + 1:], kn),
+                                 f.neg(v) if sign_accum & 1 else v)
             sign_accum += bk[0]
         yv = Y.value((objs[0], rc) if right_spect is not None else objs[0])
         for kn2, v in yv.d_of(kn):

@@ -518,6 +518,33 @@ class ChainComplex:
         return self.specified is None or self.specified[0] <= d <= self.specified[1]
 
 
+def operator_matrix(field: FieldSpec, src_keys, tgt_index: dict, op) -> Matrix:
+    """The matrix of a per-key sparse operator op(key) -> {key: scalar}
+    from the basis src_keys to the indexed basis tgt_index {key: row}.
+    An image key outside the target basis is an assembly error."""
+    entries = {}
+    for col, key in enumerate(src_keys):
+        for k2, v in op(key).items():
+            row = tgt_index.get(k2)
+            if row is None:
+                raise AssertionError(f"operator image {k2!r} is not in the target basis")
+            entries[(row, col)] = v
+    return Matrix(field, len(tgt_index), len(src_keys), entries)
+
+
+def operator_complex(field: FieldSpec, basis: dict, op, specified=None) -> ChainComplex:
+    """The complex with basis[d] (a list of hashable chain keys, which
+    become the basis labels) in degree d and differential op: diff(d) is
+    built for every degree whose target d + 1 lies inside ``specified``
+    (every degree when None)."""
+    index = {d: {k: i for i, k in enumerate(keys)} for d, keys in basis.items()}
+    diffs = {}
+    for d, keys in basis.items():
+        if specified is None or specified[0] <= d + 1 <= specified[1]:
+            diffs[d] = operator_matrix(field, keys, index.get(d + 1, {}), op)
+    return ChainComplex(field, basis, diffs, specified)
+
+
 class WindowError(ValueError):
     pass
 

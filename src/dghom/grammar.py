@@ -33,7 +33,7 @@ import itertools
 
 from .exactfield import ChainComplex, FieldError, FieldSpec, Matrix
 from .dgcore import DgCategory
-from .presentation import PathElement, Presentation, realize
+from .presentation import PathElement, Presentation, PresentationError, realize
 
 
 class GrammarError(ValueError):
@@ -233,10 +233,14 @@ def _load_quiver(lines):
         elif kw == "vertex":
             if len(parts) != 2:
                 raise GrammarError("vertex takes one name", ln)
+            if parts[1] in vertices:
+                raise GrammarError(f"duplicate vertex {parts[1]!r}", ln)
             vertices.append(parts[1])
         elif kw == "arrow":
             if len(parts) not in (4, 5):
                 raise GrammarError("arrow takes: name src tgt [degree]", ln)
+            if any(name == parts[1] for name, *_ in arrows):
+                raise GrammarError(f"duplicate arrow {parts[1]!r}", ln)
             deg = _integer(parts[4], "arrow degree", ln) if len(parts) == 5 else 0
             arrows.append((parts[1], parts[2], parts[3], deg, ln))
         elif kw == "relation":
@@ -266,7 +270,10 @@ def _load_quiver(lines):
                 for gname in word:
                     if gname not in gens:
                         raise GrammarError(f"relation uses unknown arrow {gname!r}", ln)
-                s, t = pres.word_endpoints(word)
+                try:
+                    s, t = pres.word_endpoints(word)
+                except PresentationError:
+                    raise GrammarError(f"relation path {token!r} does not compose", ln) from None
             else:
                 if at_vertex not in vertices:
                     raise GrammarError(f"empty path at unknown vertex {at_vertex!r}", ln)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 
-from .exactfield import ChainComplex, Matrix, homology_dims, homology_quotient
+from .exactfield import homology_dims, homology_quotient, operator_complex
 from .dgcore import (DgCategory, hom_graph, longest_path_bound,
                      tensor, tensor_info, walks)
 
@@ -125,14 +125,9 @@ class CyclicBar:
         self.normalized = normalized
         self.field = a.field
         self.unit_keys = {x: a.unit_key(x) for x in a.objects}
-        self.keys_by_bar = {}
-        self.index_by_bar = {}
         edges = hom_graph(a.homs, self.unit_keys if normalized else {})
-        for m in range(bar_bound + 1):
-            keys = list(self._enumerate(m, edges))
-            keys.sort(key=repr)
-            self.keys_by_bar[m] = keys
-            self.index_by_bar[m] = {k: i for i, k in enumerate(keys)}
+        # chains in enumeration order: walks, then the product of the slot bases
+        self.keys_by_bar = {m: list(self._enumerate(m, edges)) for m in range(bar_bound + 1)}
 
     def _inner_keys(self, x, y):
         c = self.a.hom(x, y)
@@ -267,36 +262,20 @@ class CyclicBar:
             f.accumulate(out, k2, f.neg(v) if m & 1 else v)
         return out
 
-    def total_complex(self):
-        """The sum-total complex over assembled bar degrees, plus the
-        chain-key table per total degree."""
-        f = self.field
-        by_t = {}
-        for m, keys in self.keys_by_bar.items():
+    def chains_by_total(self) -> dict:
+        """Chain keys per total degree, each degree in enumeration order."""
+        out = {}
+        for keys in self.keys_by_bar.values():
             for k in keys:
-                by_t.setdefault(self.total_degree(k), []).append(k)
-        for lst in by_t.values():
-            lst.sort(key=repr)
-        index = {t: {k: i for i, k in enumerate(lst)} for t, lst in by_t.items()}
-        diffs = {}
-        for t, lst in sorted(by_t.items()):
-            tgt = index.get(t + 1, {})
-            entries = {}
-            for col, key in enumerate(lst):
-                for k2, v in self.total_diff_of(key).items():
-                    row = tgt.get(k2)
-                    if row is None:
-                        # beyond the assembled bar bound (d_int at the top bar degree
-                        # keeps m, so the only losses are... none: D never raises m)
-                        raise AssertionError("total differential left the assembled range")
-                    entries[(row, col)] = v
-            if entries:
-                diffs[t] = Matrix(f, len(by_t.get(t + 1, ())), len(lst), entries)
-        spaces = {t: tuple("|".join([",".join(map(str, k[0])),
-                                     ";".join(f"{d}:{i}" for d, i in k[1])])
-                           for k in lst)
-                  for t, lst in by_t.items()}
-        return ChainComplex(f, spaces, diffs), by_t, index
+                out.setdefault(self.total_degree(k), []).append(k)
+        return out
+
+    def total_complex(self):
+        """The sum-total complex over assembled bar degrees, with the chain
+        keys as basis labels, plus the chain-key table per total degree.
+        D never raises the bar degree, so no image leaves the assembly."""
+        by_t = self.chains_by_total()
+        return operator_complex(self.field, by_t, self.total_diff_of), by_t
 
 
 class HochschildComplex:
@@ -312,7 +291,7 @@ class HochschildComplex:
         self.bar_bound = bar_bound
         self.normalized = normalized
         self.bar = CyclicBar(base, bar_bound, normalized)
-        self.total, self.chain_keys, self.chain_index = self.bar.total_complex()
+        self.total, self.chain_keys = self.bar.total_complex()
         self.plan = _ContributionPlan(base)
         self.contribution_table = {
             t: sorted({(self.bar.bar_degree(k), self.bar.internal_degree(k)) for k in lst})
@@ -406,7 +385,7 @@ def _hh0_quotient(a: DgCategory):
     d_in = hc.total.diff(-1)
     d_out = hc.total.diff(0)
     dim, reps, project = homology_quotient(d_in, d_out)
-    index0 = hc.chain_index.get(0, {})
+    index0 = {k: i for i, k in enumerate(hc.total.labels(0))}
     return hc, dim, project, index0
 
 
@@ -558,8 +537,9 @@ class ShuffleMap:
         t_lo, t_hi = self.window
         checked = 0
         pairs = []
-        for ta, lst_a in self._chains_by_total(self.bar_a).items():
-            for tb, lst_b in self._chains_by_total(self.bar_b).items():
+        chains_b = self.bar_b.chains_by_total()
+        for ta, lst_a in self.bar_a.chains_by_total().items():
+            for tb, lst_b in chains_b.items():
                 if not (t_lo <= ta + tb <= t_hi):
                     continue
                 for key_a in lst_a:
@@ -585,14 +565,6 @@ class ShuffleMap:
             checked += 1
         self.certificate_checked = True
         return checked
-
-    @staticmethod
-    def _chains_by_total(bar: CyclicBar):
-        out = {}
-        for m, keys in bar.keys_by_bar.items():
-            for k in keys:
-                out.setdefault(bar.total_degree(k), []).append(k)
-        return out
 
 
 def _staircase(positions, p, q):

@@ -8,7 +8,9 @@ other elimination, the combination-tracking `Subspace`; and the bar
 operator references at the end (`reference_face`, `reference_bar_diff`
 and their companions) share the library's sign conventions but reach
 every product, action and differential through the generic bilinear
-calls on singleton elements, which the library's bar operators bypass.
+calls on singleton elements, which the library's bar operators bypass;
+`drop_degenerate` projects `reference_bar_diff` onto the normalized
+chains by checking every middle slot.
 """
 
 import itertools
@@ -495,6 +497,18 @@ def reference_bar_diff(X, Y, mid, key, la=None, rc=None, left_spect=None, right_
     return out
 
 
+def drop_degenerate(vec, unit_keys):
+    """A combination of two-sided bar chains projected onto the normalized
+    chains: a chain with the unit key of a loop in any middle slot is
+    dropped (none when unit_keys is {}, the unnormalized bar)."""
+    def degenerate(key):
+        objs, _km, betas, _kn = key
+        p = len(betas)
+        return any(objs[p - i - 1] == objs[p - i] and bk == unit_keys.get(objs[p - i])
+                   for i, bk in enumerate(betas))
+    return {k: v for k, v in vec.items() if not degenerate(k)}
+
+
 def reference_connes_B(mx, key):
     """MixedComplex._B_elem by the full formula (-1)^{m+1} (1 - t) s N on
     the unnormalized lift, projected to the normalized chains."""
@@ -512,5 +526,5 @@ def reference_connes_B(mx, key):
         k3, sign = t_of_key(a, k2)
         f.accumulate(out, k3, f.neg(f.mul(sign, v)))
     sgn = f.of_int((-1) ** (m + 1))
-    norm_index = mx.norm.index_by_bar.get(m + 1, {})
-    return {k2: f.mul(sgn, v) for k2, v in out.items() if k2 in norm_index}
+    normalized = set(mx.norm.keys_by_bar.get(m + 1, ()))
+    return {k2: f.mul(sgn, v) for k2, v in out.items() if k2 in normalized}

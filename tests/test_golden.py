@@ -9,10 +9,13 @@ To record the reports again after an intended change of output, run
 import contextlib
 import io
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dghom
 from dghom.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,6 +47,29 @@ def test_report_byte_identical(golden, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
     got = _run(CASES[golden], tmp_path / golden)
     assert got == (GOLDEN / golden).read_bytes()
+
+
+# the source directory of the package this process imported
+SRC = os.path.dirname(os.path.dirname(dghom.__file__))
+
+
+@pytest.mark.parametrize("golden", [f"{name}.{cmd}.json" for name in ("kx2.quiver", "path12.quiver")
+                                    for cmd in ("hh", "hp", "saturate")])
+def test_report_independent_of_hash_seed(golden, tmp_path):
+    # chains are listed in enumeration order, never in hash order, so a
+    # fresh process gives the same report under any PYTHONHASHSEED
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    runs = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed / golden
+        out.parent.mkdir()
+        proc = subprocess.run([sys.executable, "-m", "dghom.cli", *CASES[golden], "--out", str(out)],
+                              cwd=ROOT, capture_output=True, env=dict(env, PYTHONHASHSEED=seed))
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == (GOLDEN / golden).read_bytes()
 
 
 if __name__ == "__main__":

@@ -154,9 +154,16 @@ class TestCli:
         (KX2_QUIVER.replace("field q", "field fp:x"), 2, "bad integer 'x' for field"),
         (KX2_QUIVER.replace("field q", "field fp x"), 2, "bad integer 'x' for field"),
         (KX2_QUIVER.replace("field q", "field fp:6"), 2, "not a prime: 6"),
+        (KX2_QUIVER.replace("vertex v", "vertex v\nvertex v"), 5, "duplicate vertex 'v'"),
+        (KX2_QUIVER.replace("vertex v", "vertex v\nvertex u").replace("arrow x v v",
+                                                                      "arrow x v v\narrow x u u"),
+         7, "duplicate arrow 'x'"),
+        (KX2_QUIVER.replace("vertex v", "vertex v\nvertex u").replace("arrow x v v", "arrow x v u"),
+         7, "relation path 'x.x' does not compose"),
     ], ids=["compose-1/0", "fp5-1/5", "compose-abc", "unit-1/0", "diff-x", "relation-1/0",
             "wordlength-x", "wordlength-bare", "degreebound-q", "arrow-degree-z",
-            "arrow-endpoint", "vertex-bare", "field-fp:x", "field-fp-x", "field-fp:6"])
+            "arrow-endpoint", "vertex-bare", "field-fp:x", "field-fp-x", "field-fp:6",
+            "vertex-duplicate", "arrow-duplicate", "relation-not-composable"])
     def test_bad_scalar_exit_2(self, text, line, message, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text(text)

@@ -20,6 +20,17 @@ class TestComplexAssembly:
         hc = hochschild_complex(corpus["kx2"], 5, normalized=False)
         assert [len(hc.bar.keys_by_bar[m]) for m in range(6)] == [2, 4, 8, 16, 32, 64]
 
+    def test_missing_chain_refused(self, corpus, monkeypatch):
+        # the shared assembly refuses an image with no row in the basis
+        bar = CyclicBar(corpus["kx2"], 3)
+        by_t = bar.chains_by_total()
+        t, key = next((t + 1, k2) for t, keys in sorted(by_t.items())
+                      for k in keys for k2 in bar.total_diff_of(k))
+        by_t[t].remove(key)
+        monkeypatch.setattr(bar, "chains_by_total", lambda: by_t)
+        with pytest.raises(AssertionError):
+            bar.total_complex()
+
     def test_b_squared_random_quiver(self, rng):
         # exhaustive entrywise d^2 = 0 at bar bound 4 on random two-object algebras
         for _ in range(3):
@@ -218,7 +229,8 @@ class TestShuffle:
         # cycle pairs of total degree -1: (bar 0, bar 1) and (bar 1, bar 0)
         image = Subspace(Q)
         count = 0
-        chains_a = ShuffleMap._chains_by_total(sh.bar_a)
+        chains_a = sh.bar_a.chains_by_total()
+        row_of = {k: i for i, k in enumerate(target.total.labels(t))}
         for ta, tb in [(0, -1), (-1, 0)]:
             for ka in chains_a.get(ta, []):
                 for kb in chains_a.get(tb, []):
@@ -230,7 +242,7 @@ class TestShuffle:
                         continue
                     vec = {}
                     for okey, v in sh.apply_pair(ka, kb).items():
-                        vec[target.chain_index[t][okey]] = v
+                        vec[row_of[okey]] = v
                     if not vec:
                         continue
                     coords = project(vec)
