@@ -15,7 +15,7 @@ import os
 import random
 import sys
 
-from .exactfield import FieldSpec
+from .exactfield import FieldError, FieldSpec
 from .dgcore import opposite, tensor, unit_category, validate
 from .presentation import PathElement, Presentation, pushout_attach, realize
 from . import grammar
@@ -33,8 +33,11 @@ class InputError(Exception):
 def _parse_field(text) -> FieldSpec:
     if text in ("q", "Q"):
         return FieldSpec.rationals()
-    if text.startswith("fp:"):
-        return FieldSpec.prime(int(text[3:]))
+    if text.startswith("fp:") and text[3:].isdecimal():
+        try:
+            return FieldSpec.prime(int(text[3:]))
+        except FieldError as exc:
+            raise InputError(f"bad field {text!r}: {exc}")
     raise InputError(f"bad field {text!r} (expected q or fp:<p>)")
 
 
@@ -69,9 +72,17 @@ def _load(path):
 
 
 def _require_closed(cat, cert, path):
+    """Refuse a truncated realization, and a dg category file (no
+    realization certificate) that breaks an axiom, before any homology."""
     if cert is not None and not cert.is_closed:
         raise InputError(f"{path}: realization is truncated ({cert.reason}); "
                          "homology commands refuse it")
+    if cert is None:
+        rep = validate(cat)
+        if not rep.ok:
+            axiom, loc, detail = rep.violations[0]
+            raise InputError(f"{path}: not a dg category: {axiom} at {loc}"
+                             + (f" ({detail})" if detail else ""))
 
 
 def _emit(report, args, human_lines=()):
@@ -179,6 +190,9 @@ def cmd_hp(args):
 def cmd_tensor(args):
     a, cert_a = _load(args.inputs[0])
     b, cert_b = _load(args.inputs[1])
+    if a.field != b.field:
+        raise InputError(f"field mismatch: {args.inputs[0]} is over {a.field.describe()}, "
+                         f"{args.inputs[1]} over {b.field.describe()}")
     out = tensor(a, b)
     out.closed = all(c is None or c.is_closed for c in (cert_a, cert_b))
     text = grammar.dumps(out)
@@ -343,8 +357,7 @@ def cmd_check(args):
             if name.endswith((".dg", ".quiver", ".txt")):
                 path = os.path.join(args.corpus, name)
                 cat, cert = _load(path)
-                if cert is not None and not cert.is_closed:
-                    raise InputError(f"{path}: truncated realization in corpus")
+                _require_closed(cat, cert, path)
                 items.append((name, cat))
         if not items:
             print("no inputs: corpus directory has no .dg/.quiver/.txt files")
@@ -457,7 +470,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, HochschildError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except grammar.GrammarError as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from .exactfield import ChainComplex, FieldSpec, Matrix
+from .exactfield import ChainComplex, FieldSpec, Matrix, tensor_complex
 
 
 # ---------------------------------------------------------------------------
@@ -391,38 +391,21 @@ def opposite(a: DgCategory) -> DgCategory:
 
 
 class TensorInfo:
-    """Basis bookkeeping for tensor categories: per hom pair and degree,
-    the ordered list of per-factor key tuples and its index lookup."""
+    """Basis bookkeeping of a tensor category, filled by ``tensor``: per
+    hom pair, the key tuples over the factors by degree (the hom basis in
+    order) and the flat key (degree, index) of each key tuple."""
 
     def __init__(self, factors):
         self.factors = tuple(factors)
-        self.keys = {}       # (x, y) -> {degree: [keytuple, ...]}
+        self.keys = {}       # (x, y) -> {degree: (keytuple, ...)}
         self.index = {}      # (x, y) -> {keytuple: (degree, idx)}
-
-    def enumerate_pair(self, x, y):
-        if (x, y) in self.keys:
-            return self.keys[(x, y)]
-        per_factor = []
-        for cat, xi, yi in zip(self.factors, x, y):
-            c = cat.hom(xi, yi)
-            per_factor.append([(d, i) for d in c.support() for i in range(c.dim(d))])
-        by_degree = {}
-        for combo in itertools.product(*per_factor):
-            deg = sum(k[0] for k in combo)
-            by_degree.setdefault(deg, []).append(combo)
-        for lst in by_degree.values():
-            lst.sort()
-        self.keys[(x, y)] = by_degree
-        self.index[(x, y)] = {combo: (d, i)
-                              for d, lst in by_degree.items()
-                              for i, combo in enumerate(lst)}
-        return by_degree
 
 
 def tensor(*cats: DgCategory) -> DgCategory:
     """Tensor product of dg categories: objects are tuples, hom complexes
-    are degreewise convolutions, with Koszul signs in differential and
-    composition.  Carries basis bookkeeping for module builders."""
+    are tensor products of the factors' hom complexes, with Koszul signs
+    in differential and composition.  Carries basis bookkeeping for
+    module builders."""
     if not cats:
         raise ValueError("tensor of no categories")
     field = cats[0].field
@@ -435,39 +418,19 @@ def tensor(*cats: DgCategory) -> DgCategory:
     neg_one = field.of_int(-1)
     for x in objects:
         for y in objects:
-            by_degree = info.enumerate_pair(x, y)
-            spaces = {}
-            for d, combos in by_degree.items():
-                labels = []
-                for combo in combos:
-                    labels.append(tuple(cats[i].hom(x[i], y[i]).labels(k[0])[k[1]]
-                                        for i, k in enumerate(combo)))
-                spaces[d] = tuple(labels)
-            diffs = {}
-            index = info.index[(x, y)]
-            for d, combos in by_degree.items():
-                entries = {}
-                for col, combo in enumerate(combos):
-                    sign_exp = 0
-                    for i, k in enumerate(combo):
-                        cat = cats[i]
-                        m = cat.hom(x[i], y[i]).diffs.get(k[0])
-                        if m is not None:
-                            for (r, cc), v in m.entries.items():
-                                if cc != k[1]:
-                                    continue
-                                newcombo = combo[:i] + ((k[0] + 1, r),) + combo[i + 1:]
-                                dd, row = index[newcombo]
-                                sgn = field.sign(sign_exp)
-                                field.accumulate(entries, (row, col), field.mul(sgn, v))
-                        sign_exp += k[0]
-                if entries:
-                    diffs[d] = Matrix(field, len(by_degree.get(d + 1, ())), len(combos), entries)
-            homs[(x, y)] = ChainComplex(field, spaces, diffs)
+            factors = [c.hom(xi, yi) for c, xi, yi in zip(cats, x, y)]
+            hom = tensor_complex(field, factors)
+            keys = info.keys[(x, y)] = hom.spaces
+            info.index[(x, y)] = {k: (d, i) for d, lst in keys.items() for i, k in enumerate(lst)}
+            # the labels are tuples of factor labels, as grammar.dumps prints them
+            hom.spaces = {d: tuple(tuple(c.labels(k[0])[k[1]] for c, k in zip(factors, combo))
+                                   for combo in lst)
+                          for d, lst in keys.items()}
+            homs[(x, y)] = hom
     comp = {}
     for x, y, z in walks(objects, hom_graph(homs, {}), 2):
-        xy = info.enumerate_pair(x, y)
-        yz = info.enumerate_pair(y, z)
+        xy = info.keys[(x, y)]
+        yz = info.keys[(y, z)]
         idx_xz = info.index[(x, z)]
         table = {}
         for dg, gcombos in yz.items():
@@ -543,8 +506,7 @@ def swap_functor(a: DgCategory, b: DgCategory) -> DgFunctor:
     for x in src.objects:
         for y in src.objects:
             sx, sy = object_map[x], object_map[y]
-            by_degree = info_s.enumerate_pair(x, y)
-            info_t.enumerate_pair(sx, sy)
+            by_degree = info_s.keys[(x, y)]
             idx_t = info_t.index[(sx, sy)]
             maps = {}
             for d, combos in by_degree.items():

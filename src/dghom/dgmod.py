@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 
-from .exactfield import ChainComplex, Matrix, kernel_basis, operator_complex
+from .exactfield import ChainComplex, Matrix, kernel_basis, operator_complex, tensor_complex
 from .dgcore import (DgCategory, DgFunctor, ValidationReport, elem_scale, elem_eq,
                      hom_graph, longest_path_bound, opposite, tensor, tensor_info, walks)
 
@@ -213,76 +213,56 @@ def pullback_module(F: DgFunctor, m: DgModule) -> DgModule:
     return DgModule(a, values, action, name=m.name)
 
 
+def tensor_action(base: DgCategory, values, act) -> dict:
+    """The action table of a right module over the tensor category
+    ``base`` with value complexes ``values``: act(xo, yo, hk, vk) is the
+    product of the basis key vk = (degree, index) of values[yo] with the
+    basis element of base.hom(xo, yo) whose key tuple over the factors is
+    hk, as a sparse element {(degree, index): scalar} of values[xo]."""
+    info = tensor_info(base)
+    action = {}
+    for (xo, yo), hom_keys in info.keys.items():
+        c = values[yo]
+        val_keys = [(d, i) for d in c.support() for i in range(c.dim(d))]
+        tab = {}
+        for dh, hlist in hom_keys.items():
+            for ih, hk in enumerate(hlist):
+                for vk in val_keys:
+                    res = act(xo, yo, hk, vk)
+                    if res:
+                        tab[((dh, ih), vk)] = {i: v for (_, i), v in res.items()}
+        if tab:
+            action[(xo, yo)] = tab
+    return action
+
+
 def external_tensor_module(m: DgModule, n: DgModule) -> DgModule:
     """m (x) n over tensor(m.base, n.base):
-    (u (x) v).(f (x) g) = (-1)^{|f||v|} (u.f) (x) (v.g)."""
+    (u (x) v).(f (x) g) = (-1)^{|f||v|} (u.f) (x) (v.g).
+    The basis labels of a value are the key pairs of tensor_complex."""
     f = m.base.field
+    one = f.one()
     base = tensor(m.base, n.base)
-    info = tensor_info(base)
-    # value bases: pairs of keys, ordered deterministically
-    pair_keys = {}
-    values = {}
-    for obj in base.objects:
-        x, y = obj
-        cm, cn = m.value(x), n.value(y)
-        combos = [((dm, im), (dn, i_n))
-                  for dm in cm.support() for im in range(cm.dim(dm))
-                  for dn in cn.support() for i_n in range(cn.dim(dn))]
-        by_degree = {}
-        for km, kn in combos:
-            by_degree.setdefault(km[0] + kn[0], []).append((km, kn))
-        for lst in by_degree.values():
-            lst.sort()
-        pair_keys[obj] = by_degree
-        index = {ck: (d, i) for d, lst in by_degree.items() for i, ck in enumerate(lst)}
-        spaces = {d: tuple((cm.labels(km[0])[km[1]], cn.labels(kn[0])[kn[1]])
-                           for (km, kn) in lst)
-                  for d, lst in by_degree.items()}
-        diffs = {}
-        for d, lst in by_degree.items():
-            entries = {}
-            for col, (km, kn) in enumerate(lst):
-                for k2, v in m.d_value(x, {km: f.one()}).items():
-                    dd, row = index[(k2, kn)]
-                    f.accumulate(entries, (row, col), v)
-                sgn = f.sign(km[0])
-                for k2, v in n.d_value(y, {kn: f.one()}).items():
-                    dd, row = index[(km, k2)]
-                    f.accumulate(entries, (row, col), f.mul(sgn, v))
-            if entries:
-                diffs[d] = Matrix(f, len(by_degree.get(d + 1, ())), len(lst), entries)
-        values[obj] = ChainComplex(f, spaces, diffs)
+    values = {(x, y): tensor_complex(f, (m.value(x), n.value(y))) for (x, y) in base.objects}
+    index = {obj: {k: (d, i) for d, lst in c.spaces.items() for i, k in enumerate(lst)}
+             for obj, c in values.items()}
 
-    action = {}
-    for xo in base.objects:
-        for yo in base.objects:
-            hom_keys = info.enumerate_pair(xo, yo)
-            val_index = {ck: (d, i) for d, lst in pair_keys[yo].items() for i, ck in enumerate(lst)}
-            out_index = {ck: (d, i) for d, lst in pair_keys[xo].items() for i, ck in enumerate(lst)}
-            tab = {}
-            for dh, hlist in hom_keys.items():
-                for ih, (kf, kg) in enumerate(hlist):
-                    for (km, kn), (dv, iv) in val_index.items():
-                        u = m.act(xo[0], yo[0], {km: f.one()}, {kf: f.one()})
-                        if not u:
-                            continue
-                        v = n.act(xo[1], yo[1], {kn: f.one()}, {kg: f.one()})
-                        if not v:
-                            continue
-                        sgn = f.sign(kf[0] * kn[0])
-                        outs = {}
-                        for ku, cu in u.items():
-                            for kv, cv in v.items():
-                                dd, i_out = out_index[(ku, kv)]
-                                f.accumulate(outs, i_out, f.mul(sgn, f.mul(cu, cv)))
-                        if outs:
-                            tab[((dh, ih), (dv, iv))] = outs
-            if tab:
-                action[(xo, yo)] = tab
-    out = DgModule(base, values, action,
-                   name=f"{m.name} (x) {n.name}" if (m.name and n.name) else "")
-    out._pair_keys = pair_keys
-    return out
+    def act(xo, yo, hk, vk):
+        kf, kg = hk
+        km, kn = values[yo].labels(vk[0])[vk[1]]
+        u = m.act(xo[0], yo[0], {km: one}, {kf: one})
+        if not u:
+            return {}
+        v = n.act(xo[1], yo[1], {kn: one}, {kg: one})
+        sgn = f.sign(kf[0] * kn[0])
+        out = {}
+        for ku, cu in u.items():
+            for kv, cv in v.items():
+                f.accumulate(out, index[xo][(ku, kv)], f.mul(sgn, f.mul(cu, cv)))
+        return out
+
+    return DgModule(base, values, tensor_action(base, values, act),
+                    name=f"{m.name} (x) {n.name}" if (m.name and n.name) else "")
 
 
 # ---------------------------------------------------------------------------
@@ -313,36 +293,22 @@ def diagonal_bimodule(a: DgCategory) -> Bimodule:
     """The identity bimodule: value((x, y)) = a.hom(y, x),
     m.(f (x) g) = (-1)^{|f||m|} f.m.g."""
     f = a.field
+    one = f.one()
     base = tensor(opposite(a), a)
-    info = tensor_info(base)
-    values = {}
-    for (x, y) in base.objects:
-        values[(x, y)] = a.hom(y, x)
-    action = {}
-    for xo in base.objects:
-        for yo in base.objects:
-            x, y = xo          # target pair of the action
-            xp, yp = yo        # source pair: value(yo) = hom(yp, xp)
-            hom_keys = info.enumerate_pair(xo, yo)
-            tab = {}
-            for dh, hlist in hom_keys.items():
-                for ih, (kf, kg) in enumerate(hlist):
-                    # kf in op(a).hom(x, xp) = a.hom(xp, x); kg in a.hom(y, yp)
-                    fe = {kf: f.one()}
-                    ge = {kg: f.one()}
-                    for km in a.basis_keys(yp, xp):
-                        me = {km: f.one()}
-                        mg = a.compose_elems(y, yp, xp, me, ge)
-                        if not mg:
-                            continue
-                        fmg = a.compose_elems(y, xp, x, fe, mg)
-                        if not fmg:
-                            continue
-                        sgn = f.sign(kf[0] * km[0])
-                        tab[((dh, ih), km)] = {i: f.mul(sgn, v) for (d, i), v in fmg.items()}
-            if tab:
-                action[(xo, yo)] = tab
-    mod = DgModule(base, values, action, name=f"diag({a.name or '?'})")
+    values = {(x, y): a.hom(y, x) for (x, y) in base.objects}
+
+    def act(xo, yo, hk, km):
+        # kf in op(a).hom(x, xp) = a.hom(xp, x), kg in a.hom(y, yp),
+        # m in value(yo) = a.hom(yp, xp)
+        (x, y), (xp, yp) = xo, yo
+        kf, kg = hk
+        mg = a.compose_elems(y, yp, xp, {km: one}, {kg: one})
+        if not mg:
+            return {}
+        sgn = f.sign(kf[0] * km[0])
+        return {k: f.mul(sgn, v) for k, v in a.compose_elems(y, xp, x, {kf: one}, mg).items()}
+
+    mod = DgModule(base, values, tensor_action(base, values, act), name=f"diag({a.name or '?'})")
     return Bimodule(a, a, mod, name=mod.name)
 
 
@@ -359,7 +325,6 @@ def restrict(x, bim: Bimodule) -> DgModule:
     values = {y: bim.value((x, y)) for y in a.objects}
     action = {}
     for (y, yp) in itertools.product(a.objects, repeat=2):
-        idx = info.enumerate_pair((x, y), (x, yp))
         index = info.index[((x, y), (x, yp))]
         tab = {}
         for kg in a.basis_keys(y, yp):
@@ -556,7 +521,6 @@ def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory, unit_keys: dict
         if left_spect is None:
             return X.action.get((b_new, b_old), {}), ((beta, one),)
         src, dst = (la, b_new), (la, b_old)
-        x_info.enumerate_pair(src, dst)
         index = x_info.index[(src, dst)]
         return (X.action.get((src, dst), {}),
                 tuple((index[(ku, beta)], cu) for ku, cu in left_spect.unit(la).items()))
@@ -567,7 +531,6 @@ def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory, unit_keys: dict
         if right_spect is None:
             return Y.action.get((b_new, b_old), {}), ((beta, one),)
         src, dst = (b_new, rc), (b_old, rc)
-        y_info.enumerate_pair(src, dst)
         index = y_info.index[(src, dst)]
         return (Y.action.get((src, dst), {}),
                 tuple((index[(beta, ku)], cu) for ku, cu in right_spect.unit(rc).items()))
@@ -815,35 +778,22 @@ def sn_pack(m: DgModule, m2: DgModule, fmap: ModuleMap):
     n = fmap.degree
     sph = sphere_cell(n, f)
     e_cat = tensor(opposite(sph), a)
-    info = tensor_info(e_cat)
     which = {"1": m, "2": m2}
-    values = {}
-    for (i_obj, y) in e_cat.objects:
-        values[(i_obj, y)] = which[i_obj].value(y)
-    action = {}
+    values = {(i_obj, y): which[i_obj].value(y) for (i_obj, y) in e_cat.objects}
+    one = f.one()
     s_key = (n, 0)  # the sphere generator in opposite(S(n)).hom("2","1") = S(n).hom("1","2")
-    for xo in e_cat.objects:
-        for yo in e_cat.objects:
-            i_x, x = xo
-            i_y, y = yo
-            hom_by_deg = info.enumerate_pair(xo, yo)
-            tab = {}
-            for dh, hlist in hom_by_deg.items():
-                for ih, (ks, ka) in enumerate(hlist):
-                    for km in which[i_y].basis_keys(y):
-                        me = {km: f.one()}
-                        if i_x == i_y:
-                            # unit (x) a
-                            res = which[i_y].act(x, y, me, {ka: f.one()})
-                        else:
-                            # s (x) a: first f, then the a-action on m2
-                            assert (i_x, i_y) == ("2", "1") and ks == s_key
-                            res = m2.act(x, y, fmap.apply(y, me), {ka: f.one()})
-                        if res:
-                            tab[((dh, ih), km)] = {i: v for (d, i), v in res.items()}
-            if tab:
-                action[(xo, yo)] = tab
-    return DgModule(e_cat, values, action, name="sn_pack")
+
+    def act(xo, yo, hk, km):
+        (i_x, x), (i_y, y) = xo, yo
+        ks, ka = hk
+        if i_x == i_y:
+            # unit (x) a
+            return which[i_y].act(x, y, {km: one}, {ka: one})
+        # s (x) a: first f, then the a-action on m2
+        assert (i_x, i_y) == ("2", "1") and ks == s_key
+        return m2.act(x, y, fmap.apply(y, {km: one}), {ka: one})
+
+    return DgModule(e_cat, values, tensor_action(e_cat, values, act), name="sn_pack")
 
 
 def sn_unpack(X: DgModule):
@@ -863,7 +813,6 @@ def sn_unpack(X: DgModule):
         values = {y: X.value((i_obj, y)) for y in a.objects}
         action = {}
         for (x, y) in itertools.product(a.objects, repeat=2):
-            info.enumerate_pair((i_obj, x), (i_obj, y))
             index = info.index[((i_obj, x), (i_obj, y))]
             tab = {}
             unit_key = sph_op.unit_key(i_obj)
@@ -882,7 +831,6 @@ def sn_unpack(X: DgModule):
     m2 = slice_module("2")
     maps = {}
     for y in a.objects:
-        info.enumerate_pair(("2", y), ("1", y))
         index = info.index[(("2", y), ("1", y))]
         unit_key = a.unit_key(y)
         if unit_key is None:

@@ -9,6 +9,7 @@ as H_n := H^{-n}.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -543,6 +544,29 @@ def operator_complex(field: FieldSpec, basis: dict, op, specified=None) -> Chain
         if specified is None or specified[0] <= d + 1 <= specified[1]:
             diffs[d] = operator_matrix(field, keys, index.get(d + 1, {}), op)
     return ChainComplex(field, basis, diffs, specified)
+
+
+def tensor_complex(field: FieldSpec, factors) -> ChainComplex:
+    """The tensor product of the complexes ``factors``.  Degree d has the
+    key tuples (k_1, ..., k_n) of total degree d, k_i = (degree, index) in
+    factor i, in itertools.product order (sorted, as each factor's keys
+    are), and they are its basis labels; the differential is
+    d(k_1 (x) .. (x) k_n) = sum_i (-1)^{|k_1|+..+|k_{i-1}|} k_1 (x) .. (x) dk_i (x) .. (x) k_n."""
+    basis = {}
+    for keys in itertools.product(*([(d, i) for d in c.support() for i in range(c.dim(d))]
+                                    for c in factors)):
+        basis.setdefault(sum(k[0] for k in keys), []).append(keys)
+
+    def d_of(keys):
+        out = {}
+        sign = 0
+        for i, k in enumerate(keys):
+            for k2, v in factors[i].d_of(k):
+                field.accumulate(out, keys[:i] + (k2,) + keys[i + 1:], field.neg(v) if sign & 1 else v)
+            sign += k[0]
+        return out
+
+    return operator_complex(field, basis, d_of)
 
 
 class WindowError(ValueError):

@@ -466,7 +466,6 @@ class ShuffleMap:
 
     def _pair_hom_key(self, xa, ya, ka, xb, yb, kb):
         """Flat key of ka (x) kb in the tensor category."""
-        self.info.enumerate_pair((xa, xb), (ya, yb))
         return self.info.index[((xa, xb), (ya, yb))][(ka, kb)]
 
     def apply_pair(self, key_a, key_b) -> dict:

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import itertools
 
-from .exactfield import ChainComplex, Matrix, Subspace, homology_dims, homology_quotient
+from .exactfield import (ChainComplex, Matrix, Subspace, homology_dims, homology_quotient,
+                         tensor_complex)
 from .dgcore import DgCategory, opposite, swap_functor, tensor, tensor_info
 from .dgmod import (Bimodule, DgModule, bar_composite, diagonal_bimodule,
-                    pullback_module)
+                    pullback_module, tensor_action)
 from .hochschild import chain_support_bound, hh_dims, _ContributionPlan
 
 
@@ -173,7 +174,6 @@ def semisimple_quotient_left_module(a: DgCategory) -> DgModule:
     action = {}
     for obj in base.objects:
         x, y = obj
-        info.enumerate_pair(obj, obj)
         index = info.index[(obj, obj)]
         key = index[(unit_keys[x], unit_keys[y])]
         action[(obj, obj)] = {(key, (0, 0)): {0: f.one()}}
@@ -281,71 +281,21 @@ def _triangle_modules(a: DgCategory):
     y_base = tensor(opposite(mid), a)
 
     def build(base, role):
-        info = tensor_info(base)
-        values = {}
-        pair_keys = {}
-        for obj in base.objects:
-            if role == "X":
-                x, (a1, u, v) = obj
-                c1, c2 = a.hom(a1, x), a.hom(v, u)
-            else:
-                (a1, u, v), w = obj
-                c1, c2 = a.hom(u, a1), a.hom(w, v)
-            combos = [((d1, i1), (d2, i2))
-                      for d1 in c1.support() for i1 in range(c1.dim(d1))
-                      for d2 in c2.support() for i2 in range(c2.dim(d2))]
-            by_degree = {}
-            for km, kn in combos:
-                by_degree.setdefault(km[0] + kn[0], []).append((km, kn))
-            for lst in by_degree.values():
-                lst.sort()
-            pair_keys[obj] = by_degree
-            index = {ck: (d, i) for d, lst in by_degree.items() for i, ck in enumerate(lst)}
-            spaces = {d: tuple((c1.labels(km[0])[km[1]], c2.labels(kn[0])[kn[1]])
-                               for (km, kn) in lst) for d, lst in by_degree.items()}
-            diffs = {}
-            for d, lst in by_degree.items():
-                entries = {}
-                pair_of = _value_pair(role, obj)
-                for col, (km, kn) in enumerate(lst):
-                    for k2, vv in a.d_elem(pair_of[0][0], pair_of[0][1], {km: f.one()}).items():
-                        dd, row = index[(k2, kn)]
-                        f.accumulate(entries, (row, col), vv)
-                    sgn = f.sign(km[0])
-                    for k2, vv in a.d_elem(pair_of[1][0], pair_of[1][1], {kn: f.one()}).items():
-                        dd, row = index[(km, k2)]
-                        f.accumulate(entries, (row, col), f.mul(sgn, vv))
-                if entries:
-                    diffs[d] = Matrix(f, len(by_degree.get(d + 1, ())), len(lst), entries)
-            values[obj] = ChainComplex(f, spaces, diffs)
+        values = {obj: tensor_complex(f, [a.hom(*p) for p in _value_pair(role, obj)])
+                  for obj in base.objects}
+        index = {obj: {k: (d, i) for d, lst in c.spaces.items() for i, k in enumerate(lst)}
+                 for obj, c in values.items()}
 
-        action = {}
-        for xo in base.objects:
-            for yo in base.objects:
-                hom_keys = info.enumerate_pair(xo, yo)
-                if not hom_keys:
-                    continue
-                val_index = {ck: (d, i) for d, lst in pair_keys[yo].items() for i, ck in enumerate(lst)}
-                out_index = {ck: (d, i) for d, lst in pair_keys[xo].items() for i, ck in enumerate(lst)}
-                tab = {}
-                for dh, hlist in hom_keys.items():
-                    for ih, flat in enumerate(hlist):
-                        f1, f2, f3, f4 = _flat_components(role, flat, mid_info, xo, yo)
-                        for (km, kn), (dv, iv) in val_index.items():
-                            res = _dd_act(a, f, role, xo, yo, f1, f2, f3, f4, km, kn)
-                            if not res:
-                                continue
-                            outs = {}
-                            for (ku, kv), cc in res.items():
-                                dd, i_out = out_index[(ku, kv)]
-                                f.accumulate(outs, i_out, cc)
-                            if outs:
-                                tab[((dh, ih), (dv, iv))] = outs
-                if tab:
-                    action[(xo, yo)] = tab
-        mod = DgModule(base, values, action, name=f"triangle-{role}({a.name or '?'})")
-        mod._pair_keys = pair_keys
-        return mod
+        def act(xo, yo, flat, vk):
+            f1, f2, f3, f4 = _flat_components(role, flat, xo, yo)
+            km, kn = values[yo].labels(vk[0])[vk[1]]
+            out = {}
+            for kuv, cc in _dd_act(a, f, role, xo, yo, f1, f2, f3, f4, km, kn).items():
+                f.accumulate(out, index[xo][kuv], cc)
+            return out
+
+        return DgModule(base, values, tensor_action(base, values, act),
+                        name=f"triangle-{role}({a.name or '?'})")
 
     def _value_pair(role, obj):
         if role == "X":
@@ -354,20 +304,14 @@ def _triangle_modules(a: DgCategory):
         (a1, u, v), w = obj
         return ((u, a1), (w, v))
 
-    def _flat_components(role, flat, mid_info_, xo, yo):
+    def _flat_components(role, flat, xo, yo):
         if role == "X":
             k1, kmid = flat
-            x, bx = xo
-            y, by = yo
-            mid_info_.enumerate_pair(bx, by)
-            k2, k3, k4 = mid_info_.keys[(bx, by)][kmid[0]][kmid[1]]
+            k2, k3, k4 = mid_info.keys[(xo[1], yo[1])][kmid[0]][kmid[1]]
             return k1, k2, k3, k4
         kmid, k4 = flat
-        bx, w1 = xo
-        by, w2 = yo
         # hom of opposite(mid) decomposes with the same flat keys as mid
-        mid_info_.enumerate_pair(by, bx)
-        k1, k2, k3 = mid_info_.keys[(by, bx)][kmid[0]][kmid[1]]
+        k1, k2, k3 = mid_info.keys[(yo[0], xo[0])][kmid[0]][kmid[1]]
         return k1, k2, k3, k4
 
     def _dd_act(cat, f, role, xo, yo, k1, k2, k3, k4, km, kn):
@@ -482,7 +426,7 @@ def _comparison_quasi_iso(a: DgCategory, res, X, Y, window):
     f = a.field
     w0, w1 = window
 
-    # decompose via the modules' pair bookkeeping
+    # decompose via the key-pair labels of the module values
     def comparison(pair, key):
         objs, km, betas, kn = key
         if betas:
@@ -490,8 +434,8 @@ def _comparison_quasi_iso(a: DgCategory, res, X, Y, window):
         x, w = pair
         b = objs[0]
         a1, u, v = b
-        kp, kq = X._pair_keys[(x, b)][km[0]][km[1]]
-        kr, ks = Y._pair_keys[(b, w)][kn[0]][kn[1]]
+        kp, kq = X.value((x, b)).labels(km[0])[km[1]]
+        kr, ks = Y.value((b, w)).labels(kn[0])[kn[1]]
         # p in hom(a1, x), q in hom(v, u), r in hom(u, a1), s in hom(w, v)
         sgn = f.sign(kq[0] * kr[0])
         qs = a.compose_elems(w, v, u, {kq: f.one()}, {ks: f.one()})

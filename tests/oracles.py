@@ -450,7 +450,6 @@ def reference_bar_diff(X, Y, mid, key, la=None, rc=None, left_spect=None, right_
             return X.act(b_new, b_old, xelem, {beta_key: one})
         src, dst = (la, b_new), (la, b_old)
         info = tensor_info(X.base)
-        info.enumerate_pair(src, dst)
         fe = {info.index[(src, dst)][(ku, beta_key)]: cu for ku, cu in left_spect.unit(la).items()}
         return X.act(src, dst, xelem, fe)
 
@@ -459,7 +458,6 @@ def reference_bar_diff(X, Y, mid, key, la=None, rc=None, left_spect=None, right_
             return Y.act(b_new, b_old, yelem, {beta_key: one})
         src, dst = (b_new, rc), (b_old, rc)
         info = tensor_info(Y.base)
-        info.enumerate_pair(src, dst)
         fe = {info.index[(src, dst)][(beta_key, ku)]: cu for ku, cu in right_spect.unit(rc).items()}
         return Y.act(src, dst, yelem, fe)
 
@@ -528,3 +526,37 @@ def reference_connes_B(mx, key):
     sgn = f.of_int((-1) ** (m + 1))
     normalized = set(mx.norm.keys_by_bar.get(m + 1, ()))
     return {k2: f.mul(sgn, v) for k2, v in out.items() if k2 in normalized}
+
+
+def reference_tensor_complex(field, factors):
+    """The tensor product of complexes filled by hand, without
+    operator_complex or ChainComplex.d_of: product keys grouped by total
+    degree and sorted, and each column of the differential read by
+    scanning the factors' matrices, with the Koszul sign
+    (-1)^{|k_1|+..+|k_{i-1}|} on the term differentiating factor i."""
+    from dghom.exactfield import ChainComplex, Matrix
+    per_factor = [[(d, i) for d in c.support() for i in range(c.dim(d))] for c in factors]
+    by_degree = {}
+    for combo in itertools.product(*per_factor):
+        by_degree.setdefault(sum(k[0] for k in combo), []).append(combo)
+    for lst in by_degree.values():
+        lst.sort()
+    index = {combo: i for lst in by_degree.values() for i, combo in enumerate(lst)}
+    diffs = {}
+    for d, combos in by_degree.items():
+        entries = {}
+        for col, combo in enumerate(combos):
+            sign_exp = 0
+            for i, k in enumerate(combo):
+                m = factors[i].diffs.get(k[0])
+                if m is not None:
+                    for (r, cc), v in m.entries.items():
+                        if cc != k[1]:
+                            continue
+                        row = index[combo[:i] + ((k[0] + 1, r),) + combo[i + 1:]]
+                        sgn = field.of_int(-1 if sign_exp % 2 else 1)
+                        field.accumulate(entries, (row, col), field.mul(sgn, v))
+                sign_exp += k[0]
+        if entries:
+            diffs[d] = Matrix(field, len(by_degree.get(d + 1, ())), len(combos), entries)
+    return ChainComplex(field, by_degree, diffs)

@@ -1,6 +1,7 @@
 """Golden reports: the CLI must keep producing byte-identical JSON for the
-corpus.  Each case runs in-process through `cli.main` from the repository
-root, so inputs are named by the same relative path every time.
+corpus, and a byte-identical `tensor` file.  Each case runs in-process
+through `cli.main` from the repository root, so inputs are named by the
+same relative path every time.
 
 To record the reports again after an intended change of output, run
 `PYTHONPATH=src python tests/test_golden.py` from the repository root.
@@ -29,6 +30,8 @@ def _cases():
         for cmd in COMMANDS:
             cases[f"{name}.{cmd[0]}.json"] = [cmd[0], f"corpus/{name}", *cmd[1:]]
     cases["check.json"] = ["check", "--corpus", "corpus", "--bound", "4"]
+    # the serialized tensor category: hom labels, structure constants and order
+    cases["tensor.path12.quiver.kx2.quiver.dg"] = ["tensor", "corpus/path12.quiver", "corpus/kx2.quiver"]
     return cases
 
 

@@ -46,12 +46,38 @@ unit * 1 2
 compose * * * 1 1 1 1
 """
 
+# no compose line: the unit acts as zero, so the unit axiom fails
+NO_COMPOSE = """\
+dgcat
+field q
+object a
+basis a a 1 0
+unit a 1
+"""
+
+# k x k: a valid category whose unit e + f is not a basis vector
+SPLIT_UNIT = """\
+dgcat
+field q
+object a
+basis a a e 0
+basis a a f 0
+unit a e 1
+unit a f 1
+compose a a a e e e 1
+compose a a a f f f 1
+"""
+
+KX2_F5_QUIVER = KX2_QUIVER.replace("field q", "field fp 5")
+
 
 @pytest.fixture
 def files(tmp_path):
     paths = {}
     for name, text in [("unit.dg", UNIT_TEXT), ("kx2.quiver", KX2_QUIVER),
-                       ("loop.quiver", LOOP_QUIVER), ("broken.dg", BROKEN_UNIT)]:
+                       ("loop.quiver", LOOP_QUIVER), ("broken.dg", BROKEN_UNIT),
+                       ("nocompose.dg", NO_COMPOSE), ("split.dg", SPLIT_UNIT),
+                       ("kx2f5.quiver", KX2_F5_QUIVER)]:
         p = tmp_path / name
         p.write_text(text)
         paths[name] = str(p)
@@ -182,14 +208,37 @@ class TestCli:
         (["euler", "unit.dg", "--bound", "-1"], "--bound must be >= 0, got -1"),
         (["euler", "unit.dg", "--bar-bound", "0"], "--bar-bound must be >= 1, got 0"),
         (["check", "--bound", "-1"], "--bound must be >= 0, got -1"),
+        (["check", "--field", "fp:4"], "bad field 'fp:4': not a prime: 4"),
+        (["check", "--field", "fp:x"], "bad field 'fp:x' (expected q or fp:<p>)"),
+        (["cell", "sphere", "1", "--field", "fp:4"], "bad field 'fp:4': not a prime: 4"),
     ], ids=["hp-levels-1", "hp-window-1..0", "hp-bar-bound-1", "hc-n-max--1", "hc-bar-bound-1",
             "hh-bar-bound-0", "hh-n-max--2", "saturate-bound--3", "euler-bound--1",
-            "euler-bar-bound-0", "check-bound--1"])
+            "euler-bar-bound-0", "check-bound--1", "check-field-fp:4", "check-field-fp:x",
+            "cell-field-fp:4"])
     def test_bad_argument_exit_2(self, argv, message, files, capsys):
         argv = [files.get(a, a) for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"input error: {message}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["tensor", "kx2.quiver", "kx2f5.quiver"], "kx2.quiver is over q, "),
+        (["hh", "nocompose.dg"], "nocompose.dg: not a dg category: unit axiom"),
+        (["hc", "nocompose.dg"], "nocompose.dg: not a dg category: unit axiom"),
+        (["hp", "nocompose.dg"], "nocompose.dg: not a dg category: unit axiom"),
+        (["saturate", "nocompose.dg"], "nocompose.dg: not a dg category: unit axiom"),
+        (["euler", "nocompose.dg"], "nocompose.dg: not a dg category: unit axiom"),
+        (["hh", "split.dg"], "need every unit to be a basis element"),
+        (["hc", "split.dg"], "need every unit to be a basis element"),
+        (["euler", "split.dg"], "need every unit to be a basis element"),
+    ], ids=["tensor-field-mismatch", "hh-invalid-dg", "hc-invalid-dg", "hp-invalid-dg",
+            "saturate-invalid-dg", "euler-invalid-dg", "hh-split-unit", "hc-split-unit",
+            "euler-split-unit"])
+    def test_bad_input_file_exit_2(self, argv, message, files, capsys):
+        argv = [files.get(a, a) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and message in err and "Traceback" not in err
 
     def test_missing_file_exit_2(self):
         assert main(["hh", "/nonexistent/file.dg"]) == 2
@@ -272,6 +321,18 @@ class TestCli:
         rep = json.loads(out.read_text())
         assert rep["failures"] == 0
         assert "unit.dg" in rep["items"]
+
+    def test_check_corpus_refuses_invalid_dg(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        (corpus_dir / "unit.dg").write_text(UNIT_TEXT)
+        (corpus_dir / "nocompose.dg").write_text(NO_COMPOSE)
+        assert main(["check", "--corpus", str(corpus_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "nocompose.dg: not a dg category: unit axiom" in err and "Traceback" not in err
+
+    def test_split_unit_is_valid(self, files):
+        assert main(["validate", files["split.dg"]]) == 0
 
     def test_check_empty_corpus(self, tmp_path, capsys):
         empty = tmp_path / "empty"
