@@ -528,10 +528,7 @@ def hom_graph(homs, unit_keys):
     no unit keys it is the nonempty-hom digraph."""
     edges = {}
     for (x, y), c in homs.items():
-        keys = {(d, i) for d in c.support() for i in range(c.dim(d))}
-        if x == y:
-            keys.discard(unit_keys.get(x))
-        if keys:
+        if c.total_dim() > (x == y and unit_keys.get(x) is not None):
             edges.setdefault(x, set()).add(y)
     return edges
 

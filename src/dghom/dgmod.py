@@ -352,11 +352,11 @@ class BarWindowError(ValueError):
 class BarResult:
     """Windowed total complex of a two-sided bar construction.
 
-    ``complexes`` maps a spectator pair (or () when there are none) to a
-    cohomological ChainComplex carrying ``specified`` metadata;
-    ``chain_keys`` records the chain basis per degree for comparison
-    maps.  ``flag`` is "exact" when no bar degree above the bound can
-    contribute inside the window, else "truncated".
+    ``complexes[()]`` is the cohomological ChainComplex carrying
+    ``specified`` metadata; ``chain_keys[()]`` records its chain basis
+    per degree for comparison maps.  ``flag`` is "exact" when no bar
+    degree above the bound can contribute inside the window, else
+    "truncated".
     """
 
     def __init__(self, complexes, chain_keys, flag, bar_bound, window_coh):
@@ -365,9 +365,6 @@ class BarResult:
         self.flag = flag
         self.bar_bound = bar_bound
         self.window_coh = window_coh
-
-    def pairs(self):
-        return sorted(self.complexes, key=repr)
 
 
 def _plan_bar_bound(x_bounds, y_bounds, hom_bounds, window_coh, bar_bound,
@@ -408,17 +405,10 @@ def _plan_bar_bound(x_bounds, y_bounds, hom_bounds, window_coh, bar_bound,
 
 
 def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
-                  window_coh, bar_bound=None,
-                  left_spect: DgCategory | None = None,
-                  right_spect: DgCategory | None = None,
-                  normalized: bool | None = None) -> BarResult:
+                  window_coh, bar_bound=None, normalized: bool | None = None) -> BarResult:
     """Two-sided bar complex of X (x)^L_mid Y, windowed in total
-    cohomological degree.
-
-    X is a right module over mid (or over tensor(left_spect, mid));
-    Y is a right module over opposite(mid) (or over
-    tensor(opposite(mid), right_spect)).  Spectator slots survive into
-    the result: one complex per (left object, right object) pair.
+    cohomological degree: X is a right module over mid, Y a right module
+    over opposite(mid).
 
     When the middle category has unit basis vectors the normalized bar
     is used: middle factors range over non-unit basis elements, and
@@ -438,17 +428,6 @@ def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
     lo, hi = w0 - 1, w1 + 1
     unit_keys = {u: mid.unit_key(u) for u in mid.objects} if normalized else {}
 
-    left_objs = left_spect.objects if left_spect is not None else (None,)
-    right_objs = right_spect.objects if right_spect is not None else (None,)
-
-    def xobj(la, b):
-        return (la, b) if left_spect is not None else b
-
-    def yobj(b, rc):
-        return (b, rc) if right_spect is not None else b
-
-    diff = _bar_differential(X, Y, mid, unit_keys, left_spect, right_spect)
-
     # chain enumeration: key = (objs tuple (b_0..b_p), km, betas (a_p..a_1), kn),
     # each degree in enumeration order
     hom_keys = {}
@@ -459,44 +438,33 @@ def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
         hom_keys[(u, v)] = keys
     edges = hom_graph(mid.homs, unit_keys)
 
-    results = {}
-    all_keys = {}
-    for la in left_objs:
-        for rc in right_objs:
-            pair = ()
-            if left_spect is not None or right_spect is not None:
-                pair = (la, rc)
-            chains = {}   # total degree -> list of keys
-            for p in range(P + 1):
-                for objs in walks(mid.objects, edges, p):
-                    # objs = (b_0, ..., b_p); betas a_i in hom(b_{i-1}, b_i)
-                    beta_lists = [hom_keys[(objs[i - 1], objs[i])] for i in range(1, p + 1)]
-                    xv = X.value(xobj(la, objs[p]))
-                    yv = Y.value(yobj(objs[0], rc))
-                    if not xv.spaces or not yv.spaces:
-                        continue
-                    for km in [(d, i) for d in xv.support() for i in range(xv.dim(d))]:
-                        for kn in [(d, i) for d in yv.support() for i in range(yv.dim(d))]:
-                            base_deg = km[0] + kn[0]
-                            # product yields (a_1, ..., a_p); chains store (a_p, ..., a_1)
-                            for betas in itertools.product(*beta_lists):
-                                bt = betas[::-1]
-                                q = base_deg + sum(k[0] for k in bt)
-                                t = q - p
-                                if lo <= t <= hi:
-                                    chains.setdefault(t, []).append((objs, km, bt, kn))
-            results[pair] = operator_complex(f, chains, lambda key: diff(key, la, rc),
-                                             specified=(lo, hi))
-            all_keys[pair] = chains
-    return BarResult(results, all_keys, flag, P, window_coh)
+    chains = {}   # total degree -> list of keys
+    for p in range(P + 1):
+        for objs in walks(mid.objects, edges, p):
+            # objs = (b_0, ..., b_p); betas a_i in hom(b_{i-1}, b_i)
+            beta_lists = [hom_keys[(objs[i - 1], objs[i])] for i in range(1, p + 1)]
+            xv = X.value(objs[p])
+            yv = Y.value(objs[0])
+            if not xv.spaces or not yv.spaces:
+                continue
+            for km in [(d, i) for d in xv.support() for i in range(xv.dim(d))]:
+                for kn in [(d, i) for d in yv.support() for i in range(yv.dim(d))]:
+                    base_deg = km[0] + kn[0]
+                    # product yields (a_1, ..., a_p); chains store (a_p, ..., a_1)
+                    for betas in itertools.product(*beta_lists):
+                        bt = betas[::-1]
+                        q = base_deg + sum(k[0] for k in bt)
+                        t = q - p
+                        if lo <= t <= hi:
+                            chains.setdefault(t, []).append((objs, km, bt, kn))
+    cx = operator_complex(f, chains, _bar_differential(X, Y, mid, unit_keys),
+                          specified=(lo, hi))
+    return BarResult({(): cx}, {(): chains}, flag, P, window_coh)
 
 
-def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory, unit_keys: dict,
-                      left_spect: DgCategory | None = None,
-                      right_spect: DgCategory | None = None):
+def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory, unit_keys: dict):
     """The total differential of the two-sided bar chains of
-    ``bar_composite``, as a function diff(key, la, rc) -> {chain key:
-    scalar} of a chain and its spectator objects (None without one):
+    ``bar_composite``, as a function diff(key) -> {chain key: scalar}:
     simplicial faces with alternating signs plus (-1)^p times the
     internal Koszul-left differential.
 
@@ -507,48 +475,23 @@ def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory, unit_keys: dict
     non-unit already.
 
     Actions, products and differentials are read from the structure
-    tables.  A middle factor beta acts on a side with spectators as the
-    hom element 1_la (x) beta (or beta (x) 1_rc), expanded into basis
-    keys of the tensor category."""
+    tables."""
     f = mid.field
-    one = f.one()
     comp, homs = mid.comp, mid.homs
-    x_info = tensor_info(X.base) if left_spect is not None else None
-    y_info = tensor_info(Y.base) if right_spect is not None else None
+    x_action, y_action = X.action, Y.action
 
-    def x_side(la, b_new, b_old, beta):
-        """(X-action table, ((hom key, scalar), ...)) of 1_la (x) beta."""
-        if left_spect is None:
-            return X.action.get((b_new, b_old), {}), ((beta, one),)
-        src, dst = (la, b_new), (la, b_old)
-        index = x_info.index[(src, dst)]
-        return (X.action.get((src, dst), {}),
-                tuple((index[(ku, beta)], cu) for ku, cu in left_spect.unit(la).items()))
-
-    def y_side(rc, b_new, b_old, beta):
-        """(Y-action table, ((hom key, scalar), ...)) of beta-as-opposite
-        (x) 1_rc: beta in mid.hom(b_old, b_new) = opposite(mid).hom(b_new, b_old)."""
-        if right_spect is None:
-            return Y.action.get((b_new, b_old), {}), ((beta, one),)
-        src, dst = (b_new, rc), (b_old, rc)
-        index = y_info.index[(src, dst)]
-        return (Y.action.get((src, dst), {}),
-                tuple((index[(beta, ku)], cu) for ku, cu in right_spect.unit(rc).items()))
-
-    def diff(key, la, rc):
+    def diff(key):
         objs, km, betas, kn = key
         p = len(betas)
         out = {}
         if p:
             # face 0: X-action by a_p
-            tab, terms = x_side(la, objs[p - 1], objs[p], betas[0])
-            head, rest = objs[:p], betas[1:]
-            for hk, c in terms:
-                prod = tab.get((hk, km))
-                if prod:
-                    deg = hk[0] + km[0]
-                    for i, v in prod.items():
-                        f.accumulate(out, (head, (deg, i), rest, kn), f.mul(c, v))
+            a_p = betas[0]
+            prod = x_action.get((objs[p - 1], objs[p]), {}).get((a_p, km))
+            if prod:
+                head, rest, deg = objs[:p], betas[1:], a_p[0] + km[0]
+                for i, v in prod.items():
+                    f.accumulate(out, (head, (deg, i), rest, kn), v)
             # middle faces i = 1..p-1: compose a_{p-i+1} . a_{p-i}, where
             # betas[i-1] is in hom(objs[p-i], objs[p-i+1]) and betas[i] in
             # hom(objs[p-i-1], objs[p-i])
@@ -566,22 +509,19 @@ def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory, unit_keys: dict
                             f.accumulate(out, (nobjs, km, before + ((deg, ih),) + after, kn),
                                          f.neg(v) if i & 1 else v)
             # face p: left action of a_1 on the Y side, with the Koszul sign
-            # of the left-module dictionary g.n = (-1)^{|g||n|} n .op g
+            # of the left-module dictionary g.n = (-1)^{|g||n|} n .op g;
+            # a_1 in mid.hom(b_0, b_1) = opposite(mid).hom(b_1, b_0)
             a1 = betas[-1]
-            sgn = f.sign(p + a1[0] * kn[0])
-            tab, terms = y_side(rc, objs[1], objs[0], a1)
-            tail, rest = objs[1:], betas[:-1]
-            for hk, c in terms:
-                prod = tab.get((hk, kn))
-                if prod:
-                    deg = hk[0] + kn[0]
-                    for i, v in prod.items():
-                        f.accumulate(out, (tail, km, rest, (deg, i)), f.mul(sgn, f.mul(c, v)))
+            prod = y_action.get((objs[1], objs[0]), {}).get((a1, kn))
+            if prod:
+                sgn = f.sign(p + a1[0] * kn[0])
+                tail, rest, deg = objs[1:], betas[:-1], a1[0] + kn[0]
+                for i, v in prod.items():
+                    f.accumulate(out, (tail, km, rest, (deg, i)), f.mul(sgn, v))
 
         # internal differential with Koszul signs from the left; global (-1)^p
         sign_accum = p
-        xv = X.value((la, objs[p]) if left_spect is not None else objs[p])
-        for km2, v in xv.d_of(km):
+        for km2, v in X.value(objs[p]).d_of(km):
             f.accumulate(out, (objs, km2, betas, kn), f.neg(v) if sign_accum & 1 else v)
         sign_accum += km[0]
         for i, bk in enumerate(betas):
@@ -593,8 +533,7 @@ def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory, unit_keys: dict
                     f.accumulate(out, (objs, km, betas[:i] + (bk2,) + betas[i + 1:], kn),
                                  f.neg(v) if sign_accum & 1 else v)
             sign_accum += bk[0]
-        yv = Y.value((objs[0], rc) if right_spect is not None else objs[0])
-        for kn2, v in yv.d_of(kn):
+        for kn2, v in Y.value(objs[0]).d_of(kn):
             f.accumulate(out, (objs, km, betas, kn2), f.neg(v) if sign_accum & 1 else v)
         return out
 

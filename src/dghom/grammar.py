@@ -283,6 +283,9 @@ def _load_quiver(lines):
             elif endpoints != (s, t):
                 raise GrammarError("relation terms have mismatched endpoints", ln)
             field.accumulate(terms, word, _scalar(field, coeff, ln))
+        degrees = sorted({pres.word_degree(word) for word in terms})
+        if len(degrees) > 1:
+            raise GrammarError(f"inhomogeneous relation: degrees {degrees}", ln)
         try:
             relations.append(PathElement(endpoints[0], endpoints[1], terms))
         except Exception as exc:

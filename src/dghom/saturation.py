@@ -9,9 +9,11 @@ dimension of the diagonal bimodule.  Inputs outside that class get an
 honest "inconclusive", never a guess.
 
 The triangle-identity check computes the derived composite
-(ev (x) id) . (id (x) delta) as a windowed bar bimodule and compares it
-to the diagonal: dimensionwise and through an explicitly constructed
-comparison chain map verified to be a quasi-isomorphism.  A "pass"
+(ev (x) id) . (id (x) delta) at each object pair (x, w) as one windowed
+two-sided bar complex over a (x) a^op (x) a, whose two modules carry x
+and w in a slot fixed at its unit, and compares it to the diagonal:
+dimensionwise and through an explicitly constructed comparison chain map
+verified to be a quasi-isomorphism.  A "pass"
 additionally requires the smoothness certificate (the coevaluation is a
 legitimate Morita morphism only for a perfect diagonal), so non-smooth
 inputs are reported inconclusive rather than falsely certified.
@@ -266,97 +268,71 @@ class TriangleResult:
 
 
 def _triangle_modules(a: DgCategory):
-    """The two composable bimodules whose derived tensor over
-    B' = a (x) a^op (x) a is the triangle composite: X = id (x) coev and
-    Y = ev (x) id, both built from two diagonal blocks.
+    """The module families whose derived tensor over
+    B' = a (x) a^op (x) a is the triangle composite
+    (ev (x) id) . (id (x) coev) at each object pair (x, w), returned as
+    (X, Y, B'):
 
-    Action of a flat 4-slot element: (m (x) n).(f1 (x) f2 (x) f3 (x) f4)
+    - X[x], for x an object of a^op, is the right B'-module
+      (a1, u, v) -> hom(a1, x) (x) hom(v, u): id (x) coev with its a^op
+      slot fixed at x;
+    - Y[w], for w an object of a, is the right module over
+      a^op (x) a (x) a^op = opposite(B') (same hom complexes, basis keys
+      and composition signs), (a1, u, v) -> hom(u, a1) (x) hom(w, v):
+      ev (x) id with its a slot fixed at w.
+
+    Both act by the double-diagonal rule on a flat 4-slot element, whose
+    spectator slot is the unit (f1 = 1_x for X, f4 = 1_w for Y):
+    (m (x) n).(f1 (x) f2 (x) f3 (x) f4)
     = (-1)^{(|f1|+|f2|)|n| + |f1||m| + |f3||n|} (f1.m.f2) (x) (f3.n.f4).
     """
     f = a.field
+    one = f.one()
     op_a = opposite(a)
     mid = tensor(a, op_a, a)
-    mid_info = tensor_info(mid)
-    x_base = tensor(op_a, mid)
-    y_base = tensor(opposite(mid), a)
 
-    def build(base, role):
-        values = {obj: tensor_complex(f, [a.hom(*p) for p in _value_pair(role, obj)])
-                  for obj in base.objects}
+    def sandwich(kf, km, kg, src, tgt):
+        """kf.km.kg in hom(tgt) for km in hom(src); None stands for a unit."""
+        (s, t), (s2, t2) = src, tgt
+        out = {km: one}
+        if kg is not None:
+            out = a.compose_elems(s2, s, t, out, {kg: one})
+        if out and kf is not None:
+            out = a.compose_elems(s2, t, t2, {kf: one}, out)
+        return out
+
+    def module(base, value_pairs, spect_first, name):
+        """value_pairs(obj) = the hom pairs of the two value factors; the
+        unit fills slot f1 (spect_first) or f4 of the flat element."""
+        pairs = {obj: value_pairs(*obj) for obj in base.objects}
+        values = {obj: tensor_complex(f, [a.hom(*p) for p in pr]) for obj, pr in pairs.items()}
         index = {obj: {k: (d, i) for d, lst in c.spaces.items() for i, k in enumerate(lst)}
                  for obj, c in values.items()}
 
-        def act(xo, yo, flat, vk):
-            f1, f2, f3, f4 = _flat_components(role, flat, xo, yo)
+        def act(xo, yo, hk, vk):
+            k1, k2, k3, k4 = (None,) + hk if spect_first else hk + (None,)
             km, kn = values[yo].labels(vk[0])[vk[1]]
+            (pm, pn), (qm, qn) = pairs[yo], pairs[xo]
+            first = sandwich(k1, km, k2, pm, qm)
+            second = first and sandwich(k3, kn, k4, pn, qn)
+            if not second:
+                return {}
+            d1 = k1[0] if k1 else 0
+            sgn = f.sign((d1 + k2[0]) * kn[0] + d1 * km[0] + k3[0] * kn[0])
             out = {}
-            for kuv, cc in _dd_act(a, f, role, xo, yo, f1, f2, f3, f4, km, kn).items():
-                f.accumulate(out, index[xo][kuv], cc)
+            for ku, cu in first.items():
+                for kv, cv in second.items():
+                    f.accumulate(out, index[xo][(ku, kv)], f.mul(sgn, f.mul(cu, cv)))
             return out
 
         return DgModule(base, values, tensor_action(base, values, act),
-                        name=f"triangle-{role}({a.name or '?'})")
+                        name=f"{name}({a.name or '?'})")
 
-    def _value_pair(role, obj):
-        if role == "X":
-            x, (a1, u, v) = obj
-            return ((a1, x), (v, u))
-        (a1, u, v), w = obj
-        return ((u, a1), (w, v))
-
-    def _flat_components(role, flat, xo, yo):
-        if role == "X":
-            k1, kmid = flat
-            k2, k3, k4 = mid_info.keys[(xo[1], yo[1])][kmid[0]][kmid[1]]
-            return k1, k2, k3, k4
-        kmid, k4 = flat
-        # hom of opposite(mid) decomposes with the same flat keys as mid
-        k1, k2, k3 = mid_info.keys[(yo[0], xo[0])][kmid[0]][kmid[1]]
-        return k1, k2, k3, k4
-
-    def _dd_act(cat, f, role, xo, yo, k1, k2, k3, k4, km, kn):
-        """(m (x) n).(f1..f4) with the double-diagonal sign."""
-        sign_exp = (k1[0] + k2[0]) * kn[0] + k1[0] * km[0] + k3[0] * kn[0]
-        if role == "X":
-            x, (a1, u, v) = xo
-            xp, (a1p, up, vp) = yo
-            # m in hom(a1p, xp): f1 in hom(xp, x)?? orientation below
-            first = _sandwich(cat, f, (a1, x), k1, (a1p, xp), km, k2,
-                              hom_f=( xp, x), hom_g=(a1, a1p))
-            if not first:
-                return {}
-            second = _sandwich(cat, f, (v, u), k3, (vp, up), kn, k4,
-                               hom_f=(up, u), hom_g=(v, vp))
-        else:
-            (a1, u, v), w = xo
-            (a1p, up, vp), wp = yo
-            first = _sandwich(cat, f, (u, a1), k1, (up, a1p), km, k2,
-                              hom_f=(a1p, a1), hom_g=(u, up))
-            if not first:
-                return {}
-            second = _sandwich(cat, f, (w, v), k3, (wp, vp), kn, k4,
-                               hom_f=(vp, v), hom_g=(w, wp))
-        if not second:
-            return {}
-        out = {}
-        sgn = f.sign(sign_exp)
-        for ku, cu in first.items():
-            for kv, cv in second.items():
-                out[(ku, kv)] = f.mul(sgn, f.mul(cu, cv))
-        return out
-
-    def _sandwich(cat, f, tgt_pair, kf, src_pair, km, kg, hom_f, hom_g):
-        """f.m.g inside the category: m in hom(src_pair), f in hom(hom_f),
-        g in hom(hom_g); result in hom(tgt_pair)."""
-        sm, tm = src_pair
-        mg = cat.compose_elems(hom_g[0], sm, tm, {km: f.one()}, {kg: f.one()})
-        if not mg:
-            return {}
-        fmg = cat.compose_elems(hom_g[0], tm, hom_f[1], {kf: f.one()}, mg)
-        return fmg
-
-    X = build(x_base, "X")
-    Y = build(y_base, "Y")
+    y_base = tensor(op_a, a, op_a)
+    X = {x: module(mid, lambda a1, u, v: ((a1, x), (v, u)), True, f"triangle-X[{x}]")
+         for x in op_a.objects}
+    Y = {w: module(y_base, lambda a1, u, v: ((u, a1), (w, v)), False, f"triangle-Y[{w}]")
+         for w in a.objects}
     return X, Y, mid
 
 
@@ -380,23 +356,21 @@ def triangle_identity_check(a: DgCategory, window, bar_bound: int | None = None,
                                "cannot be certified as an identity",
                      "smooth": saturation.smooth.as_dict()})
     X, Y, mid = _triangle_modules(a)
-    op_a = opposite(a)
     try:
-        res = bar_composite(X, Y, mid, window, bar_bound,
-                            left_spect=op_a, right_spect=a)
+        bars = {(x, w): bar_composite(X[x], Y[w], mid, window, bar_bound)
+                for (x, w) in sorted(itertools.product(X, Y), key=repr)}
     except Exception as exc:
         return TriangleResult("inconclusive", details={"reason": str(exc)},
                               required_bound=_required_bound_estimate(a, window))
-    if res.flag != "exact":
+    if any(res.flag != "exact" for res in bars.values()):
         return TriangleResult("inconclusive",
                               details={"reason": "bar truncation not window-exact"},
                               required_bound=_required_bound_estimate(a, window))
     w0, w1 = window
     dims_ok = True
     mismatches = []
-    for (x, w) in res.pairs():
-        cx = res.complexes[(x, w)]
-        hd = homology_dims(cx, window)
+    for (x, w), res in bars.items():
+        hd = homology_dims(res.complexes[()], window)
         target = a.hom(w, x)
         for t in range(w0, w1 + 1):
             want = homology_dims(target, (t, t))[t] if target.spaces else 0
@@ -407,11 +381,12 @@ def triangle_identity_check(a: DgCategory, window, bar_bound: int | None = None,
     if not dims_ok:
         return TriangleResult("fail", evidence="dims-match",
                               details={"mismatches": mismatches})
-    qi_ok, qi_detail = _comparison_quasi_iso(a, res, X, Y, window)
+    qi_ok, qi_detail = _comparison_quasi_iso(a, bars, X, Y, window)
     if not qi_ok:
         return TriangleResult("fail", evidence="dims-match", details=qi_detail)
     return TriangleResult("pass", evidence="quasi-isomorphism",
-                          details={"pairs": len(res.pairs()), "bar_bound": res.bar_bound})
+                          details={"pairs": len(bars),
+                                   "bar_bound": max(res.bar_bound for res in bars.values())})
 
 
 def _required_bound_estimate(a, window):
@@ -420,9 +395,10 @@ def _required_bound_estimate(a, window):
     return None if cap is None else cap + 2
 
 
-def _comparison_quasi_iso(a: DgCategory, res, X, Y, window):
-    """The bar-0 multiplication map to the diagonal: chain-map property
-    checked on every assembled chain, then bijectivity on homology."""
+def _comparison_quasi_iso(a: DgCategory, bars, X, Y, window):
+    """The bar-0 multiplication map to the diagonal, per object pair
+    (x, w) of ``bars``: chain-map property checked on every assembled
+    chain, then bijectivity on homology."""
     f = a.field
     w0, w1 = window
 
@@ -434,8 +410,8 @@ def _comparison_quasi_iso(a: DgCategory, res, X, Y, window):
         x, w = pair
         b = objs[0]
         a1, u, v = b
-        kp, kq = X.value((x, b)).labels(km[0])[km[1]]
-        kr, ks = Y.value((b, w)).labels(kn[0])[kn[1]]
+        kp, kq = X[x].value(b).labels(km[0])[km[1]]
+        kr, ks = Y[w].value(b).labels(kn[0])[kn[1]]
         # p in hom(a1, x), q in hom(v, u), r in hom(u, a1), s in hom(w, v)
         sgn = f.sign(kq[0] * kr[0])
         qs = a.compose_elems(w, v, u, {kq: f.one()}, {ks: f.one()})
@@ -447,11 +423,11 @@ def _comparison_quasi_iso(a: DgCategory, res, X, Y, window):
         prqs = a.compose_elems(w, a1, x, {kp: f.one()}, rqs)
         return {k: f.mul(sgn, v2) for k, v2 in prqs.items() if v2}
 
-    for pair in res.pairs():
+    for pair, res in bars.items():
         x, w = pair
         target = a.hom(w, x)
-        keys = res.chain_keys[pair]
-        cx = res.complexes[pair]
+        keys = res.chain_keys[()]
+        cx = res.complexes[()]
         # verify via matrices: build c per degree, check c . D = d . c
         c_mats = {}
         for t, lst in keys.items():

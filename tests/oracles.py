@@ -10,7 +10,10 @@ and their companions) share the library's sign conventions but reach
 every product, action and differential through the generic bilinear
 calls on singleton elements, which the library's bar operators bypass;
 `drop_degenerate` projects `reference_bar_diff` onto the normalized
-chains by checking every middle slot.
+chains by checking every middle slot.  `reference_triangle_modules`
+keeps the triangle bimodules with spectator slots, which
+`brute_bar_chain_keys` and `reference_bar_diff` bar with
+left_spect/right_spect, against the library's one bar per object pair.
 """
 
 import itertools
@@ -560,3 +563,107 @@ def reference_tensor_complex(field, factors):
         if entries:
             diffs[d] = Matrix(field, len(by_degree.get(d + 1, ())), len(combos), entries)
     return ChainComplex(field, by_degree, diffs)
+
+
+# ---------------------------------------------------------------------------
+# the triangle bimodules with spectator slots
+
+def reference_triangle_modules(a):
+    """The triangle bimodules in the spectator design: X over
+    tensor(opposite(a), mid) and Y over tensor(opposite(mid), a), with
+    mid = tensor(a, opposite(a), a).  Their two-sided bar over mid with
+    left_spect=opposite(a), right_spect=a is the triangle composite, one
+    complex per spectator pair; the library builds one module pair per
+    spectator pair instead.
+
+    Action of a flat 4-slot element: (m (x) n).(f1 (x) f2 (x) f3 (x) f4)
+    = (-1)^{(|f1|+|f2|)|n| + |f1||m| + |f3||n|} (f1.m.f2) (x) (f3.n.f4).
+    """
+    from dghom.dgcore import opposite, tensor, tensor_info
+    from dghom.dgmod import DgModule, tensor_action
+    from dghom.exactfield import tensor_complex
+    f = a.field
+    op_a = opposite(a)
+    mid = tensor(a, op_a, a)
+    mid_info = tensor_info(mid)
+    x_base = tensor(op_a, mid)
+    y_base = tensor(opposite(mid), a)
+
+    def build(base, role):
+        values = {obj: tensor_complex(f, [a.hom(*p) for p in _value_pair(role, obj)])
+                  for obj in base.objects}
+        index = {obj: {k: (d, i) for d, lst in c.spaces.items() for i, k in enumerate(lst)}
+                 for obj, c in values.items()}
+
+        def act(xo, yo, flat, vk):
+            f1, f2, f3, f4 = _flat_components(role, flat, xo, yo)
+            km, kn = values[yo].labels(vk[0])[vk[1]]
+            out = {}
+            for kuv, cc in _dd_act(a, f, role, xo, yo, f1, f2, f3, f4, km, kn).items():
+                f.accumulate(out, index[xo][kuv], cc)
+            return out
+
+        return DgModule(base, values, tensor_action(base, values, act),
+                        name=f"triangle-{role}({a.name or '?'})")
+
+    def _value_pair(role, obj):
+        if role == "X":
+            x, (a1, u, v) = obj
+            return ((a1, x), (v, u))
+        (a1, u, v), w = obj
+        return ((u, a1), (w, v))
+
+    def _flat_components(role, flat, xo, yo):
+        if role == "X":
+            k1, kmid = flat
+            k2, k3, k4 = mid_info.keys[(xo[1], yo[1])][kmid[0]][kmid[1]]
+            return k1, k2, k3, k4
+        kmid, k4 = flat
+        # hom of opposite(mid) decomposes with the same flat keys as mid
+        k1, k2, k3 = mid_info.keys[(yo[0], xo[0])][kmid[0]][kmid[1]]
+        return k1, k2, k3, k4
+
+    def _dd_act(cat, f, role, xo, yo, k1, k2, k3, k4, km, kn):
+        """(m (x) n).(f1..f4) with the double-diagonal sign."""
+        sign_exp = (k1[0] + k2[0]) * kn[0] + k1[0] * km[0] + k3[0] * kn[0]
+        if role == "X":
+            x, (a1, u, v) = xo
+            xp, (a1p, up, vp) = yo
+            # m in hom(a1p, xp), f1 in hom(xp, x), f2 in hom(a1, a1p)
+            first = _sandwich(cat, f, (a1, x), k1, (a1p, xp), km, k2,
+                              hom_f=(xp, x), hom_g=(a1, a1p))
+            if not first:
+                return {}
+            second = _sandwich(cat, f, (v, u), k3, (vp, up), kn, k4,
+                               hom_f=(up, u), hom_g=(v, vp))
+        else:
+            (a1, u, v), w = xo
+            (a1p, up, vp), wp = yo
+            first = _sandwich(cat, f, (u, a1), k1, (up, a1p), km, k2,
+                              hom_f=(a1p, a1), hom_g=(u, up))
+            if not first:
+                return {}
+            second = _sandwich(cat, f, (w, v), k3, (wp, vp), kn, k4,
+                               hom_f=(vp, v), hom_g=(w, wp))
+        if not second:
+            return {}
+        out = {}
+        sgn = f.sign(sign_exp)
+        for ku, cu in first.items():
+            for kv, cv in second.items():
+                out[(ku, kv)] = f.mul(sgn, f.mul(cu, cv))
+        return out
+
+    def _sandwich(cat, f, tgt_pair, kf, src_pair, km, kg, hom_f, hom_g):
+        """f.m.g inside the category: m in hom(src_pair), f in hom(hom_f),
+        g in hom(hom_g); result in hom(tgt_pair)."""
+        sm, tm = src_pair
+        mg = cat.compose_elems(hom_g[0], sm, tm, {km: f.one()}, {kg: f.one()})
+        if not mg:
+            return {}
+        fmg = cat.compose_elems(hom_g[0], tm, hom_f[1], {kf: f.one()}, mg)
+        return fmg
+
+    X = build(x_base, "X")
+    Y = build(y_base, "Y")
+    return X, Y, mid

@@ -186,10 +186,14 @@ class TestCli:
          7, "duplicate arrow 'x'"),
         (KX2_QUIVER.replace("vertex v", "vertex v\nvertex u").replace("arrow x v v", "arrow x v u"),
          7, "relation path 'x.x' does not compose"),
+        (KX2_QUIVER.replace("arrow x v v", "arrow x v v 1").replace("relation 1 x.x",
+                                                                    "relation 1 x 1 x.x"),
+         6, "inhomogeneous relation: degrees [1, 2]"),
     ], ids=["compose-1/0", "fp5-1/5", "compose-abc", "unit-1/0", "diff-x", "relation-1/0",
             "wordlength-x", "wordlength-bare", "degreebound-q", "arrow-degree-z",
             "arrow-endpoint", "vertex-bare", "field-fp:x", "field-fp-x", "field-fp:6",
-            "vertex-duplicate", "arrow-duplicate", "relation-not-composable"])
+            "vertex-duplicate", "arrow-duplicate", "relation-not-composable",
+            "relation-inhomogeneous"])
     def test_bad_scalar_exit_2(self, text, line, message, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text(text)

@@ -3,11 +3,13 @@ differential tables directly; they must equal the references in
 `oracles.py`, which reach the same structure through the generic
 bilinear calls on singleton elements, on every chain."""
 
+import itertools
+
 from dghom.dgcore import disk_cell, opposite, validate
 from dghom.cyclic import mixed_complex
 from dghom.dgmod import _bar_differential, bar_composite, diagonal_bimodule, yoneda_module
 from dghom.hochschild import CyclicBar
-from dghom.saturation import semisimple_quotient_left_module
+from dghom.saturation import _triangle_modules, semisimple_quotient_left_module
 from conftest import (Q, F5, contractible_category, exterior_deg, matrix_category,
                       random_small_category)
 from oracles import (drop_degenerate, reference_b, reference_bar_diff, reference_connes_B,
@@ -56,22 +58,18 @@ def test_connes_operator(corpus, rng):
     assert checked > 100
 
 
-def _bar_diff_agrees(X, Y, mid, res, left_spect=None, right_spect=None, normalized=None):
+def _bar_diff_agrees(X, Y, mid, res, normalized=None):
     # normalized defaults as in bar_composite
     if normalized is None:
         normalized = mid.unit_is_basis()
     unit_keys = {u: mid.unit_key(u) for u in mid.objects} if normalized else {}
-    diff = _bar_differential(X, Y, mid, unit_keys, left_spect, right_spect)
+    diff = _bar_differential(X, Y, mid, unit_keys)
     n = 0
-    for pair, chains in res.chain_keys.items():
-        la, rc = pair if pair else (None, None)
-        for keys in chains.values():
-            for key in keys:
-                want = drop_degenerate(
-                    reference_bar_diff(X, Y, mid, key, la, rc, left_spect, right_spect),
-                    unit_keys)
-                assert diff(key, la, rc) == want, (mid, key)
-                n += 1
+    for keys in res.chain_keys[()].values():
+        for key in keys:
+            want = drop_degenerate(reference_bar_diff(X, Y, mid, key), unit_keys)
+            assert diff(key) == want, (mid, key)
+            n += 1
     return n
 
 
@@ -101,10 +99,14 @@ def test_bar_differential_smoothness_route(corpus):
 
 
 def test_bar_differential_with_spectators(corpus, rng):
+    # the triangle bars: one plain bar per object pair, the spectator
+    # slot of each triangle module fixed at its unit
     cats = list(corpus.values()) + [matrix_category(Q), disk_cell(1, Q)]
     cats += [random_small_category(rng) for _ in range(4)]
     for cat in cats:
-        d = diagonal_bimodule(cat).module
-        op = opposite(cat)
-        res = bar_composite(d, d, cat, (-2, 0), 2, left_spect=op, right_spect=cat)
-        assert _bar_diff_agrees(d, d, cat, res, left_spect=op, right_spect=cat)
+        X, Y, mid = _triangle_modules(cat)
+        checked = 0
+        for x, w in itertools.product(X, Y):
+            res = bar_composite(X[x], Y[w], mid, (-2, 0), 2)
+            checked += _bar_diff_agrees(X[x], Y[w], mid, res)
+        assert checked, cat

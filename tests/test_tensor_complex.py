@@ -39,8 +39,8 @@ class TestKoszulSign:
     @pytest.mark.parametrize("n", [1, 2])
     def test_triangle_modules_of_a_disk_are_modules(self, n):
         X, Y, _mid = _triangle_modules(disk_cell(n, Q))
-        assert validate_module(X).ok
-        assert validate_module(Y).ok
+        for module in list(X.values()) + list(Y.values()):
+            assert validate_module(module).ok, module.name
 
 
 def _hom_triples(cats):

@@ -1,9 +1,12 @@
 """Chain bases enumerated along walks of the nonempty-hom digraph equal
 the brute-force enumeration over every object tuple."""
 
+import itertools
+
 from dghom.dgcore import opposite, tensor, unit_category
-from dghom.dgmod import bar_composite, diagonal_bimodule, yoneda_module
+from dghom.dgmod import bar_composite, yoneda_module
 from dghom.hochschild import CyclicBar
+from dghom.saturation import _triangle_modules
 from dghom.presentation import PathElement, from_quiver, realize
 from conftest import Q, random_small_category
 from oracles import brute_bar_chain_keys, brute_cyclic_keys, brute_tensor_comp_shape
@@ -55,13 +58,15 @@ def test_bar_composite_chain_keys(corpus, rng):
 
 
 def test_bar_composite_chain_keys_with_spectators(corpus, rng):
+    # the triangle bars: one plain bar per object pair, the spectator
+    # slot of each triangle module fixed at its unit
     for cat in _categories(corpus, rng, n_random=4):
-        d = diagonal_bimodule(cat).module
-        normalized = cat.unit_is_basis()
-        res = bar_composite(d, d, cat, (-2, 0), 2, left_spect=opposite(cat), right_spect=cat)
-        want = brute_bar_chain_keys(d, d, cat, (-2, 0), 2, normalized,
-                                    left_spect=opposite(cat), right_spect=cat)
-        assert _as_sets(res.chain_keys) == want
+        X, Y, mid = _triangle_modules(cat)
+        normalized = mid.unit_is_basis()
+        for x, w in itertools.product(X, Y):
+            res = bar_composite(X[x], Y[w], mid, (-2, 0), 2)
+            want = brute_bar_chain_keys(X[x], Y[w], mid, (-2, 0), 2, normalized)
+            assert _as_sets(res.chain_keys) == want
 
 
 def test_tensor_comp(corpus, rng):
