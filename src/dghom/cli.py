@@ -358,6 +358,9 @@ def cmd_check(args):
                 path = os.path.join(args.corpus, name)
                 cat, cert = _load(path)
                 _require_closed(cat, cert, path)
+                if not cat.unit_is_basis():
+                    raise InputError(f"{path}: the checks need every unit to be a basis "
+                                     "element with coefficient 1")
                 items.append((name, cat))
         if not items:
             print("no inputs: corpus directory has no .dg/.quiver/.txt files")
@@ -385,7 +388,7 @@ def cmd_check(args):
                 failures += 1
     report = {"invariant": "check", "items": summary, "failures": failures, "checks": checks}
     if args.out:
-        _emit(report, argparse.Namespace(format="json", out=args.out))
+        _emit(report, args)
     return 1 if failures else 0
 
 

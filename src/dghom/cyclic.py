@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .exactfield import Matrix, operator_matrix, rank
 from .dgcore import DgCategory
-from .hochschild import CyclicBar, _ContributionPlan, chain_support_bound
+from .hochschild import CyclicBar, chain_support_bound
 
 
 class CyclicError(ValueError):
@@ -80,7 +80,7 @@ class MixedComplex:
         f = base.field
         self.field = f
         self.norm = CyclicBar(base, bar_bound, normalized=True)
-        self.plan = _ContributionPlan(base)
+        self.plan = base.bar_plan()
 
         # chains per homological degree n = bar - internal = -(total degree);
         # b is the total differential, so its matrices are the total complex's
@@ -234,8 +234,7 @@ def hc_dims(a: DgCategory, n_max: int, bar_bound: int | None = None) -> dict:
     if n_max < 0:
         raise CyclicError("n_max must be >= 0")
     if bar_bound is None:
-        plan = _ContributionPlan(a)
-        cap = plan.bound_for_window(-(n_max + 1), 1)
+        cap = a.bar_plan().bound_for_window(-(n_max + 1), 1)
         bar_bound = max(2, (cap if cap is not None else n_max + 1) + 1)
     mx = mixed_complex(a, bar_bound)
     out = {}
@@ -339,7 +338,7 @@ def hcminus_hp_dims(a: DgCategory, n_window, max_levels: int,
     if bar_bound is None:
         piece_lo = n_lo - 1
         piece_hi = n_hi + 1 + 2 * max_levels
-        cap = _ContributionPlan(a).bound_for_window(-piece_hi, -piece_lo)
+        cap = a.bar_plan().bound_for_window(-piece_hi, -piece_lo)
         bar_bound = max(2, cap + 1) if cap is not None else max(2, piece_hi - piece_lo + 2)
     mx = mixed_complex(a, bar_bound)
     hp = {}

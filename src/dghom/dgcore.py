@@ -51,6 +51,9 @@ class DgCategory:
     hom(x, z); missing entries are zero products.
     """
 
+    # not a field: the BarPlan, made on the first bar_plan call
+    _bar_plan = None
+
     def __init__(self, field: FieldSpec, objects, homs, comp, units,
                  name: str = "", closed: bool = True):
         self.field = field
@@ -128,15 +131,13 @@ class DgCategory:
         return key
 
     def unit_is_basis(self) -> bool:
-        return all(self.unit_key(x) is not None for x in self.objects)
+        return None not in self.bar_plan().unit_keys.values()
 
-    def hom_degree_bounds(self):
-        """(min, max) cohomological degree over all nonzero hom spaces;
-        None for the empty category."""
-        degs = [d for c in self.homs.values() for d in c.support()]
-        if not degs:
-            return None
-        return min(degs), max(degs)
+    def bar_plan(self) -> BarPlan:
+        """The category's BarPlan, built on the first call."""
+        if self._bar_plan is None:
+            self._bar_plan = BarPlan(self)
+        return self._bar_plan
 
     # -- equality on stored data --------------------------------------------
 
@@ -151,6 +152,95 @@ class DgCategory:
     def __repr__(self):
         tag = self.name or f"{len(self.objects)} objects, dim {self.total_dim()}"
         return f"DgCategory({tag})"
+
+
+def _bounds(degrees):
+    """(min, max) of the degrees, None when there are none."""
+    degs = list(degrees)
+    return (min(degs), max(degs)) if degs else None
+
+
+def _longest_path(edges):
+    """Max length of a path in the digraph, or None if it has a cycle."""
+    memo = {}
+    onstack = set()
+
+    def depth(x):
+        if x in onstack:
+            raise ValueError("cycle")
+        if x not in memo:
+            onstack.add(x)
+            memo[x] = max((1 + depth(y) for y in edges.get(x, ())), default=0)
+            onstack.discard(x)
+        return memo[x]
+
+    try:
+        return max((depth(x) for x in edges), default=0)
+    except ValueError:
+        return None
+
+
+def bar_degree_cap(outer, inner, max_bar, t_lo, t_hi):
+    """Largest bar degree m whose chains can reach a total degree in
+    t_lo - 1 .. t_hi + 1, or None when nothing bounds it.
+
+    A bar-m chain has outer factors of total degree in ``outer`` and m
+    middle factors of degree in ``inner``, each middle factor lowering
+    the total degree by one; ``max_bar`` caps m when chains vanish beyond
+    it (None: no cap).  With no outer factors there are no chains."""
+    if outer is None:
+        return 0
+    if inner is None:
+        cap = 0
+    elif inner[1] <= 0:
+        # the total degree falls by at least 1 - inner[1] per bar degree
+        cap = max(0, (outer[1] - t_lo + 1) // (1 - inner[1]))
+    elif inner[0] >= 2:
+        # ... or rises by at least inner[0] - 1
+        cap = max(0, (t_hi + 1 - outer[0]) // (inner[0] - 1))
+    else:
+        cap = None
+    if max_bar is None:
+        return cap
+    return max_bar if cap is None else min(cap, max_bar)
+
+
+class BarPlan:
+    """What the normalized bars over a category need, computed once per
+    category (``DgCategory.bar_plan``): both bar engines and every
+    bar-degree certificate read it.
+
+    ``unit_keys[x]`` is the unit key of x (None when the unit is not a
+    basis element); ``nonunit[(x, y)]`` the basis keys of hom(x, y) in
+    order, minus the unit key of a loop: the middle factors of a
+    normalized bar; ``edges`` the digraph of hom pairs with a non-unit
+    key; ``max_bar`` its longest path (normalized chains vanish beyond
+    it), None when it has a cycle; ``inner`` and ``outer`` the
+    (min, max) degrees of the non-unit keys and of all keys."""
+
+    def __init__(self, a: DgCategory):
+        self.unit_keys = {x: a.unit_key(x) for x in a.objects}
+        self.nonunit = {}
+        self.edges = {}
+        for x, y in itertools.product(a.objects, repeat=2):
+            unit = self.unit_keys[x] if x == y else None
+            keys = self.nonunit[(x, y)] = [k for k in a.basis_keys(x, y) if k != unit]
+            if keys:
+                self.edges.setdefault(x, set()).add(y)
+        self.max_bar = _longest_path(self.edges)
+        self.inner = _bounds(k[0] for keys in self.nonunit.values() for k in keys)
+        self.outer = _bounds(d for c in a.homs.values() for d in c.support())
+
+    def bound_for_window(self, t_lo: int, t_hi: int):
+        """Largest bar degree of a normalized cyclic bar chain that can
+        reach total degrees t_lo - 1 .. t_hi + 1, or None if unbounded."""
+        return bar_degree_cap(self.outer, self.inner, self.max_bar, t_lo, t_hi)
+
+    def exact_at(self, t: int, bar_bound: int) -> bool:
+        """Homology at total degree t is unaffected by truncating the
+        normalized cyclic bar at bar_bound."""
+        cap = self.bound_for_window(t, t)
+        return cap is not None and cap <= bar_bound
 
 
 class DgFunctor:
@@ -428,7 +518,7 @@ def tensor(*cats: DgCategory) -> DgCategory:
                           for d, lst in keys.items()}
             homs[(x, y)] = hom
     comp = {}
-    for x, y, z in walks(objects, hom_graph(homs, {}), 2):
+    for x, y, z in walks(objects, hom_graph(homs), 2):
         xy = info.keys[(x, y)]
         yz = info.keys[(y, z)]
         idx_xz = info.index[(x, z)]
@@ -522,21 +612,13 @@ def swap_functor(a: DgCategory, b: DgCategory) -> DgFunctor:
     return DgFunctor(src, tgt, object_map, hom_maps, name="swap")
 
 
-def hom_graph(homs, unit_keys):
-    """Digraph on objects with an edge x -> y when hom(x, y) has a basis
-    element other than the unit key ``unit_keys.get(x)`` of a loop.  With
-    no unit keys it is the nonempty-hom digraph."""
+def hom_graph(homs):
+    """Digraph on objects with an edge x -> y when hom(x, y) is nonzero."""
     edges = {}
     for (x, y), c in homs.items():
-        if c.total_dim() > (x == y and unit_keys.get(x) is not None):
+        if c.total_dim():
             edges.setdefault(x, set()).add(y)
     return edges
-
-
-def nonunit_graph(a: DgCategory):
-    """Digraph on objects with an edge x -> y when hom(x, y) has a
-    non-unit basis element; drives chain-vanishing certificates."""
-    return hom_graph(a.homs, {x: a.unit_key(x) for x in a.objects})
 
 
 def walks(objects, edges, m):
@@ -548,32 +630,6 @@ def walks(objects, edges, m):
     for _ in range(m):
         layer = [w + (y,) for w in layer for y in succ[w[-1]]]
     return layer
-
-
-def longest_path_bound(a: DgCategory):
-    """Max length of a path in the non-unit digraph, or None if it has a
-    cycle (no finite bound)."""
-    edges = nonunit_graph(a)
-    memo = {}
-    onstack = set()
-
-    def depth(x):
-        if x in onstack:
-            raise ValueError("cycle")
-        if x in memo:
-            return memo[x]
-        onstack.add(x)
-        best = 0
-        for y in edges.get(x, ()):
-            best = max(best, 1 + depth(y))
-        onstack.discard(x)
-        memo[x] = best
-        return best
-
-    try:
-        return max((depth(x) for x in a.objects), default=0)
-    except ValueError:
-        return None
 
 
 def rep_saturated(b: DgCategory, a: DgCategory, certificate) -> DgCategory:

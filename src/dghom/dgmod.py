@@ -20,8 +20,8 @@ from __future__ import annotations
 import itertools
 
 from .exactfield import ChainComplex, Matrix, kernel_basis, operator_complex, tensor_complex
-from .dgcore import (DgCategory, DgFunctor, ValidationReport, elem_scale, elem_eq,
-                     hom_graph, longest_path_bound, opposite, tensor, tensor_info, walks)
+from .dgcore import (DgCategory, DgFunctor, ValidationReport, bar_degree_cap, elem_scale,
+                     elem_eq, hom_graph, opposite, tensor, tensor_info, walks)
 
 
 class DgModule:
@@ -371,29 +371,12 @@ def _plan_bar_bound(x_bounds, y_bounds, hom_bounds, window_coh, bar_bound,
                     chain_cap=None):
     """Smallest bar bound P such that bar degrees > P cannot reach the
     window closure, or None when neither the grading nor the chain
-    vanishing cap gives such a bound."""
-    w0, w1 = window_coh
+    vanishing cap gives such a bound.  Every middle factor is bounded by
+    ``hom_bounds``, the degrees of all keys of the middle category."""
     if x_bounds is None or y_bounds is None:
         return 0, "exact"
-    m_hi = x_bounds[1] + y_bounds[1]
-    m_lo = x_bounds[0] + y_bounds[0]
-    p_exact = None
-    if hom_bounds is None:
-        p_exact = 0
-    else:
-        a_lo, a_hi = hom_bounds
-        if a_hi <= 0:
-            p = 0
-            while m_hi + (p + 1) * (a_hi - 1) >= w0 - 1:
-                p += 1
-            p_exact = p
-        elif a_lo >= 2:
-            p = 0
-            while m_lo + (p + 1) * (a_lo - 1) <= w1 + 1:
-                p += 1
-            p_exact = p
-    if chain_cap is not None:
-        p_exact = chain_cap if p_exact is None else min(p_exact, chain_cap)
+    p_exact = bar_degree_cap((x_bounds[0] + y_bounds[0], x_bounds[1] + y_bounds[1]),
+                             hom_bounds, chain_cap, *window_coh)
     if bar_bound is None:
         if p_exact is None:
             raise BarWindowError(
@@ -413,31 +396,28 @@ def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
     When the middle category has unit basis vectors the normalized bar
     is used: middle factors range over non-unit basis elements, and
     face/differential outputs with a unit in a middle slot are
-    degenerate hence dropped.
+    degenerate hence dropped.  The unit keys, middle factors, their
+    digraph and the chain vanishing cap come from ``mid.bar_plan()``, so
+    bars over one middle category share one set-up.
     """
     f = mid.field
-    hom_bounds = mid.hom_degree_bounds()
+    plan = mid.bar_plan()
     if normalized is None:
         normalized = mid.unit_is_basis()
-    # with non-unit middle factors, bar chains vanish beyond the longest
-    # path in the non-unit digraph of the middle category
-    chain_cap = longest_path_bound(mid) if normalized else None
-    P, flag = _plan_bar_bound(X.support_bounds(), Y.support_bounds(), hom_bounds,
+    if normalized:
+        # with non-unit middle factors, bar chains vanish beyond the
+        # longest path in the non-unit digraph of the middle category
+        unit_keys, hom_keys, edges, chain_cap = plan.unit_keys, plan.nonunit, plan.edges, plan.max_bar
+    else:
+        unit_keys, edges, chain_cap = {}, hom_graph(mid.homs), None
+        hom_keys = {pair: list(mid.basis_keys(*pair)) for pair in mid.homs}
+    P, flag = _plan_bar_bound(X.support_bounds(), Y.support_bounds(), plan.outer,
                               window_coh, bar_bound, chain_cap)
     w0, w1 = window_coh
     lo, hi = w0 - 1, w1 + 1
-    unit_keys = {u: mid.unit_key(u) for u in mid.objects} if normalized else {}
 
     # chain enumeration: key = (objs tuple (b_0..b_p), km, betas (a_p..a_1), kn),
     # each degree in enumeration order
-    hom_keys = {}
-    for (u, v) in itertools.product(mid.objects, repeat=2):
-        keys = list(mid.basis_keys(u, v))
-        if normalized and u == v and unit_keys[u] is not None:
-            keys = [k for k in keys if k != unit_keys[u]]
-        hom_keys[(u, v)] = keys
-    edges = hom_graph(mid.homs, unit_keys)
-
     chains = {}   # total degree -> list of keys
     for p in range(P + 1):
         for objs in walks(mid.objects, edges, p):

@@ -25,8 +25,7 @@ from __future__ import annotations
 import itertools
 
 from .exactfield import homology_dims, homology_quotient, operator_complex
-from .dgcore import (DgCategory, hom_graph, longest_path_bound,
-                     tensor, tensor_info, walks)
+from .dgcore import DgCategory, hom_graph, tensor, tensor_info, walks
 
 
 class HochschildError(ValueError):
@@ -45,76 +44,13 @@ def _require_closed(a: DgCategory):
         raise HochschildError("refusing a truncated realization; homology needs a closed one")
 
 
-def _nonunit_degree_bounds(a: DgCategory):
-    degs = []
-    for (x, y), c in a.homs.items():
-        uk = a.unit_key(x) if x == y else None
-        for d in c.support():
-            for i in range(c.dim(d)):
-                if (d, i) != uk or x != y:
-                    degs.append(d)
-    if not degs:
-        return None
-    return min(degs), max(degs)
-
-
-def _outer_degree_bounds(a: DgCategory):
-    degs = [d for c in a.homs.values() for d in c.support()]
-    if not degs:
-        return None
-    return min(degs), max(degs)
-
-
-class _ContributionPlan:
-    """Analytic bounds on which bar degrees can reach a total degree."""
-
-    def __init__(self, a: DgCategory):
-        self.max_bar = longest_path_bound(a)
-        self.inner = _nonunit_degree_bounds(a)
-        self.outer = _outer_degree_bounds(a)
-
-    def max_bar_for(self, t: int):
-        """Largest bar degree that could contribute a chain of total
-        cohomological degree t, or None if unbounded."""
-        caps = []
-        if self.max_bar is not None:
-            caps.append(self.max_bar)
-        if self.outer is None:
-            return 0
-        if self.inner is None:
-            caps.append(0)
-        else:
-            i_lo, i_hi = self.inner
-            o_lo, o_hi = self.outer
-            if i_hi <= 0:
-                # chains at bar m have t <= o_hi + m (i_hi - 1)
-                m = 0
-                while o_hi + (m + 1) * (i_hi - 1) >= t:
-                    m += 1
-                caps.append(m)
-            elif i_lo >= 2:
-                m = 0
-                while o_lo + (m + 1) * (i_lo - 1) <= t:
-                    m += 1
-                caps.append(m)
-        return min(caps) if caps else None
-
-    def exact_at(self, t: int, bar_bound: int) -> bool:
-        for tp in (t - 1, t, t + 1):
-            cap = self.max_bar_for(tp)
-            if cap is None or cap > bar_bound:
-                return False
-        return True
-
-    def bound_for_window(self, t_lo: int, t_hi: int):
-        caps = [self.max_bar_for(tp) for tp in range(t_lo - 1, t_hi + 2)]
-        if any(c is None for c in caps):
-            return None
-        return max(caps, default=0)
-
-
 class CyclicBar:
-    """Assembled cyclic bar chains of a category up to a bar bound."""
+    """Assembled cyclic bar chains of a category up to a bar bound.
+
+    Normalized, the inner factors, their digraph and the unit keys come
+    from the category's BarPlan; unnormalized, inner factors range over
+    every basis key along the nonempty-hom digraph and ``unit_keys`` is
+    empty."""
 
     def __init__(self, a: DgCategory, bar_bound: int, normalized: bool = True):
         _require_closed(a)
@@ -124,29 +60,24 @@ class CyclicBar:
         self.bar_bound = bar_bound
         self.normalized = normalized
         self.field = a.field
-        self.unit_keys = {x: a.unit_key(x) for x in a.objects}
-        edges = hom_graph(a.homs, self.unit_keys if normalized else {})
+        if normalized:
+            plan = a.bar_plan()
+            self.unit_keys, inner, edges = plan.unit_keys, plan.nonunit, plan.edges
+        else:
+            self.unit_keys, edges = {}, hom_graph(a.homs)
+            inner = {pair: list(a.basis_keys(*pair)) for pair in a.homs}
         # chains in enumeration order: walks, then the product of the slot bases
-        self.keys_by_bar = {m: list(self._enumerate(m, edges)) for m in range(bar_bound + 1)}
+        self.keys_by_bar = {m: list(self._enumerate(m, inner, edges)) for m in range(bar_bound + 1)}
 
-    def _inner_keys(self, x, y):
-        c = self.a.hom(x, y)
-        uk = self.unit_keys[x] if (self.normalized and x == y) else None
-        for d in c.support():
-            for i in range(c.dim(d)):
-                if (d, i) != uk:
-                    yield (d, i)
-
-    def _enumerate(self, m, edges):
+    def _enumerate(self, m, inner, edges):
         a = self.a
-        # inner walk x_0 -> ... -> x_m along edges of inner factors (non-unit
-        # when normalized), wrap f_m any
+        # inner walk x_0 -> ... -> x_m along edges of inner factors, wrap f_m any
         for objs in walks(a.objects, edges, m):
-            inner_lists = [list(self._inner_keys(objs[j], objs[j + 1])) for j in range(m)]
+            inner_lists = [inner[(objs[j], objs[j + 1])] for j in range(m)]
             for kf_m in a.basis_keys(objs[m], objs[0]):
                 # tuple order (f_m, f_{m-1}, ..., f_0)
-                for inner in itertools.product(*reversed(inner_lists)):
-                    yield (objs, (kf_m,) + inner)
+                for inner_keys in itertools.product(*reversed(inner_lists)):
+                    yield (objs, (kf_m,) + inner_keys)
 
     # -- degree bookkeeping ---------------------------------------------
 
@@ -203,7 +134,7 @@ class CyclicBar:
         if not prod:
             return {}
         deg = kg[0] + kf[0]
-        unit = self.unit_keys[x] if (self.normalized and head and x == z) else None
+        unit = self.unit_keys.get(x) if (head and x == z) else None
         return {(new_objs, head + ((deg, ih),) + tail): f.neg(w) if flip else w
                 for ih, w in prod.items() if (deg, ih) != unit}
 
@@ -244,7 +175,7 @@ class CyclicBar:
             x, y = self._hom_pair(key, pos)
             col = self.a.hom(x, y).d_of(keys[pos])
             if col:
-                unit = self.unit_keys[x] if (self.normalized and pos and x == y) else None
+                unit = self.unit_keys.get(x) if (pos and x == y) else None
                 head, tail = keys[:pos], keys[pos + 1:]
                 # one slot changes per term, so no two terms share a key
                 for k2, v in col:
@@ -292,7 +223,7 @@ class HochschildComplex:
         self.normalized = normalized
         self.bar = CyclicBar(base, bar_bound, normalized)
         self.total, self.chain_keys = self.bar.total_complex()
-        self.plan = _ContributionPlan(base)
+        self.plan = base.bar_plan()
         self.contribution_table = {
             t: sorted({(self.bar.bar_degree(k), self.bar.internal_degree(k)) for k in lst})
             for t, lst in self.chain_keys.items()}
@@ -312,8 +243,7 @@ class HochschildComplex:
 
 
 def auto_bar_bound(a: DgCategory, n_max: int) -> int:
-    plan = _ContributionPlan(a)
-    bound = plan.bound_for_window(-n_max, 0)
+    bound = a.bar_plan().bound_for_window(-n_max, 0)
     if bound is None:
         return n_max + 1
     return max(1, bound)
@@ -338,7 +268,7 @@ def hh_dims(a: DgCategory, n_max: int, bar_bound: int | None = None) -> dict:
 def chain_support_bound(a: DgCategory):
     """A certified N with normalized chains zero in homological degrees
     > N (hence HH_n = 0 there), or None when no finite bound is provable."""
-    plan = _ContributionPlan(a)
+    plan = a.bar_plan()
     if plan.max_bar is None:
         return None
     if plan.outer is None:
@@ -449,9 +379,8 @@ class ShuffleMap:
         self.field = a.field
         self.window = window
         t_lo, t_hi = window
-        plan_a, plan_b = _ContributionPlan(a), _ContributionPlan(b)
-        pa = plan_a.bound_for_window(t_lo, t_hi + 1)
-        pb = plan_b.bound_for_window(t_lo, t_hi + 1)
+        pa = a.bar_plan().bound_for_window(t_lo, t_hi + 1)
+        pb = b.bar_plan().bound_for_window(t_lo, t_hi + 1)
         if pa is None or pb is None:
             if bar_bound_a is None or bar_bound_b is None:
                 raise HochschildError("window not certifiable; pass explicit bar bounds")
@@ -489,8 +418,7 @@ class ShuffleMap:
         int_a = sum(k[0] for k in keys_a)
         outer_sign_exp = (keys_b[0][0] * sum(k[0] for k in a_inner)
                           + p * q + int_a * q)
-        uk_a = {x: self.a.unit_key(x) for x in self.a.objects}
-        uk_b = {x: self.b.unit_key(x) for x in self.b.objects}
+        uk_a, uk_b = self.bar_a.unit_keys, self.bar_b.unit_keys
         for positions in itertools.combinations(range(p + q), p):
             posset = set(positions)
             sign_exp = outer_sign_exp

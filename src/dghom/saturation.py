@@ -6,7 +6,9 @@ the enveloping category: for a degree-0 basic category whose non-unit
 span is a nilpotent ideal, the semisimple quotient is read off the
 units, and a single vanishing Tor degree against it pins the projective
 dimension of the diagonal bimodule.  Inputs outside that class get an
-honest "inconclusive", never a guess.
+honest "inconclusive", never a guess.  The unit and non-unit keys that
+criterion reads, like the bar-degree bounds of the Euler routes, come
+from the category's ``BarPlan``.
 
 The triangle-identity check computes the derived composite
 (ev (x) id) . (id (x) delta) at each object pair (x, w) as one windowed
@@ -28,7 +30,7 @@ from .exactfield import (ChainComplex, Matrix, Subspace, homology_dims, homology
 from .dgcore import DgCategory, opposite, swap_functor, tensor, tensor_info
 from .dgmod import (Bimodule, DgModule, bar_composite, diagonal_bimodule,
                     pullback_module, tensor_action)
-from .hochschild import chain_support_bound, hh_dims, _ContributionPlan
+from .hochschild import chain_support_bound, hh_dims
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +117,8 @@ def _degree_zero_hypotheses(a: DgCategory):
     if not a.unit_is_basis():
         return "units are not basis vectors (non-basic presentation)"
     f = a.field
-    unit_keys = {x: a.unit_key(x) for x in a.objects}
+    plan = a.bar_plan()
+    unit_keys = plan.unit_keys
     # the span of non-unit basis vectors must be an ideal ...
     for (x, y, z) in itertools.product(a.objects, repeat=3):
         table = a.comp.get((x, y, z), {})
@@ -127,11 +130,7 @@ def _degree_zero_hypotheses(a: DgCategory):
             if x == z and prod.get(unit_keys[x][1]):
                 return "non-unit span is not an ideal (a product hits a unit)"
     # ... and nilpotent (admissibility)
-    spans = {}
-    for (x, y) in itertools.product(a.objects, repeat=2):
-        keys = [k for k in a.basis_keys(x, y) if not (x == y and k == unit_keys[x])]
-        if keys:
-            spans[(x, y)] = [{k: f.one()} for k in keys]
+    spans = {pair: [{k: f.one()} for k in keys] for pair, keys in plan.nonunit.items() if keys}
     current = spans
     for _ in range(a.total_dim() + 1):
         if not current:
@@ -169,7 +168,7 @@ def semisimple_quotient_left_module(a: DgCategory) -> DgModule:
     f = a.field
     base = tensor(a, opposite(a))
     info = tensor_info(base)
-    unit_keys = {x: a.unit_key(x) for x in a.objects}
+    unit_keys = a.bar_plan().unit_keys
     values = {}
     for (x, y) in base.objects:
         values[(x, y)] = ChainComplex(f, {0: (f"s:{x},{y}",)}, {})
@@ -390,8 +389,7 @@ def triangle_identity_check(a: DgCategory, window, bar_bound: int | None = None,
 
 
 def _required_bound_estimate(a, window):
-    plan = _ContributionPlan(a)
-    cap = plan.bound_for_window(window[0], window[1])
+    cap = a.bar_plan().bound_for_window(*window)
     return None if cap is None else cap + 2
 
 
@@ -518,7 +516,7 @@ def euler_via_hh(a: DgCategory, smooth: SmoothnessResult | None = None,
 def _negative_hh_floor(a: DgCategory) -> int:
     """Smallest homological degree with possibly-nonzero chains (negative
     for positively graded homs)."""
-    plan = _ContributionPlan(a)
+    plan = a.bar_plan()
     if plan.outer is None:
         return 0
     lo = -plan.outer[1]

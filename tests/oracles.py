@@ -14,6 +14,12 @@ chains by checking every middle slot.  `reference_triangle_modules`
 keeps the triangle bimodules with spectator slots, which
 `brute_bar_chain_keys` and `reference_bar_diff` bar with
 left_spect/right_spect, against the library's one bar per object pair.
+The bar-degree planners the library once kept per module,
+`ReferenceContributionPlan` (with `reference_nonunit_degree_bounds`,
+`reference_outer_degree_bounds` and `reference_longest_path_bound`) and
+`reference_plan_bar_bound`, are references for `dgcore.BarPlan` and
+`dgcore.bar_degree_cap`: they step through the bar degrees one at a
+time where the library solves for the largest one.
 """
 
 import itertools
@@ -667,3 +673,139 @@ def reference_triangle_modules(a):
     X = build(x_base, "X")
     Y = build(y_base, "Y")
     return X, Y, mid
+
+
+# ---------------------------------------------------------------------------
+# bar-degree planning as each module once worked it out for itself: the
+# Hochschild-side contribution plan and the two-sided bar's bound planner,
+# kept verbatim (apart from names) as references for dgcore.BarPlan
+
+def reference_nonunit_degree_bounds(a):
+    degs = []
+    for (x, y), c in a.homs.items():
+        uk = a.unit_key(x) if x == y else None
+        for d in c.support():
+            for i in range(c.dim(d)):
+                if (d, i) != uk or x != y:
+                    degs.append(d)
+    if not degs:
+        return None
+    return min(degs), max(degs)
+
+
+def reference_outer_degree_bounds(a):
+    degs = [d for c in a.homs.values() for d in c.support()]
+    if not degs:
+        return None
+    return min(degs), max(degs)
+
+
+def reference_longest_path_bound(a):
+    """Max length of a path in the non-unit digraph, or None if it has a
+    cycle."""
+    edges = {}
+    for (x, y), c in a.homs.items():
+        if c.total_dim() > (x == y and a.unit_key(x) is not None):
+            edges.setdefault(x, set()).add(y)
+    memo = {}
+    onstack = set()
+
+    def depth(x):
+        if x in onstack:
+            raise ValueError("cycle")
+        if x in memo:
+            return memo[x]
+        onstack.add(x)
+        best = 0
+        for y in edges.get(x, ()):
+            best = max(best, 1 + depth(y))
+        onstack.discard(x)
+        memo[x] = best
+        return best
+
+    try:
+        return max((depth(x) for x in a.objects), default=0)
+    except ValueError:
+        return None
+
+
+class ReferenceContributionPlan:
+    """Analytic bounds on which bar degrees can reach a total degree."""
+
+    def __init__(self, a):
+        self.max_bar = reference_longest_path_bound(a)
+        self.inner = reference_nonunit_degree_bounds(a)
+        self.outer = reference_outer_degree_bounds(a)
+
+    def max_bar_for(self, t: int):
+        caps = []
+        if self.max_bar is not None:
+            caps.append(self.max_bar)
+        if self.outer is None:
+            return 0
+        if self.inner is None:
+            caps.append(0)
+        else:
+            i_lo, i_hi = self.inner
+            o_lo, o_hi = self.outer
+            if i_hi <= 0:
+                m = 0
+                while o_hi + (m + 1) * (i_hi - 1) >= t:
+                    m += 1
+                caps.append(m)
+            elif i_lo >= 2:
+                m = 0
+                while o_lo + (m + 1) * (i_lo - 1) <= t:
+                    m += 1
+                caps.append(m)
+        return min(caps) if caps else None
+
+    def exact_at(self, t: int, bar_bound: int) -> bool:
+        for tp in (t - 1, t, t + 1):
+            cap = self.max_bar_for(tp)
+            if cap is None or cap > bar_bound:
+                return False
+        return True
+
+    def bound_for_window(self, t_lo: int, t_hi: int):
+        caps = [self.max_bar_for(tp) for tp in range(t_lo - 1, t_hi + 2)]
+        if any(c is None for c in caps):
+            return None
+        return max(caps, default=0)
+
+
+def reference_plan_bar_bound(x_bounds, y_bounds, hom_bounds, window_coh, bar_bound,
+                             chain_cap=None):
+    """The two-sided bar's bound planner: smallest bar bound P such that
+    bar degrees > P cannot reach the window closure, and the flag."""
+    from dghom.dgmod import BarWindowError
+    w0, w1 = window_coh
+    if x_bounds is None or y_bounds is None:
+        return 0, "exact"
+    m_hi = x_bounds[1] + y_bounds[1]
+    m_lo = x_bounds[0] + y_bounds[0]
+    p_exact = None
+    if hom_bounds is None:
+        p_exact = 0
+    else:
+        a_lo, a_hi = hom_bounds
+        if a_hi <= 0:
+            p = 0
+            while m_hi + (p + 1) * (a_hi - 1) >= w0 - 1:
+                p += 1
+            p_exact = p
+        elif a_lo >= 2:
+            p = 0
+            while m_lo + (p + 1) * (a_lo - 1) <= w1 + 1:
+                p += 1
+            p_exact = p
+    if chain_cap is not None:
+        p_exact = chain_cap if p_exact is None else min(p_exact, chain_cap)
+    if bar_bound is None:
+        if p_exact is None:
+            raise BarWindowError(
+                "window not provably computable: hom degrees span both sides of the "
+                "grading bound; pass an explicit bar_bound for a truncated answer")
+        return p_exact, "exact"
+    flag = "exact" if (p_exact is not None and bar_bound >= p_exact) else "truncated"
+    return bar_bound, flag

@@ -81,6 +81,10 @@ def files(tmp_path):
         p = tmp_path / name
         p.write_text(text)
         paths[name] = str(p)
+    split_corpus = tmp_path / "splitcorpus"
+    split_corpus.mkdir()
+    (split_corpus / "split.dg").write_text(SPLIT_UNIT)
+    paths["splitcorpus"] = str(split_corpus)
     return paths
 
 
@@ -235,9 +239,11 @@ class TestCli:
         (["hh", "split.dg"], "need every unit to be a basis element"),
         (["hc", "split.dg"], "need every unit to be a basis element"),
         (["euler", "split.dg"], "need every unit to be a basis element"),
+        (["check", "--corpus", "splitcorpus"],
+         "split.dg: the checks need every unit to be a basis element"),
     ], ids=["tensor-field-mismatch", "hh-invalid-dg", "hc-invalid-dg", "hp-invalid-dg",
             "saturate-invalid-dg", "euler-invalid-dg", "hh-split-unit", "hc-split-unit",
-            "euler-split-unit"])
+            "euler-split-unit", "check-split-unit"])
     def test_bad_input_file_exit_2(self, argv, message, files, capsys):
         argv = [files.get(a, a) for a in argv]
         assert main(argv) == 2
@@ -350,6 +356,15 @@ class TestCli:
               "--out", str(out)])
         text = out.read_text()
         assert "dims.0.dim\t2" in text
+
+    def test_check_tsv_format(self, tmp_path):
+        corpus_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)), "corpus")
+        out = tmp_path / "check.tsv"
+        assert main(["check", "--corpus", corpus_dir, "--bound", "1", "--format", "tsv",
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert "failures\t0" in lines and "invariant\tcheck" in lines
+        assert all(line.count("\t") == 1 for line in lines)
 
     def test_console_script_runs(self, files):
         # the child finds the package where this process found it

@@ -1,0 +1,40 @@
+"""Leftovers of deletions: every name a module of src/dghom imports is
+used in that module (or listed in its ``__all__``), and every private
+(``_``-prefixed) module-level function, class or method is referenced
+somewhere in src/dghom."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "dghom"
+TREES = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
+
+def _used_names(tree):
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    exported = [n.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for n in node.value.elts]
+    return names | set(exported)
+
+
+def test_every_import_is_used():
+    for name, tree in TREES.items():
+        used = _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    assert bound in used, f"{name}: unused import {bound}"
+
+
+def test_every_private_definition_is_referenced():
+    used = set().union(*(_used_names(tree) for tree in TREES.values()))
+    for name, tree in TREES.items():
+        defs = list(tree.body) + [n for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body]
+        for node in defs:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_") \
+                    and not node.name.endswith("__"):
+                assert node.name in used, f"{name}: {node.name} is never referenced"
