@@ -1,11 +1,16 @@
 """Properness and smoothness certificates, dualizability data, and Euler
 characteristics computed by two independent routes.
 
-Smoothness is certified through the minimal-resolution criterion over
-the enveloping category: for a degree-0 basic category whose non-unit
-span is a nilpotent ideal, the semisimple quotient is read off the
-units, and a single vanishing Tor degree against it pins the projective
-dimension of the diagonal bimodule.  Inputs outside that class get an
+Smoothness is certified through the minimal-resolution criterion: for
+a degree-0 basic category a whose non-unit span is a nilpotent ideal,
+A0 = a/rad is spanned by the units, and Tor^a_n(A0, A0) counts the
+degree-n generators of the minimal projective resolution of the
+diagonal bimodule (Happel, Hochschild cohomology of finite-dimensional
+algebras, LNM 1404, 1989).  That is Tor over the enveloping category
+a (x) a^op of the diagonal against A0 (x) A0^op (Cartan-Eilenberg,
+Homological Algebra, IX.4), computed by the one-sided bar over a; a
+single vanishing Tor degree pins the projective dimension of the
+diagonal.  Inputs outside that class get an
 honest "inconclusive", never a guess.  The unit and non-unit keys that
 criterion reads, like the bar-degree bounds of the Euler routes, come
 from the category's ``BarPlan``.
@@ -27,7 +32,7 @@ import itertools
 
 from .exactfield import (ChainComplex, Matrix, Subspace, homology_dims, homology_quotient,
                          tensor_complex)
-from .dgcore import DgCategory, opposite, swap_functor, tensor, tensor_info
+from .dgcore import DgCategory, opposite, swap_functor, tensor
 from .dgmod import (Bimodule, DgModule, bar_composite, diagonal_bimodule,
                     pullback_module, tensor_action)
 from .hochschild import chain_support_bound, hh_dims
@@ -161,30 +166,28 @@ def _degree_zero_hypotheses(a: DgCategory):
     return "non-unit ideal is not nilpotent"
 
 
-def semisimple_quotient_left_module(a: DgCategory) -> DgModule:
-    """The semisimple quotient of the enveloping category (one simple per
-    object pair), as a left module over it (stored as a right module over
-    tensor(a, opposite(a)) = opposite(tensor(opposite(a), a)))."""
+def _top_module(a: DgCategory) -> DgModule:
+    """A0 = a/rad as a right a-module: a 1-dim value at each object, units
+    acting by 1 and non-units by 0 (a module because the non-unit span
+    is an ideal)."""
     f = a.field
-    base = tensor(a, opposite(a))
-    info = tensor_info(base)
     unit_keys = a.bar_plan().unit_keys
-    values = {}
-    for (x, y) in base.objects:
-        values[(x, y)] = ChainComplex(f, {0: (f"s:{x},{y}",)}, {})
-    action = {}
-    for obj in base.objects:
-        x, y = obj
-        index = info.index[(obj, obj)]
-        key = index[(unit_keys[x], unit_keys[y])]
-        action[(obj, obj)] = {(key, (0, 0)): {0: f.one()}}
-    return DgModule(base, values, action, name=f"S({a.name or '?'})")
+    values = {x: ChainComplex(f, {0: (f"s:{x}",)}, {}) for x in a.objects}
+    action = {(x, x): {(unit_keys[x], (0, 0)): {0: f.one()}} for x in a.objects}
+    return DgModule(a, values, action, name=f"A0({a.name or '?'})")
 
 
 def smoothness_certify(a: DgCategory, bound: int) -> SmoothnessResult:
-    """certified(L) when Tor over the enveloping category of the diagonal
-    against the semisimple quotient first vanishes at degree L+1 <= bound+1;
-    inconclusive otherwise (with the Tor table computed so far)."""
+    """certified(L) when Tor^a_n(A0, A0), A0 = a/rad spanned by the units,
+    first vanishes at n = L+1 <= bound+1; inconclusive otherwise (with the
+    Tor table computed so far).
+
+    For a basic category Tor^a_n(A0, A0) counts the generators in degree
+    n of the minimal projective resolution of the diagonal bimodule
+    (Happel, LNM 1404, 1989), since Tor over a (x) a^op of the diagonal
+    against A0 (x) A0^op is Tor^a(A0, A0) (Cartan-Eilenberg IX.4).  It is
+    read from the normalized one-sided bar over a, one chain per walk of
+    non-unit basis elements."""
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     if not getattr(a, "closed", True):
@@ -192,12 +195,9 @@ def smoothness_certify(a: DgCategory, bound: int) -> SmoothnessResult:
     reason = _degree_zero_hypotheses(a)
     if reason is not None:
         return SmoothnessResult("inconclusive", bound, reason)
-    diag = diagonal_bimodule(a)
-    s_mod = semisimple_quotient_left_module(a)
-    e_cat = diag.base
-    res = bar_composite(diag.module, s_mod, e_cat, (-(bound + 1), 0))
-    cx = res.complexes[()]
-    dims = homology_dims(cx, (-(bound + 1), 0))
+    window = (-(bound + 1), 0)
+    res = bar_composite(_top_module(a), _top_module(opposite(a)), a, window)
+    dims = homology_dims(res.complexes[()], window)
     tor = {n: dims[-n] for n in range(bound + 2)}
     level = None
     for n in range(bound + 2):

@@ -20,6 +20,9 @@ The bar-degree planners the library once kept per module,
 `reference_plan_bar_bound`, are references for `dgcore.BarPlan` and
 `dgcore.bar_degree_cap`: they step through the bar degrees one at a
 time where the library solves for the largest one.
+`reference_smoothness_tor` computes the smoothness Tor over the
+enveloping category a (x) a^op, with `semisimple_quotient_left_module`,
+where the library bars over a alone.
 """
 
 import itertools
@@ -809,3 +812,44 @@ def reference_plan_bar_bound(x_bounds, y_bounds, hom_bounds, window_coh, bar_bou
         return p_exact, "exact"
     flag = "exact" if (p_exact is not None and bar_bound >= p_exact) else "truncated"
     return bar_bound, flag
+
+
+# ---------------------------------------------------------------------------
+# smoothness Tor over the enveloping category
+
+def semisimple_quotient_left_module(a):
+    """The semisimple quotient of the enveloping category (one simple per
+    object pair), as a left module over it (stored as a right module over
+    tensor(a, opposite(a)) = opposite(tensor(opposite(a), a)))."""
+    from dghom.dgcore import opposite, tensor, tensor_info
+    from dghom.dgmod import DgModule
+    from dghom.exactfield import ChainComplex
+    f = a.field
+    base = tensor(a, opposite(a))
+    info = tensor_info(base)
+    unit_keys = a.bar_plan().unit_keys
+    values = {}
+    for (x, y) in base.objects:
+        values[(x, y)] = ChainComplex(f, {0: (f"s:{x},{y}",)}, {})
+    action = {}
+    for obj in base.objects:
+        x, y = obj
+        index = info.index[(obj, obj)]
+        key = index[(unit_keys[x], unit_keys[y])]
+        action[(obj, obj)] = {(key, (0, 0)): {0: f.one()}}
+    return DgModule(base, values, action, name=f"S({a.name or '?'})")
+
+
+def reference_smoothness_tor(a, bound):
+    """Tor_n over the enveloping category a (x) a^op of the diagonal
+    bimodule against the semisimple quotient, n = 0..bound+1: the
+    two-sided bar over tensor(a, opposite(a)).  `smoothness_certify`
+    reads the same numbers as Tor^a_n(A0, A0) from the one-sided bar
+    over a (Cartan-Eilenberg, Homological Algebra, IX.4)."""
+    from dghom.dgmod import bar_composite, diagonal_bimodule
+    from dghom.exactfield import homology_dims
+    diag = diagonal_bimodule(a)
+    s_mod = semisimple_quotient_left_module(a)
+    res = bar_composite(diag.module, s_mod, diag.base, (-(bound + 1), 0))
+    dims = homology_dims(res.complexes[()], (-(bound + 1), 0))
+    return {n: dims[-n] for n in range(bound + 2)}

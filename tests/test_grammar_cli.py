@@ -350,6 +350,17 @@ class TestCli:
         assert main(["check", "--corpus", str(empty)]) == 0
         assert "no inputs" in capsys.readouterr().out
 
+    def test_check_empty_corpus_report_only_with_out(self, tmp_path, capsys):
+        # like a non-empty corpus: the report goes to --out, never to stdout
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["check", "--corpus", str(empty)]) == 0
+        assert capsys.readouterr().out == "no inputs: corpus directory has no .dg/.quiver/.txt files\n"
+        out = tmp_path / "check.json"
+        assert main(["check", "--corpus", str(empty), "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == {"invariant": "check", "items": {},
+                                               "failures": 0, "checks": 0}
+
     def test_tsv_format(self, files, tmp_path):
         out = tmp_path / "hh.tsv"
         main(["hh", files["kx2.quiver"], "--n-max", "2", "--format", "tsv",

@@ -1,14 +1,21 @@
 """Malformed input never escapes the grammar as anything but a
-GrammarError.  `.quiver` and `.dg` texts are drawn from a small token
-grammar: a body of well-formed lines (graded arrows, relations mixing
-path lengths, structure constants over Q and F_5) with at most one fault
-line (bad integers and scalars, unknown names and keywords, duplicate
-declarations) inserted anywhere; `grammar.loads` either returns or
-raises GrammarError."""
+GrammarError, nor the CLI as a traceback.  `.quiver` and `.dg` texts are
+drawn from a small token grammar: a body of well-formed lines (graded
+arrows, relations mixing path lengths, structure constants over Q and
+F_5) with at most one fault line (bad integers and scalars, unknown
+names and keywords, duplicate declarations) inserted anywhere;
+`grammar.loads` either returns or raises GrammarError, and `dghom
+validate` and `dghom saturate` on the text as a file exit 0 or 2
+(`validate` also 1, its code for a category that breaks an axiom)."""
+
+import contextlib
+import io
+import os
+import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from dghom import grammar
+from dghom import cli, grammar
 from dghom.grammar import GrammarError
 
 FIELDS = ["field q", "field fp 5"]
@@ -81,3 +88,15 @@ def test_loads_returns_or_raises_grammar_error(source):
         grammar.loads(source)
     except GrammarError:
         pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "drawn.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(source)
+        for argv, codes in ((["validate", path], (0, 1, 2)),
+                            (["saturate", path, "--bound", "3"], (0, 2))):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in codes, (argv[0], code, err.getvalue())
+            assert code != 1 or "violation: " in out.getvalue()
+            assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -5,10 +5,10 @@ from dghom.dgmod import validate_module
 from dghom.hochschild import hh_dims
 from dghom.presentation import from_quiver, realize
 from dghom.saturation import (dual_data, euler_report, euler_via_duality, euler_via_hh,
-                              properness_check, saturation_report,
-                              semisimple_quotient_left_module, smoothness_certify,
+                              properness_check, saturation_report, smoothness_certify,
                               triangle_identity_check, triangle_identity_check_both)
 from conftest import Q
+from oracles import semisimple_quotient_left_module
 
 
 class TestProperness:

@@ -13,8 +13,9 @@ from dghom.cyclic import mixed_complex
 from dghom.dgcore import tensor
 from dghom.dgmod import bar_composite, diagonal_bimodule
 from dghom.hochschild import hochschild_complex
-from dghom.saturation import _triangle_modules, semisimple_quotient_left_module
+from dghom.saturation import _triangle_modules
 from conftest import Q, matrix_category
+from oracles import semisimple_quotient_left_module
 
 CORPUS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "corpus")
 

@@ -9,11 +9,12 @@ from dghom.dgcore import disk_cell, opposite, validate
 from dghom.cyclic import mixed_complex
 from dghom.dgmod import _bar_differential, bar_composite, diagonal_bimodule, yoneda_module
 from dghom.hochschild import CyclicBar
-from dghom.saturation import _triangle_modules, semisimple_quotient_left_module
+from dghom.saturation import _triangle_modules
 from conftest import (Q, F5, contractible_category, exterior_deg, matrix_category,
                       random_small_category)
 from oracles import (drop_degenerate, reference_b, reference_bar_diff, reference_connes_B,
-                     reference_dint, reference_face, reference_total_diff)
+                     reference_dint, reference_face, reference_total_diff,
+                     semisimple_quotient_left_module)
 
 
 def _categories(corpus, rng):
