@@ -10,6 +10,7 @@ success or all checks pass, 1 check failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -392,7 +393,9 @@ def cmd_check(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once."""
     p = argparse.ArgumentParser(prog="dghom",
                                 description="exact homological computations with finite dg categories")
     sub = p.add_subparsers(dest="command", required=True)

@@ -461,23 +461,27 @@ def cell_inclusion(n: int, field: FieldSpec) -> DgFunctor:
 
 def opposite(a: DgCategory) -> DgCategory:
     """Same objects, hom(x,y) := a.hom(y,x), composition transposed with
-    the Koszul sign (-1)^{|f||g|}."""
+    the Koszul sign (-1)^{|f||g|}, read off the stored products of a.
+
+    The opposite of a tensor category A_1 (x) .. (x) A_n is
+    A_1^op (x) .. (x) A_n^op key tuple for key tuple and sign for sign,
+    so it keeps the tensor bookkeeping: every hom pair reversed and each
+    factor replaced by its opposite."""
     f = a.field
     homs = {(x, y): a.hom(y, x) for (x, y) in itertools.product(a.objects, repeat=2)}
-    comp = {}
-    for (x, y, z) in itertools.product(a.objects, repeat=3):
-        # g in op-hom(y,z) = a.hom(z,y); f in op-hom(x,y) = a.hom(y,x);
-        # g .op f := (-1)^{|f||g|} f .a g  in a.hom(z,x) = op-hom(x,z)
-        table = a.comp.get((z, y, x), {})
-        out = {}
-        for ((kf, kg), prod) in table.items():
-            # kf in a.hom(y,x) composed after kg in a.hom(z,y)
-            sign = f.sign(kf[0] * kg[0])
-            out[(kg, kf)] = {ih: f.mul(sign, v) for ih, v in prod.items()}
-        if out:
-            comp[(x, y, z)] = out
-    return DgCategory(f, a.objects, homs, comp, dict(a.units),
-                      name=f"op({a.name})" if a.name else "", closed=a.closed)
+    # kf in a.hom(y,x) composed after kg in a.hom(z,y) gives, for g in
+    # op-hom(y,z) and f in op-hom(x,y), g .op f := (-1)^{|f||g|} f .a g
+    comp = {(x, y, z): {(kg, kf): elem_scale(f, f.sign(kf[0] * kg[0]), prod)
+                        for (kf, kg), prod in table.items()}
+            for (z, y, x), table in a.comp.items()}
+    out = DgCategory(f, a.objects, homs, comp, dict(a.units),
+                     name=f"op({a.name})" if a.name else "", closed=a.closed)
+    info = getattr(a, "_tensor", None)
+    if info is not None:
+        out._tensor = TensorInfo(opposite(c) for c in info.factors)
+        out._tensor.keys = {(x, y): info.keys[(y, x)] for (x, y) in homs}
+        out._tensor.index = {(x, y): info.index[(y, x)] for (x, y) in homs}
+    return out
 
 
 class TensorInfo:

@@ -70,10 +70,6 @@ class FieldSpec:
     def prime(p: int) -> "FieldSpec":
         return FieldSpec(p)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.kind == 0
-
     def zero(self):
         return 0
 
@@ -222,23 +218,6 @@ class Matrix:
             by_col.setdefault(j, {})[i] = v
         return by_col
 
-    def apply(self, vec: dict) -> dict:
-        """Apply to a sparse column vector {index: scalar}."""
-        f = self.field
-        out = {}
-        by_col = self.columns()
-        for j, c in vec.items():
-            if not c:
-                continue
-            for i, v in by_col.get(j, {}).items():
-                f.accumulate(out, i, f.mul(v, c))
-        return out
-
-    def to_dense(self):
-        z = self.field.zero()
-        return [[self.entries.get((i, j), z) for j in range(self.cols)]
-                for i in range(self.rows)]
-
 
 class Subspace:
     """Incremental row space with pivot bookkeeping.
@@ -326,9 +305,6 @@ class Subspace:
         """Reduce vec modulo the subspace; zero dict iff vec is a member."""
         out, _ = self._reduce(vec, {})
         return {k: v for k, v in out.items() if v}
-
-    def contains(self, vec: dict) -> bool:
-        return not self.residual(vec)
 
 
 def rank(m: Matrix) -> int:
@@ -514,9 +490,6 @@ class ChainComplex:
                 if not self.diff(d + 1).mul(self.diff(d)).is_zero():
                     raise ValueError(f"d^2 != 0 at degree {d}")
         return self
-
-    def in_specified(self, d: int) -> bool:
-        return self.specified is None or self.specified[0] <= d <= self.specified[1]
 
 
 def operator_matrix(field: FieldSpec, src_keys, tgt_index: dict, op) -> Matrix:

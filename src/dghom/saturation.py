@@ -35,7 +35,7 @@ from .exactfield import (ChainComplex, Matrix, Subspace, homology_dims, homology
 from .dgcore import DgCategory, opposite, swap_functor, tensor
 from .dgmod import (Bimodule, DgModule, bar_composite, diagonal_bimodule,
                     pullback_module, tensor_action)
-from .hochschild import chain_support_bound, hh_dims
+from .hochschild import auto_bar_bound, chain_support_bound, hochschild_complex
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,9 @@ class DualData:
 
     def role_swap(self):
         """The dual data viewed from the opposite side: the pullback of
-        the diagonal along the tensor swap; equals dual_data(opposite)."""
+        the diagonal along the tensor swap; equals the diagonal of the
+        opposite, and is the independent reference for the twisted
+        module of ``euler_via_duality``."""
         a = self.source
         sw = swap_functor(a, opposite(a))
         return pullback_module(sw, self.ev.module)
@@ -276,9 +278,9 @@ def _triangle_modules(a: DgCategory):
       (a1, u, v) -> hom(a1, x) (x) hom(v, u): id (x) coev with its a^op
       slot fixed at x;
     - Y[w], for w an object of a, is the right module over
-      a^op (x) a (x) a^op = opposite(B') (same hom complexes, basis keys
-      and composition signs), (a1, u, v) -> hom(u, a1) (x) hom(w, v):
-      ev (x) id with its a slot fixed at w.
+      opposite(B') = a^op (x) a (x) a^op, built once per call,
+      (a1, u, v) -> hom(u, a1) (x) hom(w, v): ev (x) id with its a slot
+      fixed at w.
 
     Both act by the double-diagonal rule on a flat 4-slot element, whose
     spectator slot is the unit (f1 = 1_x for X, f4 = 1_w for Y):
@@ -327,10 +329,10 @@ def _triangle_modules(a: DgCategory):
         return DgModule(base, values, tensor_action(base, values, act),
                         name=f"{name}({a.name or '?'})")
 
-    y_base = tensor(op_a, a, op_a)
+    op_mid = opposite(mid)
     X = {x: module(mid, lambda a1, u, v: ((a1, x), (v, u)), True, f"triangle-X[{x}]")
          for x in op_a.objects}
-    Y = {w: module(y_base, lambda a1, u, v: ((u, a1), (w, v)), False, f"triangle-Y[{w}]")
+    Y = {w: module(op_mid, lambda a1, u, v: ((u, a1), (w, v)), False, f"triangle-Y[{w}]")
          for w in a.objects}
     return X, Y, mid
 
@@ -488,8 +490,12 @@ def triangle_identity_check_both(a: DgCategory, window, bar_bound=None,
 
 def euler_via_hh(a: DgCategory, smooth: SmoothnessResult | None = None,
                  fallback_n_max: int = 4):
-    """chi = alternating sum of HH dims; exact when the chain support is
-    certified finite or a smoothness certificate bounds the resolution."""
+    """chi = alternating sum of the HH dims from the floor (negative for
+    positively graded homs) to the top degree, all read from one
+    Hochschild complex whose bar bound covers that range; exact when the
+    chain support is certified finite or a smoothness certificate bounds
+    the resolution, and every degree of the range is exact in that
+    complex."""
     vanish = chain_support_bound(a)
     if vanish is not None:
         n_hi = max(vanish, 0)
@@ -500,16 +506,13 @@ def euler_via_hh(a: DgCategory, smooth: SmoothnessResult | None = None,
     else:
         n_hi = fallback_n_max
         status = "bound_limited"
-    dims = hh_dims(a, n_hi)
-    if status == "exact" and any(s != "exact" for (_, s) in dims.values()):
-        status = "bound_limited"
     lo = _negative_hh_floor(a)
-    if lo < 0:
-        extra = {n: _hh_negative(a, n) for n in range(lo, 0)}
-    else:
-        extra = {}
-    chi = sum((-1) ** (n % 2) * d for n, (d, _s) in dims.items())
-    chi += sum((-1) ** (n % 2) * d for n, d in extra.items())
+    cap = a.bar_plan().bound_for_window(-n_hi, -lo)
+    hc = hochschild_complex(a, auto_bar_bound(a, n_hi) if cap is None else max(1, cap))
+    dims = homology_dims(hc.total, (-n_hi, -lo))
+    if any(hc.status(t) != "exact" for t in dims):
+        status = "bound_limited"
+    chi = sum((-1) ** (t % 2) * d for t, d in dims.items())
     return chi, (lo, n_hi), status
 
 
@@ -526,18 +529,12 @@ def _negative_hh_floor(a: DgCategory) -> int:
     return min(lo, 0)
 
 
-def _hh_negative(a: DgCategory, n: int) -> int:
-    from .hochschild import hochschild_complex, auto_bar_bound
-    hc = hochschild_complex(a, max(2, auto_bar_bound(a, abs(n) + 1)))
-    dims = homology_dims(hc.total, (-n, -n))
-    return dims[-n]
-
-
 def euler_via_duality(a: DgCategory, window=None, bar_bound=None,
                       smooth: SmoothnessResult | None = None):
     """chi of the duality composite ev . tau . delta, computed as the
-    two-sided bar of the diagonal against its swap-pulled-back twin over
-    the enveloping category."""
+    two-sided bar over the enveloping category a^op (x) a of the diagonal
+    against the diagonal of opposite(a), a right module over
+    a (x) a^op = opposite(a^op (x) a)."""
     vanish = chain_support_bound(a)
     if window is None:
         if vanish is not None:
@@ -552,11 +549,9 @@ def euler_via_duality(a: DgCategory, window=None, bar_bound=None,
     else:
         status = "bound_limited" if vanish is None else "exact"
     diag = diagonal_bimodule(a)
-    e_cat = diag.base
-    sw = swap_functor(a, opposite(a))
-    twisted = pullback_module(sw, diag.module)
+    twisted = diagonal_bimodule(opposite(a)).module
     lo, hi = window
-    res = bar_composite(diag.module, twisted, e_cat, (-hi, -lo), bar_bound)
+    res = bar_composite(diag.module, twisted, diag.base, (-hi, -lo), bar_bound)
     if res.flag != "exact":
         status = "bound_limited"
     cx = res.complexes[()]

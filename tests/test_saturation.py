@@ -1,7 +1,8 @@
 import pytest
 
-from dghom.dgcore import opposite, sphere_cell, tensor
-from dghom.dgmod import validate_module
+from dghom import hochschild
+from dghom.dgcore import disk_cell, opposite, sphere_cell, tensor
+from dghom.dgmod import diagonal_bimodule, validate_module
 from dghom.hochschild import hh_dims
 from dghom.presentation import from_quiver, realize
 from dghom.saturation import (dual_data, euler_report, euler_via_duality, euler_via_hh,
@@ -9,6 +10,7 @@ from dghom.saturation import (dual_data, euler_report, euler_via_duality, euler_
                               triangle_identity_check, triangle_identity_check_both)
 from conftest import Q
 from oracles import semisimple_quotient_left_module
+from test_triangle_modules import a3
 
 
 class TestProperness:
@@ -114,9 +116,14 @@ class TestDualData:
         assert dd.ev.dims(("2", "1")) == {2: 1}
 
     def test_role_swap_is_dual_of_opposite(self, corpus):
-        for name in ("unit", "kxk", "path12", "kx2"):
-            a = corpus[name]
-            assert dual_data(a).role_swap() == dual_data(opposite(a)).ev.module
+        """The swap pullback of the diagonal is the diagonal of the
+        opposite, the twisted module of the duality route of the Euler
+        characteristic."""
+        cats = [corpus[name] for name in ("unit", "kxk", "path12", "kx2")]
+        cats += [a3(), a3(ab_zero=True), a3((1, -1)), sphere_cell(2, Q), disk_cell(1, Q),
+                 disk_cell(2, Q)]
+        for a in cats:
+            assert dual_data(a).role_swap() == diagonal_bimodule(opposite(a)).module, a.name
 
 
 class TestTriangle:
@@ -185,6 +192,25 @@ class TestEuler:
         assert status == "exact" and chi == 2
         chi_d, _, status_d = euler_via_duality(s)
         assert status_d == "exact" and chi_d == 2
+
+    def test_hh_route_reads_every_degree_from_one_complex(self, monkeypatch):
+        """Path 1 -> 2 -> 3 -> 4 with every arrow in degree 2: HH_-21 ..
+        HH_0 come from one Hochschild complex whose bar bound covers all
+        of them, and the route says exact because each is exact there."""
+        pres = from_quiver(Q, ["1", "2", "3", "4"],
+                           [("a", "1", "2", 2), ("b", "2", "3", 2), ("c", "3", "4", 2)])
+        cat, cert = realize(pres, 10, 5)
+        assert cert.is_closed
+        built = []
+
+        class CountedBar(hochschild.CyclicBar):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(hochschild, "CyclicBar", CountedBar)
+        assert euler_via_hh(cat) == (4, (-21, 0), "exact")
+        assert len(built) == 1
 
 
 class TestReportShapes:

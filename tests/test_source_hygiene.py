@@ -1,12 +1,14 @@
 """Leftovers of deletions: every name a module of src/dghom imports is
-used in that module (or listed in its ``__all__``), and every private
+used in that module (or listed in its ``__all__``), every private
 (``_``-prefixed) module-level function, class or method is referenced
-somewhere in src/dghom."""
+somewhere in src/dghom, and every public one somewhere in src/, tests/
+or perfbench/."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dghom"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dghom"
 TREES = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
 
 
@@ -30,11 +32,26 @@ def test_every_import_is_used():
                     assert bound in used, f"{name}: unused import {bound}"
 
 
+def _definitions(tree):
+    """Module-level functions and classes, and the methods of the classes;
+    dunders excluded."""
+    defs = list(tree.body) + [n for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body]
+    return [node.name for node in defs if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.endswith("__")]
+
+
 def test_every_private_definition_is_referenced():
     used = set().union(*(_used_names(tree) for tree in TREES.values()))
     for name, tree in TREES.items():
-        defs = list(tree.body) + [n for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body]
-        for node in defs:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_") \
-                    and not node.name.endswith("__"):
-                assert node.name in used, f"{name}: {node.name} is never referenced"
+        for defined in _definitions(tree):
+            if defined.startswith("_"):
+                assert defined in used, f"{name}: {defined} is never referenced"
+
+
+def test_every_public_definition_is_referenced():
+    files = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    used = set().union(*(_used_names(ast.parse(p.read_text())) for p in files))
+    for name, tree in TREES.items():
+        for defined in _definitions(tree):
+            if not defined.startswith("_"):
+                assert defined in used, f"{name}: {defined} is never referenced"
