@@ -14,6 +14,8 @@ Layers, bottom up:
 * ``dgmod`` -- dg modules, bimodules, the two-sided bar construction.
 * ``hochschild`` / ``cyclic`` -- cyclic-bar machinery: HH, mixed
   complexes, HC, HC^-, HP towers.
+* ``monomial`` -- monomial inputs: Anick's chains AP(n) and Bardzell's
+  complex, the fast route of HH and Tor.
 * ``saturation`` -- properness/smoothness certificates, dualizability
   data, Euler characteristics by two routes.
 * ``cli`` -- command-line front end emitting JSON reports.

@@ -4,7 +4,8 @@ machine-readable reports.
 Reports are JSON (sorted keys, fixed indentation) so identical inputs
 and parameters give byte-identical files; every report embeds the bounds
 used and the exact/truncated status of each number.  Exit codes: 0
-success or all checks pass, 1 check failure, 2 input error.
+success or all checks pass, 1 check failure or out of memory, 2 input
+error.
 """
 
 from __future__ import annotations
@@ -480,6 +481,9 @@ def main(argv=None) -> int:
     except grammar.GrammarError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("out of memory: the input is too large for these bounds", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

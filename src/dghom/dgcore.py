@@ -216,7 +216,9 @@ class BarPlan:
     normalized bar; ``edges`` the digraph of hom pairs with a non-unit
     key; ``max_bar`` its longest path (normalized chains vanish beyond
     it), None when it has a cycle; ``inner`` and ``outer`` the
-    (min, max) degrees of the non-unit keys and of all keys."""
+    (min, max) degrees of the non-unit keys and of all keys;
+    ``differential`` whether any hom complex has a nonzero differential
+    (the bars skip their internal differential when none has)."""
 
     def __init__(self, a: DgCategory):
         self.unit_keys = {x: a.unit_key(x) for x in a.objects}
@@ -230,6 +232,7 @@ class BarPlan:
         self.max_bar = _longest_path(self.edges)
         self.inner = _bounds(k[0] for keys in self.nonunit.values() for k in keys)
         self.outer = _bounds(d for c in a.homs.values() for d in c.support())
+        self.differential = any(c.diffs for c in a.homs.values())
 
     def bound_for_window(self, t_lo: int, t_hi: int):
         """Largest bar degree of a normalized cyclic bar chain that can

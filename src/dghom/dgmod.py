@@ -455,10 +455,13 @@ def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory, unit_keys: dict
     non-unit already.
 
     Actions, products and differentials are read from the structure
-    tables."""
+    tables; the internal differential is skipped when neither the middle
+    category nor a module value has one."""
     f = mid.field
     comp, homs = mid.comp, mid.homs
     x_action, y_action = X.action, Y.action
+    internal = mid.bar_plan().differential or any(
+        c.diffs for m in (X, Y) for c in m.values.values())
 
     def diff(key):
         objs, km, betas, kn = key
@@ -499,6 +502,8 @@ def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory, unit_keys: dict
                 for i, v in prod.items():
                     f.accumulate(out, (tail, km, rest, (deg, i)), f.mul(sgn, v))
 
+        if not internal:
+            return out
         # internal differential with Koszul signs from the left; global (-1)^p
         sign_accum = p
         for km2, v in X.value(objs[p]).d_of(km):

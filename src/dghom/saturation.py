@@ -33,9 +33,10 @@ import itertools
 from .exactfield import (ChainComplex, Matrix, Subspace, homology_dims, homology_quotient,
                          tensor_complex)
 from .dgcore import DgCategory, opposite, swap_functor, tensor
-from .dgmod import (Bimodule, DgModule, bar_composite, diagonal_bimodule,
+from .dgmod import (BarWindowError, Bimodule, DgModule, bar_composite, diagonal_bimodule,
                     pullback_module, tensor_action)
 from .hochschild import auto_bar_bound, chain_support_bound, hochschild_complex
+from .monomial import monomial_algebra
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +186,12 @@ def smoothness_certify(a: DgCategory, bound: int) -> SmoothnessResult:
     For a basic category Tor^a_n(A0, A0) counts the generators in degree
     n of the minimal projective resolution of the diagonal bimodule
     (Happel, LNM 1404, 1989), since Tor over a (x) a^op of the diagonal
-    against A0 (x) A0^op is Tor^a(A0, A0) (Cartan-Eilenberg IX.4).  It is
-    read from the normalized one-sided bar over a, one chain per walk of
-    non-unit basis elements."""
+    against A0 (x) A0^op is Tor^a(A0, A0) (Cartan-Eilenberg IX.4).  On a
+    monomial input (``monomial_algebra``) Tor_n is |AP(n)|, the number of
+    Anick chains, counted without any matrix (Green-Happel-Zacharia,
+    Illinois J. Math. 29, 1985); on every other input it is read from
+    the normalized one-sided bar over a, one chain per walk of non-unit
+    basis elements."""
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     if not getattr(a, "closed", True):
@@ -195,10 +199,14 @@ def smoothness_certify(a: DgCategory, bound: int) -> SmoothnessResult:
     reason = _degree_zero_hypotheses(a)
     if reason is not None:
         return SmoothnessResult("inconclusive", bound, reason)
-    window = (-(bound + 1), 0)
-    res = bar_composite(_top_module(a), _top_module(opposite(a)), a, window)
-    dims = homology_dims(res.complexes[()], window)
-    tor = {n: dims[-n] for n in range(bound + 2)}
+    mono = monomial_algebra(a)
+    if mono is not None:
+        tor = dict(enumerate(mono.chain_counts(bound + 1)))
+    else:
+        window = (-(bound + 1), 0)
+        res = bar_composite(_top_module(a), _top_module(opposite(a)), a, window)
+        dims = homology_dims(res.complexes[()], window)
+        tor = {n: dims[-n] for n in range(bound + 2)}
     level = None
     for n in range(bound + 2):
         if tor[n] == 0:
@@ -360,7 +368,7 @@ def triangle_identity_check(a: DgCategory, window, bar_bound: int | None = None,
     try:
         bars = {(x, w): bar_composite(X[x], Y[w], mid, window, bar_bound)
                 for (x, w) in sorted(itertools.product(X, Y), key=repr)}
-    except Exception as exc:
+    except BarWindowError as exc:
         return TriangleResult("inconclusive", details={"reason": str(exc)},
                               required_bound=_required_bound_estimate(a, window))
     if any(res.flag != "exact" for res in bars.values()):

@@ -344,6 +344,16 @@ class TestCli:
     def test_split_unit_is_valid(self, files):
         assert main(["validate", files["split.dg"]]) == 0
 
+    def test_out_of_memory_exits_1_with_one_line(self, monkeypatch, capsys):
+        from dghom import saturation
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(saturation, "bar_composite", out_of_memory)
+        assert main(["check"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("out of memory")
+
     def test_check_empty_corpus(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()

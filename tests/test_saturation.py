@@ -1,8 +1,8 @@
 import pytest
 
-from dghom import hochschild
+from dghom import hochschild, saturation
 from dghom.dgcore import disk_cell, opposite, sphere_cell, tensor
-from dghom.dgmod import diagonal_bimodule, validate_module
+from dghom.dgmod import BarWindowError, diagonal_bimodule, validate_module
 from dghom.hochschild import hh_dims
 from dghom.presentation import from_quiver, realize
 from dghom.saturation import (dual_data, euler_report, euler_via_duality, euler_via_hh,
@@ -148,6 +148,21 @@ class TestTriangle:
         cat, cert = realize(pres, 2, 3)
         res = triangle_identity_check(cat, (-2, 2))
         assert res.status == "inconclusive"
+
+    def test_memory_error_is_never_a_certificate(self, corpus, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(saturation, "bar_composite", out_of_memory)
+        with pytest.raises(MemoryError):
+            triangle_identity_check(corpus["path12"], (-3, 3))
+
+    def test_bar_refusal_is_inconclusive_with_its_reason(self, corpus, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise BarWindowError("window not provably computable")
+        monkeypatch.setattr(saturation, "bar_composite", refuse)
+        res = triangle_identity_check(corpus["path12"], (-3, 3))
+        assert res.status == "inconclusive"
+        assert res.details["reason"] == "window not provably computable"
 
 
 class TestEuler:

@@ -1,9 +1,10 @@
 """`smoothness_certify` reads Tor^a(A0, A0) from the one-sided bar over
-a; `oracles.reference_smoothness_tor` computes Tor over a (x) a^op of
+a, or on a monomial input as the number of Anick chains AP(n);
+`oracles.reference_smoothness_tor` computes Tor over a (x) a^op of
 the diagonal against the semisimple quotient A0 (x) A0^op.  The two
 agree (Cartan-Eilenberg, Homological Algebra, IX.4), and for monomial
 algebras both match Bardzell's closed forms (J. Algebra 188, 1997),
-which the one-sided bar reaches at bounds the two-sided one cannot."""
+which the library reaches at bounds the two-sided bar cannot."""
 
 import pytest
 

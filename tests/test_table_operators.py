@@ -6,6 +6,7 @@ bilinear calls on singleton elements, on every chain."""
 import itertools
 
 from dghom.dgcore import disk_cell, opposite, validate
+from dghom.exactfield import ChainComplex
 from dghom.cyclic import mixed_complex
 from dghom.dgmod import _bar_differential, bar_composite, diagonal_bimodule, yoneda_module
 from dghom.hochschild import CyclicBar
@@ -111,3 +112,21 @@ def test_bar_differential_with_spectators(corpus, rng):
             res = bar_composite(X[x], Y[w], mid, (-2, 0), 2)
             checked += _bar_diff_agrees(X[x], Y[w], mid, res)
         assert checked, cat
+
+
+def test_no_internal_differential_on_inputs_without_one(corpus, monkeypatch):
+    # BarPlan.differential is false on every degree-0 corpus input and
+    # true on the cone; with it false, neither bar looks up a differential
+    assert contractible_category(Q).bar_plan().differential
+    cats = [corpus[name] for name in ("kx2", "path12", "kxk")]
+    assert not any(cat.bar_plan().differential for cat in cats)
+
+    def looked_up(*args):
+        raise AssertionError("internal differential looked up")
+    monkeypatch.setattr(CyclicBar, "dint_of", looked_up)
+    monkeypatch.setattr(ChainComplex, "d_of", looked_up)
+    for cat in cats:
+        CyclicBar(cat, 3).total_complex()
+        X = yoneda_module(cat, cat.objects[0])
+        Y = yoneda_module(opposite(cat), cat.objects[-1])
+        bar_composite(X, Y, cat, (-3, 0), 3)
