@@ -83,20 +83,6 @@ class MonomialAlgebra:
                         for s, _t, w, last in out[-1] for v in self._next_pieces(last)])
         return out[:n_top + 1]
 
-    def chain_counts(self, n_top: int) -> list:
-        """|AP(0)|, ..., |AP(n_top)|, counted per last piece: the pieces
-        that extend a chain depend on its last piece alone."""
-        counts = [len(self.a.objects), len(self.arrows)]
-        layer = {(i,): 1 for i in range(len(self.arrows))}
-        while len(counts) <= n_top:
-            nxt = {}
-            for last, c in layer.items():
-                for v in self._next_pieces(last):
-                    nxt[v] = nxt.get(v, 0) + c
-            layer = nxt
-            counts.append(sum(layer.values()))
-        return counts[:n_top + 1]
-
     def hochschild_complex(self, n_top: int):
         """A (x)_{A^e} P for Bardzell's resolution P, through degree n_top.
 

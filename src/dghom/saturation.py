@@ -201,7 +201,7 @@ def smoothness_certify(a: DgCategory, bound: int) -> SmoothnessResult:
         return SmoothnessResult("inconclusive", bound, reason)
     mono = monomial_algebra(a)
     if mono is not None:
-        tor = dict(enumerate(mono.chain_counts(bound + 1)))
+        tor = {n: len(ap) for n, ap in enumerate(mono.chains(bound + 1))}
     else:
         window = (-(bound + 1), 0)
         res = bar_composite(_top_module(a), _top_module(opposite(a)), a, window)

@@ -23,8 +23,7 @@ time where the library solves for the largest one.
 `reference_smoothness_tor` computes the smoothness Tor over the
 enveloping category a (x) a^op, with `semisimple_quotient_left_module`,
 where the library bars over a alone.  `bprime_of` (b' summed from the
-library's faces) and `verify_b_squared` (D^2 = 0 multiplied entry by
-entry) are test helpers the library no longer carries.
+library's faces) is a test helper the library no longer carries.
 """
 
 import itertools
@@ -454,23 +453,6 @@ def bprime_of(bar, key):
         for k2, v in bar.face(key, i).items():
             f.accumulate(out, k2, f.neg(v) if i & 1 else v)
     return out
-
-
-def verify_b_squared(hc):
-    """D^2 = 0 on the total complex of a HochschildComplex, multiplied
-    entry by entry instead of through Matrix.mul; raises on failure."""
-    cx = hc.total
-    f = cx.field
-    for d in cx.support():
-        by_col = {}
-        for (i, k), w in cx.diff(d + 1).entries.items():
-            by_col.setdefault(k, []).append((i, w))
-        prod = {}
-        for (k, j), v in cx.diff(d).entries.items():
-            for i, w in by_col.get(k, ()):
-                f.accumulate(prod, (i, j), f.mul(w, v))
-        assert not prod, f"D^2 != 0 at degree {d}"
-    return hc
 
 
 def reference_bar_diff(X, Y, mid, key, la=None, rc=None, left_spect=None, right_spect=None):
