@@ -11,24 +11,25 @@ Layers, bottom up:
 * ``exactfield`` -- fields, sparse matrices, chain complexes.
 * ``dgcore`` / ``presentation`` -- dg categories, cells, tensor products,
   presentations and their realizations.
-* ``dgmod`` -- dg modules, bimodules, the two-sided bar construction.
+* ``dgmod`` -- dg modules, the diagonal bimodule, the two-sided bar
+  construction.
 * ``hochschild`` / ``cyclic`` -- cyclic-bar machinery: HH, mixed
   complexes, HC, HC^-, HP towers.
 * ``monomial`` -- monomial inputs: Anick's chains AP(n) and Bardzell's
   complex, the fast route of HH and Tor.
-* ``saturation`` -- properness/smoothness certificates, dualizability
-  data, Euler characteristics by two routes.
+* ``saturation`` -- properness/smoothness certificates, triangle
+  identities, Euler characteristics by two routes.
 * ``cli`` -- command-line front end emitting JSON reports.
 """
 
 from .exactfield import FieldSpec, Matrix, ChainComplex, rank, kernel_basis, homology_dims, euler_char
-from .dgcore import DgCategory, DgFunctor, validate, unit_category, sphere_cell, disk_cell, cell_inclusion, opposite, tensor
+from .dgcore import DgCategory, validate, unit_category, sphere_cell, disk_cell, opposite, tensor
 from .presentation import Presentation, pushout_attach, pushout_attach_object, realize
 
 __all__ = [
     "FieldSpec", "Matrix", "ChainComplex", "rank", "kernel_basis",
     "homology_dims", "euler_char",
-    "DgCategory", "DgFunctor", "validate", "unit_category", "sphere_cell",
-    "disk_cell", "cell_inclusion", "opposite", "tensor",
+    "DgCategory", "validate", "unit_category", "sphere_cell", "disk_cell",
+    "opposite", "tensor",
     "Presentation", "pushout_attach", "pushout_attach_object", "realize",
 ]

@@ -56,17 +56,6 @@ def s_of_key(unit_keys: dict, key):
     return (objs + (objs[0],), (uk,) + keys)
 
 
-def cyclic_operator(a: DgCategory, n: int) -> Matrix:
-    """The matrix of the cyclic operator on unnormalized bar
-    degree-(n-1) chains, in the convention stated in the module
-    docstring (sign (-1)^{(n-1) + Koszul})."""
-    if n < 1:
-        raise CyclicError("n must be >= 1")
-    keys = CyclicBar(a, n - 1, normalized=False).keys_by_bar[n - 1]
-    index = {k: i for i, k in enumerate(keys)}
-    return operator_matrix(a.field, keys, index, lambda key: dict([t_of_key(a, key)]))
-
-
 class MixedComplex:
     """A normalized mixed complex in homological indexing: graded pieces
     with b of degree -1 and B of degree +1, all three identities
@@ -154,12 +143,6 @@ class MixedComplex:
 
     def status(self, n: int) -> str:
         return "exact" if self.plan.exact_at(-n, self.bar_bound) else "truncated"
-
-    def homology_dim(self, n: int) -> int:
-        """Underlying b-homology (= HH_n when the degree is exact)."""
-        b_n = self.b_mats.get(n, Matrix(self.field, self.dim(n - 1), self.dim(n)))
-        b_up = self.b_mats.get(n + 1, Matrix(self.field, self.dim(n), self.dim(n + 1)))
-        return self.dim(n) - rank(b_n) - rank(b_up)
 
 
 def mixed_complex(a: DgCategory, bar_bound: int) -> MixedComplex:

@@ -78,10 +78,6 @@ class DgCategory:
     def hom(self, x, y) -> ChainComplex:
         return self.homs[(x, y)]
 
-    def hom_dims(self, x, y) -> dict:
-        c = self.hom(x, y)
-        return {d: c.dim(d) for d in c.support()}
-
     def unit(self, x) -> dict:
         return self.units[x]
 
@@ -246,38 +242,6 @@ class BarPlan:
         return cap is not None and cap <= bar_bound
 
 
-class DgFunctor:
-    """A dg functor: object map plus a degree-0 chain map per hom pair.
-
-    ``hom_maps[(x, y)][deg]`` is the matrix hom_src(x,y)^deg ->
-    hom_tgt(Fx,Fy)^deg; missing degrees are zero maps.
-    """
-
-    def __init__(self, source: DgCategory, target: DgCategory, object_map, hom_maps, name=""):
-        self.source = source
-        self.target = target
-        self.object_map = dict(object_map)
-        self.hom_maps = dict(hom_maps)
-        self.name = name
-
-    def on_object(self, x):
-        return self.object_map[x]
-
-    def apply_elem(self, x, y, elem: dict) -> dict:
-        f = self.source.field
-        maps = self.hom_maps.get((x, y), {})
-        out = {}
-        for (deg, idx), v in elem.items():
-            m = maps.get(deg)
-            if m is None:
-                continue
-            for (i, j), w in m.entries.items():
-                if j != idx:
-                    continue
-                f.accumulate(out, (deg, i), f.mul(w, v))
-        return out
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -358,35 +322,6 @@ def validate(a: DgCategory) -> ValidationReport:
     return rep
 
 
-def validate_functor(F: DgFunctor) -> ValidationReport:
-    rep = ValidationReport()
-    a, b = F.source, F.target
-    f = a.field
-    for x in a.objects:
-        if not elem_eq(F.apply_elem(x, x, a.unit(x)), b.unit(F.on_object(x))):
-            rep.add("functor unit", (x,))
-    for (x, y) in itertools.product(a.objects, repeat=2):
-        Fx, Fy = F.on_object(x), F.on_object(y)
-        for k in a.basis_keys(x, y):
-            e = {k: f.one()}
-            lhs = F.apply_elem(x, y, a.d_elem(x, y, e))
-            rhs = b.d_elem(Fx, Fy, F.apply_elem(x, y, e))
-            if not elem_eq(lhs, rhs):
-                rep.add("functor chain map", (x, y, k))
-    for (x, y, z) in itertools.product(a.objects, repeat=3):
-        Fx, Fy, Fz = F.on_object(x), F.on_object(y), F.on_object(z)
-        for kg in a.basis_keys(y, z):
-            g = {kg: f.one()}
-            Fg = F.apply_elem(y, z, g)
-            for kf in a.basis_keys(x, y):
-                fe = {kf: f.one()}
-                lhs = F.apply_elem(x, z, a.compose_elems(x, y, z, g, fe))
-                rhs = b.compose_elems(Fx, Fy, Fz, Fg, F.apply_elem(x, y, fe))
-                if not elem_eq(lhs, rhs):
-                    rep.add("functor composition", (x, y, z, kg, kf))
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -444,22 +379,6 @@ def disk_cell(n: int, field: FieldSpec) -> DgCategory:
     cat = _two_object_cell(field, "3", "4", arrow, [(n - 2, 0), (n - 1, 0)])
     cat.name = f"D({n})"
     return cat
-
-
-def cell_inclusion(n: int, field: FieldSpec) -> DgFunctor:
-    """The generating inclusion S(n-1) -> D(n): 1 -> 3, 2 -> 4, sending the
-    sphere generator identically onto the degree n-1 part of the disk."""
-    src = sphere_cell(n - 1, field)
-    tgt = disk_cell(n, field)
-    one = field.one()
-    ident = Matrix(field, 1, 1, {(0, 0): one})
-    hom_maps = {
-        ("1", "1"): {0: ident},
-        ("2", "2"): {0: ident},
-        ("1", "2"): {n - 1: ident},
-        ("2", "1"): {},
-    }
-    return DgFunctor(src, tgt, {"1": "3", "2": "4"}, hom_maps, name=f"iota({n})")
 
 
 def opposite(a: DgCategory) -> DgCategory:
@@ -590,35 +509,6 @@ def tensor_info(cat: DgCategory) -> TensorInfo:
     return info
 
 
-def swap_functor(a: DgCategory, b: DgCategory) -> DgFunctor:
-    """The symmetry tensor(a,b) -> tensor(b,a): (x,y) -> (y,x) with the
-    Koszul sign (-1)^{|f||g|} on f (x) g."""
-    field = a.field
-    src = tensor(a, b)
-    tgt = tensor(b, a)
-    info_s = tensor_info(src)
-    info_t = tensor_info(tgt)
-    object_map = {x: (x[1], x[0]) for x in src.objects}
-    hom_maps = {}
-    for x in src.objects:
-        for y in src.objects:
-            sx, sy = object_map[x], object_map[y]
-            by_degree = info_s.keys[(x, y)]
-            idx_t = info_t.index[(sx, sy)]
-            maps = {}
-            for d, combos in by_degree.items():
-                entries = {}
-                for col, (ka, kb) in enumerate(combos):
-                    dd, row = idx_t[(kb, ka)]
-                    sgn = field.sign(ka[0] * kb[0])
-                    entries[(row, col)] = sgn
-                n_rows = len(info_t.keys[(sx, sy)].get(d, ()))
-                if entries:
-                    maps[d] = Matrix(field, n_rows, len(combos), entries)
-            hom_maps[(x, y)] = maps
-    return DgFunctor(src, tgt, object_map, hom_maps, name="swap")
-
-
 def hom_graph(homs):
     """Digraph on objects with an edge x -> y when hom(x, y) is nonzero."""
     edges = {}
@@ -637,13 +527,3 @@ def walks(objects, edges, m):
     for _ in range(m):
         layer = [w + (y,) for w in layer for y in succ[w[-1]]]
     return layer
-
-
-def rep_saturated(b: DgCategory, a: DgCategory, certificate) -> DgCategory:
-    """Internal-hom model rep(b, a) = opposite(b) (x) a, available once b
-    carries a saturation certificate."""
-    if not getattr(certificate, "saturated", False):
-        raise ValueError("rep_saturated requires a saturation certificate with saturated=True")
-    out = tensor(opposite(b), a)
-    out.name = f"rep({b.name or '?'}, {a.name or '?'})"
-    return out

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 
 from .exactfield import ChainComplex, Matrix, kernel_basis, operator_complex, tensor_complex
-from .dgcore import (DgCategory, DgFunctor, ValidationReport, bar_degree_cap, elem_scale,
+from .dgcore import (DgCategory, ValidationReport, bar_degree_cap, elem_scale,
                      elem_eq, hom_graph, opposite, tensor, tensor_info, walks)
 
 
@@ -188,31 +188,6 @@ def shift_module(m: DgModule, j: int) -> DgModule:
     return DgModule(m.base, values, action, name=f"{m.name}[{j}]" if m.name else "")
 
 
-def pullback_module(F: DgFunctor, m: DgModule) -> DgModule:
-    """Restriction along a dg functor: value(x) = m.value(Fx), action
-    through F; module axioms are inherited."""
-    if m.base is not F.target and m.base != F.target:
-        raise ValueError("module is not over the functor's target")
-    a = F.source
-    f = a.field
-    values = {x: m.value(F.on_object(x)) for x in a.objects}
-    action = {}
-    for (x, y) in itertools.product(a.objects, repeat=2):
-        Fx, Fy = F.on_object(x), F.on_object(y)
-        tab = {}
-        for kf in a.basis_keys(x, y):
-            fe = F.apply_elem(x, y, {kf: f.one()})
-            if not fe:
-                continue
-            for km in m.basis_keys(Fy):
-                out = m.act(Fx, Fy, {km: f.one()}, fe)
-                if out:
-                    tab[(kf, km)] = {i: v for (d, i), v in out.items()}
-        if tab:
-            action[(x, y)] = tab
-    return DgModule(a, values, action, name=m.name)
-
-
 def tensor_action(base: DgCategory, values, act) -> dict:
     """The action table of a right module over the tensor category
     ``base`` with value complexes ``values``: act(xo, yo, hk, vk) is the
@@ -268,33 +243,18 @@ def external_tensor_module(m: DgModule, n: DgModule) -> DgModule:
 # ---------------------------------------------------------------------------
 # bimodules
 
-class Bimodule:
-    """A right module over tensor(opposite(b), a), the model of a morphism
-    b -> a; value((x, y)) is a complex for x in b, y in a."""
-
-    def __init__(self, b_cat: DgCategory, a_cat: DgCategory, module: DgModule, name=""):
-        self.b_cat = b_cat
-        self.a_cat = a_cat
-        self.module = module
-        self.name = name or module.name
-
-    @property
-    def base(self):
-        return self.module.base
-
-    def value(self, pair) -> ChainComplex:
-        return self.module.value(pair)
-
-    def dims(self, pair) -> dict:
-        return self.module.dims(pair)
+def diagonal_bimodule(a: DgCategory) -> DgModule:
+    """The identity bimodule, a right module over tensor(opposite(a), a):
+    value((x, y)) = a.hom(y, x), m.(f (x) g) = (-1)^{|f||m|} f.m.g."""
+    return _diagonal_over(a, tensor(opposite(a), a))
 
 
-def diagonal_bimodule(a: DgCategory) -> Bimodule:
-    """The identity bimodule: value((x, y)) = a.hom(y, x),
-    m.(f (x) g) = (-1)^{|f||m|} f.m.g."""
+def _diagonal_over(a: DgCategory, base: DgCategory) -> DgModule:
+    """The diagonal of a over ``base``, any category with the objects, key
+    tuples and products of tensor(opposite(a), a): the opposite of
+    tensor(opposite(a), a) serves for the diagonal of opposite(a)."""
     f = a.field
     one = f.one()
-    base = tensor(opposite(a), a)
     values = {(x, y): a.hom(y, x) for (x, y) in base.objects}
 
     def act(xo, yo, hk, km):
@@ -308,38 +268,7 @@ def diagonal_bimodule(a: DgCategory) -> Bimodule:
         sgn = f.sign(kf[0] * km[0])
         return {k: f.mul(sgn, v) for k, v in a.compose_elems(y, xp, x, {kf: one}, mg).items()}
 
-    mod = DgModule(base, values, tensor_action(base, values, act), name=f"diag({a.name or '?'})")
-    return Bimodule(a, a, mod, name=mod.name)
-
-
-def restrict(x, bim: Bimodule) -> DgModule:
-    """Fix the first coordinate of a bimodule: the a-module
-    y -> value((x, y)) with the a-action only."""
-    if x not in bim.b_cat.objects:
-        raise ValueError(f"unknown object {x!r}")
-    a = bim.a_cat
-    f = a.field
-    base = bim.base
-    info = tensor_info(base)
-    opp_unit = opposite(bim.b_cat).unit(x)
-    values = {y: bim.value((x, y)) for y in a.objects}
-    action = {}
-    for (y, yp) in itertools.product(a.objects, repeat=2):
-        index = info.index[((x, y), (x, yp))]
-        tab = {}
-        for kg in a.basis_keys(y, yp):
-            # element 1_x (x) g of base.hom((x,y),(x,yp))
-            fe = {}
-            for ku, cu in opp_unit.items():
-                d, i = index[(ku, kg)]
-                fe[(d, i)] = cu
-            for km in bim.module.basis_keys((x, yp)):
-                out = bim.module.act((x, y), (x, yp), {km: f.one()}, fe)
-                if out:
-                    tab[(kg, km)] = {i: v for (d, i), v in out.items()}
-        if tab:
-            action[(y, yp)] = tab
-    return DgModule(a, values, action, name=f"{bim.name}|{x}")
+    return DgModule(base, values, tensor_action(base, values, act), name=f"diag({a.name or '?'})")
 
 
 # ---------------------------------------------------------------------------
@@ -604,14 +533,6 @@ class ModuleMap:
                     if not elem_eq(lhs, rhs):
                         raise ValueError(f"module map fails linearity at {(x, y)}, {kf}, {km}")
         return self
-
-def identity_shift_map(m: DgModule, n: int) -> ModuleMap:
-    """The relabelling identity m -> shift_module(m, -n) as a degree-n map."""
-    dst = shift_module(m, -n)
-    maps = {}
-    for x in m.base.objects:
-        maps[x] = {km: {km[1]: m.base.field.one()} for km in m.basis_keys(x)}
-    return ModuleMap(m, dst, n, maps)
 
 
 def module_map_space(src: DgModule, dst: DgModule, n: int):

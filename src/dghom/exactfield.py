@@ -154,11 +154,6 @@ class Matrix:
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
         return Matrix(field, rows, cols)
 
-    @staticmethod
-    def identity(field: FieldSpec, n: int) -> "Matrix":
-        one = field.one()
-        return Matrix(field, n, n, {(i, i): one for i in range(n)})
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.rows == other.rows and self.cols == other.cols
@@ -202,17 +197,9 @@ class Matrix:
                 f.accumulate(out, (i, j), f.mul(u, v))
         return Matrix(f, self.rows, other.cols, out)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows,
-                      {(j, i): v for (i, j), v in self.entries.items()})
-
-    def column(self, j: int) -> dict:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
-
     def columns(self) -> dict:
         """Every nonzero column at once, {j: {i: scalar}}, in one pass over
-        the entries; index a matrix this way once rather than calling
-        ``column`` per column."""
+        the entries."""
         by_col = {}
         for (i, j), v in self.entries.items():
             by_col.setdefault(j, {})[i] = v

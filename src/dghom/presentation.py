@@ -129,8 +129,10 @@ class Presentation:
                 f.accumulate(out, word[:i] + w2 + word[i + 1:], f.mul(sgn, c))
         return out
 
-    def monomial_relations_only(self) -> bool:
-        return all(len(r.terms) == 1 for r in self.relations)
+    def relations_length_homogeneous(self) -> bool:
+        """Every relation's terms have one word length (monomial relations
+        included), so the relation ideal is spanned length by length."""
+        return all(len({len(w) for w in r.terms}) <= 1 for r in self.relations)
 
 
 def pushout_attach(p: Presentation, n: int, f: PathElement,
@@ -278,8 +280,10 @@ def realize(p: Presentation, degree_bound: int, wordlength_bound: int):
     """Enumerate reduced basis words up to the bounds and assemble the dg
     category.  Returns (category, certificate); the certificate is
     "closed" only when saturation below the bound is provably final
-    (no composable words at some length, or monomial relations with all
-    reduced words dying at some length)."""
+    (no composable words at some length, or relations homogeneous in
+    word length with all words of some length reducing to zero: the
+    ideal vectors span each length of the ideal exactly, so every longer
+    word, a product through that length, lies in the ideal too)."""
     if degree_bound <= 0 or wordlength_bound <= 0:
         raise PresentationError("bounds must be positive")
     f = p.field
@@ -336,9 +340,9 @@ def realize(p: Presentation, degree_bound: int, wordlength_bound: int):
             sat = m
             reason = f"no composable words at length {m}"
             break
-        if p.monomial_relations_only() and m not in reduced_lengths:
+        if p.relations_length_homogeneous() and m not in reduced_lengths:
             sat = m
-            reason = f"monomial relations; all words of length {m} reduce to zero"
+            reason = f"relations homogeneous in word length; all words of length {m} reduce to zero"
             break
     if degree_overflow:
         sat = None

@@ -1,5 +1,9 @@
-"""Properness and smoothness certificates, dualizability data, and Euler
-characteristics computed by two independent routes.
+"""Properness and smoothness certificates, the triangle identities of
+dualizability, and Euler characteristics computed by two independent
+routes.  The dual of a is opposite(a), and evaluation and coevaluation
+are both carried by the diagonal bimodule, so no separate record of the
+dual data is kept: the triangle check and the duality route of the
+Euler characteristic build the modules they need directly.
 
 Smoothness is certified through the minimal-resolution criterion: for
 a degree-0 basic category a whose non-unit span is a nilpotent ideal,
@@ -32,9 +36,9 @@ import itertools
 
 from .exactfield import (ChainComplex, Matrix, Subspace, homology_dims, homology_quotient,
                          tensor_complex)
-from .dgcore import DgCategory, opposite, swap_functor, tensor
-from .dgmod import (BarWindowError, Bimodule, DgModule, bar_composite, diagonal_bimodule,
-                    pullback_module, tensor_action)
+from .dgcore import DgCategory, opposite, tensor
+from .dgmod import (BarWindowError, DgModule, _diagonal_over, bar_composite, diagonal_bimodule,
+                    tensor_action)
 from .hochschild import auto_bar_bound, chain_support_bound, hochschild_complex
 from .monomial import monomial_algebra
 
@@ -225,35 +229,6 @@ def saturation_report(a: DgCategory, bound: int = 6) -> SaturationReport:
     proper, detail = properness_check(a)
     smooth = smoothness_certify(a, bound)
     return SaturationReport(proper, detail, smooth)
-
-
-# ---------------------------------------------------------------------------
-# dualizability data
-
-class DualData:
-    """The dual (= the opposite category) together with evaluation and
-    coevaluation, both carried by the diagonal bimodule in its two
-    orientation roles."""
-
-    def __init__(self, a: DgCategory):
-        self.source = a
-        self.dual = opposite(a)
-        diag = diagonal_bimodule(a)
-        self.ev = Bimodule(a, a, diag.module, name=f"ev({a.name or '?'})")
-        self.coev = Bimodule(a, a, diag.module, name=f"coev({a.name or '?'})")
-
-    def role_swap(self):
-        """The dual data viewed from the opposite side: the pullback of
-        the diagonal along the tensor swap; equals the diagonal of the
-        opposite, and is the independent reference for the twisted
-        module of ``euler_via_duality``."""
-        a = self.source
-        sw = swap_functor(a, opposite(a))
-        return pullback_module(sw, self.ev.module)
-
-
-def dual_data(a: DgCategory) -> DualData:
-    return DualData(a)
 
 
 # ---------------------------------------------------------------------------
@@ -479,20 +454,6 @@ def _comparison_quasi_iso(a: DgCategory, bars, X, Y, window):
     return True, {}
 
 
-def triangle_identity_check_both(a: DgCategory, window, bar_bound=None,
-                                 saturation=None, smooth_bound: int = 6):
-    """Both triangle composites; the second is the first composite of the
-    opposite category, justified by the role-swap symmetry of the dual
-    data."""
-    first = triangle_identity_check(a, window, bar_bound, saturation, smooth_bound)
-    op = opposite(a)
-    op_sat = None
-    if saturation is not None:
-        op_sat = saturation_report(op, smooth_bound)
-    second = triangle_identity_check(op, window, bar_bound, op_sat, smooth_bound)
-    return first, second
-
-
 # ---------------------------------------------------------------------------
 # Euler characteristics, two routes
 
@@ -557,9 +518,9 @@ def euler_via_duality(a: DgCategory, window=None, bar_bound=None,
     else:
         status = "bound_limited" if vanish is None else "exact"
     diag = diagonal_bimodule(a)
-    twisted = diagonal_bimodule(opposite(a)).module
+    twisted = _diagonal_over(opposite(a), opposite(diag.base))
     lo, hi = window
-    res = bar_composite(diag.module, twisted, diag.base, (-hi, -lo), bar_bound)
+    res = bar_composite(diag, twisted, diag.base, (-hi, -lo), bar_bound)
     if res.flag != "exact":
         status = "bound_limited"
     cx = res.complexes[()]

@@ -22,6 +22,16 @@ def rng():
     return random.Random(0xD64)
 
 
+def hom_dims(cat, x, y):
+    """{degree: dimension} of hom(x, y) over its support."""
+    c = cat.hom(x, y)
+    return {d: c.dim(d) for d in c.support()}
+
+
+def identity(field, n):
+    return Matrix(field, n, n, {(i, i): field.one() for i in range(n)})
+
+
 def exterior_deg(field, degree):
     """k[x]/(x^2) with the generator in the given cohomological degree."""
     pres = from_quiver(field, ["v"], [("x", "v", "v", degree)],

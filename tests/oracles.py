@@ -23,12 +23,22 @@ time where the library solves for the largest one.
 `reference_smoothness_tor` computes the smoothness Tor over the
 enveloping category a (x) a^op, with `semisimple_quotient_left_module`,
 where the library bars over a alone.  `bprime_of` (b' summed from the
-library's faces) is a test helper the library no longer carries.
+library's faces) is a test helper the library no longer carries.  So
+are the functor section's `DgFunctor`, `validate_functor`,
+`swap_functor` and `pullback_module`, the role-swap reference for the
+twisted module of `euler_via_duality` (the diagonal pulled back along
+the tensor swap), `restrict` (one slot of a diagonal bimodule fixed)
+and `cyclic_operator` (the matrix of t on unnormalized bar chains);
+they share the library's conventions.
 """
 
 import itertools
 
-from dghom.exactfield import FieldSpec
+from dghom.cyclic import CyclicError, t_of_key
+from dghom.dgcore import DgCategory, ValidationReport, elem_eq, tensor, tensor_info
+from dghom.dgmod import DgModule
+from dghom.exactfield import FieldSpec, Matrix, operator_matrix
+from dghom.hochschild import CyclicBar
 
 
 def dense_rank(rows, field: FieldSpec) -> int:
@@ -862,6 +872,166 @@ def reference_smoothness_tor(a, bound):
     from dghom.exactfield import homology_dims
     diag = diagonal_bimodule(a)
     s_mod = semisimple_quotient_left_module(a)
-    res = bar_composite(diag.module, s_mod, diag.base, (-(bound + 1), 0))
+    res = bar_composite(diag, s_mod, diag.base, (-(bound + 1), 0))
     dims = homology_dims(res.complexes[()], (-(bound + 1), 0))
     return {n: dims[-n] for n in range(bound + 2)}
+
+
+# ---------------------------------------------------------------------------
+# dg functors, restriction and the cyclic operator matrix, which the
+# library no longer carries
+
+class DgFunctor:
+    """A dg functor: object map plus a degree-0 chain map per hom pair.
+
+    ``hom_maps[(x, y)][deg]`` is the matrix hom_src(x,y)^deg ->
+    hom_tgt(Fx,Fy)^deg; missing degrees are zero maps.
+    """
+
+    def __init__(self, source: DgCategory, target: DgCategory, object_map, hom_maps, name=""):
+        self.source = source
+        self.target = target
+        self.object_map = dict(object_map)
+        self.hom_maps = dict(hom_maps)
+        self.name = name
+
+    def on_object(self, x):
+        return self.object_map[x]
+
+    def apply_elem(self, x, y, elem: dict) -> dict:
+        f = self.source.field
+        maps = self.hom_maps.get((x, y), {})
+        out = {}
+        for (deg, idx), v in elem.items():
+            m = maps.get(deg)
+            if m is None:
+                continue
+            for (i, j), w in m.entries.items():
+                if j != idx:
+                    continue
+                f.accumulate(out, (deg, i), f.mul(w, v))
+        return out
+
+
+def validate_functor(F: DgFunctor) -> ValidationReport:
+    rep = ValidationReport()
+    a, b = F.source, F.target
+    f = a.field
+    for x in a.objects:
+        if not elem_eq(F.apply_elem(x, x, a.unit(x)), b.unit(F.on_object(x))):
+            rep.add("functor unit", (x,))
+    for (x, y) in itertools.product(a.objects, repeat=2):
+        Fx, Fy = F.on_object(x), F.on_object(y)
+        for k in a.basis_keys(x, y):
+            e = {k: f.one()}
+            lhs = F.apply_elem(x, y, a.d_elem(x, y, e))
+            rhs = b.d_elem(Fx, Fy, F.apply_elem(x, y, e))
+            if not elem_eq(lhs, rhs):
+                rep.add("functor chain map", (x, y, k))
+    for (x, y, z) in itertools.product(a.objects, repeat=3):
+        Fx, Fy, Fz = F.on_object(x), F.on_object(y), F.on_object(z)
+        for kg in a.basis_keys(y, z):
+            g = {kg: f.one()}
+            Fg = F.apply_elem(y, z, g)
+            for kf in a.basis_keys(x, y):
+                fe = {kf: f.one()}
+                lhs = F.apply_elem(x, z, a.compose_elems(x, y, z, g, fe))
+                rhs = b.compose_elems(Fx, Fy, Fz, Fg, F.apply_elem(x, y, fe))
+                if not elem_eq(lhs, rhs):
+                    rep.add("functor composition", (x, y, z, kg, kf))
+    return rep
+
+
+def swap_functor(a: DgCategory, b: DgCategory) -> DgFunctor:
+    """The symmetry tensor(a,b) -> tensor(b,a): (x,y) -> (y,x) with the
+    Koszul sign (-1)^{|f||g|} on f (x) g."""
+    field = a.field
+    src = tensor(a, b)
+    tgt = tensor(b, a)
+    info_s = tensor_info(src)
+    info_t = tensor_info(tgt)
+    object_map = {x: (x[1], x[0]) for x in src.objects}
+    hom_maps = {}
+    for x in src.objects:
+        for y in src.objects:
+            sx, sy = object_map[x], object_map[y]
+            by_degree = info_s.keys[(x, y)]
+            idx_t = info_t.index[(sx, sy)]
+            maps = {}
+            for d, combos in by_degree.items():
+                entries = {}
+                for col, (ka, kb) in enumerate(combos):
+                    dd, row = idx_t[(kb, ka)]
+                    sgn = field.sign(ka[0] * kb[0])
+                    entries[(row, col)] = sgn
+                n_rows = len(info_t.keys[(sx, sy)].get(d, ()))
+                if entries:
+                    maps[d] = Matrix(field, n_rows, len(combos), entries)
+            hom_maps[(x, y)] = maps
+    return DgFunctor(src, tgt, object_map, hom_maps, name="swap")
+
+
+def pullback_module(F: DgFunctor, m: DgModule) -> DgModule:
+    """Restriction along a dg functor: value(x) = m.value(Fx), action
+    through F; module axioms are inherited."""
+    if m.base is not F.target and m.base != F.target:
+        raise ValueError("module is not over the functor's target")
+    a = F.source
+    f = a.field
+    values = {x: m.value(F.on_object(x)) for x in a.objects}
+    action = {}
+    for (x, y) in itertools.product(a.objects, repeat=2):
+        Fx, Fy = F.on_object(x), F.on_object(y)
+        tab = {}
+        for kf in a.basis_keys(x, y):
+            fe = F.apply_elem(x, y, {kf: f.one()})
+            if not fe:
+                continue
+            for km in m.basis_keys(Fy):
+                out = m.act(Fx, Fy, {km: f.one()}, fe)
+                if out:
+                    tab[(kf, km)] = {i: v for (d, i), v in out.items()}
+        if tab:
+            action[(x, y)] = tab
+    return DgModule(a, values, action, name=m.name)
+
+
+def restrict(x, diag: DgModule) -> DgModule:
+    """Fix the first coordinate of a diagonal bimodule, a module over
+    tensor(opposite(a), a): the a-module y -> value((x, y)) with the
+    a-action only."""
+    info = tensor_info(diag.base)
+    op_a, a = info.factors
+    if x not in op_a.objects:
+        raise ValueError(f"unknown object {x!r}")
+    f = a.field
+    opp_unit = op_a.unit(x)
+    values = {y: diag.value((x, y)) for y in a.objects}
+    action = {}
+    for (y, yp) in itertools.product(a.objects, repeat=2):
+        index = info.index[((x, y), (x, yp))]
+        tab = {}
+        for kg in a.basis_keys(y, yp):
+            # element 1_x (x) g of base.hom((x,y),(x,yp))
+            fe = {}
+            for ku, cu in opp_unit.items():
+                d, i = index[(ku, kg)]
+                fe[(d, i)] = cu
+            for km in diag.basis_keys((x, yp)):
+                out = diag.act((x, y), (x, yp), {km: f.one()}, fe)
+                if out:
+                    tab[(kg, km)] = {i: v for (d, i), v in out.items()}
+        if tab:
+            action[(y, yp)] = tab
+    return DgModule(a, values, action, name=f"{diag.name}|{x}")
+
+
+def cyclic_operator(a: DgCategory, n: int) -> Matrix:
+    """The matrix of the cyclic operator on unnormalized bar
+    degree-(n-1) chains, in the convention stated in the docstring of
+    dghom.cyclic (sign (-1)^{(n-1) + Koszul})."""
+    if n < 1:
+        raise CyclicError("n must be >= 1")
+    keys = CyclicBar(a, n - 1, normalized=False).keys_by_bar[n - 1]
+    index = {k: i for i, k in enumerate(keys)}
+    return operator_matrix(a.field, keys, index, lambda key: dict([t_of_key(a, key)]))

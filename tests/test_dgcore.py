@@ -3,16 +3,16 @@ import itertools
 import pytest
 
 from dghom.exactfield import homology_dims, rank
-from dghom.dgcore import (DgCategory, cell_inclusion, disk_cell, opposite, rep_saturated,
-                          sphere_cell, swap_functor, tensor, unit_category, validate,
-                          validate_functor)
-from conftest import Q, F2, random_small_category
+from dghom.dgcore import (DgCategory, disk_cell, opposite, sphere_cell, tensor, unit_category,
+                          validate)
+from conftest import Q, F2, hom_dims, random_small_category
+from oracles import swap_functor, validate_functor
 
 class TestValidate:
     def test_unit_category(self):
         u = unit_category(Q)
         assert validate(u).ok
-        assert u.hom_dims("*", "*") == {0: 1}
+        assert hom_dims(u, "*", "*") == {0: 1}
 
     def test_unit_category_f2(self):
         u = unit_category(F2)
@@ -41,25 +41,17 @@ class TestValidate:
 class TestCells:
     def test_sphere_dims(self):
         s = sphere_cell(0, Q)
-        assert s.hom_dims("1", "2") == {0: 1}
-        assert s.hom_dims("2", "1") == {}
+        assert hom_dims(s, "1", "2") == {0: 1}
+        assert hom_dims(s, "2", "1") == {}
         s3 = sphere_cell(3, Q)
-        assert s3.hom_dims("1", "2") == {3: 1}
+        assert hom_dims(s3, "1", "2") == {3: 1}
 
     def test_disk_is_acyclic_cone(self):
         d = disk_cell(0, Q)
-        dims = d.hom_dims("3", "4")
+        dims = hom_dims(d, "3", "4")
         assert sorted(dims) == [-2, -1] and set(dims.values()) == {1}
         assert rank(d.hom("3", "4").diff(-2)) == 1
         assert homology_dims(d.hom("3", "4"), (-3, 0)) == {-3: 0, -2: 0, -1: 0, 0: 0}
-
-    @pytest.mark.parametrize("n", [0, 1, 2])
-    def test_inclusion_is_a_functor(self, n):
-        f = cell_inclusion(n, Q)
-        assert validate_functor(f).ok
-        # identity on the degree n-1 generator
-        img = f.apply_elem("1", "2", {(n - 1, 0): Q.one()})
-        assert img == {(n - 1, 0): Q.one()}
 
 
 class TestOpposite:
@@ -76,13 +68,13 @@ class TestOpposite:
     def test_sphere_swaps_direction(self):
         s = sphere_cell(2, Q)
         op = opposite(s)
-        assert op.hom_dims("2", "1") == {2: 1}
-        assert op.hom_dims("1", "2") == {}
+        assert hom_dims(op, "2", "1") == {2: 1}
+        assert hom_dims(op, "1", "2") == {}
 
     def test_path_algebra_reversed(self, corpus):
         op = opposite(corpus["path12"])
-        assert op.hom_dims("2", "1") == {0: 1}
-        assert op.hom_dims("1", "2") == {}
+        assert hom_dims(op, "2", "1") == {0: 1}
+        assert hom_dims(op, "1", "2") == {}
         assert validate(op).ok
 
 
@@ -91,7 +83,7 @@ class TestTensor:
         a = corpus["path12"]
         t = tensor(unit_category(Q), a)
         for (x, y) in itertools.product(a.objects, repeat=2):
-            assert t.hom_dims(("*", x), ("*", y)) == a.hom_dims(x, y)
+            assert hom_dims(t, ("*", x), ("*", y)) == hom_dims(a, x, y)
         assert validate(t).ok
 
     def test_unit_tensor_unit(self):
@@ -101,7 +93,7 @@ class TestTensor:
 
     def test_sphere_zero_squared(self):
         t = tensor(sphere_cell(0, Q), sphere_cell(0, Q))
-        assert t.hom_dims(("1", "1"), ("2", "2")) == {0: 1}
+        assert hom_dims(t, ("1", "1"), ("2", "2")) == {0: 1}
 
     def test_dims_are_convolutions(self, rng):
         for _ in range(6):
@@ -110,9 +102,9 @@ class TestTensor:
             t = tensor(a, b)
             for (x, xp) in itertools.product(a.objects, repeat=2):
                 for (y, yp) in itertools.product(b.objects, repeat=2):
-                    da = a.hom_dims(x, xp)
-                    db = b.hom_dims(y, yp)
-                    dt = t.hom_dims((x, y), (xp, yp))
+                    da = hom_dims(a, x, xp)
+                    db = hom_dims(b, y, yp)
+                    dt = hom_dims(t, (x, y), (xp, yp))
                     degs = set()
                     for i in da:
                         for j in db:
@@ -146,30 +138,3 @@ class TestTensor:
             a = random_small_category(rng, max_dim=3)
             b = random_small_category(rng, max_dim=3)
             assert opposite(tensor(a, b)) == tensor(opposite(a), opposite(b))
-
-
-class TestRepSaturated:
-    def test_requires_certificate(self, corpus):
-        class Cert:
-            saturated = False
-        with pytest.raises(ValueError):
-            rep_saturated(corpus["unit"], corpus["path12"], Cert())
-
-    def test_unit_rep(self, corpus):
-        class Cert:
-            saturated = True
-        a = corpus["path12"]
-        r = rep_saturated(unit_category(Q), a, Cert())
-        assert len(r.objects) == len(a.objects)
-        for (x, y) in itertools.product(a.objects, repeat=2):
-            assert r.hom_dims(("*", x), ("*", y)) == a.hom_dims(x, y)
-
-    def test_sphere_rep_is_tensor(self, corpus):
-        class Cert:
-            saturated = True
-        a = corpus["kx2"]
-        s = sphere_cell(1, Q)
-        r = rep_saturated(s, a, Cert())
-        t = tensor(opposite(s), a)
-        assert r == t
-        assert len(r.objects) == len(s.objects) * len(a.objects)

@@ -100,13 +100,18 @@ def monomial_quivers(draw):
     return cat
 
 
-@settings(max_examples=40, deadline=None,
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much,
                                  HealthCheck.function_scoped_fixture])
 @given(cat=monomial_quivers())
 def test_ap_route_matches_bar_on_random_monomial_quivers(cat, monkeypatch):
     assert monomial_algebra(cat) is not None
     assert answers(cat, 3, 4) == bar_answers(monkeypatch, cat, 3, 4)
+
+
+def kxy_commutative_quiver(wordlength):
+    return quiver_text("q", ["v"], [("x", "v", "v"), ("y", "v", "v")],
+                       ["x.x", "y.y", "1 x.y -1 y.x"], wordlength)
 
 
 REFUSED = {
@@ -116,6 +121,8 @@ REFUSED = {
                        + "".join(f"basis v v {k} 0\n" for k in "exyz") + "unit v e 1\n"
                        + "".join(f"compose v v v {g} {f} {h} 1\n" for g, f, h in
                                  ["eee", "exx", "xex", "eyy", "yey", "ezz", "zez", "xyz", "yxz"]),
+    # the same algebra as a quiver, which realizes closed at wordlength 4
+    "kxy_commutative_quiver": kxy_commutative_quiver(4),
     "commutative_square": quiver_text("q", ["1", "2", "3", "4"],
                                       [("a", "1", "2"), ("b", "2", "4"),
                                        ("c", "1", "3"), ("d", "3", "4")],
@@ -135,6 +142,31 @@ def test_refused_inputs_stay_on_the_bar(name, monkeypatch):
     monkeypatch.setattr(monomial.MonomialAlgebra, "chains", refuse)
     assert len(hh_dims(cat, 3)) == 4
     assert len(smoothness_certify(cat, 3).tor_dims) in (0, 5)
+
+
+@pytest.mark.parametrize("wordlength", [4, 5])
+def test_binomial_quiver_realizes_closed(wordlength):
+    # relations homogeneous in word length: every word of length 3 dies,
+    # so the quiver is the closed k[x,y]/(x^2, y^2, xy - yx)
+    cat, cert = loads(kxy_commutative_quiver(wordlength))
+    assert cert.is_closed and cert.saturation_length == 3
+    assert answers(cat, 3, 3) == answers(load(REFUSED["kxy_commutative"]), 3, 3)
+    # Kunneth for k[x]/(x^2) (x) k[y]/(y^2)
+    assert hh_dims(cat, 3) == {n: (d, "exact") for n, d in enumerate([4, 4, 5, 6])}
+
+
+def test_binomial_quiver_truncated_at_wordlength_3():
+    # the words die at length 3, but xy.xy has length 4, past the bound
+    _cat, cert = loads(kxy_commutative_quiver(3))
+    assert not cert.is_closed and cert.truncated_products > 0
+
+
+def test_relation_of_mixed_word_lengths_stays_truncated():
+    # x.x = x: its terms differ in length, so the dying of long words
+    # proves nothing about the ideal and the realization is not closed
+    _cat, cert = loads("quiver\nfield q\nwordlength 4\nvertex v\narrow x v v\n"
+                       "relation 1 x.x -1 x\n")
+    assert not cert.is_closed
 
 
 def test_refused_commutative_square_keeps_its_answers():

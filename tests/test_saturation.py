@@ -1,15 +1,14 @@
 import pytest
 
-from dghom import hochschild, saturation
+from dghom import dgcore, dgmod, hochschild, saturation
 from dghom.dgcore import disk_cell, opposite, sphere_cell, tensor
-from dghom.dgmod import BarWindowError, diagonal_bimodule, validate_module
+from dghom.dgmod import BarWindowError, _diagonal_over, diagonal_bimodule, validate_module
 from dghom.hochschild import hh_dims
 from dghom.presentation import from_quiver, realize
-from dghom.saturation import (dual_data, euler_report, euler_via_duality, euler_via_hh,
-                              properness_check, saturation_report, smoothness_certify,
-                              triangle_identity_check, triangle_identity_check_both)
-from conftest import Q
-from oracles import semisimple_quotient_left_module
+from dghom.saturation import (euler_report, euler_via_duality, euler_via_hh, properness_check,
+                              saturation_report, smoothness_certify, triangle_identity_check)
+from conftest import Q, hom_dims
+from oracles import pullback_module, semisimple_quotient_left_module, swap_functor
 from test_triangle_modules import a3
 
 
@@ -97,33 +96,50 @@ compose v v v u e e 1
 
 
 class TestDualData:
+    """The dual data of a: the dual opposite(a), with evaluation and
+    coevaluation both carried by the diagonal bimodule."""
+
     def test_unit(self, corpus):
-        dd = dual_data(corpus["unit"])
-        assert dd.ev.dims(("*", "*")) == {0: 1}
-        assert dd.ev.module == dd.coev.module
+        assert diagonal_bimodule(corpus["unit"]).dims(("*", "*")) == {0: 1}
 
     def test_dims_are_hom_dims(self, corpus):
         a = corpus["path12"]
-        dd = dual_data(a)
+        diag = diagonal_bimodule(a)
         for x in a.objects:
             for y in a.objects:
-                assert dd.ev.dims((x, y)) == a.hom_dims(y, x)
+                assert diag.dims((x, y)) == hom_dims(a, y, x)
 
     def test_sphere_diagonal(self):
-        s = sphere_cell(2, Q)
-        dd = dual_data(s)
-        assert dd.ev.dims(("1", "2")) == {}
-        assert dd.ev.dims(("2", "1")) == {2: 1}
+        diag = diagonal_bimodule(sphere_cell(2, Q))
+        assert diag.dims(("1", "2")) == {}
+        assert diag.dims(("2", "1")) == {2: 1}
 
     def test_role_swap_is_dual_of_opposite(self, corpus):
         """The swap pullback of the diagonal is the diagonal of the
         opposite, the twisted module of the duality route of the Euler
-        characteristic."""
+        characteristic, which that route builds over
+        opposite(diag.base); both equal diagonal_bimodule(opposite(a))."""
         cats = [corpus[name] for name in ("unit", "kxk", "path12", "kx2")]
         cats += [a3(), a3(ab_zero=True), a3((1, -1)), sphere_cell(2, Q), disk_cell(1, Q),
                  disk_cell(2, Q)]
         for a in cats:
-            assert dual_data(a).role_swap() == diagonal_bimodule(opposite(a)).module, a.name
+            diag = diagonal_bimodule(a)
+            swapped = pullback_module(swap_functor(a, opposite(a)), diag)
+            assert swapped == _diagonal_over(opposite(a), opposite(diag.base)), a.name
+            assert swapped == diagonal_bimodule(opposite(a)), a.name
+
+    def test_duality_route_builds_one_tensor(self, monkeypatch):
+        """euler_via_duality tensors once, for the diagonal's base; the
+        twisted diagonal is built over the opposite of that base."""
+        calls = []
+
+        def counting(*cats):
+            calls.append(len(cats))
+            return tensor(*cats)
+        for module in (dgcore, dgmod, saturation):
+            monkeypatch.setattr(module, "tensor", counting)
+        euler_via_duality(a3())
+        assert calls == [2]
 
 
 class TestTriangle:
@@ -134,7 +150,10 @@ class TestTriangle:
         assert res.evidence == "quasi-isomorphism"
 
     def test_both_composites(self, corpus):
-        first, second = triangle_identity_check_both(corpus["path12"], (-2, 2))
+        # the second composite is the first one of the opposite category
+        a = corpus["path12"]
+        first = triangle_identity_check(a, (-2, 2))
+        second = triangle_identity_check(opposite(a), (-2, 2))
         assert first.status == "pass" and second.status == "pass"
 
     @pytest.mark.parametrize("bound", [2, 4, 6])

@@ -41,7 +41,7 @@ def test_assembled_entries_are_exact(corpus):
         mx = mixed_complex(cat, 4)
         values += _values(list(mx.b_mats.values()) + list(mx.B_mats.values()))
         diag = diagonal_bimodule(cat)
-        res = bar_composite(diag.module, semisimple_quotient_left_module(cat), diag.base, (-3, 0))
+        res = bar_composite(diag, semisimple_quotient_left_module(cat), diag.base, (-3, 0))
         values += _values(m for cx in res.complexes.values() for m in cx.diffs.values())
         X, Y, mid = _triangle_modules(cat)
         for x, w in itertools.product(X, Y):

@@ -1,10 +1,12 @@
 """Leftovers of deletions: every name a module of src/dghom imports is
 used in that module (or listed in its ``__all__``), every private
 (``_``-prefixed) module-level function, class or method is referenced
-somewhere in src/dghom, and every public one somewhere in src/, tests/
-or perfbench/."""
+somewhere in src/dghom, and every public one somewhere in src/dghom, in
+perfbench/ or in a code span of README.md.  Tests do not count as
+callers: a definition only a test reaches belongs in the tests."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,9 +50,18 @@ def test_every_private_definition_is_referenced():
                 assert defined in used, f"{name}: {defined} is never referenced"
 
 
+def _readme_names():
+    """Identifiers inside the backtick code spans and fenced blocks of
+    README.md."""
+    text = (ROOT / "README.md").read_text()
+    spans = re.findall(r"```.*?```|`[^`\n]+`", text, flags=re.S)
+    return {name for span in spans for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
 def test_every_public_definition_is_referenced():
-    files = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
     used = set().union(*(_used_names(ast.parse(p.read_text())) for p in files))
+    used |= _readme_names()
     for name, tree in TREES.items():
         for defined in _definitions(tree):
             if not defined.startswith("_"):

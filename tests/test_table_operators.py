@@ -96,8 +96,8 @@ def test_bar_differential_smoothness_route(corpus):
     for cat in list(corpus.values()) + [matrix_category(Q)]:
         diag = diagonal_bimodule(cat)
         s_mod = semisimple_quotient_left_module(cat)
-        res = bar_composite(diag.module, s_mod, diag.base, (-3, 0))
-        assert _bar_diff_agrees(diag.module, s_mod, diag.base, res)
+        res = bar_composite(diag, s_mod, diag.base, (-3, 0))
+        assert _bar_diff_agrees(diag, s_mod, diag.base, res)
 
 
 def test_bar_differential_with_spectators(corpus, rng):
