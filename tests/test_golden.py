@@ -32,6 +32,11 @@ def _cases():
     cases["check.json"] = ["check", "--corpus", "corpus", "--bound", "4"]
     # the serialized tensor category: hom labels, structure constants and order
     cases["tensor.path12.quiver.kx2.quiver.dg"] = ["tensor", "corpus/path12.quiver", "corpus/kx2.quiver"]
+    # realization: cell attachments, a binomial relation and a graded path
+    cases["cell.sphere.1.dg"] = ["cell", "sphere", "1"]
+    cases["cell.disk.2.dg"] = ["cell", "disk", "2"]
+    for name in ("binomial.quiver", "graded_path.quiver"):
+        cases[f"op.{name}.dg"] = ["op", f"tests/golden/{name}"]
     return cases
 
 
