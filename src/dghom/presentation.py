@@ -140,7 +140,8 @@ def pushout_attach(p: Presentation, n: int, f: PathElement,
     """Attach a cell of dimension n along the closed degree-(n-1) element
     f: the new presentation has one extra generator h with d(h) = f in
     degree n-2 (the attached generator sits one degree below its
-    boundary)."""
+    boundary).  f is closed when d(f), homogeneous of degree n, reduces
+    to zero modulo the relations among the words up to its longest."""
     deg = p.element_degree(f)
     if deg is None:
         deg = n - 1
@@ -148,8 +149,8 @@ def pushout_attach(p: Presentation, n: int, f: PathElement,
         raise PresentationError(f"attaching element has degree {deg}, expected {n - 1}")
     out = p.copy()
     out._check_homogeneous(f, n - 1)
-    df = _reduce_formal(out, _d_of_element(out, f))
-    if df:
+    df = _d_of_element(out, f)
+    if df and _Reducer(out, _words(out, max(map(len, df)))[1][(f.src, f.tgt, n)]).reduce(df):
         raise PresentationError("attaching element is not closed")
     gname = name or out.fresh_name()
     out.generators[gname] = (f.src, f.tgt, n - 2)
@@ -176,91 +177,69 @@ def _d_of_element(p: Presentation, e: PathElement) -> dict:
     return out
 
 
-def _reduce_formal(p: Presentation, terms: dict) -> dict:
-    """Reduce a word combination modulo the relation ideal, enumerating
-    ideal elements only up to the lengths present in the combination.
-    Sound for monomial relations and for finite word sets."""
-    if not terms:
-        return {}
-    max_len = max(len(w) for w in terms)
-    words_by_sig = {}
-    for w in terms:
-        s, t = p.word_endpoints(w)
-        words_by_sig.setdefault((s, t, p.word_degree(w)), set()).add(w)
-    out = {}
-    for sig, wordset in words_by_sig.items():
-        sub = {w: terms[w] for w in wordset}
-        red = _reduce_in_signature(p, sig, sub, max_len)
-        out.update(red)
-    return {w: v for w, v in out.items() if v}
-
-
-def _all_words(p: Presentation, max_len: int):
-    """All composable words up to max_len, grouped by length."""
-    by_len = [[((), x) for x in p.objects]]
+def _words(p: Presentation, max_len: int):
+    """Every composable word up to max_len, extended layer by layer with
+    its signature (source, target, degree).  Returns the layers, lists of
+    (word, signature), and the words of each signature in (length, word)
+    order: words of one source extend in order by generators in name
+    order, so each layer of a signature is already sorted."""
     outgoing = {}
-    for name, (src, tgt, deg) in p.generators.items():
-        outgoing.setdefault(src, []).append(name)
-    for x in outgoing:
-        outgoing[x].sort()
-    for ell in range(1, max_len + 1):
-        layer = []
-        for word, end in by_len[ell - 1]:
-            for g in outgoing.get(end, ()):
-                layer.append((word + (g,), p.generators[g][1]))
-        by_len.append(layer)
-    return by_len
+    for name, (src, tgt, deg) in sorted(p.generators.items()):
+        outgoing.setdefault(src, []).append((name, tgt, deg))
+    by_len = [[((), (x, x, 0)) for x in p.objects]]
+    for _ in range(max_len):
+        by_len.append([(w + (g,), (s, t, d + dg)) for w, (s, y, d) in by_len[-1]
+                       for g, t, dg in outgoing.get(y, ())])
+    by_sig = {}
+    for layer in by_len:
+        for w, sig in layer:
+            by_sig.setdefault(sig, []).append(w)
+    return by_len, by_sig
 
 
 def _ideal_vectors(p: Presentation, words, index):
-    """Spanning vectors of the relation ideal within the given word set."""
+    """Spanning vectors of the relation ideal within the word list: the
+    vector of u.r.v for each occurrence u + (first term of r) + v in a
+    listed word whose terms u + r_i + v are all listed.  Every other term
+    of r names the same vectors."""
     vectors = []
     for r in p.relations:
-        rwords = list(r.terms)
+        if r.is_zero():
+            continue
+        lead = next(iter(r.terms))
         for w in words:
-            # occurrences u + rw + v inside tracked words: substitute each term
-            for u_len in range(len(w) + 1):
-                u = w[:u_len]
-                rest = w[u_len:]
-                for rw in rwords:
-                    if rest[:len(rw)] != rw:
-                        continue
-                    v = rest[len(rw):]
-                    vec = {}
-                    ok = True
-                    for rw2, c in r.terms.items():
-                        cand = u + rw2 + v
-                        if cand not in index:
-                            ok = False
-                            break
-                        vec[index[cand]] = c
-                    if ok and vec:
+            for i in range(len(w) - len(lead) + 1):
+                if w[i:i + len(lead)] == lead:
+                    u, v = w[:i], w[i + len(lead):]
+                    vec = {index.get(u + t + v): c for t, c in r.terms.items()}
+                    if None not in vec:
                         vectors.append(vec)
     return vectors
 
 
-def _reduce_in_signature(p: Presentation, sig, sub: dict, max_len: int) -> dict:
-    src, tgt, deg = sig
-    words = []
-    for ell, layer in enumerate(_all_words(p, max_len)):
-        for word, end in layer:
-            s, t = p.word_endpoints(word, src_hint=end)
-            if (s, t) == (src, tgt) and p.word_degree(word) == deg:
-                words.append(word)
-    words.sort(key=lambda w: (len(w), w))
-    n = len(words)
-    index = {w: n - 1 - i for i, w in enumerate(words)}  # longest word = smallest index
-    back = {v: k for k, v in index.items()}
-    sp = Subspace(p.field)
-    for vec in _ideal_vectors(p, words, index):
-        sp.insert(vec)
-    query = {}
-    for w, c in sub.items():
-        if w not in index:
-            raise PresentationError(f"word {w} outside reduction window")
-        query[index[w]] = c
-    res = sp.residual(query)
-    return {back[i]: v for i, v in res.items()}
+class _Reducer:
+    """Reduction modulo the relation ideal among the words of one
+    signature, given in (length, word) order.  Index 0 is the longest
+    word: the echelon basis of the ideal vectors pivots on the smallest
+    index, so the pivots are leading words and the others, ``kept``, are
+    a basis of the quotient."""
+
+    def __init__(self, p: Presentation, words):
+        self.words = words[::-1]
+        self.index = {w: i for i, w in enumerate(self.words)}
+        self.ideal = Subspace(p.field)
+        for vec in _ideal_vectors(p, words, self.index):
+            self.ideal.insert(vec)
+        self.kept = [w for w in words if self.index[w] not in self.ideal.pivot_rows]
+
+    def reduce(self, terms: dict):
+        """Normal form of a word combination in the kept words, or None
+        when one of its words is not in the list."""
+        index = self.index
+        if any(w not in index for w in terms):
+            return None
+        res = self.ideal.residual({index[w]: c for w, c in terms.items()})
+        return {self.words[i]: c for i, c in res.items()}
 
 
 @dataclass
@@ -283,134 +262,87 @@ def realize(p: Presentation, degree_bound: int, wordlength_bound: int):
     (no composable words at some length, or relations homogeneous in
     word length with all words of some length reducing to zero: the
     ideal vectors span each length of the ideal exactly, so every longer
-    word, a product through that length, lies in the ideal too)."""
+    word, a product through that length, lies in the ideal too) and no
+    product or differential of basis words falls past the bounds."""
     if degree_bound <= 0 or wordlength_bound <= 0:
         raise PresentationError("bounds must be positive")
     f = p.field
-    by_len = _all_words(p, wordlength_bound)
-    degree_overflow = False
+    by_len, by_sig = _words(p, wordlength_bound)
+    degree_overflow = any(abs(d) > degree_bound for (_, _, d) in by_sig)
 
     # reduced basis per (src, tgt, degree): words not in the ideal span
-    signature_words = {}
-    for layer in by_len:
-        for word, end in layer:
-            s, t = p.word_endpoints(word, src_hint=end)
-            d = p.word_degree(word)
-            if abs(d) > degree_bound:
-                degree_overflow = True
-                continue
-            signature_words.setdefault((s, t, d), []).append(word)
-
-    reducers = {}
-    basis = {}
-    for sig, words in signature_words.items():
-        words = sorted(set(words), key=lambda w: (len(w), w))
-        n = len(words)
-        index = {w: n - 1 - i for i, w in enumerate(words)}
-        sp = Subspace(f)
-        for vec in _ideal_vectors(p, words, index):
-            sp.insert(vec)
-        kept = [w for w in words if index[w] not in sp.pivot_rows]
-        reducers[sig] = (sp, index, {v: k for k, v in index.items()})
-        basis[sig] = kept
+    reducers = {sig: _Reducer(p, words) for sig, words in by_sig.items()
+                if abs(sig[2]) <= degree_bound}
+    basis = {sig: r.kept for sig, r in reducers.items()}
     for x in p.objects:
-        sig = (x, x, 0)
-        if sig not in basis or () not in basis[sig]:
+        if () not in basis.get((x, x, 0), ()):
             raise PresentationError(f"relations kill the unit at {x}")
-
-    def reduce_words(terms: dict, sig):
-        if sig not in reducers:
-            return None  # outside realized window
-        sp, index, back = reducers[sig]
-        query = {}
-        for w, c in terms.items():
-            if w not in index:
-                return None
-            query[index[w]] = c
-        res = sp.residual(query)
-        return {back[i]: v for i, v in res.items()}
-
-    # saturation analysis
-    reduced_lengths = {len(w) for sig in basis for w in basis[sig]}
-    composable_lengths = {ell for ell, layer in enumerate(by_len) if layer}
-    sat = None
-    reason = ""
-    for m in range(1, wordlength_bound + 1):
-        if m not in composable_lengths:
-            sat = m
-            reason = f"no composable words at length {m}"
-            break
-        if p.relations_length_homogeneous() and m not in reduced_lengths:
-            sat = m
-            reason = f"relations homogeneous in word length; all words of length {m} reduce to zero"
-            break
-    if degree_overflow:
-        sat = None
-        reason = "words exceeded the degree bound"
-    if sat is None and not reason:
-        reason = f"new basis words at the final length {wordlength_bound}"
-
-    # assemble the category
-    objects = list(p.objects)
-    spaces_map = {}
-    word_index = {}
-    for (x, y) in itertools.product(objects, repeat=2):
-        spaces = {}
-        for (s, t, d), kept in basis.items():
-            if (s, t) != (x, y) or not kept:
-                continue
-            spaces[d] = tuple(".".join(w) if w else f"id:{x}" for w in kept)
-            for i, w in enumerate(kept):
-                word_index[(x, y, d, w)] = i
-        spaces_map[(x, y)] = spaces
-
     truncated_products = 0
 
-    # differentials
+    def reduce_words(terms: dict, sig):
+        nonlocal truncated_products
+        red = reducers[sig].reduce(terms) if sig in reducers else None
+        truncated_products += red is None
+        return red
+
+    # saturation analysis
+    reduced_lengths = {len(w) for kept in basis.values() for w in kept}
+    homogeneous = p.relations_length_homogeneous()
+    sat, reason = None, f"new basis words at the final length {wordlength_bound}"
+    for m in range(1, wordlength_bound + 1):
+        if not by_len[m]:
+            sat, reason = m, f"no composable words at length {m}"
+            break
+        if homogeneous and m not in reduced_lengths:
+            sat, reason = m, f"relations homogeneous in word length; all words of length {m} reduce to zero"
+            break
+    if degree_overflow:
+        sat, reason = None, "words exceeded the degree bound"
+
+    # assemble the category: hom spaces and differentials
+    objects = list(p.objects)
+    spaces_map = {pair: {} for pair in itertools.product(objects, repeat=2)}
+    word_index = {}
+    for (x, y, d), kept in basis.items():
+        if kept:
+            spaces_map[(x, y)][d] = tuple(".".join(w) if w else f"id:{x}" for w in kept)
+            word_index.update(((x, y, d, w), i) for i, w in enumerate(kept))
     hom_complexes = {}
-    for (x, y) in itertools.product(objects, repeat=2):
-        spaces = spaces_map[(x, y)]
+    for (x, y), spaces in spaces_map.items():
         diffs = {}
-        for d, labels in spaces.items():
-            kept = basis.get((x, y, d), [])
+        for d in spaces:
+            kept = basis[(x, y, d)]
             entries = {}
             for col, w in enumerate(kept):
                 dw = p.d_of_word(w)
-                if not dw:
-                    continue
-                red = reduce_words(dw, (x, y, d + 1))
-                if red is None:
-                    truncated_products += 1
-                    continue
-                for w2, c in red.items():
-                    row = word_index[(x, y, d + 1, w2)]
-                    entries[(row, col)] = c
+                red = reduce_words(dw, (x, y, d + 1)) if dw else None
+                for w2, c in (red or {}).items():
+                    entries[(word_index[(x, y, d + 1, w2)], col)] = c
             if entries:
-                diffs[d] = Matrix(f, len(basis.get((x, y, d + 1), [])), len(kept), entries)
+                diffs[d] = Matrix(f, len(basis[(x, y, d + 1)]), len(kept), entries)
         hom_complexes[(x, y)] = ChainComplex(f, spaces, diffs)
 
+    # compositions, over pairs of signatures that meet at the middle object
+    starting = {}
+    for sig in basis:
+        starting.setdefault(sig[0], []).append(sig)
     comp = {}
-    for (x, y, z) in itertools.product(objects, repeat=3):
-        table = {}
-        for (sy, ty, dg), gwords in basis.items():
-            if (sy, ty) != (y, z):
-                continue
-            for ig, gw in enumerate(gwords):
-                for (sx, tx, df), fwords in basis.items():
-                    if (sx, tx) != (x, y):
-                        continue
-                    for if_, fw in enumerate(fwords):
-                        concat = fw + gw  # diagram order: f first, then g
-                        red = reduce_words({concat: f.one()}, (x, z, dg + df))
-                        if red is None:
-                            truncated_products += 1
-                            continue
-                        if red:
-                            table[((dg, ig), (df, if_))] = {
-                                word_index[(x, z, dg + df, w)]: c for w, c in red.items()}
-        if table:
-            comp[(x, y, z)] = table
+    for (x, y, df), fwords in basis.items():
+        for (_, z, dg) in starting.get(y, ()):
+            table = comp.setdefault((x, y, z), {})
+            for ig, gw in enumerate(basis[(y, z, dg)]):
+                for if_, fw in enumerate(fwords):
+                    # diagram order: f first, then g
+                    red = reduce_words({fw + gw: f.one()}, (x, z, dg + df))
+                    if red:
+                        table[((dg, ig), (df, if_))] = {
+                            word_index[(x, z, dg + df, w)]: c for w, c in red.items()}
 
+    if truncated_products and not degree_overflow:
+        n = truncated_products
+        past = (f"{n} product{'s' * (n > 1)} of basis words fall{'s' * (n == 1)} "
+                f"past wordlength {wordlength_bound}")
+        reason = past if sat is not None else f"{reason}; {past}"
     units = {x: {(0, word_index[(x, x, 0, ())]): f.one()} for x in objects}
     status = "closed" if (sat is not None and truncated_products == 0) else "truncated"
     cert = RealizeCertificate(status=status, reason=reason,
