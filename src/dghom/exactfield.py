@@ -206,6 +206,11 @@ class Matrix:
         return by_col
 
 
+def _plain(v):
+    """An integral Fraction as an int, for scalars leaving this module."""
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
+
+
 class Subspace:
     """Incremental row space with pivot bookkeeping.
 
@@ -291,7 +296,7 @@ class Subspace:
     def residual(self, vec: dict) -> dict:
         """Reduce vec modulo the subspace; zero dict iff vec is a member."""
         out, _ = self._reduce(vec, {})
-        return {k: v for k, v in out.items() if v}
+        return {k: _plain(v) for k, v in out.items() if v}
 
 
 def rank(m: Matrix) -> int:
@@ -580,7 +585,7 @@ def homology_quotient(d_in: Matrix, d_out: Matrix):
         # invariant of _reduce: red = res + sum combo[g] * generator_g
         coords = [f.zero()] * len(reps)
         for g, v in combo.items():
-            coords[g] = f.neg(v)
+            coords[g] = _plain(f.neg(v))
         return coords
 
     return len(reps), reps, project

@@ -271,6 +271,21 @@ class TestCli:
     def test_truncated_refused_for_homology(self, files):
         assert main(["hh", files["loop.quiver"], "--n-max", "2"]) == 2
 
+    @pytest.mark.parametrize("arrows, relations", [
+        ("arrow x v v\narrow y v v\n", "relation 1 x.x\nrelation 1 y.y\nrelation 1 x.y -1 y.x\n"),
+        ("arrow x v v\n", "relation 1 x.x.x\n"),
+    ], ids=["kxy-commutative", "kx3"])
+    def test_truncated_by_products_names_them(self, arrows, relations, tmp_path, capsys):
+        # every word of length 3 reduces to zero, but a product of two
+        # basis words (x.y times x, x.x times x) reaches length 4
+        path = tmp_path / "in.quiver"
+        path.write_text("quiver\nfield q\nwordlength 3\nvertex v\n" + arrows + relations)
+        _, cert = grammar.load_path(str(path))
+        assert (cert.status, cert.saturation_length, cert.truncated_products) == ("truncated", 3, 1)
+        assert main(["hh", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "realization is truncated (1 product of basis words falls past wordlength 3)" in err
+
     def test_hp_report(self, files, tmp_path):
         out = tmp_path / "hp.json"
         code = main(["hp", files["kx2.quiver"], "--window", "0..1", "--levels", "3",

@@ -12,12 +12,14 @@ from dghom import grammar
 from dghom.cyclic import mixed_complex
 from dghom.dgcore import tensor
 from dghom.dgmod import bar_composite, diagonal_bimodule
-from dghom.hochschild import hochschild_complex
+from dghom.exactfield import Subspace
+from dghom.hochschild import ch0, hochschild_complex
 from dghom.saturation import _triangle_modules
 from conftest import Q, matrix_category
 from oracles import semisimple_quotient_left_module
 
 CORPUS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "corpus")
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def _categories(corpus):
@@ -79,3 +81,23 @@ def test_q_constants():
     assert type(Q.parse("3/6")) is Fraction
     with pytest.raises(ZeroDivisionError):
         Q.inv(0)
+
+
+def test_quotient_coordinates_are_ints_when_integral(corpus):
+    coords = ch0(corpus["path12"], "1", [[{(0, 0): 1}]]).coords
+    assert coords == [1, 0] and [type(v) for v in coords] == [int, int]
+    sp = Subspace(Q)
+    sp.insert({0: 2, 1: 1})
+    sp.insert({1: 3, 2: 6})
+    res = sp.residual({0: 1})
+    assert res == {2: 1} and type(res[2]) is int
+    half = sp.residual({0: 1, 3: Fraction(1, 2)})
+    assert type(half[3]) is Fraction
+
+
+def test_realized_structure_constants_are_ints_when_integral():
+    # k<x,y>/(x^2, y^2, 2xy - yx): y.x reduces to 2 x.y
+    cat, cert = grammar.load_path(os.path.join(GOLDEN_DIR, "binomial.quiver"))
+    assert cert.is_closed
+    values = [v for table in cat.comp.values() for prod in table.values() for v in prod.values()]
+    assert 2 in values and {type(v) for v in values} == {int}
