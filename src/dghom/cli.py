@@ -133,38 +133,23 @@ def cmd_validate(args):
     return 1
 
 
-def cmd_hh(args):
-    _require_at_least(args, n_max=0, bar_bound=1)
+def cmd_homology(args):
+    """`hh` or `hc`, as ``args.command`` names: the dimensions up to
+    --n-max, each with its status."""
+    dims_of, least_bar_bound = {"hh": (hh_dims, 1), "hc": (hc_dims, 2)}[args.command]
+    _require_at_least(args, n_max=0, bar_bound=least_bar_bound)
     cat, cert = _load(args.input)
     _require_closed(cat, cert, args.input)
-    dims = hh_dims(cat, args.n_max, args.bar_bound)
+    dims = dims_of(cat, args.n_max, args.bar_bound)
     report = {
-        "invariant": "hh",
+        "invariant": args.command,
         "input": os.path.basename(args.input),
         "field": cat.field.describe(),
         "n_max": args.n_max,
         "bar_bound": args.bar_bound if args.bar_bound is not None else "auto",
         "dims": {str(n): {"dim": d, "status": s} for n, (d, s) in dims.items()},
     }
-    lines = [f"HH_{n} = {d} [{s}]" for n, (d, s) in sorted(dims.items())]
-    _emit(report, args, lines)
-    return 0
-
-
-def cmd_hc(args):
-    _require_at_least(args, n_max=0, bar_bound=2)
-    cat, cert = _load(args.input)
-    _require_closed(cat, cert, args.input)
-    dims = hc_dims(cat, args.n_max, args.bar_bound)
-    report = {
-        "invariant": "hc",
-        "input": os.path.basename(args.input),
-        "field": cat.field.describe(),
-        "n_max": args.n_max,
-        "bar_bound": args.bar_bound if args.bar_bound is not None else "auto",
-        "dims": {str(n): {"dim": d, "status": s} for n, (d, s) in dims.items()},
-    }
-    lines = [f"HC_{n} = {d} [{s}]" for n, (d, s) in sorted(dims.items())]
+    lines = [f"{args.command.upper()}_{n} = {d} [{s}]" for n, (d, s) in sorted(dims.items())]
     _emit(report, args, lines)
     return 0
 
@@ -189,6 +174,19 @@ def cmd_hp(args):
     return 0
 
 
+def _write_category(cat, args, summary="", header=""):
+    """Write the category file to --out, with the header lines first and
+    a one-line summary on stdout, or else the bare file to stdout."""
+    text = grammar.dumps(cat)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(header + text)
+        print(f"wrote {args.out}{summary}")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def cmd_tensor(args):
     a, cert_a = _load(args.inputs[0])
     b, cert_b = _load(args.inputs[1])
@@ -197,29 +195,12 @@ def cmd_tensor(args):
                          f"{args.inputs[1]} over {b.field.describe()}")
     out = tensor(a, b)
     out.closed = all(c is None or c.is_closed for c in (cert_a, cert_b))
-    text = grammar.dumps(out)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            if not out.closed:
-                fh.write("# WARNING: built from a truncated realization\n")
-            fh.write(text)
-        print(f"wrote {args.out} ({len(out.objects)} objects, dim {out.total_dim()})")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_category(out, args, f" ({len(out.objects)} objects, dim {out.total_dim()})",
+                           "" if out.closed else "# WARNING: built from a truncated realization\n")
 
 
 def cmd_op(args):
-    a, cert = _load(args.input)
-    out = opposite(a)
-    text = grammar.dumps(out)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_category(opposite(_load(args.input)[0]), args)
 
 
 def cmd_cell(args):
@@ -230,14 +211,7 @@ def cmd_cell(args):
         pres = pushout_attach(pres, n, PathElement("1", "2", {("s",): field.one()}))
     cat, cert = realize(pres, max(abs(n) + 2, 2), 3)
     cat.name = f"{'D' if args.kind == 'disk' else 'S'}({n})"
-    text = grammar.dumps(cat)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out} [{cert.status}]")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_category(cat, args, f" [{cert.status}]")
 
 
 def cmd_saturate(args):
@@ -401,28 +375,21 @@ def build_parser():
                                 description="exact homological computations with finite dg categories")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, out=True):
-        if out:
-            sp.add_argument("--out", help="write the JSON report here")
-            sp.add_argument("--format", choices=("json", "tsv"), default="json")
+    def add_common(sp):
+        sp.add_argument("--out", help="write the JSON report here")
+        sp.add_argument("--format", choices=("json", "tsv"), default="json")
 
     sp = sub.add_parser("validate", help="check the dg category axioms of an input file")
     sp.add_argument("input")
     sp.set_defaults(fn=cmd_validate)
 
-    sp = sub.add_parser("hh", help="Hochschild homology dimensions")
-    sp.add_argument("input")
-    sp.add_argument("--n-max", type=int, default=4)
-    sp.add_argument("--bar-bound", type=int, default=None)
-    add_common(sp)
-    sp.set_defaults(fn=cmd_hh)
-
-    sp = sub.add_parser("hc", help="cyclic homology dimensions")
-    sp.add_argument("input")
-    sp.add_argument("--n-max", type=int, default=4)
-    sp.add_argument("--bar-bound", type=int, default=None)
-    add_common(sp)
-    sp.set_defaults(fn=cmd_hc)
+    for name, what in (("hh", "Hochschild"), ("hc", "cyclic")):
+        sp = sub.add_parser(name, help=f"{what} homology dimensions")
+        sp.add_argument("input")
+        sp.add_argument("--n-max", type=int, default=4)
+        sp.add_argument("--bar-bound", type=int, default=None)
+        add_common(sp)
+        sp.set_defaults(fn=cmd_homology)
 
     sp = sub.add_parser("hp", help="negative/periodic cyclic homology towers")
     sp.add_argument("input")

@@ -320,18 +320,18 @@ def _triangle_modules(a: DgCategory):
     return X, Y, mid
 
 
-def triangle_identity_check(a: DgCategory, window, bar_bound: int | None = None,
-                            saturation: SaturationReport | None = None,
-                            smooth_bound: int = 6) -> TriangleResult:
+def triangle_identity_check(a: DgCategory, window,
+                            saturation: SaturationReport | None = None) -> TriangleResult:
     """Verify the first triangle composite against the diagonal in the
-    window; "pass" needs the smoothness certificate, window-exact bar
-    homology matching the diagonal dimensionwise, and the explicit
-    comparison map to be a quasi-isomorphism."""
+    window; "pass" needs the smoothness certificate (from
+    ``saturation_report(a, 6)`` unless given), window-exact bar homology
+    matching the diagonal dimensionwise, and the explicit comparison map
+    to be a quasi-isomorphism."""
     proper, detail = properness_check(a)
     if not proper:
         return TriangleResult("inconclusive", details={"reason": "not proper (truncated realization)"})
     if saturation is None:
-        saturation = saturation_report(a, smooth_bound)
+        saturation = saturation_report(a, 6)
     if not saturation.smooth.certified:
         return TriangleResult(
             "inconclusive",
@@ -341,14 +341,10 @@ def triangle_identity_check(a: DgCategory, window, bar_bound: int | None = None,
                      "smooth": saturation.smooth.as_dict()})
     X, Y, mid = _triangle_modules(a)
     try:
-        bars = {(x, w): bar_composite(X[x], Y[w], mid, window, bar_bound)
+        bars = {(x, w): bar_composite(X[x], Y[w], mid, window)
                 for (x, w) in sorted(itertools.product(X, Y), key=repr)}
     except BarWindowError as exc:
         return TriangleResult("inconclusive", details={"reason": str(exc)},
-                              required_bound=_required_bound_estimate(a, window))
-    if any(res.flag != "exact" for res in bars.values()):
-        return TriangleResult("inconclusive",
-                              details={"reason": "bar truncation not window-exact"},
                               required_bound=_required_bound_estimate(a, window))
     w0, w1 = window
     dims_ok = True
@@ -457,14 +453,13 @@ def _comparison_quasi_iso(a: DgCategory, bars, X, Y, window):
 # ---------------------------------------------------------------------------
 # Euler characteristics, two routes
 
-def euler_via_hh(a: DgCategory, smooth: SmoothnessResult | None = None,
-                 fallback_n_max: int = 4):
+def euler_via_hh(a: DgCategory, smooth: SmoothnessResult | None = None):
     """chi = alternating sum of the HH dims from the floor (negative for
     positively graded homs) to the top degree, all read from one
     Hochschild complex whose bar bound covers that range; exact when the
     chain support is certified finite or a smoothness certificate bounds
     the resolution, and every degree of the range is exact in that
-    complex."""
+    complex.  Otherwise the top degree is 4 and chi is bound_limited."""
     vanish = chain_support_bound(a)
     if vanish is not None:
         n_hi = max(vanish, 0)
@@ -473,7 +468,7 @@ def euler_via_hh(a: DgCategory, smooth: SmoothnessResult | None = None,
         n_hi = smooth.level
         status = "exact"
     else:
-        n_hi = fallback_n_max
+        n_hi = 4
         status = "bound_limited"
     lo = _negative_hh_floor(a)
     cap = a.bar_plan().bound_for_window(-n_hi, -lo)
@@ -498,25 +493,22 @@ def _negative_hh_floor(a: DgCategory) -> int:
     return min(lo, 0)
 
 
-def euler_via_duality(a: DgCategory, window=None, bar_bound=None,
+def euler_via_duality(a: DgCategory, bar_bound=None,
                       smooth: SmoothnessResult | None = None):
     """chi of the duality composite ev . tau . delta, computed as the
     two-sided bar over the enveloping category a^op (x) a of the diagonal
     against the diagonal of opposite(a), a right module over
     a (x) a^op = opposite(a^op (x) a)."""
     vanish = chain_support_bound(a)
-    if window is None:
-        if vanish is not None:
-            window = (min(_negative_hh_floor(a), 0), max(vanish, 0))
-            status = "exact"
-        elif smooth is not None and smooth.certified:
-            window = (0, smooth.level)
-            status = "exact"
-        else:
-            window = (0, 4)
-            status = "bound_limited"
+    if vanish is not None:
+        window = (min(_negative_hh_floor(a), 0), max(vanish, 0))
+        status = "exact"
+    elif smooth is not None and smooth.certified:
+        window = (0, smooth.level)
+        status = "exact"
     else:
-        status = "bound_limited" if vanish is None else "exact"
+        window = (0, 4)
+        status = "bound_limited"
     diag = diagonal_bimodule(a)
     twisted = _diagonal_over(opposite(a), opposite(diag.base))
     lo, hi = window

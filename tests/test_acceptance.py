@@ -15,7 +15,7 @@ from dghom.hochschild import (HochschildError, auto_bar_bound, hh_dims,
                               hochschild_complex, shuffle_map)
 from dghom.cyclic import hc_dims, hcminus_hp_dims, mixed_complex
 from dghom.saturation import (euler_via_duality, euler_via_hh, properness_check,
-                              smoothness_certify, triangle_identity_check)
+                              saturation_report, smoothness_certify, triangle_identity_check)
 from conftest import Q, random_small_category
 from oracles import convolution
 
@@ -119,7 +119,8 @@ def test_criterion_7_triangle_identities(corpus):
         res = triangle_identity_check(corpus[name], (-3, 3))
         assert res.status == "pass" and res.evidence == "quasi-isomorphism"
     for bound in (2, 4, 6):
-        res = triangle_identity_check(corpus["kx2"], (-3, 3), smooth_bound=bound)
+        res = triangle_identity_check(corpus["kx2"], (-3, 3),
+                                      saturation=saturation_report(corpus["kx2"], bound))
         assert res.status != "pass"
     print(PASS.format(7, "triangle identities pass with quasi-isomorphism evidence on "
                          "{unit, kxk, path12}; never pass on kx2"))

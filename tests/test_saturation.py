@@ -158,7 +158,8 @@ class TestTriangle:
 
     @pytest.mark.parametrize("bound", [2, 4, 6])
     def test_never_passes_on_kx2(self, corpus, bound):
-        res = triangle_identity_check(corpus["kx2"], (-3, 3), smooth_bound=bound)
+        res = triangle_identity_check(corpus["kx2"], (-3, 3),
+                                      saturation=saturation_report(corpus["kx2"], bound))
         assert res.status == "inconclusive"
         assert "smoothness" in res.details["reason"]
 
