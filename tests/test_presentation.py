@@ -1,6 +1,10 @@
-import pytest
+import itertools
 
-from dghom.exactfield import homology_dims
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dghom import grammar
+from dghom.exactfield import FieldSpec, homology_dims
 from dghom.dgcore import disk_cell, sphere_cell, validate
 from dghom.presentation import (PathElement, Presentation, PresentationError,
                                 from_quiver, pushout_attach, pushout_attach_object, realize)
@@ -88,6 +92,27 @@ class TestPushout:
         with pytest.raises(PresentationError):
             pushout_attach(attached, 1, PathElement("1", "2", {(attached_name(attached),): Q.one()}))
 
+    def test_attach_closed_modulo_relation(self):
+        # h: 1 -> 3 in degree -1 with d(h) = a.b is closed only once a.b = 0
+        gens = {"a": ("1", "2", 0), "b": ("2", "3", 0), "h": ("1", "3", -1)}
+        ab = PathElement("1", "3", {("a", "b"): Q.one()})
+        h = PathElement("1", "3", {("h",): Q.one()})
+        pres = Presentation(Q, ["1", "2", "3"], gens, {"h": ab}, [ab])
+        cat, cert = realize(pushout_attach(pres, 0, h), 3, 3)
+        assert cert.is_closed and validate(cat).ok
+        # the attached generator kills h, so hom(1, 3) is acyclic
+        assert hom_dims(cat, "1", "3") == {-2: 1, -1: 1}
+        assert homology_dims(cat.hom("1", "3"), (-2, 0)) == {-2: 0, -1: 0, 0: 0}
+        with pytest.raises(PresentationError, match="not closed"):
+            pushout_attach(Presentation(Q, ["1", "2", "3"], gens, {"h": ab}), 0, h)
+
+    def test_attach_boundary_through_the_empty_word(self):
+        # d(h) = id_v: the boundary of the attaching element is the unit
+        pres = Presentation(Q, ["v"], {"h": ("v", "v", -1)},
+                            {"h": PathElement("v", "v", {(): Q.one()})})
+        with pytest.raises(PresentationError, match="not closed"):
+            pushout_attach(pres, 0, PathElement("v", "v", {("h",): Q.one()}))
+
     def test_object_attach(self):
         pres = Presentation(Q, ["a"])
         out = pushout_attach_object(pres, "b")
@@ -116,3 +141,48 @@ class TestPushout:
 
 def attached_name(pres):
     return next(n for n in pres.generators if n.startswith("h"))
+
+
+@st.composite
+def degree_zero_quivers(draw):
+    """A degree-0 quiver over Q, F_2 or F_3 on 1-3 vertices with 1-3
+    arrows; each relation is a path of length 1-3, or that path minus a
+    multiple of another path parallel to it of the same length."""
+    field = draw(st.sampled_from([Q, FieldSpec.prime(2), FieldSpec.prime(3)]))
+    vertices = [str(i) for i in range(draw(st.integers(1, 3)))]
+    ends = st.sampled_from(vertices)
+    arrows = [(f"a{i}", draw(ends), draw(ends), 0) for i in range(draw(st.integers(1, 3)))]
+    pres = from_quiver(field, vertices, arrows)
+    paths = [w for n in (1, 2, 3) for w in itertools.product([a[0] for a in arrows], repeat=n)
+             if _composes(pres, w)]
+    relations = []
+    for _ in range(draw(st.integers(0, 3)) if paths else 0):
+        w = draw(st.sampled_from(paths))
+        terms = {w: field.one()}
+        parallel = [v for v in paths if v != w and len(v) == len(w)
+                    and pres.word_endpoints(v) == pres.word_endpoints(w)]
+        if parallel and draw(st.booleans()):
+            terms[draw(st.sampled_from(parallel))] = field.of_int(draw(st.sampled_from([-1, 1, 2])))
+        relations.append(PathElement(*pres.word_endpoints(w), terms))
+    return from_quiver(field, vertices, arrows, relations)
+
+
+def _composes(pres, word):
+    try:
+        pres.word_endpoints(word)
+    except PresentationError:
+        return False
+    return True
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(degree_zero_quivers())
+def test_closed_realization_independent_of_wordlength(pres):
+    # relations homogeneous in word length: once closed, a longer bound
+    # adds nothing
+    for length in range(1, 4):
+        short, cert_short = realize(pres, 2, length)
+        long_, cert_long = realize(pres, 2, length + 1)
+        if cert_short.is_closed and cert_long.is_closed:
+            assert grammar.dumps(short) == grammar.dumps(long_)
+            assert validate(short).ok
