@@ -9,6 +9,13 @@ artifacts only.
 
 Words are stored in diagram order: (w1, ..., wk) is the path that
 traverses w1 first, i.e. the morphism wk . wk-1 . ... . w1.
+
+Realization and cell attachment share one word enumerator, which
+carries each word's signature (source, target, degree), and one reducer
+per signature, which reduces a word combination modulo the relation
+ideal spanned within the listed words.  ``realize`` reduces basis
+words, differentials and products with it; ``pushout_attach`` reduces
+d(f), whose one signature it lists up to its longest word.
 """
 
 from __future__ import annotations
