@@ -289,7 +289,8 @@ def realize(p: Presentation, degree_bound: int, wordlength_bound: int):
     def reduce_words(terms: dict, sig):
         nonlocal truncated_products
         red = reducers[sig].reduce(terms) if sig in reducers else None
-        truncated_products += red is None
+        if red is None:
+            truncated_products += 1
         return red
 
     # saturation analysis
@@ -322,9 +323,9 @@ def realize(p: Presentation, degree_bound: int, wordlength_bound: int):
             entries = {}
             for col, w in enumerate(kept):
                 dw = p.d_of_word(w)
-                red = reduce_words(dw, (x, y, d + 1)) if dw else None
-                for w2, c in (red or {}).items():
-                    entries[(word_index[(x, y, d + 1, w2)], col)] = c
+                if dw:
+                    for w2, c in (reduce_words(dw, (x, y, d + 1)) or {}).items():
+                        entries[(word_index[(x, y, d + 1, w2)], col)] = c
             if entries:
                 diffs[d] = Matrix(f, len(basis[(x, y, d + 1)]), len(kept), entries)
         hom_complexes[(x, y)] = ChainComplex(f, spaces, diffs)
