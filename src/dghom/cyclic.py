@@ -23,6 +23,7 @@ from __future__ import annotations
 from .exactfield import Matrix, operator_matrix, rank
 from .dgcore import DgCategory
 from .hochschild import CyclicBar, chain_support_bound
+from .monomial import monomial_algebra
 
 
 class CyclicError(ValueError):
@@ -211,14 +212,30 @@ def _min_offset(mx: MixedComplex, n: int) -> int:
     return -((n - sup[0]) // 2) if n >= sup[0] else 0
 
 
+def hc_auto_bar_bound(a: DgCategory, n_max: int) -> int:
+    """The bar bound ``hc_dims`` takes on the bar when none is given."""
+    cap = a.bar_plan().bound_for_window(-(n_max + 1), 1)
+    return max(2, (cap if cap is not None else n_max + 1) + 1)
+
+
 def hc_dims(a: DgCategory, n_max: int, bar_bound: int | None = None) -> dict:
-    """Cyclic homology dimensions HC_n, 0 <= n <= n_max, from the
-    first-quadrant (b, B)-bicomplex; degree n uses columns 0..floor(n/2)."""
+    """Cyclic homology dimensions HC_n, 0 <= n <= n_max, with
+    exact/truncated status.
+
+    Over Q with the automatic bar bound, a monomial input
+    (``monomial_algebra``) takes the weight pieces of Bardzell's complex:
+    there Goodwillie's theorem splits Connes' SBI sequence weight by
+    weight (``MonomialAlgebra.hc_dims``), and every degree is exact.
+    Every other input, F_p, and an explicit ``bar_bound`` take the
+    first-quadrant (b, B)-bicomplex of the normalized cyclic bar; degree
+    n uses columns 0..floor(n/2)."""
     if n_max < 0:
         raise CyclicError("n_max must be >= 0")
     if bar_bound is None:
-        cap = a.bar_plan().bound_for_window(-(n_max + 1), 1)
-        bar_bound = max(2, (cap if cap is not None else n_max + 1) + 1)
+        mono = monomial_algebra(a) if a.field.kind == 0 else None
+        if mono is not None:
+            return {n: (d, "exact") for n, d in enumerate(mono.hc_dims(n_max))}
+        bar_bound = hc_auto_bar_bound(a, n_max)
     mx = mixed_complex(a, bar_bound)
     out = {}
     for n in range(n_max + 1):

@@ -98,7 +98,10 @@ class FieldSpec:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1, a) if self.kind == 0 else pow(a, self.kind - 2, self.kind)
+        if self.kind:
+            return pow(a, self.kind - 2, self.kind)
+        q = Fraction(1, a)
+        return q.numerator if q.denominator == 1 else q
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

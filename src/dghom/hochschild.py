@@ -251,15 +251,15 @@ def hh_dims(a: DgCategory, n_max: int, bar_bound: int | None = None) -> dict:
     a closed degree-0 kQ/I with I spanned by paths) takes Bardzell's
     complex, |AP(n)| x (dim of a hom) chains in degree n, exact in every
     degree because it comes from a projective resolution of the
-    diagonal.  Every other input, and an explicit ``bar_bound``, takes
-    the normalized cyclic bar."""
+    diagonal; HH is the sum of its weight summands.  Every other input,
+    and an explicit ``bar_bound``, takes the normalized cyclic bar."""
     if n_max < 0:
         raise HochschildError("n_max must be >= 0")
     if bar_bound is None:
         mono = monomial_algebra(a)
         if mono is not None:
-            dims = homology_dims(mono.hochschild_complex(n_max + 1), (-n_max, 0))
-            return {n: (dims[-n], "exact") for n in range(n_max + 1)}
+            by_weight = mono.hh_by_weight(n_max).values()
+            return {n: (sum(hh[n] for hh in by_weight), "exact") for n in range(n_max + 1)}
         bar_bound = auto_bar_bound(a, n_max)
     hc = hochschild_complex(a, bar_bound)
     return {n: hc.hh_dim(n) for n in range(n_max + 1)}

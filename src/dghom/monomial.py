@@ -8,7 +8,11 @@ are the associated sequences of paths AP(n) of Green-Happel-Zacharia
 (Illinois J. Math. 29, 1985), which are Anick's chains (Trans. AMS 296,
 1986).  So Tor_n(A0, A0) = |AP(n)|, and Hochschild homology is the
 homology of one complex with |AP(n)| x (dim of a hom) basis vectors in
-degree n, exact in every degree.  The bar routes stay the references.
+degree n, exact in every degree.  Its differential keeps the path-length
+weight, so it splits into one summand per weight; HH is their sum, and
+over Q cyclic homology follows weight by weight from Goodwillie's
+theorem (``MonomialAlgebra.hc_dims``).  The bar routes stay the
+references.
 
 Paths are words of arrow indices in diagram order: (a_1, ..., a_l)
 traverses a_1 first and is the morphism a_l ... a_1.  Chains of AP(n)
@@ -25,7 +29,7 @@ the word:
 
 from __future__ import annotations
 
-from .exactfield import operator_complex
+from .exactfield import homology_dims, operator_complex
 from .dgcore import DgCategory
 
 
@@ -83,23 +87,29 @@ class MonomialAlgebra:
                         for s, _t, w, last in out[-1] for v in self._next_pieces(last)])
         return out[:n_top + 1]
 
-    def hochschild_complex(self, n_top: int):
-        """A (x)_{A^e} P for Bardzell's resolution P, through degree n_top.
+    def hochschild_complex(self, n_top: int) -> dict:
+        """A (x)_{A^e} P for Bardzell's resolution P, through degree n_top,
+        split by weight: {w: the weight-w summand, a ChainComplex}.
 
         Degree n sits in cohomological degree -n with basis (n, i, b): the
-        i-th chain p of AP(n) and a basis key b of hom(t(p), s(p)).  With
-        q1, q2 the unique prefix and suffix of p in AP(n-1) (the empty
-        words at s(p) and t(p) when p is an arrow),
-        d(p, b) = (q1, R.b) - (q2, b.L) for n odd, p = q1.R = L.q2, and
-        d(p, b) = sum (q, R.b.L) for n even, over every occurrence
-        p = L.q.R of a chain q of AP(n-1).  Terms with a zero product are
-        dropped; the input sits in degree 0, so no Koszul signs enter."""
+        i-th chain p of AP(n) and a basis key b of hom(t(p), s(p)), of
+        weight len(p) + len(word of b).  With q1, q2 the unique prefix and
+        suffix of p in AP(n-1) (the empty words at s(p) and t(p) when p is
+        an arrow), d(p, b) = (q1, R.b) - (q2, b.L) for n odd,
+        p = q1.R = L.q2, and d(p, b) = sum (q, R.b.L) for n even, over
+        every occurrence p = L.q.R of a chain q of AP(n-1).  So d keeps the
+        weight, and an image outside its summand is an assembly error.
+        Terms with a zero product are dropped; the input sits in degree 0,
+        so no Koszul signs enter."""
         f = self.a.field
         one, minus = f.one(), f.neg(f.one())
         aps = self.chains(n_top)
-        basis = {-n: [(n, i, b) for i, (s, t, _w, _l) in enumerate(ps)
-                      for b in self.a.basis_keys(t, s)]
-                 for n, ps in enumerate(aps)}
+        basis = {}
+        for n, ps in enumerate(aps):
+            for i, (s, t, w, _l) in enumerate(ps):
+                for b in self.a.basis_keys(t, s):
+                    weight = len(w) + len(self.word_of[(t, s, b)])
+                    basis.setdefault(weight, {}).setdefault(-n, []).append((n, i, b))
         # per chain: (index of q in AP(n-1), R, L, sign) with image (q, R.b.L)
         terms = [[]]
         for n in range(1, n_top + 1):
@@ -138,7 +148,46 @@ class MonomialAlgebra:
                     f.accumulate(out, (n - 1, j, k), sign)
             return out
 
-        return operator_complex(f, basis, diff)
+        return {w: operator_complex(f, by_degree, diff) for w, by_degree in sorted(basis.items())}
+
+    def hh_by_weight(self, n_max: int) -> dict:
+        """{w: [dim HH_n^(w) for 0 <= n <= n_max]} over the weights w whose
+        summand is nonzero in some degree <= n_max + 1."""
+        out = {}
+        for w, c in self.hochschild_complex(n_max + 1).items():
+            hh = out[w] = [0] * (n_max + 1)
+            # a summand spans a few degrees: rank only inside them
+            degrees = [d for d in c.support() if d >= -n_max]
+            if degrees:
+                for d, dim in homology_dims(c, (degrees[0], degrees[-1])).items():
+                    hh[-d] = dim
+        return out
+
+    def hc_dims(self, n_max: int) -> list:
+        """dim HC_n for 0 <= n <= n_max, over a field of characteristic 0.
+
+        The weight grading splits Connes' SBI sequence.  Weight 0 is
+        spanned by the units, so it is HC of k^{#objects}: #objects in
+        even degrees, 0 in odd ones.  On weight w >= 1 the Euler
+        derivation acts as w, and a derivation acts as zero on HC after
+        S (Goodwillie, Topology 24, 1985; Loday, Cyclic Homology, 4.1),
+        so w.S = 0 and S = 0 when w is invertible.  Then
+        0 -> HC_{n-1}^(w) -> HH_n^(w) -> HC_n^(w) -> 0 is exact, and
+        dim HC_n^(w) = dim HH_n^(w) - dim HC_{n-1}^(w) from HC_{-1} = 0."""
+        if self.a.field.kind:
+            raise ValueError("the weight route to HC needs characteristic 0")
+        units = len(self.a.objects)
+        out = [0 if n % 2 else units for n in range(n_max + 1)]
+        for w, hh in self.hh_by_weight(n_max).items():
+            if not w:
+                continue
+            hc = 0
+            for n, h in enumerate(hh):
+                hc = h - hc
+                if hc < 0:
+                    raise AssertionError(f"HC_{n} of weight {w} would be {hc}")
+                out[n] += hc
+        return out
 
 
 def monomial_algebra(a: DgCategory):

@@ -1,13 +1,15 @@
 """Monomial inputs take HH and Tor from Bardzell's complex and Anick's
-chains AP(n); the bar routes are the references.  On every recognized
-input the two routes must give the same HH dims and statuses and the
-same smoothness certificate, and every other input, or an explicit bar
-bound, must stay on the bar."""
+chains AP(n), and HC over Q from its weight pieces; the bar routes are
+the references.  On every recognized input the two routes must give the
+same HH and HC dims and statuses and the same smoothness certificate,
+and every other input, HC over F_p, or an explicit bar bound, must stay
+on the bar."""
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from dghom import dgmod, hochschild, monomial, saturation
+from dghom import cyclic, dgmod, hochschild, monomial, saturation
+from dghom.cyclic import hc_dims
 from dghom.dgcore import validate
 from dghom.grammar import loads
 from dghom.hochschild import hh_dims
@@ -66,8 +68,41 @@ def bar_answers(monkeypatch, cat, hh_n, tor_bound):
 @pytest.mark.parametrize("name", sorted(QUIVERS))
 def test_ap_route_matches_bar(name, field, monkeypatch):
     cat = load(quiver_text(field, *QUIVERS[name]))
-    monomial_algebra(cat).hochschild_complex(7).verify()
+    for c in monomial_algebra(cat).hochschild_complex(7).values():
+        c.verify()
     assert answers(cat, 6, 7) == bar_answers(monkeypatch, cat, 6, 7)
+
+
+def bar_hc(monkeypatch, cat, n_max):
+    """hc_dims with no input recognized as monomial, so on the bar."""
+    with monkeypatch.context() as m:
+        m.setattr(cyclic, "monomial_algebra", lambda a: None)
+        return hc_dims(cat, n_max)
+
+
+@pytest.mark.parametrize("name", sorted(QUIVERS))
+def test_weight_route_hc_matches_bar(name, monkeypatch):
+    cat = load(quiver_text("q", *QUIVERS[name]))
+    assert hc_dims(cat, 5) == bar_hc(monkeypatch, cat, 5)
+
+
+@pytest.mark.parametrize("field,bar_bound", [("fp 2", None), ("fp 3", None), ("q", 6)])
+@pytest.mark.parametrize("name", ["kx3", "cycle_ab_ba"])
+def test_hc_over_fp_or_with_a_bar_bound_stays_on_the_bar(name, field, bar_bound, monkeypatch):
+    cat = load(quiver_text(field, *QUIVERS[name]))
+    built = []
+    real = cyclic.MixedComplex.__init__
+
+    def recording(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    def refuse(*args):
+        raise AssertionError("the weight route was taken")
+    monkeypatch.setattr(cyclic.MixedComplex, "__init__", recording)
+    monkeypatch.setattr(monomial.MonomialAlgebra, "hc_dims", refuse)
+    assert len(hc_dims(cat, 4, bar_bound)) == 5
+    assert len(built) == 1
 
 
 @st.composite
@@ -107,6 +142,8 @@ def monomial_quivers(draw):
 def test_ap_route_matches_bar_on_random_monomial_quivers(cat, monkeypatch):
     assert monomial_algebra(cat) is not None
     assert answers(cat, 3, 4) == bar_answers(monkeypatch, cat, 3, 4)
+    if cat.field.kind == 0:
+        assert hc_dims(cat, 3) == bar_hc(monkeypatch, cat, 3)
 
 
 def kxy_commutative_quiver(wordlength):
@@ -141,6 +178,7 @@ def test_refused_inputs_stay_on_the_bar(name, monkeypatch):
     monkeypatch.setattr(monomial.MonomialAlgebra, "hochschild_complex", refuse)
     monkeypatch.setattr(monomial.MonomialAlgebra, "chains", refuse)
     assert len(hh_dims(cat, 3)) == 4
+    assert len(hc_dims(cat, 3)) == 4
     assert len(smoothness_certify(cat, 3).tor_dims) in (0, 5)
 
 
@@ -200,6 +238,29 @@ def test_kx3_to_degree_40_builds_no_bar(monkeypatch):
     r = smoothness_certify(cat, 40)
     assert r.status == "inconclusive" and r.level == 40
     assert r.tor_dims == {n: 1 for n in range(42)}
+
+
+def test_kx3_hc_to_degree_40_builds_no_bar(monkeypatch):
+    cat = load(quiver_text("q", *QUIVERS["kx3"]))
+
+    def no_bar(*args, **kwargs):
+        raise AssertionError("a bar was built")
+    monkeypatch.setattr(hochschild.CyclicBar, "__init__", no_bar)
+    # HC of k[x]/(x^3) over Q: 3 in even degrees, 0 in odd ones
+    assert hc_dims(cat, 40) == {n: (0 if n % 2 else 3, "exact") for n in range(41)}
+
+
+def test_weight_pieces_of_kx3():
+    # HH^(w) of k[x]/(x^3) over Q: the units in weight 0, and weights
+    # 3k + 1 and 3k + 2 in degrees 2k and 2k + 1; weight 3k is acyclic.
+    # Over F_3 weight 3k is not, and there S need not vanish on it.
+    def pieces(field):
+        mono = monomial_algebra(load(quiver_text(field, *QUIVERS["kx3"])))
+        return {w: hh for w, hh in mono.hh_by_weight(4).items() if any(hh)}
+    want = {0: [1, 0, 0, 0, 0], 1: [1, 1, 0, 0, 0], 2: [1, 1, 0, 0, 0],
+            4: [0, 0, 1, 1, 0], 5: [0, 0, 1, 1, 0], 7: [0, 0, 0, 0, 1], 8: [0, 0, 0, 0, 1]}
+    assert pieces("q") == want
+    assert pieces("fp 3") == {**want, 3: [0, 1, 1, 0, 0], 6: [0, 0, 0, 1, 1]}
 
 
 def test_ap_chains_of_kx3():

@@ -77,6 +77,9 @@ def test_q_arithmetic_stays_exact(a, b):
 def test_q_constants():
     assert type(Q.zero()) is type(Q.one()) is int
     assert Q.inv(3) == Fraction(1, 3) and type(Q.inv(3)) is Fraction
+    # an integral inverse is an int: units and reciprocals of 1/n
+    for a, want in [(1, 1), (-1, -1), (Fraction(1, 2), 2), (Fraction(-1, 3), -3)]:
+        assert Q.inv(a) == want and type(Q.inv(a)) is int
     assert type(Q.parse("4/2")) is int and Q.parse("4/2") == 2
     assert type(Q.parse("3/6")) is Fraction
     with pytest.raises(ZeroDivisionError):
