@@ -215,91 +215,64 @@ def _plain(v):
 
 
 class Subspace:
-    """Incremental row space with pivot bookkeeping.
+    """Incremental row space kept as a fully reduced echelon basis.
 
-    Vectors are sparse dicts {index: scalar}.  Supports membership
-    reduction and coordinates of a vector with respect to the inserted
-    generators (used for quotient-space coordinates).  It tracks those
-    combinations and keeps a reduced basis, which kernels, images and
-    projections need; ``rank`` needs neither and does not use it.
+    Vectors are sparse dicts {index: scalar}; stored zeros in an input
+    are dropped.  Each row is scaled to 1 at its pivot, its smallest
+    index, and is zero at every other pivot.  ``residual`` reduces a
+    vector modulo the space.  Callers that need the combination of
+    inserted vectors behind a reduction (kernels, quotient coordinates)
+    append a tag coordinate past the real ones to each vector, the
+    textbook [A | I] augmentation: the tags of a reduced vector record
+    its combination.  ``rank`` needs no basis and does not use this.
     """
 
     def __init__(self, field: FieldSpec):
         self.field = field
         self.pivot_rows = {}      # pivot index -> reduced row (dict)
-        self.pivot_combos = {}    # pivot index -> combo over inserted generators
-        self.n_inserted = 0
 
     @property
     def dim(self) -> int:
         return len(self.pivot_rows)
 
-    def _reduce(self, vec: dict, combo: dict):
-        f = self.field
-        vec = dict(vec)
-        for p in sorted(set(vec) & set(self.pivot_rows)):
-            c = vec.get(p)
-            if not c:
-                continue
-            row = self.pivot_rows[p]
-            for j, v in row.items():
-                w = f.sub(vec.get(j, f.zero()), f.mul(c, v))
-                if w:
-                    vec[j] = w
-                else:
-                    vec.pop(j, None)
-            rc = self.pivot_combos[p]
-            for g, v in rc.items():
-                w = f.sub(combo.get(g, f.zero()), f.mul(c, v))
-                if w:
-                    combo[g] = w
-                else:
-                    combo.pop(g, None)
-        return vec, combo
+    def _add_row(self, vec: dict, c, row: dict):
+        """vec += c * row in place (accumulate reduces mod p)."""
+        acc = self.field.accumulate
+        for j, v in row.items():
+            acc(vec, j, c * v)
 
-    def insert(self, vec: dict) -> bool:
-        """Insert a generator; returns True if it enlarged the space."""
-        return self.insert_tracked(vec)[0]
-
-    def insert_tracked(self, vec: dict):
-        """Insert a generator; returns (added, combo) where, when the
-        reduction vanished, 0 = vec + sum combo[g] * generator_g."""
+    def _reduce(self, vec: dict) -> dict:
+        """A reduced copy of vec, without zeros.  Rows are zero at each
+        other's pivots, so one pass over the pivots vec starts with
+        suffices."""
         f = self.field
-        idx = self.n_inserted
-        self.n_inserted += 1
-        vec, combo = self._reduce(dict(vec), {idx: f.one()})
         vec = {k: v for k, v in vec.items() if v}
-        if not vec:
-            return False, combo
+        for p in sorted(vec.keys() & self.pivot_rows.keys()):
+            self._add_row(vec, f.neg(vec[p]), self.pivot_rows[p])
+        return vec
+
+    def _store(self, vec: dict):
+        """Add a nonzero reduced vector as a row, back-substituting it
+        into the rows that hold its pivot."""
+        f = self.field
         p = min(vec)
         c = f.inv(vec[p])
         row = {k: f.mul(c, v) for k, v in vec.items()}
-        cmb = {k: f.mul(c, v) for k, v in combo.items()}
-        # back-substitute into existing rows to keep a reduced basis
-        for q, qrow in list(self.pivot_rows.items()):
+        for qrow in self.pivot_rows.values():
             if p in qrow:
-                coef = qrow[p]
-                for j, v in row.items():
-                    w = f.sub(qrow.get(j, f.zero()), f.mul(coef, v))
-                    if w:
-                        qrow[j] = w
-                    else:
-                        qrow.pop(j, None)
-                qc = self.pivot_combos[q]
-                for g, v in cmb.items():
-                    w = f.sub(qc.get(g, f.zero()), f.mul(coef, v))
-                    if w:
-                        qc[g] = w
-                    else:
-                        qc.pop(g, None)
+                self._add_row(qrow, f.neg(qrow[p]), row)
         self.pivot_rows[p] = row
-        self.pivot_combos[p] = cmb
-        return True, combo
+
+    def insert(self, vec: dict) -> bool:
+        """Insert a generator; returns True if it enlarged the space."""
+        vec = self._reduce(vec)
+        if vec:
+            self._store(vec)
+        return bool(vec)
 
     def residual(self, vec: dict) -> dict:
         """Reduce vec modulo the subspace; zero dict iff vec is a member."""
-        out, _ = self._reduce(vec, {})
-        return {k: _plain(v) for k, v in out.items() if v}
+        return {k: _plain(v) for k, v in self._reduce(vec).items()}
 
 
 def rank(m: Matrix) -> int:
@@ -384,15 +357,19 @@ def kernel_basis(m: Matrix) -> Matrix:
 
 
 def _kernel_vectors(m: Matrix) -> list:
-    """A basis of the null space of m as sparse vectors: the combinations
-    over the columns whose reduction vanished."""
+    """A basis of the null space of m as sparse vectors.  Column j is
+    reduced with the tag coordinate m.rows + j; a column whose real part
+    vanishes is a kernel vector, the combination its tags record."""
     sp = Subspace(m.field)
     members = []
     by_col = m.columns()
+    r = m.rows
     for j in range(m.cols):
-        added, combo = sp.insert_tracked(by_col.get(j, {}))
-        if not added:
-            members.append(combo)
+        vec = sp._reduce({**by_col.get(j, {}), r + j: 1})
+        if min(vec) < r:
+            sp._store(vec)
+        else:
+            members.append({i - r: v for i, v in vec.items()})
     return members
 
 
@@ -565,30 +542,34 @@ def homology_quotient(d_in: Matrix, d_out: Matrix):
 
     Returns (dim, cycle_columns, project) where cycle_columns is a list of
     sparse cycle vectors forming a basis of H modulo boundaries and
-    project maps a cycle vector to its coordinates in that basis.
+    project maps a cycle vector to its coordinates in that basis.  The
+    residual modulo boundaries of the k-th representative is stored with
+    the tag coordinate dim V + k, so a cycle's coordinates are read off
+    the tags of its reduction; project raises ValueError on a vector
+    that is not a cycle or has an index outside V.
     """
     f = d_in.field
+    n = d_out.cols
     bound = image_basis(d_in)
     reps = []
     quot = Subspace(f)
     # residuals of kernel vectors modulo boundaries; keep the independent ones
     for vec in _kernel_vectors(d_out):
-        res = bound.residual(vec)
-        if res and quot.insert(res):
+        res = quot._reduce({**bound.residual(vec), n + len(reps): 1})
+        if min(res) < n:
+            quot._store(res)
             reps.append(vec)
-    basis_space = Subspace(f)
-    for vec in reps:
-        basis_space.insert(bound.residual(vec))
 
     def project(vec: dict) -> list:
-        res = bound.residual(vec)
-        red, combo = basis_space._reduce(dict(res), {})
-        if any(v for v in red.values()):
+        if any(not 0 <= i < n for i in vec):
+            raise ValueError(f"vector has an index outside 0..{n - 1}")
+        red = quot._reduce(bound.residual(vec))
+        if red and min(red) < n:
             raise ValueError("vector is not a cycle modulo boundaries")
-        # invariant of _reduce: red = res + sum combo[g] * generator_g
+        # only tags are left: red[n + k] = -coords[k]
         coords = [f.zero()] * len(reps)
-        for g, v in combo.items():
-            coords[g] = _plain(f.neg(v))
+        for g, v in red.items():
+            coords[g - n] = _plain(f.neg(v))
         return coords
 
     return len(reps), reps, project

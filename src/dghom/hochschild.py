@@ -217,9 +217,6 @@ class HochschildComplex:
         self.bar = CyclicBar(base, bar_bound, normalized)
         self.total, self.chain_keys = self.bar.total_complex()
         self.plan = base.bar_plan()
-        self.contribution_table = {
-            t: sorted({(self.bar.bar_degree(k), self.bar.internal_degree(k)) for k in lst})
-            for t, lst in self.chain_keys.items()}
 
     def status(self, t: int) -> str:
         return "exact" if self.plan.exact_at(t, self.bar_bound) else "truncated"

@@ -15,7 +15,8 @@ carries each word's signature (source, target, degree), and one reducer
 per signature, which reduces a word combination modulo the relation
 ideal spanned within the listed words.  ``realize`` reduces basis
 words, differentials and products with it; ``pushout_attach`` reduces
-d(f), whose one signature it lists up to its longest word.
+d(f), whose one signature it lists up to the longer of d(f)'s longest
+word and the longest relation term.
 """
 
 from __future__ import annotations
@@ -148,7 +149,10 @@ def pushout_attach(p: Presentation, n: int, f: PathElement,
     f: the new presentation has one extra generator h with d(h) = f in
     degree n-2 (the attached generator sits one degree below its
     boundary).  f is closed when d(f), homogeneous of degree n, reduces
-    to zero modulo the relations among the words up to its longest."""
+    to zero modulo the relations among the words up to the longer of its
+    longest word and the longest relation term: a reduction to zero
+    among any listed words proves d(f) lies in the ideal, and relations
+    not homogeneous in word length may need their longer terms."""
     deg = p.element_degree(f)
     if deg is None:
         deg = n - 1
@@ -157,8 +161,10 @@ def pushout_attach(p: Presentation, n: int, f: PathElement,
     out = p.copy()
     out._check_homogeneous(f, n - 1)
     df = _d_of_element(out, f)
-    if df and _Reducer(out, _words(out, max(map(len, df)))[1][(f.src, f.tgt, n)]).reduce(df):
-        raise PresentationError("attaching element is not closed")
+    if df:
+        longest = max(map(len, itertools.chain(df, *(r.terms for r in out.relations))))
+        if _Reducer(out, _words(out, longest)[1][(f.src, f.tgt, n)]).reduce(df):
+            raise PresentationError("attaching element is not closed")
     gname = name or out.fresh_name()
     out.generators[gname] = (f.src, f.tgt, n - 2)
     out.differentials[gname] = PathElement(f.src, f.tgt, dict(f.terms))

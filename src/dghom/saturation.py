@@ -38,7 +38,7 @@ from .exactfield import (ChainComplex, Matrix, Subspace, homology_dims, homology
                          tensor_complex)
 from .dgcore import DgCategory, opposite, tensor
 from .dgmod import (BarWindowError, DgModule, _diagonal_over, bar_composite, diagonal_bimodule,
-                    tensor_action)
+                    tensor_action, tor_dims)
 from .hochschild import auto_bar_bound, chain_support_bound, hochschild_complex
 from .monomial import monomial_algebra
 
@@ -207,10 +207,8 @@ def smoothness_certify(a: DgCategory, bound: int) -> SmoothnessResult:
     if mono is not None:
         tor = {n: len(ap) for n, ap in enumerate(mono.chains(bound + 1))}
     else:
-        window = (-(bound + 1), 0)
-        res = bar_composite(_top_module(a), _top_module(opposite(a)), a, window)
-        dims = homology_dims(res.complexes[()], window)
-        tor = {n: dims[-n] for n in range(bound + 2)}
+        dims = tor_dims(_top_module(a), _top_module(opposite(a)), (0, bound + 1))
+        tor = {n: dim for n, (dim, _) in dims.items()}
     level = None
     for n in range(bound + 2):
         if tor[n] == 0:

@@ -4,7 +4,7 @@ Everything here deliberately avoids the library's own linear algebra and
 sign conventions: dense Gaussian elimination, textbook bar complexes in
 the a_0 (x) ... (x) a_n orientation, and direct convolution counting.
 Two exceptions: `subspace_rank` checks `rank` against the library's
-other elimination, the combination-tracking `Subspace`; and the bar
+other elimination, the echelon-basis `Subspace`; and the bar
 operator references at the end (`reference_face`, `reference_bar_diff`
 and their companions) share the library's sign conventions but reach
 every product, action and differential through the generic bilinear
@@ -72,8 +72,8 @@ def dense_rank(rows, field: FieldSpec) -> int:
 
 
 def subspace_rank(m) -> int:
-    """Rank through the library's combination-tracking route: insert every
-    row into a `Subspace`, which reduces it in Fraction/F_p arithmetic and
+    """Rank through the library's other elimination: insert every row
+    into a `Subspace`, which reduces it in Fraction/F_p arithmetic and
     keeps a fully reduced basis.  An elimination independent of `rank`."""
     from dghom.exactfield import Subspace
     sp = Subspace(m.field)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dghom import exactfield
 from dghom.exactfield import (ChainComplex, FieldSpec, FieldError, Matrix, WindowError,
-                              euler_char, homology_dims, kernel_basis, rank)
+                              euler_char, homology_dims, homology_quotient, kernel_basis, rank)
 from dghom.hochschild import hochschild_complex
 from conftest import identity
 from oracles import dense_rank, matrix_to_dense, random_sparse_matrix, subspace_rank
@@ -231,6 +231,85 @@ class TestHomology:
             ChainComplex(Q, {0: ("a",), 1: ("b",), 2: ("c",)},
                          {0: M(Q, 1, 1, {(0, 0): 1}),
                           1: M(Q, 1, 1, {(0, 0): 1})}).verify()
+
+
+def random_scalar(rng, field):
+    if field.kind == 0 and rng.random() < 0.3:
+        return Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
+    return field.of_int(rng.randrange(-3, 4))
+
+
+def split_complex(rng, field, u, h, w):
+    """d_in: k^a -> V, d_out: V -> k^b with d_out d_in = 0 and homology
+    of dim h at V: on V = U + H + W, d_in maps onto U and d_out is
+    injective on W and zero on U + H, before the change of basis
+    d_in -> P d_in, d_out -> d_out P^-1.  P is a product of shears I + N
+    with N^2 = 0, whose inverses are I - N."""
+    n = u + h + w
+    extra_in, extra_out = rng.randrange(3), rng.randrange(3)
+    d_in = {(i, i): field.one() for i in range(u)}
+    d_in.update({(i, u + j): random_scalar(rng, field) for i in range(u) for j in range(extra_in)})
+    d_out = {(i, u + h + i): field.one() for i in range(w)}
+    d_out.update({(w + r, u + h + j): random_scalar(rng, field)
+                  for r in range(extra_out) for j in range(w)})
+    d_in = Matrix(field, n, u + extra_in, d_in)
+    d_out = Matrix(field, w + extra_out, n, d_out)
+    for _ in range(3):
+        rows = set(rng.sample(range(n), n // 2))
+        shear = {(i, j): random_scalar(rng, field) for i in rows for j in range(n)
+                 if j not in rows and rng.random() < 0.5}
+        eye = identity(field, n)
+        nil = Matrix(field, n, n, shear)
+        d_in = eye.add(nil).mul(d_in)
+        d_out = d_out.mul(eye.sub(nil))
+    return d_in, d_out
+
+
+def as_column(vec, n, field):
+    return Matrix(field, n, 1, {(i, 0): v for i, v in vec.items()})
+
+
+def combine(field, pairs):
+    out = {}
+    for c, vec in pairs:
+        for i, v in vec.items():
+            field.accumulate(out, i, field.mul(c, v))
+    return out
+
+
+class TestHomologyQuotient:
+    @pytest.mark.parametrize("field", [Q, F2, F5], ids=["Q", "F2", "F5"])
+    def test_seeded_complexes(self, field, rng):
+        for _ in range(30):
+            u, h, w = rng.randrange(4), rng.randrange(4), rng.randrange(4)
+            d_in, d_out = split_complex(rng, field, u, h, w)
+            n = d_out.cols
+            assert d_out.mul(d_in).is_zero()
+            dim, reps, project = homology_quotient(d_in, d_out)
+            assert dim == h == kernel_basis(d_out).cols - rank(d_in) == len(reps)
+            for k, rep in enumerate(reps):
+                assert d_out.mul(as_column(rep, n, field)).is_zero()
+                assert project(rep) == [int(j == k) for j in range(dim)]
+            boundaries = list(d_in.columns().values())
+            for b in boundaries:
+                assert project(b) == [0] * dim
+            cycles = list(kernel_basis(d_out).columns().values())
+            for _ in range(3):
+                pairs = [(random_scalar(rng, field), v) for v in cycles + boundaries]
+                want = [0] * dim
+                for c, v in pairs:
+                    want = [field.add(a, field.mul(c, b)) for a, b in zip(want, project(v))]
+                assert project(combine(field, pairs)) == want
+            for i in range(n):
+                if d_out.columns().get(i):
+                    with pytest.raises(ValueError, match="not a cycle"):
+                        project({i: field.one()})
+            for bad in (n, n + dim, -1):
+                with pytest.raises(ValueError, match="outside"):
+                    project({bad: field.one()})
+            if reps:
+                with pytest.raises(ValueError, match="outside"):
+                    project({**reps[0], n: field.one()})
 
 
 class TestEuler:

@@ -106,6 +106,26 @@ class TestPushout:
         with pytest.raises(PresentationError, match="not closed"):
             pushout_attach(Presentation(Q, ["1", "2", "3"], gens, {"h": ab}), 0, h)
 
+    def test_attach_closed_through_longer_relation_words(self):
+        # d(h) = x - y vanishes only through the longer word z.w, since
+        # x = z.w = y; the relations are not homogeneous in word length
+        gens = {"x": ("1", "2", 0), "y": ("1", "2", 0), "z": ("1", "3", 0),
+                "w": ("3", "2", 0), "h": ("1", "2", -1)}
+        rels = [PathElement("1", "2", {("x",): 1, ("z", "w"): -1}),
+                PathElement("1", "2", {("y",): 1, ("z", "w"): -1})]
+        dh = PathElement("1", "2", {("x",): 1, ("y",): -1})
+        pres = Presentation(Q, ["1", "2", "3"], gens, {"h": dh}, rels)
+        cat, cert = realize(pres, 3, 3)
+        assert cert.is_closed
+        assert hom_dims(cat, "1", "2") == {-1: 1, 0: 1}
+        assert homology_dims(cat.hom("1", "2"), (-1, 0)) == {-1: 1, 0: 1}
+        attached = pushout_attach(pres, 0, PathElement("1", "2", {("h",): 1}))
+        cat, cert = realize(attached, 3, 3)
+        assert cert.is_closed and validate(cat).ok
+        # the attached generator kills h and leaves x
+        assert hom_dims(cat, "1", "2") == {-2: 1, -1: 1, 0: 1}
+        assert homology_dims(cat.hom("1", "2"), (-2, 0)) == {-2: 0, -1: 0, 0: 1}
+
     def test_attach_boundary_through_the_empty_word(self):
         # d(h) = id_v: the boundary of the attaching element is the unit
         pres = Presentation(Q, ["v"], {"h": ("v", "v", -1)},
