@@ -449,8 +449,11 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print("out of memory: the input is too large for these bounds", file=sys.stderr)
-        return 1
+        # print after the handler: in it the traceback still holds every
+        # frame of the failed computation, so the print can fail too
+        pass
+    print("out of memory: the input is too large for these bounds", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -31,8 +31,8 @@ class CyclicError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# chain-level operators on single cyclic bar chain keys of a category,
-# normalized or not (pure key manipulations; no bar is assembled)
+# chain-level operators on single cyclic bar chain keys of a category
+# (pure key manipulations; no bar is assembled)
 
 def t_of_key(a: DgCategory, key):
     """Cyclic rotation of one chain: (new key, sign scalar)."""
@@ -51,10 +51,7 @@ def s_of_key(unit_keys: dict, key):
     """Extra degeneracy: prepend the identity at the loop start, given
     the unit key of each object (``CyclicBar.unit_keys``)."""
     objs, keys = key
-    uk = unit_keys[objs[0]]
-    if uk is None:
-        raise CyclicError("extra degeneracy needs unit basis vectors")
-    return (objs + (objs[0],), (uk,) + keys)
+    return (objs + (objs[0],), (unit_keys[objs[0]],) + keys)
 
 
 class MixedComplex:
@@ -69,7 +66,7 @@ class MixedComplex:
         self.bar_bound = bar_bound
         f = base.field
         self.field = f
-        self.norm = CyclicBar(base, bar_bound, normalized=True)
+        self.norm = CyclicBar(base, bar_bound)
         self.plan = base.bar_plan()
 
         # chains per homological degree n = bar - internal = -(total degree);

@@ -21,7 +21,7 @@ import itertools
 
 from .exactfield import ChainComplex, Matrix, kernel_basis, operator_complex, tensor_complex
 from .dgcore import (DgCategory, ValidationReport, bar_degree_cap, elem_scale,
-                     elem_eq, hom_graph, opposite, tensor, tensor_info, walks)
+                     elem_eq, opposite, tensor, tensor_info, walks)
 
 
 class DgModule:
@@ -296,8 +296,7 @@ class BarResult:
         self.window_coh = window_coh
 
 
-def _plan_bar_bound(x_bounds, y_bounds, hom_bounds, window_coh, bar_bound,
-                    chain_cap=None):
+def _plan_bar_bound(x_bounds, y_bounds, hom_bounds, window_coh, bar_bound, chain_cap):
     """Smallest bar bound P such that bar degrees > P cannot reach the
     window closure, or None when neither the grading nor the chain
     vanishing cap gives such a bound.  Every middle factor is bounded by
@@ -317,31 +316,27 @@ def _plan_bar_bound(x_bounds, y_bounds, hom_bounds, window_coh, bar_bound,
 
 
 def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
-                  window_coh, bar_bound=None, normalized: bool | None = None) -> BarResult:
-    """Two-sided bar complex of X (x)^L_mid Y, windowed in total
-    cohomological degree: X is a right module over mid, Y a right module
-    over opposite(mid).
+                  window_coh, bar_bound=None) -> BarResult:
+    """Normalized two-sided bar complex of X (x)^L_mid Y, windowed in
+    total cohomological degree: X is a right module over mid, Y a right
+    module over opposite(mid).
 
-    When the middle category has unit basis vectors the normalized bar
-    is used: middle factors range over non-unit basis elements, and
-    face/differential outputs with a unit in a middle slot are
-    degenerate hence dropped.  The unit keys, middle factors, their
-    digraph and the chain vanishing cap come from ``mid.bar_plan()``, so
-    bars over one middle category share one set-up.
+    Middle factors range over non-unit basis elements, and face and
+    differential outputs with a unit in a middle slot are degenerate,
+    hence dropped; a middle category whose units are not basis vectors
+    is refused.  The middle factors, their digraph and the chain
+    vanishing cap come from ``mid.bar_plan()``, so bars over one middle
+    category share one set-up.
     """
+    if not mid.unit_is_basis():
+        raise ValueError("the normalized two-sided bar needs every unit of the middle "
+                         "category to be a basis element with coefficient 1")
     f = mid.field
     plan = mid.bar_plan()
-    if normalized is None:
-        normalized = mid.unit_is_basis()
-    if normalized:
-        # with non-unit middle factors, bar chains vanish beyond the
-        # longest path in the non-unit digraph of the middle category
-        unit_keys, hom_keys, edges, chain_cap = plan.unit_keys, plan.nonunit, plan.edges, plan.max_bar
-    else:
-        unit_keys, edges, chain_cap = {}, hom_graph(mid.homs), None
-        hom_keys = {pair: list(mid.basis_keys(*pair)) for pair in mid.homs}
+    # with non-unit middle factors, bar chains vanish beyond the longest
+    # path in the non-unit digraph of the middle category
     P, flag = _plan_bar_bound(X.support_bounds(), Y.support_bounds(), plan.outer,
-                              window_coh, bar_bound, chain_cap)
+                              window_coh, bar_bound, plan.max_bar)
     w0, w1 = window_coh
     lo, hi = w0 - 1, w1 + 1
 
@@ -349,9 +344,9 @@ def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
     # each degree in enumeration order
     chains = {}   # total degree -> list of keys
     for p in range(P + 1):
-        for objs in walks(mid.objects, edges, p):
+        for objs in walks(mid.objects, plan.edges, p):
             # objs = (b_0, ..., b_p); betas a_i in hom(b_{i-1}, b_i)
-            beta_lists = [hom_keys[(objs[i - 1], objs[i])] for i in range(1, p + 1)]
+            beta_lists = [plan.nonunit[(objs[i - 1], objs[i])] for i in range(1, p + 1)]
             xv = X.value(objs[p])
             yv = Y.value(objs[0])
             if not xv.spaces or not yv.spaces:
@@ -366,20 +361,19 @@ def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
                         t = q - p
                         if lo <= t <= hi:
                             chains.setdefault(t, []).append((objs, km, bt, kn))
-    cx = operator_complex(f, chains, _bar_differential(X, Y, mid, unit_keys),
+    cx = operator_complex(f, chains, _bar_differential(X, Y, mid),
                           specified=(lo, hi))
     return BarResult({(): cx}, {(): chains}, flag, P, window_coh)
 
 
-def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory, unit_keys: dict):
-    """The total differential of the two-sided bar chains of
+def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory):
+    """The total differential of the normalized two-sided bar chains of
     ``bar_composite``, as a function diff(key) -> {chain key: scalar}:
     simplicial faces with alternating signs plus (-1)^p times the
     internal Koszul-left differential.
 
-    ``unit_keys`` maps each middle object to its unit key for the
-    normalized bar ({} for the unnormalized one): a term with a unit in
-    the composed or the differentiated middle slot is degenerate and
+    A term with a unit (the unit keys of ``mid.bar_plan()``) in the
+    composed or the differentiated middle slot is degenerate and
     dropped; the other middle factors keep their objects and were
     non-unit already.
 
@@ -389,7 +383,9 @@ def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory, unit_keys: dict
     f = mid.field
     comp, homs = mid.comp, mid.homs
     x_action, y_action = X.action, Y.action
-    internal = mid.bar_plan().differential or any(
+    plan = mid.bar_plan()
+    unit_keys = plan.unit_keys
+    internal = plan.differential or any(
         c.diffs for m in (X, Y) for c in m.values.values())
 
     def diff(key):
@@ -413,7 +409,7 @@ def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory, unit_keys: dict
                 prod = comp.get((src, objs[p - i], tgt), {}).get((kg, kf))
                 if prod:
                     deg = kg[0] + kf[0]
-                    unit = unit_keys.get(src) if src == tgt else None
+                    unit = unit_keys[src] if src == tgt else None
                     nobjs = objs[:p - i] + objs[p - i + 1:]
                     before, after = betas[:i - 1], betas[i + 1:]
                     for ih, v in prod.items():
@@ -441,7 +437,7 @@ def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory, unit_keys: dict
         for i, bk in enumerate(betas):
             # beta_i spans hom(objs[p-i-1], objs[p-i])
             src, tgt = objs[p - i - 1], objs[p - i]
-            unit = unit_keys.get(src) if src == tgt else None
+            unit = unit_keys[src] if src == tgt else None
             for bk2, v in homs[(src, tgt)].d_of(bk):
                 if bk2 != unit:
                     f.accumulate(out, (objs, km, betas[:i] + (bk2,) + betas[i + 1:], kn),

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 
 from .exactfield import homology_dims, homology_quotient, operator_complex
-from .dgcore import DgCategory, hom_graph, tensor, tensor_info, walks
+from .dgcore import DgCategory, tensor, tensor_info, walks
 from .monomial import monomial_algebra
 
 
@@ -46,30 +46,28 @@ def _require_closed(a: DgCategory):
 
 
 class CyclicBar:
-    """Assembled cyclic bar chains of a category up to a bar bound.
+    """Normalized cyclic bar chains of a category up to a bar bound.
 
-    Normalized, the inner factors, their digraph and the unit keys come
-    from the category's BarPlan; unnormalized, inner factors range over
-    every basis key along the nonempty-hom digraph and ``unit_keys`` is
-    empty."""
+    The inner factors (every slot but the wrap-around one) range over
+    non-unit basis elements; they, their digraph and the unit keys come
+    from the category's BarPlan.  A category whose units are not basis
+    vectors is refused."""
 
-    def __init__(self, a: DgCategory, bar_bound: int, normalized: bool = True):
+    # read by perfbench/tracer.py, which counts chains per kind of bar
+    normalized = True
+
+    def __init__(self, a: DgCategory, bar_bound: int):
         _require_closed(a)
-        if normalized:
-            _require_unit_basis(a)
+        _require_unit_basis(a)
         self.a = a
         self.bar_bound = bar_bound
-        self.normalized = normalized
         self.field = a.field
         plan = a.bar_plan()
         self.differential = plan.differential
-        if normalized:
-            self.unit_keys, inner, edges = plan.unit_keys, plan.nonunit, plan.edges
-        else:
-            self.unit_keys, edges = {}, hom_graph(a.homs)
-            inner = {pair: list(a.basis_keys(*pair)) for pair in a.homs}
+        self.unit_keys = plan.unit_keys
         # chains in enumeration order: walks, then the product of the slot bases
-        self.keys_by_bar = {m: list(self._enumerate(m, inner, edges)) for m in range(bar_bound + 1)}
+        self.keys_by_bar = {m: list(self._enumerate(m, plan.nonunit, plan.edges))
+                            for m in range(bar_bound + 1)}
 
     def _enumerate(self, m, inner, edges):
         a = self.a
@@ -109,8 +107,8 @@ class CyclicBar:
         """Face d_i (wrap-around at i = 0) as a combination of chains one
         bar degree down, without the alternating-sum sign.
 
-        The product is read from the composition table.  When normalized,
-        only the composed slot can be degenerate: the other inner factors
+        The product is read from the composition table.  Only the
+        composed slot can be degenerate: the other inner factors
         keep their objects and were non-unit already."""
         objs, keys = key
         m = len(keys) - 1
@@ -154,8 +152,8 @@ class CyclicBar:
     def dint_of(self, key) -> dict:
         """Internal differential, Koszul signs accumulated from the left.
 
-        Columns come from the hom complexes' differentials; when
-        normalized, only the differentiated slot can become degenerate."""
+        Columns come from the hom complexes' differentials; only the
+        differentiated slot can become degenerate."""
         f = self.field
         objs, keys = key
         m = len(keys) - 1
@@ -210,11 +208,10 @@ class HochschildComplex:
     total degree t is provably unaffected by the truncation.
     """
 
-    def __init__(self, base: DgCategory, bar_bound: int, normalized: bool = True):
+    def __init__(self, base: DgCategory, bar_bound: int):
         self.base = base
         self.bar_bound = bar_bound
-        self.normalized = normalized
-        self.bar = CyclicBar(base, bar_bound, normalized)
+        self.bar = CyclicBar(base, bar_bound)
         self.total, self.chain_keys = self.bar.total_complex()
         self.plan = base.bar_plan()
 
@@ -235,10 +232,10 @@ def auto_bar_bound(a: DgCategory, n_max: int) -> int:
     return max(1, bound)
 
 
-def hochschild_complex(a: DgCategory, bar_bound: int, normalized: bool = True) -> HochschildComplex:
+def hochschild_complex(a: DgCategory, bar_bound: int) -> HochschildComplex:
     if bar_bound < 1:
         raise HochschildError("bar_bound must be >= 1")
-    return HochschildComplex(a, bar_bound, normalized)
+    return HochschildComplex(a, bar_bound)
 
 
 def hh_dims(a: DgCategory, n_max: int, bar_bound: int | None = None) -> dict:
@@ -382,12 +379,12 @@ class ShuffleMap:
             if bar_bound_a is None or bar_bound_b is None:
                 raise HochschildError("window not certifiable; pass explicit bar bounds")
             pa, pb = bar_bound_a, bar_bound_b
-        self.bar_a = CyclicBar(a, pa, normalized=True)
-        self.bar_b = CyclicBar(b, pb, normalized=True)
+        self.bar_a = CyclicBar(a, pa)
+        self.bar_b = CyclicBar(b, pb)
         self.ab = tensor(a, b)
         self.info = tensor_info(self.ab)
         # operator carrier only; chains of the target are produced by apply_pair
-        self.bar_ab = CyclicBar(self.ab, 0, normalized=True)
+        self.bar_ab = CyclicBar(self.ab, 0)
         self.certificate_checked = False
 
     def _pair_hom_key(self, xa, ya, ka, xb, yb, kb):

@@ -22,7 +22,11 @@ The bar-degree planners the library once kept per module,
 time where the library solves for the largest one.
 `reference_smoothness_tor` computes the smoothness Tor over the
 enveloping category a (x) a^op, with `semisimple_quotient_left_module`,
-where the library bars over a alone.  `bprime_of` (b' summed from the
+where the library bars over a alone.  `UnnormalizedCyclicBar` keeps
+the cyclic bar with degenerate chains, which the library no longer
+enumerates, on the library's face and differential code;
+`unnormalized_exact_hh_dims` reads HH from it in the degrees its
+truncation cannot reach.  `bprime_of` (b' summed from the
 library's faces) is a test helper the library no longer carries.  So
 are the functor section's `DgFunctor`, `validate_functor`,
 `swap_functor` and `pullback_module`, the role-swap reference for the
@@ -35,9 +39,10 @@ they share the library's conventions.
 import itertools
 
 from dghom.cyclic import CyclicError, t_of_key
-from dghom.dgcore import DgCategory, ValidationReport, elem_eq, tensor, tensor_info
+from dghom.dgcore import (DgCategory, ValidationReport, bar_degree_cap, elem_eq, hom_graph,
+                          tensor, tensor_info)
 from dghom.dgmod import DgModule
-from dghom.exactfield import FieldSpec, Matrix, operator_matrix
+from dghom.exactfield import FieldSpec, Matrix, homology_dims, operator_matrix
 from dghom.hochschild import CyclicBar
 
 
@@ -281,7 +286,7 @@ def convolution(da: dict, db: dict, n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # chain bases by filtering every object tuple (the library walks the
-# nonempty-hom digraph instead)
+# nonempty-hom digraph instead), and the unnormalized cyclic bar
 
 def _basis(c):
     return [(d, i) for d in c.support() for i in range(c.dim(d))]
@@ -305,10 +310,10 @@ def brute_cyclic_keys(cat, m, normalized):
     return out
 
 
-def brute_bar_chain_keys(X, Y, mid, window_coh, bar_bound, normalized,
-                         left_spect=None, right_spect=None):
-    """Two-sided bar chain keys (objs, km, (a_p, ..., a_1), kn) per
-    spectator pair and total cohomological degree in the window closure."""
+def brute_bar_chain_keys(X, Y, mid, window_coh, bar_bound, left_spect=None, right_spect=None):
+    """Normalized two-sided bar chain keys (objs, km, (a_p, ..., a_1), kn)
+    per spectator pair and total cohomological degree in the window
+    closure."""
     lo, hi = window_coh[0] - 1, window_coh[1] + 1
     spect = left_spect is not None or right_spect is not None
     out = {}
@@ -317,7 +322,7 @@ def brute_bar_chain_keys(X, Y, mid, window_coh, bar_bound, normalized,
             chains = {}
             for p in range(bar_bound + 1):
                 for objs in itertools.product(mid.objects, repeat=p + 1):
-                    betas = [_factor_keys(mid, objs[i - 1], objs[i], normalized)
+                    betas = [_factor_keys(mid, objs[i - 1], objs[i], True)
                              for i in range(1, p + 1)]
                     xv = X.value((la, objs[p]) if left_spect is not None else objs[p])
                     yv = Y.value((objs[0], rc) if right_spect is not None else objs[0])
@@ -330,6 +335,37 @@ def brute_bar_chain_keys(X, Y, mid, window_coh, bar_bound, normalized,
                                     chains.setdefault(t, set()).add((objs, km, bt, kn))
             out[(la, rc) if spect else ()] = chains
     return out
+
+
+class UnnormalizedCyclicBar(CyclicBar):
+    """The unnormalized cyclic bar, degenerate chains included: inner
+    factors range over every basis key along the nonempty-hom digraph
+    and ``unit_keys`` is empty, so no face or differential term is
+    dropped.  Faces, b, the internal differential and the total complex
+    are the library's; units need not be basis vectors."""
+
+    normalized = False
+
+    def __init__(self, a: DgCategory, bar_bound: int):
+        self.a = a
+        self.bar_bound = bar_bound
+        self.field = a.field
+        self.differential = a.bar_plan().differential
+        self.unit_keys, edges = {}, hom_graph(a.homs)
+        inner = {pair: list(a.basis_keys(*pair)) for pair in a.homs}
+        self.keys_by_bar = {m: list(self._enumerate(m, inner, edges)) for m in range(bar_bound + 1)}
+
+
+def unnormalized_exact_hh_dims(cat, bar_bound, n_max):
+    """HH_n dims, 0 <= n <= n_max, from the unnormalized cyclic bar at
+    bar_bound, in the degrees its truncation cannot reach.  Every slot
+    ranges over all keys, so inner factors have the outer degrees, and
+    the unit loops leave no longest-path cap."""
+    total, _ = UnnormalizedCyclicBar(cat, bar_bound).total_complex()
+    outer = cat.bar_plan().outer
+    caps = {n: bar_degree_cap(outer, outer, None, -n, -n) for n in range(n_max + 1)}
+    dims = homology_dims(total, (-n_max, 0))
+    return {n: dims[-n] for n, cap in caps.items() if cap is not None and cap <= bar_bound}
 
 
 def brute_tensor_comp_shape(cats):
@@ -532,7 +568,7 @@ def reference_bar_diff(X, Y, mid, key, la=None, rc=None, left_spect=None, right_
 def drop_degenerate(vec, unit_keys):
     """A combination of two-sided bar chains projected onto the normalized
     chains: a chain with the unit key of a loop in any middle slot is
-    dropped (none when unit_keys is {}, the unnormalized bar)."""
+    dropped."""
     def degenerate(key):
         objs, _km, betas, _kn = key
         p = len(betas)
@@ -1032,6 +1068,6 @@ def cyclic_operator(a: DgCategory, n: int) -> Matrix:
     dghom.cyclic (sign (-1)^{(n-1) + Koszul})."""
     if n < 1:
         raise CyclicError("n must be >= 1")
-    keys = CyclicBar(a, n - 1, normalized=False).keys_by_bar[n - 1]
+    keys = UnnormalizedCyclicBar(a, n - 1).keys_by_bar[n - 1]
     index = {k: i for i, k in enumerate(keys)}
     return operator_matrix(a.field, keys, index, lambda key: dict([t_of_key(a, key)]))

@@ -6,9 +6,9 @@ from dghom.dgcore import sphere_cell
 from dghom.cyclic import (CyclicError, _column_homology, _column_total_dims,
                           _column_total_matrix, hc_auto_bar_bound, hc_dims, hcminus_hp_dims,
                           mixed_complex, t_of_key)
-from dghom.hochschild import CyclicBar, hh_dims
+from dghom.hochschild import hh_dims
 from conftest import Q, F2, exterior_deg, identity
-from oracles import bprime_of, cyclic_operator
+from oracles import UnnormalizedCyclicBar, bprime_of, cyclic_operator
 
 
 class TestCyclicOperator:
@@ -44,7 +44,7 @@ class TestCyclicOperator:
         for name in ("kx2", "path12"):
             cat = corpus[name]
             f = cat.field
-            bar = CyclicBar(cat, 3, normalized=False)
+            bar = UnnormalizedCyclicBar(cat, 3)
             for m in (1, 2, 3):
                 for key in bar.keys_by_bar[m]:
                     lhs = {}
@@ -64,7 +64,7 @@ class TestCyclicOperator:
     def test_connes_tsygan_graded(self):
         ext1 = exterior_deg(Q, 1)
         f = Q
-        bar = CyclicBar(ext1, 3, normalized=False)
+        bar = UnnormalizedCyclicBar(ext1, 3)
         for m in (1, 2):
             for key in bar.keys_by_bar[m]:
                 lhs = {}

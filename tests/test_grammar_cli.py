@@ -70,6 +70,19 @@ compose a a a f f f 1
 
 KX2_F5_QUIVER = KX2_QUIVER.replace("field q", "field fp 5")
 
+# k[x,y]/(x^2, y^2, xy - yx), closed at word length 4
+COMMUTATIVE_QUIVER = """\
+quiver
+field q
+wordlength 6
+vertex v
+arrow x v v
+arrow y v v
+relation 1 x.x
+relation 1 y.y
+relation 1 x.y -1 y.x
+"""
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -359,6 +372,18 @@ class TestCli:
     def test_split_unit_is_valid(self, files):
         assert main(["validate", files["split.dg"]]) == 0
 
+    def test_split_unit_bars_refused(self):
+        # both two-sided bar entry points refuse a middle category whose
+        # unit e + f is not a basis vector, before enumerating a chain
+        from dghom.dgcore import opposite
+        from dghom.dgmod import bar_composite, bar_tor, yoneda_module
+        cat, _ = grammar.loads(SPLIT_UNIT)
+        X, Y = yoneda_module(cat, "a"), yoneda_module(opposite(cat), "a")
+        with pytest.raises(ValueError, match="unit of the middle category to be a basis"):
+            bar_composite(X, Y, cat, (-2, 0), 2)
+        with pytest.raises(ValueError, match="unit of the middle category to be a basis"):
+            bar_tor(X, Y, (0, 2))
+
     def test_out_of_memory_exits_1_with_one_line(self, monkeypatch, capsys):
         from dghom import saturation
 
@@ -368,6 +393,27 @@ class TestCli:
         assert main(["check"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("out of memory")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="RLIMIT_AS is enforced on Linux")
+    def test_real_out_of_memory_exits_1_with_one_line(self, tmp_path):
+        # a real exhaustion, not a synthetic MemoryError: the address-space
+        # limit is set in the child only, and saturate at bound 12 on the
+        # 4-dimensional commutative algebra needs far more than it allows
+        pytest.importorskip("resource")
+        (tmp_path / "comm.quiver").write_text(COMMUTATIVE_QUIVER)
+        src = os.path.dirname(os.path.dirname(dghom.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        child = ("import resource, sys\n"
+                 "cap = 150 * 2 ** 20\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+                 "from dghom.cli import main\n"
+                 "sys.exit(main(['saturate', 'comm.quiver', '--bound', '12']))\n")
+        proc = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == "out of memory: the input is too large for these bounds\n"
 
     def test_check_empty_corpus(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -46,9 +46,8 @@ def test_per_pair_bar_equals_spectator_bar(corpus, name):
     Xr, Yr, mid_r = reference_triangle_modules(a)
     assert mid_r == mid
     op_a = opposite(a)
-    normalized = mid.unit_is_basis()
-    unit_keys = {u: mid.unit_key(u) for u in mid.objects} if normalized else {}
-    want_keys = brute_bar_chain_keys(Xr, Yr, mid, window, bar_bound, normalized,
+    unit_keys = {u: mid.unit_key(u) for u in mid.objects}
+    want_keys = brute_bar_chain_keys(Xr, Yr, mid, window, bar_bound,
                                      left_spect=op_a, right_spect=a)
     assert sorted(itertools.product(X, Y), key=repr) == sorted(want_keys, key=repr)
     chains = 0
