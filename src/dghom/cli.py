@@ -6,6 +6,11 @@ and parameters give byte-identical files; every report embeds the bounds
 used and the exact/truncated status of each number.  Exit codes: 0
 success or all checks pass, 1 check failure or out of memory, 2 input
 error.
+
+Only the layers every command needs are imported here; each command
+imports the rest of its stack itself, so a run loads and compiles only
+the modules it uses (``hh`` never loads ``cyclic``, ``dgmod`` or
+``saturation``).
 """
 
 from __future__ import annotations
@@ -14,18 +19,13 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
 
 from .exactfield import FieldError, FieldSpec
 from .dgcore import opposite, tensor, unit_category, validate
 from .presentation import PathElement, Presentation, pushout_attach, realize
 from . import grammar
-from .corpus import builtin_corpus
 from .hochschild import hh_dims, shuffle_map, HochschildError
-from .cyclic import hc_dims, hcminus_hp_dims
-from .saturation import euler_report, saturation_report, triangle_identity_check
-from .dgmod import module_map_space, shift_module, sn_pack, sn_unpack, validate_module, yoneda_module
 
 
 class InputError(Exception):
@@ -101,7 +101,7 @@ def _emit(report, args, human_lines=()):
         sys.stdout.write(text)
 
 
-def _to_tsv(report, prefix=""):
+def _to_tsv(report):
     lines = []
 
     def walk(node, path):
@@ -136,7 +136,11 @@ def cmd_validate(args):
 def cmd_homology(args):
     """`hh` or `hc`, as ``args.command`` names: the dimensions up to
     --n-max, each with its status."""
-    dims_of, least_bar_bound = {"hh": (hh_dims, 1), "hc": (hc_dims, 2)}[args.command]
+    if args.command == "hc":
+        from .cyclic import hc_dims as dims_of
+        least_bar_bound = 2
+    else:
+        dims_of, least_bar_bound = hh_dims, 1
     _require_at_least(args, n_max=0, bar_bound=least_bar_bound)
     cat, cert = _load(args.input)
     _require_closed(cat, cert, args.input)
@@ -155,6 +159,7 @@ def cmd_homology(args):
 
 
 def cmd_hp(args):
+    from .cyclic import hcminus_hp_dims
     _require_at_least(args, levels=2, bar_bound=2)
     window = _parse_window(args.window)
     cat, cert = _load(args.input)
@@ -215,6 +220,7 @@ def cmd_cell(args):
 
 
 def cmd_saturate(args):
+    from .saturation import saturation_report
     _require_at_least(args, bound=0)
     cat, cert = _load(args.input)
     _require_closed(cat, cert, args.input)
@@ -232,6 +238,7 @@ def cmd_saturate(args):
 
 
 def cmd_euler(args):
+    from .saturation import euler_report, saturation_report
     _require_at_least(args, bound=0, bar_bound=1)
     cat, cert = _load(args.input)
     _require_closed(cat, cert, args.input)
@@ -268,6 +275,7 @@ def _random_module_map(maps, rng, field):
 
 
 def _check_prop31(cat, rng):
+    from .dgmod import module_map_space, shift_module, sn_pack, sn_unpack, validate_module, yoneda_module
     trials = 0
     for n in (0, 1):
         for x in cat.objects:
@@ -288,6 +296,7 @@ def _check_prop31(cat, rng):
 
 
 def _check_triangle(cat, sat):
+    from .saturation import triangle_identity_check
     res = triangle_identity_check(cat, (-3, 3), saturation=sat)
     if res.status == "pass":
         return "PASS", f"evidence: {res.evidence}"
@@ -297,6 +306,7 @@ def _check_triangle(cat, sat):
 
 
 def _check_chi(cat, sat):
+    from .saturation import euler_report
     if not sat.saturated:
         return "SKIPPED", "not certified saturated; chi equality undefined here"
     rep = euler_report(cat, sat.smooth)
@@ -323,6 +333,9 @@ def _check_kunneth(cat):
 
 
 def cmd_check(args):
+    import random
+    from .corpus import builtin_corpus
+    from .saturation import saturation_report
     _require_at_least(args, bound=0)
     rng = random.Random(20260811)
     if args.corpus:

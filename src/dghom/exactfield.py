@@ -10,7 +10,6 @@ as H_n := H^{-n}.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -43,7 +42,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """The base field: ``kind`` is 0 for Q, otherwise the prime p.
 
@@ -56,11 +54,29 @@ class FieldSpec:
     ``/`` (an int quotient is a float), only through ``inv``/``div``.
     """
 
-    kind: int = 0
+    __slots__ = ("kind",)
 
-    def __post_init__(self):
-        if self.kind != 0 and not _is_prime(self.kind):
-            raise FieldError(f"not a prime: {self.kind}")
+    def __init__(self, kind: int = 0):
+        if kind != 0 and not _is_prime(kind):
+            raise FieldError(f"not a prime: {kind}")
+        object.__setattr__(self, "kind", kind)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FieldSpec is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"FieldSpec is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not FieldSpec:
+            return NotImplemented
+        return self.kind == other.kind
+
+    def __hash__(self):
+        return hash(self.kind)
+
+    def __repr__(self):
+        return f"FieldSpec(kind={self.kind})"
 
     @staticmethod
     def rationals() -> "FieldSpec":
@@ -68,6 +84,9 @@ class FieldSpec:
 
     @staticmethod
     def prime(p: int) -> "FieldSpec":
+        """F_p; any p that is not a prime, 0 included, raises FieldError."""
+        if not _is_prime(p):
+            raise FieldError(f"not a prime: {p}")
         return FieldSpec(p)
 
     def zero(self):
@@ -382,7 +401,6 @@ def image_basis(m: Matrix) -> Subspace:
     return sp
 
 
-@dataclass
 class ChainComplex:
     """Bounded complex in the cohomological convention: diff(d): d -> d+1.
 
@@ -393,20 +411,18 @@ class ChainComplex:
     homology queries.
     """
 
-    field: FieldSpec
-    spaces: dict
-    diffs: dict
-    specified: tuple | None = None
-    # not fields: rank per degree, made on the first diff_rank call, and
-    # the column index of d_of, made on its first call (bar constructions
-    # build thousands of complexes never ranked or differentiated)
+    # rank per degree, made on the first diff_rank call, and the column
+    # index of d_of, made on its first call (bar constructions build
+    # thousands of complexes never ranked or differentiated)
     _ranks = None
     _d_cols = None
 
-    def __post_init__(self):
-        self.spaces = {d: tuple(labels) for d, labels in self.spaces.items() if labels}
+    def __init__(self, field: FieldSpec, spaces: dict, diffs: dict, specified: tuple | None = None):
+        self.field = field
+        self.specified = specified
+        self.spaces = {d: tuple(labels) for d, labels in spaces.items() if labels}
         cleaned = {}
-        for d, m in self.diffs.items():
+        for d, m in diffs.items():
             if m is None:
                 continue
             want = (self.dim(d + 1), self.dim(d))

@@ -22,7 +22,6 @@ word and the longest relation term.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .exactfield import ChainComplex, FieldSpec, Matrix, Subspace
 from .dgcore import DgCategory
@@ -32,16 +31,13 @@ class PresentationError(ValueError):
     pass
 
 
-@dataclass
 class PathElement:
     """A homogeneous linear combination of parallel paths."""
 
-    src: str
-    tgt: str
-    terms: dict  # word tuple -> scalar
-
-    def __post_init__(self):
-        self.terms = {tuple(w): v for w, v in self.terms.items() if v}
+    def __init__(self, src: str, tgt: str, terms: dict):
+        self.src = src
+        self.tgt = tgt
+        self.terms = {tuple(w): v for w, v in terms.items() if v}  # word tuple -> scalar
 
     def is_zero(self):
         return not self.terms
@@ -255,13 +251,14 @@ class _Reducer:
         return {self.words[i]: c for i, c in res.items()}
 
 
-@dataclass
 class RealizeCertificate:
-    status: str                # "closed" | "truncated"
-    reason: str
-    basis_count: int
-    saturation_length: int | None = None
-    truncated_products: int = 0
+    def __init__(self, status: str, reason: str, basis_count: int,
+                 saturation_length: int | None = None, truncated_products: int = 0):
+        self.status = status  # "closed" | "truncated"
+        self.reason = reason
+        self.basis_count = basis_count
+        self.saturation_length = saturation_length
+        self.truncated_products = truncated_products
 
     @property
     def is_closed(self) -> bool:

@@ -34,8 +34,30 @@ class TestField:
             FieldSpec.prime(6)
         with pytest.raises(FieldError):
             FieldSpec.prime(1)
+        with pytest.raises(FieldError, match="not a prime: 0"):
+            FieldSpec.prime(0)
+        with pytest.raises(FieldError, match="not a prime: 4"):
+            FieldSpec(4)
         FieldSpec.prime(2)
         FieldSpec.prime(97)
+
+    def test_value_semantics(self):
+        a, b = FieldSpec.prime(5), FieldSpec(5)
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert a != FieldSpec.rationals() and a != 5
+        assert {a: "F5"}[b] == "F5" and len({a, b, Q}) == 2
+        assert repr(FieldSpec.rationals()) == "FieldSpec(kind=0)"
+        assert repr(a) == "FieldSpec(kind=5)"
+        assert FieldSpec() == FieldSpec(kind=0) == Q
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            F5.kind = 7
+        with pytest.raises(AttributeError):
+            F5.other = 1
+        with pytest.raises(AttributeError):
+            del F5.kind
+        assert F5.kind == 5
 
     def test_arithmetics(self):
         assert Q.parse("3/2") == Fraction(3, 2)
@@ -225,6 +247,15 @@ class TestHomology:
         with pytest.raises(WindowError):
             homology_dims(c, (0, 2))
         assert homology_dims(c, (0, 0)) == {0: 1}
+
+    def test_diff_shape_checked(self):
+        with pytest.raises(ValueError, match="diff\\(0\\) has shape 1x2, expected 2x1"):
+            ChainComplex(Q, {0: ("x",), 1: ("y0", "y1")}, {0: M(Q, 1, 2, {(0, 0): 1})})
+
+    def test_empty_degrees_and_zero_diffs_dropped(self):
+        c = ChainComplex(Q, {0: ["x"], 1: ["y"], 2: []}, {0: M(Q, 1, 1, {}), 1: None})
+        assert c.spaces == {0: ("x",), 1: ("y",)} and c.diffs == {}
+        assert c.specified is None
 
     def test_d_squared_checked(self):
         with pytest.raises(ValueError):

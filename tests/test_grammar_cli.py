@@ -197,6 +197,8 @@ class TestCli:
         (KX2_QUIVER.replace("field q", "field fp:x"), 2, "bad integer 'x' for field"),
         (KX2_QUIVER.replace("field q", "field fp x"), 2, "bad integer 'x' for field"),
         (KX2_QUIVER.replace("field q", "field fp:6"), 2, "not a prime: 6"),
+        (KX2_QUIVER.replace("field q", "field fp 0"), 2, "not a prime: 0"),
+        (KX2_QUIVER.replace("field q", "field fp:0"), 2, "not a prime: 0"),
         (KX2_QUIVER.replace("vertex v", "vertex v\nvertex v"), 5, "duplicate vertex 'v'"),
         (KX2_QUIVER.replace("vertex v", "vertex v\nvertex u").replace("arrow x v v",
                                                                       "arrow x v v\narrow x u u"),
@@ -209,6 +211,7 @@ class TestCli:
     ], ids=["compose-1/0", "fp5-1/5", "compose-abc", "unit-1/0", "diff-x", "relation-1/0",
             "wordlength-x", "wordlength-bare", "degreebound-q", "arrow-degree-z",
             "arrow-endpoint", "vertex-bare", "field-fp:x", "field-fp-x", "field-fp:6",
+            "field-fp-0", "field-fp:0",
             "vertex-duplicate", "arrow-duplicate", "relation-not-composable",
             "relation-inhomogeneous"])
     def test_bad_scalar_exit_2(self, text, line, message, tmp_path, capsys):
@@ -232,10 +235,12 @@ class TestCli:
         (["check", "--field", "fp:4"], "bad field 'fp:4': not a prime: 4"),
         (["check", "--field", "fp:x"], "bad field 'fp:x' (expected q or fp:<p>)"),
         (["cell", "sphere", "1", "--field", "fp:4"], "bad field 'fp:4': not a prime: 4"),
+        (["check", "--field", "fp:0"], "bad field 'fp:0': not a prime: 0"),
+        (["cell", "sphere", "1", "--field", "fp:0"], "bad field 'fp:0': not a prime: 0"),
     ], ids=["hp-levels-1", "hp-window-1..0", "hp-bar-bound-1", "hc-n-max--1", "hc-bar-bound-1",
             "hh-bar-bound-0", "hh-n-max--2", "saturate-bound--3", "euler-bound--1",
             "euler-bar-bound-0", "check-bound--1", "check-field-fp:4", "check-field-fp:x",
-            "cell-field-fp:4"])
+            "cell-field-fp:4", "check-field-fp:0", "cell-field-fp:0"])
     def test_bad_argument_exit_2(self, argv, message, files, capsys):
         argv = [files.get(a, a) for a in argv]
         assert main(argv) == 2

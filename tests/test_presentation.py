@@ -6,13 +6,33 @@ from hypothesis import given, settings, strategies as st
 from dghom import grammar
 from dghom.exactfield import FieldSpec, homology_dims
 from dghom.dgcore import disk_cell, sphere_cell, validate
-from dghom.presentation import (PathElement, Presentation, PresentationError,
+from dghom.presentation import (PathElement, Presentation, PresentationError, RealizeCertificate,
                                 from_quiver, pushout_attach, pushout_attach_object, realize)
 from conftest import Q, hom_dims
 
 
 def sphere_presentation(n):
     return Presentation(Q, ["1", "2"], {"s": ("1", "2", n)})
+
+
+class TestRecords:
+    def test_path_element_drops_zero_terms_and_tuples_words(self):
+        e = PathElement("1", "2", {("a", "b"): 3, ("c",): 0, "cd": 2})
+        assert (e.src, e.tgt) == ("1", "2")
+        assert e.terms == {("a", "b"): 3, ("c", "d"): 2}
+        assert all(type(w) is tuple for w in e.terms)
+        assert not e.is_zero()
+        assert PathElement("1", "1", {("a",): 0}).is_zero()
+
+    def test_realize_certificate(self):
+        cert = RealizeCertificate("closed", "", 4)
+        assert (cert.saturation_length, cert.truncated_products) == (None, 0)
+        assert cert.is_closed
+        cert = RealizeCertificate(status="truncated", reason="word length", basis_count=2,
+                                  saturation_length=3, truncated_products=5)
+        assert not cert.is_closed
+        assert (cert.reason, cert.basis_count, cert.saturation_length,
+                cert.truncated_products) == ("word length", 2, 3, 5)
 
 
 class TestRealize:
