@@ -37,6 +37,12 @@ def _cases():
     cases["cell.disk.2.dg"] = ["cell", "disk", "2"]
     for name in ("binomial.quiver", "graded_path.quiver"):
         cases[f"op.{name}.dg"] = ["op", f"tests/golden/{name}"]
+    # graded inputs: a negative chain-support floor, and (ext_minus1, a
+    # loop of degree -1) a non-unit cycle with no bar-degree cap
+    for name in ("graded_path.quiver", "cell.sphere.1.dg", "cell.disk.2.dg", "ext_minus1.quiver"):
+        for cmd in COMMANDS:
+            if cmd[0] != "saturate":
+                cases[f"{name}.{cmd[0]}.json"] = [cmd[0], f"tests/golden/{name}", *cmd[1:]]
     return cases
 
 
