@@ -25,7 +25,7 @@ from .exactfield import FieldError, FieldSpec
 from .dgcore import opposite, tensor, unit_category, validate
 from .presentation import PathElement, Presentation, pushout_attach, realize
 from . import grammar
-from .hochschild import hh_dims, shuffle_map, HochschildError
+from .hochschild import hh_dims, ShuffleMap, HochschildError
 
 
 class InputError(Exception):
@@ -238,12 +238,17 @@ def cmd_saturate(args):
 
 
 def cmd_euler(args):
+    from .dgmod import BarWindowError
     from .saturation import euler_report, saturation_report
     _require_at_least(args, bound=0, bar_bound=1)
     cat, cert = _load(args.input)
     _require_closed(cat, cert, args.input)
     sat = saturation_report(cat, args.bound)
-    rep = euler_report(cat, sat.smooth, args.bar_bound)
+    try:
+        rep = euler_report(cat, sat.smooth, args.bar_bound)
+    except BarWindowError:
+        raise InputError(f"{args.input}: no bar-degree bound certifies the duality window; "
+                         "pass --bar-bound for a bound_limited answer")
     report = {"invariant": "euler", "input": os.path.basename(args.input)}
     report.update(rep.as_dict())
     lines = [f"chi_hh = {rep.chi_hh} [{rep.hh_status}]",
@@ -319,7 +324,11 @@ def _check_kunneth(cat):
     field = cat.field
     one = unit_category(field)
     try:
-        shuffle_map(one, cat, (-3, 0))
+        sh = ShuffleMap(one, cat, (-3, 0))
+    except HochschildError as exc:
+        return "INCONCLUSIVE", str(exc)
+    try:
+        sh.check_certificate()
     except HochschildError as exc:
         return "FAIL", str(exc)
     dims_a = hh_dims(cat, 2)

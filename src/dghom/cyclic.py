@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .exactfield import Matrix, operator_matrix, rank
 from .dgcore import DgCategory
-from .hochschild import CyclicBar, chain_support_bound
+from .hochschild import CyclicBar
 from .monomial import monomial_algebra
 
 
@@ -139,13 +139,6 @@ class MixedComplex:
                     if not first.add(second).is_zero():
                         raise CyclicError(f"bB + Bb != 0 at degree {n}")
 
-    def status(self, n: int) -> str:
-        return "exact" if self.plan.exact_at(-n, self.bar_bound) else "truncated"
-
-
-def mixed_complex(a: DgCategory, bar_bound: int) -> MixedComplex:
-    return MixedComplex(a, bar_bound)
-
 
 # ---------------------------------------------------------------------------
 # (b, B)-bicomplex totals over a column interval
@@ -233,15 +226,15 @@ def hc_dims(a: DgCategory, n_max: int, bar_bound: int | None = None) -> dict:
         if mono is not None:
             return {n: (d, "exact") for n, d in enumerate(mono.hc_dims(n_max))}
         bar_bound = hc_auto_bar_bound(a, n_max)
-    mx = mixed_complex(a, bar_bound)
+    mx = MixedComplex(a, bar_bound)
     out = {}
     for n in range(n_max + 1):
         # columns j >= 0 hold M_{n-2j}: offsets q = -j <= 0
         q_lo = min(_min_offset(mx, n - 1), _min_offset(mx, n), _min_offset(mx, n + 1), 0)
         dim = _column_homology(mx, n, q_lo, 0)
         pieces = {nn + 2 * q for q in range(q_lo, 1) for nn in (n - 1, n, n + 1)}
-        status = "exact" if all(mx.status(k) == "exact" for k in pieces) else "truncated"
-        out[n] = (dim, status)
+        exact = all(mx.plan.status(-k, bar_bound) == "exact" for k in pieces)
+        out[n] = (dim, "exact" if exact else "truncated")
     return out
 
 
@@ -331,13 +324,13 @@ def hcminus_hp_dims(a: DgCategory, n_window, max_levels: int,
     n_lo, n_hi = n_window
     if max_levels < 2:
         raise CyclicError("max_levels must be >= 2")
-    vanish = chain_support_bound(a)
+    vanish = a.bar_plan().chain_support()[1]
     if bar_bound is None:
         piece_lo = n_lo - 1
         piece_hi = n_hi + 1 + 2 * max_levels
         cap = a.bar_plan().bound_for_window(-piece_hi, -piece_lo)
         bar_bound = max(2, cap + 1) if cap is not None else max(2, piece_hi - piece_lo + 2)
-    mx = mixed_complex(a, bar_bound)
+    mx = MixedComplex(a, bar_bound)
     hp = {}
     hcm = {}
     for n in range(n_lo, n_hi + 1):

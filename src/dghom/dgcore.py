@@ -235,11 +235,30 @@ class BarPlan:
         reach total degrees t_lo - 1 .. t_hi + 1, or None if unbounded."""
         return bar_degree_cap(self.outer, self.inner, self.max_bar, t_lo, t_hi)
 
-    def exact_at(self, t: int, bar_bound: int) -> bool:
-        """Homology at total degree t is unaffected by truncating the
-        normalized cyclic bar at bar_bound."""
+    def status(self, t: int, bar_bound: int) -> str:
+        """"exact" when homology at total degree t is unaffected by
+        truncating the normalized cyclic bar at bar_bound, else
+        "truncated"."""
         cap = self.bound_for_window(t, t)
-        return cap is not None and cap <= bar_bound
+        return "exact" if cap is not None and cap <= bar_bound else "truncated"
+
+    def chain_support(self):
+        """(floor, top): normalized cyclic bar chains, hence HH_n, vanish
+        in homological degrees n < floor and n > top; top is None when no
+        finite bound is provable.  A bar-m chain sits in degree m minus
+        its internal degree (outer plus m inner key degrees), linear in
+        m, so both ends are taken at m = 0 or m = max_bar.  With a
+        non-unit cycle (max_bar None) floor counts bar degree 0 only:
+        any chi computed over that window is bound_limited already."""
+        if self.outer is None:
+            return 0, 0
+        o_lo, o_hi = self.outer
+        # no inner key means no non-unit edge, so max_bar is 0 there
+        i_lo, i_hi = self.inner or (1, 1)
+        m = self.max_bar or 0
+        floor = min(0, -o_hi + m * min(0, 1 - i_hi))
+        top = None if self.max_bar is None else -o_lo + m * max(0, 1 - i_lo)
+        return floor, top
 
 
 # ---------------------------------------------------------------------------

@@ -288,12 +288,11 @@ class BarResult:
     "truncated".
     """
 
-    def __init__(self, complexes, chain_keys, flag, bar_bound, window_coh):
+    def __init__(self, complexes, chain_keys, flag, bar_bound):
         self.complexes = complexes
         self.chain_keys = chain_keys
         self.flag = flag
         self.bar_bound = bar_bound
-        self.window_coh = window_coh
 
 
 def _plan_bar_bound(x_bounds, y_bounds, hom_bounds, window_coh, bar_bound, chain_cap):
@@ -363,7 +362,7 @@ def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
                             chains.setdefault(t, []).append((objs, km, bt, kn))
     cx = operator_complex(f, chains, _bar_differential(X, Y, mid),
                           specified=(lo, hi))
-    return BarResult({(): cx}, {(): chains}, flag, P, window_coh)
+    return BarResult({(): cx}, {(): chains}, flag, P)
 
 
 def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory):
@@ -450,32 +449,21 @@ def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory):
     return diff
 
 
-def bar_tor(m: DgModule, n: DgModule, window, bar_bound=None):
+def tor_dims(m: DgModule, n: DgModule, window, bar_bound=None) -> dict:
     """Tor of a right module m over A against a left module n (stored as
-    a right module over opposite(A)), windowed in homological degrees.
-
-    Returns (ChainComplex, flag): the cohomological windowed total
-    complex of the bar construction and the soundness flag; homology of
-    the output inside the window equals Tor there when flag == "exact".
-    """
+    a right module over opposite(A)) in the homological window, read
+    from the windowed bar construction: {i: (dim, flag)}, equal to Tor
+    where flag == "exact"."""
+    from .exactfield import homology_dims
     a = m.base
     if n.base != opposite(a):
         raise ValueError("second argument must be a module over the opposite category")
     h_lo, h_hi = window
     if h_lo > h_hi:
         raise ValueError("empty window")
-    window_coh = (-h_hi, -h_lo)
-    res = bar_composite(m, n, a, window_coh, bar_bound)
-    return res.complexes[()], res.flag
-
-
-def tor_dims(m: DgModule, n: DgModule, window, bar_bound=None) -> dict:
-    """Homological Tor dimensions with per-degree status."""
-    from .exactfield import homology_dims
-    cx, flag = bar_tor(m, n, window, bar_bound)
-    h_lo, h_hi = window
-    hd = homology_dims(cx, (-h_hi, -h_lo))
-    return {i: (hd[-i], flag) for i in range(h_lo, h_hi + 1)}
+    res = bar_composite(m, n, a, (-h_hi, -h_lo), bar_bound)
+    hd = homology_dims(res.complexes[()], (-h_hi, -h_lo))
+    return {i: (hd[-i], res.flag) for i in range(h_lo, h_hi + 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ def _require_unit_basis(a: DgCategory):
 
 
 def _require_closed(a: DgCategory):
-    if not getattr(a, "closed", True):
+    if not a.closed:
         raise HochschildError("refusing a truncated realization; homology needs a closed one")
 
 
@@ -200,42 +200,11 @@ class CyclicBar:
         return operator_complex(self.field, by_t, self.total_diff_of), by_t
 
 
-class HochschildComplex:
-    """Windowless assembled Hochschild data with per-degree status.
-
-    ``total`` is the cohomological sum-total complex of all chains with
-    bar degree <= bar_bound; ``status(t)`` reports whether homology at
-    total degree t is provably unaffected by the truncation.
-    """
-
-    def __init__(self, base: DgCategory, bar_bound: int):
-        self.base = base
-        self.bar_bound = bar_bound
-        self.bar = CyclicBar(base, bar_bound)
-        self.total, self.chain_keys = self.bar.total_complex()
-        self.plan = base.bar_plan()
-
-    def status(self, t: int) -> str:
-        return "exact" if self.plan.exact_at(t, self.bar_bound) else "truncated"
-
-    def hh_dim(self, n: int):
-        """(dim HH_n, status) in homological indexing."""
-        t = -n
-        dims = homology_dims(self.total, (t, t))
-        return dims[t], self.status(t)
-
-
 def auto_bar_bound(a: DgCategory, n_max: int) -> int:
     bound = a.bar_plan().bound_for_window(-n_max, 0)
     if bound is None:
         return n_max + 1
     return max(1, bound)
-
-
-def hochschild_complex(a: DgCategory, bar_bound: int) -> HochschildComplex:
-    if bar_bound < 1:
-        raise HochschildError("bar_bound must be >= 1")
-    return HochschildComplex(a, bar_bound)
 
 
 def hh_dims(a: DgCategory, n_max: int, bar_bound: int | None = None) -> dict:
@@ -255,25 +224,12 @@ def hh_dims(a: DgCategory, n_max: int, bar_bound: int | None = None) -> dict:
             by_weight = mono.hh_by_weight(n_max).values()
             return {n: (sum(hh[n] for hh in by_weight), "exact") for n in range(n_max + 1)}
         bar_bound = auto_bar_bound(a, n_max)
-    hc = hochschild_complex(a, bar_bound)
-    return {n: hc.hh_dim(n) for n in range(n_max + 1)}
-
-
-def chain_support_bound(a: DgCategory):
-    """A certified N with normalized chains zero in homological degrees
-    > N (hence HH_n = 0 there), or None when no finite bound is provable."""
+    elif bar_bound < 1:
+        raise HochschildError("bar_bound must be >= 1")
+    total, _ = CyclicBar(a, bar_bound).total_complex()
     plan = a.bar_plan()
-    if plan.max_bar is None:
-        return None
-    if plan.outer is None:
-        return 0
-    if plan.inner is None:
-        return -plan.outer[0]
-    # homological degree of a bar-m chain is m - q <= m(1 - i_lo) - min(o_lo, ...)
-    best = -plan.outer[0]
-    for m in range(1, plan.max_bar + 1):
-        best = max(best, m * (1 - plan.inner[0]) - plan.outer[0])
-    return best
+    dims = homology_dims(total, (-n_max, 0))
+    return {n: (dims[-n], plan.status(-n, bar_bound)) for n in range(n_max + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +256,6 @@ class Ch0Class:
 
     def __repr__(self):
         return f"Ch0Class({self.coords})"
-
-
-def _hh0_quotient(a: DgCategory):
-    hc = hochschild_complex(a, bar_bound=max(2, auto_bar_bound(a, 1)))
-    if hc.status(0) != "exact":
-        raise HochschildError("HH_0 not exactly computable for this category")
-    d_in = hc.total.diff(-1)
-    d_out = hc.total.diff(0)
-    dim, reps, project = homology_quotient(d_in, d_out)
-    index0 = {k: i for i, k in enumerate(hc.total.labels(0))}
-    return hc, dim, project, index0
 
 
 def ch0(a: DgCategory, x, e) -> Ch0Class:
@@ -340,7 +285,12 @@ def ch0(a: DgCategory, x, e) -> Ch0Class:
                     f.accumulate(acc, kk, v)
             if not acc == {kk: v for kk, v in e[i][j].items() if v}:
                 raise ValueError("matrix is not idempotent")
-    hc, dim, project, index0 = _hh0_quotient(a)
+    bar_bound = max(2, auto_bar_bound(a, 1))
+    total, _ = CyclicBar(a, bar_bound).total_complex()
+    if a.bar_plan().status(0, bar_bound) != "exact":
+        raise HochschildError("HH_0 not exactly computable for this category")
+    dim, _, project = homology_quotient(total.diff(-1), total.diff(0))
+    index0 = {k: i for i, k in enumerate(total.labels(0))}
     trace = {}
     for i in range(n):
         for k, v in e[i][i].items():
@@ -502,11 +452,3 @@ def _staircase(positions, p, q):
         pts.append((i, j))
     return pts
 
-
-def shuffle_map(a: DgCategory, b: DgCategory, window,
-                bar_bound_a=None, bar_bound_b=None) -> ShuffleMap:
-    """Construct the windowed shuffle map and verify its chain-map
-    certificate before returning it."""
-    sh = ShuffleMap(a, b, window, bar_bound_a, bar_bound_b)
-    sh.check_certificate()
-    return sh

@@ -201,7 +201,7 @@ def monomial_algebra(a: DgCategory):
     product of two non-unit keys, and the nonzero words in the arrows
     correspond one to one with the non-unit keys.  The relations are the
     minimal zero words."""
-    if not getattr(a, "closed", True):
+    if not a.closed:
         return None
     if any(c.diffs or c.support() not in ([], [0]) for c in a.homs.values()):
         return None

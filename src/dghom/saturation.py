@@ -39,7 +39,7 @@ from .exactfield import (ChainComplex, Matrix, Subspace, homology_dims, homology
 from .dgcore import DgCategory, opposite, tensor
 from .dgmod import (BarWindowError, DgModule, _diagonal_over, bar_composite, diagonal_bimodule,
                     tensor_action, tor_dims)
-from .hochschild import auto_bar_bound, chain_support_bound, hochschild_complex
+from .hochschild import CyclicBar, auto_bar_bound
 from .monomial import monomial_algebra
 
 
@@ -110,8 +110,7 @@ def properness_check(a: DgCategory):
     detail = {}
     for (x, y), c in a.homs.items():
         detail[f"{x}->{y}"] = c.total_dim()
-    proper = bool(getattr(a, "closed", True))
-    return proper, detail
+    return a.closed, detail
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +197,7 @@ def smoothness_certify(a: DgCategory, bound: int) -> SmoothnessResult:
     basis elements."""
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    if not getattr(a, "closed", True):
+    if not a.closed:
         return SmoothnessResult("inconclusive", bound, "input realization is not closed")
     reason = _degree_zero_hypotheses(a)
     if reason is not None:
@@ -458,9 +457,10 @@ def euler_via_hh(a: DgCategory, smooth: SmoothnessResult | None = None):
     chain support is certified finite or a smoothness certificate bounds
     the resolution, and every degree of the range is exact in that
     complex.  Otherwise the top degree is 4 and chi is bound_limited."""
-    vanish = chain_support_bound(a)
-    if vanish is not None:
-        n_hi = max(vanish, 0)
+    plan = a.bar_plan()
+    lo, top = plan.chain_support()
+    if top is not None:
+        n_hi = max(top, 0)
         status = "exact"
     elif smooth is not None and smooth.certified:
         n_hi = smooth.level
@@ -468,27 +468,14 @@ def euler_via_hh(a: DgCategory, smooth: SmoothnessResult | None = None):
     else:
         n_hi = 4
         status = "bound_limited"
-    lo = _negative_hh_floor(a)
-    cap = a.bar_plan().bound_for_window(-n_hi, -lo)
-    hc = hochschild_complex(a, auto_bar_bound(a, n_hi) if cap is None else max(1, cap))
-    dims = homology_dims(hc.total, (-n_hi, -lo))
-    if any(hc.status(t) != "exact" for t in dims):
+    cap = plan.bound_for_window(-n_hi, -lo)
+    bar_bound = auto_bar_bound(a, n_hi) if cap is None else max(1, cap)
+    total, _ = CyclicBar(a, bar_bound).total_complex()
+    dims = homology_dims(total, (-n_hi, -lo))
+    if any(plan.status(t, bar_bound) != "exact" for t in dims):
         status = "bound_limited"
     chi = sum((-1) ** (t % 2) * d for t, d in dims.items())
     return chi, (lo, n_hi), status
-
-
-def _negative_hh_floor(a: DgCategory) -> int:
-    """Smallest homological degree with possibly-nonzero chains (negative
-    for positively graded homs)."""
-    plan = a.bar_plan()
-    if plan.outer is None:
-        return 0
-    lo = -plan.outer[1]
-    if plan.inner is not None and plan.max_bar is not None:
-        for m in range(1, plan.max_bar + 1):
-            lo = min(lo, m * (1 - plan.inner[1]) - plan.outer[1])
-    return min(lo, 0)
 
 
 def euler_via_duality(a: DgCategory, bar_bound=None,
@@ -497,9 +484,9 @@ def euler_via_duality(a: DgCategory, bar_bound=None,
     two-sided bar over the enveloping category a^op (x) a of the diagonal
     against the diagonal of opposite(a), a right module over
     a (x) a^op = opposite(a^op (x) a)."""
-    vanish = chain_support_bound(a)
-    if vanish is not None:
-        window = (min(_negative_hh_floor(a), 0), max(vanish, 0))
+    floor, top = a.bar_plan().chain_support()
+    if top is not None:
+        window = (floor, max(top, 0))
         status = "exact"
     elif smooth is not None and smooth.certified:
         window = (0, smooth.level)

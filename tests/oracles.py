@@ -19,7 +19,9 @@ The bar-degree planners the library once kept per module,
 `reference_outer_degree_bounds` and `reference_longest_path_bound`) and
 `reference_plan_bar_bound`, are references for `dgcore.BarPlan` and
 `dgcore.bar_degree_cap`: they step through the bar degrees one at a
-time where the library solves for the largest one.
+time where the library solves for the largest one.  So does
+`reference_chain_support`, the two loops `BarPlan.chain_support`
+replaced by its closed form.
 `reference_smoothness_tor` computes the smoothness Tor over the
 enveloping category a (x) a^op, with `semisimple_quotient_left_module`,
 where the library bars over a alone.  `UnnormalizedCyclicBar` keeps
@@ -870,6 +872,39 @@ def reference_plan_bar_bound(x_bounds, y_bounds, hom_bounds, window_coh, bar_bou
         return p_exact, "exact"
     flag = "exact" if (p_exact is not None and bar_bound >= p_exact) else "truncated"
     return bar_bound, flag
+
+
+def reference_chain_support(a):
+    """(floor, top) of the homological degrees of normalized cyclic bar
+    chains, one bar degree at a time: floor is the smallest degree with
+    possibly-nonzero chains (negative for positively graded homs), top a
+    certified N with chains zero in degrees > N (hence HH_n = 0 there),
+    None when no finite bound is provable."""
+    plan = a.bar_plan()
+
+    def floor():
+        if plan.outer is None:
+            return 0
+        lo = -plan.outer[1]
+        if plan.inner is not None and plan.max_bar is not None:
+            for m in range(1, plan.max_bar + 1):
+                lo = min(lo, m * (1 - plan.inner[1]) - plan.outer[1])
+        return min(lo, 0)
+
+    def top():
+        if plan.max_bar is None:
+            return None
+        if plan.outer is None:
+            return 0
+        if plan.inner is None:
+            return -plan.outer[0]
+        # homological degree of a bar-m chain is m - q <= m(1 - i_lo) - min(o_lo, ...)
+        best = -plan.outer[0]
+        for m in range(1, plan.max_bar + 1):
+            best = max(best, m * (1 - plan.inner[0]) - plan.outer[0])
+        return best
+
+    return floor(), top()
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,12 @@ stated wall-clock budgets are asserted where the criterion pins one.
 
 import time
 
-from dghom.exactfield import ChainComplex, homology_dims
+from dghom.exactfield import ChainComplex
 from dghom.dgcore import disk_cell, opposite, sphere_cell, tensor
-from dghom.dgmod import (ModuleMap, bar_tor, module_map_space, shift_module, sn_pack,
-                         sn_unpack, validate_module, yoneda_module)
-from dghom.hochschild import (HochschildError, auto_bar_bound, hh_dims,
-                              hochschild_complex, shuffle_map)
-from dghom.cyclic import hc_dims, hcminus_hp_dims, mixed_complex
+from dghom.dgmod import (ModuleMap, module_map_space, shift_module, sn_pack, sn_unpack,
+                         tor_dims, validate_module, yoneda_module)
+from dghom.hochschild import HochschildError, ShuffleMap, auto_bar_bound, hh_dims
+from dghom.cyclic import MixedComplex, hc_dims, hcminus_hp_dims
 from dghom.saturation import (euler_via_duality, euler_via_hh, properness_check,
                               saturation_report, smoothness_certify, triangle_identity_check)
 from conftest import Q, random_small_category
@@ -43,12 +42,12 @@ def test_criterion_1_hh_ground_truth(corpus):
 def test_criterion_2_mixed_complex_identities(corpus, rng):
     t0 = time.monotonic()
     for name in ("unit", "kxk", "path12", "kx2"):
-        mixed_complex(corpus[name], 5)  # constructor hard-gates the identities
+        MixedComplex(corpus[name], 5)  # constructor hard-gates the identities
     count = 0
     while count < 50:
         cat = random_small_category(rng, max_dim=4)
         assert cat.total_dim() <= 4
-        mixed_complex(cat, 5)
+        MixedComplex(cat, 5)
         count += 1
     dt = time.monotonic() - t0
     assert dt < 60.0
@@ -81,9 +80,11 @@ def test_criterion_5_shuffle_monoidality(corpus):
     t0 = time.monotonic()
     u = corpus["unit"]
     for name in ("unit", "kxk", "path12", "kx2"):
-        sh = shuffle_map(u, corpus[name], (-3, 0))
+        sh = ShuffleMap(u, corpus[name], (-3, 0))
+        sh.check_certificate()
         assert sh.certificate_checked
-    sh = shuffle_map(corpus["kx2"], corpus["kx2"], (-3, 0))
+    sh = ShuffleMap(corpus["kx2"], corpus["kx2"], (-3, 0))
+    sh.check_certificate()
     assert sh.certificate_checked
     # Kunneth dims in every exact degree <= 3 for the square of kx2
     a = corpus["kx2"]
@@ -186,19 +187,19 @@ def test_criterion_10_oracle_equivalence(corpus, rng):
         cat = random_small_category(rng, max_dim=4)
         bound = max(4, auto_bar_bound(cat, 3))
         try:
-            hn = hochschild_complex(cat, bound)
+            hn = hh_dims(cat, 3, bar_bound=bound)
         except HochschildError:
             continue
         used = False
         for n, du in unnormalized_exact_hh_dims(cat, bound, 3).items():
-            dn, sn = hn.hh_dim(n)
+            dn, sn = hn[n]
             if sn == "exact":
                 assert dn == du
                 used = True
         checked += used
     assert checked >= 6
 
-    # bar_tor exact windows stable under incrementing the truncation bound
+    # exact Tor windows stable under incrementing the truncation bound
     from dghom.dgmod import DgModule
 
     def simple(cat, v):
@@ -211,10 +212,8 @@ def test_criterion_10_oracle_equivalence(corpus, rng):
         cat = corpus[name]
         m = simple(cat, cat.objects[0])
         n_mod = simple(opposite(cat), cat.objects[0])
-        cx1, f1 = bar_tor(m, n_mod, (0, 3))
-        assert f1 == "exact"
-        cx2, f2 = bar_tor(m, n_mod, (0, 3), bar_bound=6)
-        assert f2 == "exact"
-        assert homology_dims(cx1, (-3, 0)) == homology_dims(cx2, (-3, 0))
+        tor = tor_dims(m, n_mod, (0, 3))
+        assert {flag for _, flag in tor.values()} == {"exact"}
+        assert tor_dims(m, n_mod, (0, 3), bar_bound=6) == tor
     print(PASS.format(10, "normalized = unnormalized HH dims (exact degrees <= 3); "
                           "exact Tor windows stable under larger truncation"))

@@ -3,9 +3,9 @@ import pytest
 from dghom import cyclic
 from dghom.exactfield import rank
 from dghom.dgcore import sphere_cell
-from dghom.cyclic import (CyclicError, _column_homology, _column_total_dims,
+from dghom.cyclic import (CyclicError, MixedComplex, _column_homology, _column_total_dims,
                           _column_total_matrix, hc_auto_bar_bound, hc_dims, hcminus_hp_dims,
-                          mixed_complex, t_of_key)
+                          t_of_key)
 from dghom.hochschild import hh_dims
 from conftest import Q, F2, exterior_deg, identity
 from oracles import UnnormalizedCyclicBar, bprime_of, cyclic_operator
@@ -86,37 +86,37 @@ class TestMixedComplex:
     def test_identities_hard_gate_corpus(self, corpus):
         # construction verifies b^2 = B^2 = bB + Bb = 0 and raises otherwise
         for name in ("unit", "kxk", "path12", "kx2"):
-            mixed_complex(corpus[name], 5)
+            MixedComplex(corpus[name], 5)
 
     def test_identities_graded(self):
-        mixed_complex(exterior_deg(Q, 1), 4)
-        mixed_complex(sphere_cell(1, Q), 4)
+        MixedComplex(exterior_deg(Q, 1), 4)
+        MixedComplex(sphere_cell(1, Q), 4)
 
     def test_identities_char_p(self):
         from dghom.corpus import kx2
-        mixed_complex(kx2(F2), 5)
+        MixedComplex(kx2(F2), 5)
 
     def test_unit_B_vanishes_in_range(self, corpus):
-        mx = mixed_complex(corpus["unit"], 5)
+        mx = MixedComplex(corpus["unit"], 5)
         B0 = mx.B_mats.get(0)
         assert B0 is None or B0.is_zero()
 
     def test_b_homology_is_hh(self, corpus):
         for name in ("unit", "kx2", "path12"):
             cat = corpus[name]
-            mx = mixed_complex(cat, 5)
+            mx = MixedComplex(cat, 5)
             hh = hh_dims(cat, 3)
             for n in range(4):
                 if hh[n][1] == "exact":
                     assert _column_homology(mx, n, 0, 0) == hh[n][0]
 
     def test_kx2_B_nonzero(self, corpus):
-        mx = mixed_complex(corpus["kx2"], 4)
+        mx = MixedComplex(corpus["kx2"], 4)
         assert not mx.B_mats[0].is_zero()
 
     def test_bound_guard(self, corpus):
         with pytest.raises(CyclicError):
-            mixed_complex(corpus["unit"], 1)
+            MixedComplex(corpus["unit"], 1)
 
 
 class TestHC:
@@ -217,7 +217,7 @@ class TestColumnRanks:
 
     def test_memo_matches_direct_ranks(self, corpus):
         for name in ("unit", "kx2", "path12"):
-            mx = mixed_complex(corpus[name], 6)
+            mx = MixedComplex(corpus[name], 6)
             for n in range(-1, 6):
                 for q_lo in range(-3, 1):
                     for q_hi in range(q_lo, 4):

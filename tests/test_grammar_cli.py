@@ -70,6 +70,22 @@ compose a a a f f f 1
 
 KX2_F5_QUIVER = KX2_QUIVER.replace("field q", "field fp 5")
 
+# k[x]/(x^2) with |x| = 1, as a quiver and as a dg category file: no
+# bar-degree cap certifies its Euler duality window or its shuffle window
+EXT1_QUIVER = KX2_QUIVER.replace("arrow x v v", "arrow x v v 1")
+
+EXT1_DG = """\
+dgcat
+field q
+object v
+basis v v 1 0
+basis v v x 1
+unit v 1 1
+compose v v v 1 1 1 1
+compose v v v 1 x x 1
+compose v v v x 1 x 1
+"""
+
 # k[x,y]/(x^2, y^2, xy - yx), closed at word length 4
 COMMUTATIVE_QUIVER = """\
 quiver
@@ -90,7 +106,8 @@ def files(tmp_path):
     for name, text in [("unit.dg", UNIT_TEXT), ("kx2.quiver", KX2_QUIVER),
                        ("loop.quiver", LOOP_QUIVER), ("broken.dg", BROKEN_UNIT),
                        ("nocompose.dg", NO_COMPOSE), ("split.dg", SPLIT_UNIT),
-                       ("kx2f5.quiver", KX2_F5_QUIVER)]:
+                       ("kx2f5.quiver", KX2_F5_QUIVER), ("ext1.quiver", EXT1_QUIVER),
+                       ("ext1.dg", EXT1_DG)]:
         p = tmp_path / name
         p.write_text(text)
         paths[name] = str(p)
@@ -354,6 +371,44 @@ class TestCli:
         rep2 = json.loads(out2.read_text())
         assert rep2["chi_hh"] == 1 and rep2["chi_dual"] == 1 and rep2["agree"] is True
 
+    @pytest.mark.parametrize("name", ["ext1.quiver", "ext1.dg"])
+    def test_euler_uncertifiable_window_is_input_error(self, name, files, tmp_path, capsys):
+        assert main(["euler", files[name]]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--bar-bound" in err and "Traceback" not in err
+        out = tmp_path / "euler.json"
+        assert main(["euler", files[name], "--bar-bound", "3", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert (rep["chi_hh"], rep["hh_status"], rep["chi_dual"], rep["dual_status"]) == \
+            (0, "bound_limited", 4, "bound_limited")
+
+    def test_check_uncertifiable_shuffle_window_inconclusive(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        (corpus_dir / "ext1.quiver").write_text(EXT1_QUIVER)
+        out = tmp_path / "check.json"
+        assert main(["check", "--corpus", str(corpus_dir), "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["failures"] == 0
+        assert rep["items"]["ext1.quiver"]["kunneth_shuffle"] == {
+            "status": "INCONCLUSIVE", "detail": "window not certifiable; pass explicit bar bounds"}
+
+    def test_check_failed_shuffle_certificate_is_fail(self, monkeypatch, tmp_path, capsys):
+        from dghom.hochschild import HochschildError, ShuffleMap
+
+        def failed(self):
+            raise HochschildError("shuffle chain-map certificate failed")
+
+        monkeypatch.setattr(ShuffleMap, "check_certificate", failed)
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        (corpus_dir / "unit.dg").write_text(UNIT_TEXT)
+        out = tmp_path / "check.json"
+        assert main(["check", "--corpus", str(corpus_dir), "--out", str(out)]) == 1
+        rep = json.loads(out.read_text())
+        assert rep["items"]["unit.dg"]["kunneth_shuffle"] == {
+            "status": "FAIL", "detail": "shuffle chain-map certificate failed"}
+
     def test_check_corpus_dir(self, files, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
         corpus_dir.mkdir()
@@ -381,13 +436,13 @@ class TestCli:
         # both two-sided bar entry points refuse a middle category whose
         # unit e + f is not a basis vector, before enumerating a chain
         from dghom.dgcore import opposite
-        from dghom.dgmod import bar_composite, bar_tor, yoneda_module
+        from dghom.dgmod import bar_composite, tor_dims, yoneda_module
         cat, _ = grammar.loads(SPLIT_UNIT)
         X, Y = yoneda_module(cat, "a"), yoneda_module(opposite(cat), "a")
         with pytest.raises(ValueError, match="unit of the middle category to be a basis"):
             bar_composite(X, Y, cat, (-2, 0), 2)
         with pytest.raises(ValueError, match="unit of the middle category to be a basis"):
-            bar_tor(X, Y, (0, 2))
+            tor_dims(X, Y, (0, 2))
 
     def test_out_of_memory_exits_1_with_one_line(self, monkeypatch, capsys):
         from dghom import saturation

@@ -4,9 +4,7 @@ import pytest
 
 from dghom.exactfield import homology_quotient, Subspace
 from dghom.dgcore import disk_cell, sphere_cell, tensor
-from dghom.hochschild import (CyclicBar, HochschildError, ShuffleMap, ch0,
-                              chain_support_bound, hh_dims, hochschild_complex,
-                              shuffle_map, auto_bar_bound)
+from dghom.hochschild import CyclicBar, HochschildError, ShuffleMap, ch0, hh_dims, auto_bar_bound
 from conftest import Q, F2, F5, exterior_deg, random_small_category
 from oracles import (UnnormalizedCyclicBar, brute_hochschild_dims, convolution,
                      unnormalized_exact_hh_dims)
@@ -14,8 +12,8 @@ from oracles import (UnnormalizedCyclicBar, brute_hochschild_dims, convolution,
 
 class TestComplexAssembly:
     def test_unit_normalized_dims(self, corpus):
-        hc = hochschild_complex(corpus["unit"], 4)
-        assert {t: hc.total.dim(t) for t in hc.total.support()} == {0: 1}
+        total, _ = CyclicBar(corpus["unit"], 4).total_complex()
+        assert {t: total.dim(t) for t in total.support()} == {0: 1}
 
     def test_kx2_unnormalized_counts(self, corpus):
         bar = UnnormalizedCyclicBar(corpus["kx2"], 5)
@@ -36,7 +34,7 @@ class TestComplexAssembly:
         # exhaustive entrywise d^2 = 0 at bar bound 4 on random two-object algebras
         for _ in range(3):
             cat = random_small_category(rng, max_dim=4)
-            hochschild_complex(cat, 4).total.verify()
+            CyclicBar(cat, 4).total_complex()[0].verify()
             UnnormalizedCyclicBar(cat, 4).total_complex()[0].verify()
 
     def test_simplicial_identities_low_bar(self, corpus):
@@ -61,15 +59,15 @@ class TestComplexAssembly:
                                    {k: v for k, v in rhs.items() if v}
 
     def test_status_analysis(self, corpus):
-        hc = hochschild_complex(corpus["kx2"], 3)
-        assert hc.status(-2) == "exact"
-        assert hc.status(-3) == "truncated"  # needs bar degree 4 chains
+        plan = corpus["kx2"].bar_plan()
+        assert plan.status(-2, 3) == "exact"
+        assert plan.status(-3, 3) == "truncated"  # needs bar degree 4 chains
 
     def test_contribution_table(self, corpus):
         # total degree 0 has only chains of bar degree 0 and internal degree 0
-        hc = hochschild_complex(corpus["path12"], 3)
-        assert {(hc.bar.bar_degree(k), hc.bar.internal_degree(k))
-                for k in hc.chain_keys[0]} == {(0, 0)}
+        bar = CyclicBar(corpus["path12"], 3)
+        _, chain_keys = bar.total_complex()
+        assert {(bar.bar_degree(k), bar.internal_degree(k)) for k in chain_keys[0]} == {(0, 0)}
 
 
 class TestHHDims:
@@ -115,11 +113,11 @@ class TestHHDims:
             cat = random_small_category(rng, max_dim=4)
             bound = max(4, auto_bar_bound(cat, 3))
             try:
-                hn = hochschild_complex(cat, bound)
+                hn = hh_dims(cat, 3, bar_bound=bound)
             except HochschildError:
                 continue
             for n, du in unnormalized_exact_hh_dims(cat, bound, 3).items():
-                dn, sn = hn.hh_dim(n)
+                dn, sn = hn[n]
                 if sn == "exact":
                     assert dn == du
 
@@ -170,10 +168,15 @@ class TestHHDims:
                 assert dim == convolution(da, db, n)
 
     def test_chain_support_bounds(self, corpus):
-        assert chain_support_bound(corpus["unit"]) == 0
-        assert chain_support_bound(corpus["kxk"]) == 0
-        assert chain_support_bound(corpus["path12"]) == 1
-        assert chain_support_bound(corpus["kx2"]) is None
+        # (floor, top) of the homological degrees carrying chains
+        assert corpus["unit"].bar_plan().chain_support() == (0, 0)
+        assert corpus["kxk"].bar_plan().chain_support() == (0, 0)
+        assert corpus["path12"].bar_plan().chain_support() == (0, 1)
+        assert corpus["kx2"].bar_plan().chain_support() == (0, None)
+
+    def test_bar_bound_below_one_refused(self, corpus):
+        with pytest.raises(HochschildError, match="bar_bound must be >= 1"):
+            hh_dims(corpus["kx2"], 2, bar_bound=0)
 
     def test_requires_closed(self):
         from dghom.presentation import from_quiver, realize
@@ -200,19 +203,21 @@ class TestShuffle:
     def test_certificates_corpus(self, corpus):
         u = corpus["unit"]
         for name in ("unit", "kxk", "path12", "kx2"):
-            sh = shuffle_map(u, corpus[name], (-3, 0))
+            sh = ShuffleMap(u, corpus[name], (-3, 0))
+            sh.check_certificate()
             assert sh.certificate_checked
 
     def test_certificate_kx2_square(self, corpus):
-        sh = shuffle_map(corpus["kx2"], corpus["kx2"], (-3, 0))
+        sh = ShuffleMap(corpus["kx2"], corpus["kx2"], (-3, 0))
+        sh.check_certificate()
         assert sh.certificate_checked
 
     def test_certificates_graded(self):
         ext1 = exterior_deg(Q, 1)
         extm = exterior_deg(Q, -1)
-        shuffle_map(ext1, extm, (-2, 2), bar_bound_a=3, bar_bound_b=3)
-        shuffle_map(disk_cell(2, Q), ext1, (-2, 2), bar_bound_a=3, bar_bound_b=3)
-        shuffle_map(sphere_cell(1, Q), sphere_cell(2, Q), (-2, 4))
+        ShuffleMap(ext1, extm, (-2, 2), bar_bound_a=3, bar_bound_b=3).check_certificate()
+        ShuffleMap(disk_cell(2, Q), ext1, (-2, 2), bar_bound_a=3, bar_bound_b=3).check_certificate()
+        ShuffleMap(sphere_cell(1, Q), sphere_cell(2, Q), (-2, 4)).check_certificate()
 
     def test_h1_kunneth_dimension_and_surjectivity(self, corpus):
         # dim H_1(HH(kx2 (x) kx2)) = 4 = sum HH_p * HH_q, and the induced
@@ -223,17 +228,17 @@ class TestShuffle:
         assert dims[1] == (4, "exact")
 
         sh = ShuffleMap(a, a, (-2, 0))
-        target = hochschild_complex(ab, 3)
+        target, _ = CyclicBar(ab, 3).total_complex()
         t = -1
-        d_in = target.total.diff(t - 1)
-        d_out = target.total.diff(t)
+        d_in = target.diff(t - 1)
+        d_out = target.diff(t)
         h_dim, reps, project = homology_quotient(d_in, d_out)
         assert h_dim == 4
         # cycle pairs of total degree -1: (bar 0, bar 1) and (bar 1, bar 0)
         image = Subspace(Q)
         count = 0
         chains_a = sh.bar_a.chains_by_total()
-        row_of = {k: i for i, k in enumerate(target.total.labels(t))}
+        row_of = {k: i for i, k in enumerate(target.labels(t))}
         for ta, tb in [(0, -1), (-1, 0)]:
             for ka in chains_a.get(ta, []):
                 for kb in chains_a.get(tb, []):
@@ -256,7 +261,7 @@ class TestShuffle:
     def test_window_refusal_without_bounds(self):
         ext1 = exterior_deg(Q, 1)
         with pytest.raises(HochschildError):
-            shuffle_map(ext1, ext1, (-2, 2))
+            ShuffleMap(ext1, ext1, (-2, 2))
 
 
 class TestCh0:

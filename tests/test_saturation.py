@@ -243,7 +243,7 @@ class TestEuler:
                 built.append(args)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(hochschild, "CyclicBar", CountedBar)
+        monkeypatch.setattr(saturation, "CyclicBar", CountedBar)
         assert euler_via_hh(cat) == (4, (-21, 0), "exact")
         assert len(built) == 1
 

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dghom import grammar
-from dghom.cyclic import mixed_complex
+from dghom.cyclic import MixedComplex
 from dghom.dgcore import tensor
 from dghom.dgmod import bar_composite, diagonal_bimodule
 from dghom.exactfield import Subspace
-from dghom.hochschild import ch0, hochschild_complex
+from dghom.hochschild import CyclicBar, ch0
 from dghom.saturation import _triangle_modules
 from conftest import Q, matrix_category
 from oracles import semisimple_quotient_left_module
@@ -39,8 +39,8 @@ def test_assembled_entries_are_exact(corpus):
     types = set()
     for cat in _categories(corpus):
         assert cat.field == Q
-        values = _values(hochschild_complex(cat, 4).total.diffs.values())
-        mx = mixed_complex(cat, 4)
+        values = _values(CyclicBar(cat, 4).total_complex()[0].diffs.values())
+        mx = MixedComplex(cat, 4)
         values += _values(list(mx.b_mats.values()) + list(mx.B_mats.values()))
         diag = diagonal_bimodule(cat)
         res = bar_composite(diag, semisimple_quotient_left_module(cat), diag.base, (-3, 0))

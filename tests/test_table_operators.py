@@ -7,7 +7,7 @@ import itertools
 
 from dghom.dgcore import disk_cell, opposite, tensor, validate
 from dghom.exactfield import ChainComplex
-from dghom.cyclic import mixed_complex
+from dghom.cyclic import MixedComplex
 from dghom.dgmod import _bar_differential, bar_composite, diagonal_bimodule, yoneda_module
 from dghom.hochschild import CyclicBar
 from dghom.saturation import _triangle_modules
@@ -54,7 +54,7 @@ def test_connes_operator(corpus, rng):
     for cat in _categories(corpus, rng):
         if not cat.unit_is_basis():
             continue
-        mx = mixed_complex(cat, 6)
+        mx = MixedComplex(cat, 6)
         for keys in mx.keys.values():
             for key in keys:
                 assert mx._B_elem(key) == reference_connes_B(mx, key), (cat, key)
