@@ -209,26 +209,41 @@ class BarPlan:
     ``unit_keys[x]`` is the unit key of x (None when the unit is not a
     basis element); ``nonunit[(x, y)]`` the basis keys of hom(x, y) in
     order, minus the unit key of a loop: the middle factors of a
-    normalized bar; ``edges`` the digraph of hom pairs with a non-unit
-    key; ``max_bar`` its longest path (normalized chains vanish beyond
-    it), None when it has a cycle; ``inner`` and ``outer`` the
-    (min, max) degrees of the non-unit keys and of all keys;
-    ``differential`` whether any hom complex has a nonzero differential
-    (the bars skip their internal differential when none has)."""
+    normalized bar; ``succ[x]`` the objects y with a non-unit key in
+    hom(x, y), in object order: the non-unit digraph; ``max_bar`` its
+    longest path (normalized chains vanish beyond it), None when it has
+    a cycle; ``inner`` and ``outer`` the (min, max) degrees of the
+    non-unit keys and of all keys; ``differential`` whether any hom
+    complex has a nonzero differential (the bars skip their internal
+    differential when none has)."""
 
     def __init__(self, a: DgCategory):
         self.unit_keys = {x: a.unit_key(x) for x in a.objects}
         self.nonunit = {}
-        self.edges = {}
         for x, y in itertools.product(a.objects, repeat=2):
             unit = self.unit_keys[x] if x == y else None
-            keys = self.nonunit[(x, y)] = [k for k in a.basis_keys(x, y) if k != unit]
-            if keys:
-                self.edges.setdefault(x, set()).add(y)
-        self.max_bar = _longest_path(self.edges)
+            self.nonunit[(x, y)] = [k for k in a.basis_keys(x, y) if k != unit]
+        self.succ = {x: [y for y in a.objects if self.nonunit[(x, y)]] for x in a.objects}
+        self.max_bar = _longest_path(self.succ)
         self.inner = _bounds(k[0] for keys in self.nonunit.values() for k in keys)
         self.outer = _bounds(d for c in a.homs.values() for d in c.support())
         self.differential = any(c.diffs for c in a.homs.values())
+
+    def walks(self, m: int, starts, ends):
+        """The walks (x_0, ..., x_m) of the non-unit digraph from
+        ``starts`` into ``ends``, in the lexicographic order of the
+        objects.  A walk grows only towards objects that reach ``ends``
+        in the steps left, so the cost follows the walks listed."""
+        # reach[k]: the objects with a walk of k steps into ends
+        reach = [set(ends)]
+        for _ in range(m):
+            last = reach[-1]
+            reach.append({x for x, ys in self.succ.items() if any(y in last for y in ys)})
+        layer = [(x,) for x in self.succ if x in starts and x in reach[m]]
+        for k in range(m - 1, -1, -1):
+            live = reach[k]
+            layer = [w + (y,) for w in layer for y in self.succ[w[-1]] if y in live]
+        return layer
 
     def bound_for_window(self, t_lo: int, t_hi: int):
         """Largest bar degree of a normalized cyclic bar chain that can
@@ -450,70 +465,67 @@ def tensor(*cats: DgCategory) -> DgCategory:
     info = TensorInfo(cats)
     objects = list(itertools.product(*(c.objects for c in cats)))
     homs = {}
-    neg_one = field.of_int(-1)
+    # a hom pair with a zero factor is zero: no product to expand
+    nonzero = [{pair for pair, h in c.homs.items() if h.total_dim()} for c in cats]
+    # pos[(x, y)]: the place of each key tuple in the basis order of hom(x, y)
+    pos = {}
     for x in objects:
         for y in objects:
+            if not all((xi, yi) in nz for nz, xi, yi in zip(nonzero, x, y)):
+                homs[(x, y)] = ChainComplex(field, {}, {})
+                info.keys[(x, y)] = info.index[(x, y)] = {}
+                continue
             factors = [c.hom(xi, yi) for c, xi, yi in zip(cats, x, y)]
             hom = tensor_complex(field, factors)
             keys = info.keys[(x, y)] = hom.spaces
             info.index[(x, y)] = {k: (d, i) for d, lst in keys.items() for i, k in enumerate(lst)}
+            pos[(x, y)] = {k: n for n, k in enumerate(k for lst in keys.values() for k in lst)}
             # the labels are tuples of factor labels, as grammar.dumps prints them
             hom.spaces = {d: tuple(tuple(c.labels(k[0])[k[1]] for c, k in zip(factors, combo))
                                    for combo in lst)
                           for d, lst in keys.items()}
             homs[(x, y)] = hom
+    # a nonzero product of the tensor is a choice of a nonzero product
+    # (triple, kg, kf, terms) in every factor, terms the (key, scalar)
+    # pairs of kg.kf; they are listed by source object, then sorted by
+    # target objects and by the basis pair (g, f), g slowest
+    by_source = [{} for _ in cats]
+    for c, out_of in zip(cats, by_source):
+        for t, table in c.comp.items():
+            out_of.setdefault(t[0], []).extend(
+                (t, kg, kf, [((kg[0] + kf[0], ih), v) for ih, v in prod.items()])
+                for (kg, kf), prod in table.items())
+    rank = {x: n for n, x in enumerate(objects)}
+    signs = (field.one(), field.of_int(-1))
     comp = {}
-    for x, y, z in walks(objects, hom_graph(homs), 2):
-        xy = info.keys[(x, y)]
-        yz = info.keys[(y, z)]
-        idx_xz = info.index[(x, z)]
-        table = {}
-        for dg, gcombos in yz.items():
-            for ig, gcombo in enumerate(gcombos):
-                for df, fcombos in xy.items():
-                    for if_, fcombo in enumerate(fcombos):
-                        # per-factor products; Koszul sign from g_j crossing f_i, i<j
-                        coeff = field.one()
-                        parts = []
-                        ok = True
-                        for i, (kg, kf) in enumerate(zip(gcombo, fcombo)):
-                            prod = cats[i].comp.get((x[i], y[i], z[i]), {}).get((kg, kf))
-                            if not prod:
-                                ok = False
-                                break
-                            parts.append((kg[0] + kf[0], prod))
-                        if not ok:
-                            continue
-                        sign_exp = sum(gcombo[j][0] * fcombo[i][0]
-                                       for i in range(len(cats))
-                                       for j in range(i + 1, len(cats)))
-                        if sign_exp % 2:
-                            coeff = neg_one
-                        out = {}
-                        for combo in itertools.product(*[[(deg, ih, v) for ih, v in prod.items()]
-                                                         for deg, prod in parts]):
-                            keytuple = tuple((deg, ih) for deg, ih, _ in combo)
-                            val = coeff
-                            for _, _, v in combo:
-                                val = field.mul(val, v)
-                            dd, ih_flat = idx_xz[keytuple]
-                            field.accumulate(out, ih_flat, val)
-                        if out:
-                            table[((dg, ig), (df, if_))] = out
-        if table:
-            comp[(x, y, z)] = table
+    for x in objects:
+        products = []
+        for parts in itertools.product(*[out_of.get(xi, ()) for out_of, xi in zip(by_source, x)]):
+            triple, g, f, _ = zip(*parts)
+            _, y, z = zip(*triple)
+            products.append(((rank[y], rank[z], pos[(y, z)][g], pos[(x, y)][f]), y, z, g, f, parts))
+        products.sort(key=lambda e: e[0])
+        for _, y, z, g, f, parts in products:
+            # the Koszul sign of g_j crossing f_i, i < j
+            sign_exp = f_deg = 0
+            for kg, kf in zip(g, f):
+                sign_exp += kg[0] * f_deg
+                f_deg += kf[0]
+            idx_xz, out = info.index[(x, z)], {}
+            for terms in itertools.product(*[p[3] for p in parts]):
+                val = signs[sign_exp & 1]
+                for _, v in terms:
+                    val = field.mul(val, v)
+                field.accumulate(out, idx_xz[tuple([k for k, _ in terms])][1], val)
+            comp.setdefault((x, y, z), {})[(info.index[(y, z)][g], info.index[(x, y)][f])] = out
     units = {}
     for x in objects:
-        index = info.index[(x, x)]
-        expansion = {}
-        for combo in itertools.product(*[[(k, v) for k, v in cats[i].unit(x[i]).items()]
-                                         for i in range(len(cats))]):
-            keytuple = tuple(k for k, _ in combo)
+        units[x] = expansion = {}
+        for combo in itertools.product(*[c.unit(xi).items() for c, xi in zip(cats, x)]):
             val = field.one()
             for _, v in combo:
                 val = field.mul(val, v)
-            field.accumulate(expansion, index[keytuple], val)
-        units[x] = expansion
+            field.accumulate(expansion, info.index[(x, x)][tuple([k for k, _ in combo])], val)
     name = " (x) ".join(c.name or "?" for c in cats)
     out = DgCategory(field, objects, homs, comp, units, name=name,
                      closed=all(c.closed for c in cats))
@@ -526,23 +538,3 @@ def tensor_info(cat: DgCategory) -> TensorInfo:
     if info is None:
         raise ValueError("category does not carry tensor bookkeeping")
     return info
-
-
-def hom_graph(homs):
-    """Digraph on objects with an edge x -> y when hom(x, y) is nonzero."""
-    edges = {}
-    for (x, y), c in homs.items():
-        if c.total_dim():
-            edges.setdefault(x, set()).add(y)
-    return edges
-
-
-def walks(objects, edges, m):
-    """Object tuples (x_0, ..., x_m) with an edge x_i -> x_{i+1} for every
-    i, listed in the lexicographic order of ``objects`` (the order of
-    itertools.product over objects, restricted to walks)."""
-    succ = {x: [y for y in objects if y in edges.get(x, ())] for x in objects}
-    layer = [(x,) for x in objects]
-    for _ in range(m):
-        layer = [w + (y,) for w in layer for y in succ[w[-1]]]
-    return layer

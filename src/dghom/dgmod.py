@@ -21,7 +21,7 @@ import itertools
 
 from .exactfield import ChainComplex, Matrix, kernel_basis, operator_complex, tensor_complex
 from .dgcore import (DgCategory, ValidationReport, bar_degree_cap, elem_scale,
-                     elem_eq, opposite, tensor, tensor_info, walks)
+                     elem_eq, opposite, tensor, tensor_info)
 
 
 class DgModule:
@@ -198,6 +198,9 @@ def tensor_action(base: DgCategory, values, act) -> dict:
     action = {}
     for (xo, yo), hom_keys in info.keys.items():
         c = values[yo]
+        # the product lies in values[xo]: nothing to act on or into
+        if not c.spaces or not values[xo].spaces:
+            continue
         val_keys = [(d, i) for d in c.support() for i in range(c.dim(d))]
         tab = {}
         for dh, hlist in hom_keys.items():
@@ -325,7 +328,10 @@ def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
     hence dropped; a middle category whose units are not basis vectors
     is refused.  The middle factors, their digraph and the chain
     vanishing cap come from ``mid.bar_plan()``, so bars over one middle
-    category share one set-up.
+    category share one set-up.  Chains are listed by bar degree, then
+    along ``BarPlan.walks`` from the support of Y into the support of X
+    (no other walk carries a chain), then by the module and middle
+    factor bases; each degree keeps that order.
     """
     if not mid.unit_is_basis():
         raise ValueError("the normalized two-sided bar needs every unit of the middle "
@@ -341,15 +347,15 @@ def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
 
     # chain enumeration: key = (objs tuple (b_0..b_p), km, betas (a_p..a_1), kn),
     # each degree in enumeration order
+    starts = {b for b in mid.objects if Y.value(b).spaces}
+    ends = {b for b in mid.objects if X.value(b).spaces}
     chains = {}   # total degree -> list of keys
     for p in range(P + 1):
-        for objs in walks(mid.objects, plan.edges, p):
+        for objs in plan.walks(p, starts, ends):
             # objs = (b_0, ..., b_p); betas a_i in hom(b_{i-1}, b_i)
             beta_lists = [plan.nonunit[(objs[i - 1], objs[i])] for i in range(1, p + 1)]
             xv = X.value(objs[p])
             yv = Y.value(objs[0])
-            if not xv.spaces or not yv.spaces:
-                continue
             for km in [(d, i) for d in xv.support() for i in range(xv.dim(d))]:
                 for kn in [(d, i) for d in yv.support() for i in range(yv.dim(d))]:
                     base_deg = km[0] + kn[0]

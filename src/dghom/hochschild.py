@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 
 from .exactfield import homology_dims, homology_quotient, operator_complex
-from .dgcore import DgCategory, tensor, tensor_info, walks
+from .dgcore import DgCategory, tensor, tensor_info
 from .monomial import monomial_algebra
 
 
@@ -66,18 +66,20 @@ class CyclicBar:
         self.differential = plan.differential
         self.unit_keys = plan.unit_keys
         # chains in enumeration order: walks, then the product of the slot bases
-        self.keys_by_bar = {m: list(self._enumerate(m, plan.nonunit, plan.edges))
-                            for m in range(bar_bound + 1)}
+        self.keys_by_bar = {m: list(self._enumerate(m, plan)) for m in range(bar_bound + 1)}
 
-    def _enumerate(self, m, inner, edges):
+    def _enumerate(self, m, plan):
         a = self.a
-        # inner walk x_0 -> ... -> x_m along edges of inner factors, wrap f_m any
-        for objs in walks(a.objects, edges, m):
-            inner_lists = [inner[(objs[j], objs[j + 1])] for j in range(m)]
-            for kf_m in a.basis_keys(objs[m], objs[0]):
-                # tuple order (f_m, f_{m-1}, ..., f_0)
-                for inner_keys in itertools.product(*reversed(inner_lists)):
-                    yield (objs, (kf_m,) + inner_keys)
+        for x0 in a.objects:
+            # inner walk x_0 -> ... -> x_m along the non-unit digraph, ending
+            # where the wrap-around f_m: x_m -> x_0 has a basis key
+            back = {y for y in a.objects if a.hom(y, x0).spaces}
+            for objs in plan.walks(m, (x0,), back):
+                inner_lists = [plan.nonunit[(objs[j], objs[j + 1])] for j in range(m)]
+                for kf_m in a.basis_keys(objs[m], x0):
+                    # tuple order (f_m, f_{m-1}, ..., f_0)
+                    for inner_keys in itertools.product(*reversed(inner_lists)):
+                        yield (objs, (kf_m,) + inner_keys)
 
     # -- degree bookkeeping ---------------------------------------------
 

@@ -28,7 +28,10 @@ where the library bars over a alone.  `UnnormalizedCyclicBar` keeps
 the cyclic bar with degenerate chains, which the library no longer
 enumerates, on the library's face and differential code;
 `unnormalized_exact_hh_dims` reads HH from it in the degrees its
-truncation cannot reach.  `bprime_of` (b' summed from the
+truncation cannot reach; it walks the nonempty-hom digraph with
+`walks` and `hom_graph`, the walk enumerator the library kept before
+`BarPlan.walks`.  `reference_tensor` is the library's tensor before it
+built the composition factor by factor.  `bprime_of` (b' summed from the
 library's faces) is a test helper the library no longer carries.  So
 are the functor section's `DgFunctor`, `validate_functor`,
 `swap_functor` and `pullback_module`, the role-swap reference for the
@@ -41,10 +44,10 @@ they share the library's conventions.
 import itertools
 
 from dghom.cyclic import CyclicError, t_of_key
-from dghom.dgcore import (DgCategory, ValidationReport, bar_degree_cap, elem_eq, hom_graph,
+from dghom.dgcore import (DgCategory, TensorInfo, ValidationReport, bar_degree_cap, elem_eq,
                           tensor, tensor_info)
 from dghom.dgmod import DgModule
-from dghom.exactfield import FieldSpec, Matrix, homology_dims, operator_matrix
+from dghom.exactfield import FieldSpec, Matrix, homology_dims, operator_matrix, tensor_complex
 from dghom.hochschild import CyclicBar
 
 
@@ -287,8 +290,10 @@ def convolution(da: dict, db: dict, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# chain bases by filtering every object tuple (the library walks the
-# nonempty-hom digraph instead), and the unnormalized cyclic bar
+# chain bases: cyclic bar chains by filtering every object tuple, and
+# two-sided bar chains over every walk of the non-unit digraph (the
+# library walks only from the support of Y into the support of X); the
+# pre-plan walk enumerator and the unnormalized cyclic bar
 
 def _basis(c):
     return [(d, i) for d in c.support() for i in range(c.dim(d))]
@@ -315,21 +320,31 @@ def brute_cyclic_keys(cat, m, normalized):
 def brute_bar_chain_keys(X, Y, mid, window_coh, bar_bound, left_spect=None, right_spect=None):
     """Normalized two-sided bar chain keys (objs, km, (a_p, ..., a_1), kn)
     per spectator pair and total cohomological degree in the window
-    closure."""
+    closure.  Object tuples run over every walk of the digraph of hom
+    pairs with a non-unit key (a tuple with an empty middle factor has
+    no chain), whatever the module values at its ends."""
     lo, hi = window_coh[0] - 1, window_coh[1] + 1
     spect = left_spect is not None or right_spect is not None
+    factors = {(x, y): _factor_keys(mid, x, y, True) for x in mid.objects for y in mid.objects}
+    edges = {}
+    for (x, y), keys in factors.items():
+        if keys:
+            edges.setdefault(x, set()).add(y)
     out = {}
     for la in (left_spect.objects if left_spect is not None else (None,)):
         for rc in (right_spect.objects if right_spect is not None else (None,)):
+            x_basis = {b: _basis(X.value((la, b) if left_spect is not None else b))
+                       for b in mid.objects}
+            y_basis = {b: _basis(Y.value((b, rc) if right_spect is not None else b))
+                       for b in mid.objects}
             chains = {}
             for p in range(bar_bound + 1):
-                for objs in itertools.product(mid.objects, repeat=p + 1):
-                    betas = [_factor_keys(mid, objs[i - 1], objs[i], True)
-                             for i in range(1, p + 1)]
-                    xv = X.value((la, objs[p]) if left_spect is not None else objs[p])
-                    yv = Y.value((objs[0], rc) if right_spect is not None else objs[0])
-                    for km in _basis(xv):
-                        for kn in _basis(yv):
+                for objs in walks(mid.objects, edges, p):
+                    if not (x_basis[objs[p]] and y_basis[objs[0]]):
+                        continue
+                    betas = [factors[(objs[i - 1], objs[i])] for i in range(1, p + 1)]
+                    for km in x_basis[objs[p]]:
+                        for kn in y_basis[objs[0]]:
                             for bs in itertools.product(*betas):
                                 bt = bs[::-1]
                                 t = km[0] + kn[0] + sum(k[0] for k in bt) - p
@@ -339,12 +354,33 @@ def brute_bar_chain_keys(X, Y, mid, window_coh, bar_bound, left_spect=None, righ
     return out
 
 
+def hom_graph(homs):
+    """Digraph on objects with an edge x -> y when hom(x, y) is nonzero."""
+    edges = {}
+    for (x, y), c in homs.items():
+        if c.total_dim():
+            edges.setdefault(x, set()).add(y)
+    return edges
+
+
+def walks(objects, edges, m):
+    """Object tuples (x_0, ..., x_m) with an edge x_i -> x_{i+1} for every
+    i, listed in the lexicographic order of ``objects`` (the order of
+    itertools.product over objects, restricted to walks)."""
+    succ = {x: [y for y in objects if y in edges.get(x, ())] for x in objects}
+    layer = [(x,) for x in objects]
+    for _ in range(m):
+        layer = [w + (y,) for w in layer for y in succ[w[-1]]]
+    return layer
+
+
 class UnnormalizedCyclicBar(CyclicBar):
     """The unnormalized cyclic bar, degenerate chains included: inner
-    factors range over every basis key along the nonempty-hom digraph
-    and ``unit_keys`` is empty, so no face or differential term is
-    dropped.  Faces, b, the internal differential and the total complex
-    are the library's; units need not be basis vectors."""
+    factors range over every basis key along every walk of the
+    nonempty-hom digraph and ``unit_keys`` is empty, so no face or
+    differential term is dropped.  Faces, b, the internal differential
+    and the total complex are the library's; units need not be basis
+    vectors."""
 
     normalized = False
 
@@ -354,8 +390,15 @@ class UnnormalizedCyclicBar(CyclicBar):
         self.field = a.field
         self.differential = a.bar_plan().differential
         self.unit_keys, edges = {}, hom_graph(a.homs)
-        inner = {pair: list(a.basis_keys(*pair)) for pair in a.homs}
-        self.keys_by_bar = {m: list(self._enumerate(m, inner, edges)) for m in range(bar_bound + 1)}
+        self.keys_by_bar = {m: list(self._walk_chains(m, edges)) for m in range(bar_bound + 1)}
+
+    def _walk_chains(self, m, edges):
+        a = self.a
+        for objs in walks(a.objects, edges, m):
+            inner_lists = [list(a.basis_keys(objs[j], objs[j + 1])) for j in range(m)]
+            for kf_m in a.basis_keys(objs[m], objs[0]):
+                for inner_keys in itertools.product(*reversed(inner_lists)):
+                    yield (objs, (kf_m,) + inner_keys)
 
 
 def unnormalized_exact_hh_dims(cat, bar_bound, n_max):
@@ -598,6 +641,95 @@ def reference_connes_B(mx, key):
     sgn = f.of_int((-1) ** (m + 1))
     normalized = set(mx.norm.keys_by_bar.get(m + 1, ()))
     return {k2: f.mul(sgn, v) for k2, v in out.items() if k2 in normalized}
+
+
+def reference_tensor(*cats: DgCategory) -> DgCategory:
+    """Tensor product of dg categories: objects are tuples, hom complexes
+    are tensor products of the factors' hom complexes, with Koszul signs
+    in differential and composition.  Carries basis bookkeeping for
+    module builders.
+
+    The library's tensor before it built the composition factor by
+    factor: every basis pair (g, f) over every walk of length 2 of the
+    nonempty-hom digraph, kept when each factor's product is nonzero."""
+    if not cats:
+        raise ValueError("tensor of no categories")
+    field = cats[0].field
+    for c in cats[1:]:
+        if c.field != field:
+            raise ValueError("field mismatch in tensor")
+    info = TensorInfo(cats)
+    objects = list(itertools.product(*(c.objects for c in cats)))
+    homs = {}
+    neg_one = field.of_int(-1)
+    for x in objects:
+        for y in objects:
+            factors = [c.hom(xi, yi) for c, xi, yi in zip(cats, x, y)]
+            hom = tensor_complex(field, factors)
+            keys = info.keys[(x, y)] = hom.spaces
+            info.index[(x, y)] = {k: (d, i) for d, lst in keys.items() for i, k in enumerate(lst)}
+            # the labels are tuples of factor labels, as grammar.dumps prints them
+            hom.spaces = {d: tuple(tuple(c.labels(k[0])[k[1]] for c, k in zip(factors, combo))
+                                   for combo in lst)
+                          for d, lst in keys.items()}
+            homs[(x, y)] = hom
+    comp = {}
+    for x, y, z in walks(objects, hom_graph(homs), 2):
+        xy = info.keys[(x, y)]
+        yz = info.keys[(y, z)]
+        idx_xz = info.index[(x, z)]
+        table = {}
+        for dg, gcombos in yz.items():
+            for ig, gcombo in enumerate(gcombos):
+                for df, fcombos in xy.items():
+                    for if_, fcombo in enumerate(fcombos):
+                        # per-factor products; Koszul sign from g_j crossing f_i, i<j
+                        coeff = field.one()
+                        parts = []
+                        ok = True
+                        for i, (kg, kf) in enumerate(zip(gcombo, fcombo)):
+                            prod = cats[i].comp.get((x[i], y[i], z[i]), {}).get((kg, kf))
+                            if not prod:
+                                ok = False
+                                break
+                            parts.append((kg[0] + kf[0], prod))
+                        if not ok:
+                            continue
+                        sign_exp = sum(gcombo[j][0] * fcombo[i][0]
+                                       for i in range(len(cats))
+                                       for j in range(i + 1, len(cats)))
+                        if sign_exp % 2:
+                            coeff = neg_one
+                        out = {}
+                        for combo in itertools.product(*[[(deg, ih, v) for ih, v in prod.items()]
+                                                         for deg, prod in parts]):
+                            keytuple = tuple((deg, ih) for deg, ih, _ in combo)
+                            val = coeff
+                            for _, _, v in combo:
+                                val = field.mul(val, v)
+                            dd, ih_flat = idx_xz[keytuple]
+                            field.accumulate(out, ih_flat, val)
+                        if out:
+                            table[((dg, ig), (df, if_))] = out
+        if table:
+            comp[(x, y, z)] = table
+    units = {}
+    for x in objects:
+        index = info.index[(x, x)]
+        expansion = {}
+        for combo in itertools.product(*[[(k, v) for k, v in cats[i].unit(x[i]).items()]
+                                         for i in range(len(cats))]):
+            keytuple = tuple(k for k, _ in combo)
+            val = field.one()
+            for _, v in combo:
+                val = field.mul(val, v)
+            field.accumulate(expansion, index[keytuple], val)
+        units[x] = expansion
+    name = " (x) ".join(c.name or "?" for c in cats)
+    out = DgCategory(field, objects, homs, comp, units, name=name,
+                     closed=all(c.closed for c in cats))
+    out._tensor = info
+    return out
 
 
 def reference_tensor_complex(field, factors):

@@ -61,7 +61,7 @@ def test_plan_matches_contribution_plan(corpus):
         assert plan.unit_keys == {x: a.unit_key(x) for x in a.objects}
         for x, y in itertools.product(a.objects, repeat=2):
             assert plan.nonunit[(x, y)] == _factor_keys(a, x, y, True)
-            assert (y in plan.edges.get(x, ())) == bool(plan.nonunit[(x, y)])
+            assert (y in plan.succ[x]) == bool(plan.nonunit[(x, y)])
         for t_lo, t_hi in WINDOWS:
             assert plan.bound_for_window(t_lo, t_hi) == ref.bound_for_window(t_lo, t_hi), a
         for t, bar_bound in itertools.product(range(-7, 6), BAR_BOUNDS):
