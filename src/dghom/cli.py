@@ -68,9 +68,19 @@ def _load(path):
         cat, cert = grammar.load_path(path)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}")
     except grammar.GrammarError as exc:
         raise InputError(f"{path}: {exc}")
     return cat, cert
+
+
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
 
 
 def _require_closed(cat, cert, path):
@@ -95,8 +105,7 @@ def _emit(report, args, human_lines=()):
     else:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     elif not human_lines:
         sys.stdout.write(text)
 
@@ -184,8 +193,7 @@ def _write_category(cat, args, summary="", header=""):
     a one-line summary on stdout, or else the bare file to stdout."""
     text = grammar.dumps(cat)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(header + text)
+        _write(args.out, header + text)
         print(f"wrote {args.out}{summary}")
     else:
         sys.stdout.write(text)

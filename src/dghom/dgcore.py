@@ -49,6 +49,12 @@ class DgCategory:
     ``comp[(x, y, z)]`` maps a pair of basis keys ((dg, ig), (df, if))
     with g in hom(y, z) and f in hom(x, y) to the element g.f of
     hom(x, z); missing entries are zero products.
+
+    ``comp`` is stored as given, and the builders give clean tables: no
+    empty table, no empty product, no zero scalar (the ``.dg`` loader
+    and ``realize`` drop what would be empty).  After construction every
+    table is read-only, since ``opposite`` and ``tensor`` share products
+    with their inputs.
     """
 
     # not a field: the BarPlan, made on the first bar_plan call
@@ -59,10 +65,7 @@ class DgCategory:
         self.field = field
         self.objects = tuple(objects)
         self.homs = dict(homs)
-        self.comp = {k: {pk: {kk: vv for kk, vv in e.items() if vv}
-                         for pk, e in table.items() if any(e.values())}
-                     for k, table in comp.items()}
-        self.comp = {k: t for k, t in self.comp.items() if t}
+        self.comp = comp
         self.units = dict(units)
         self.name = name
         self.closed = closed
@@ -222,11 +225,13 @@ class BarPlan:
         self.nonunit = {}
         for x, y in itertools.product(a.objects, repeat=2):
             unit = self.unit_keys[x] if x == y else None
-            self.nonunit[(x, y)] = [k for k in a.basis_keys(x, y) if k != unit]
+            spaces = a.homs[(x, y)].spaces
+            self.nonunit[(x, y)] = [(d, i) for d in sorted(spaces) for i in range(len(spaces[d]))
+                                    if (d, i) != unit]
         self.succ = {x: [y for y in a.objects if self.nonunit[(x, y)]] for x in a.objects}
         self.max_bar = _longest_path(self.succ)
         self.inner = _bounds(k[0] for keys in self.nonunit.values() for k in keys)
-        self.outer = _bounds(d for c in a.homs.values() for d in c.support())
+        self.outer = _bounds(d for c in a.homs.values() for d in c.spaces)
         self.differential = any(c.diffs for c in a.homs.values())
 
     def walks(self, m: int, starts, ends):
@@ -237,8 +242,7 @@ class BarPlan:
         # reach[k]: the objects with a walk of k steps into ends
         reach = [set(ends)]
         for _ in range(m):
-            last = reach[-1]
-            reach.append({x for x, ys in self.succ.items() if any(y in last for y in ys)})
+            reach.append({x for x, ys in self.succ.items() if not reach[-1].isdisjoint(ys)})
         layer = [(x,) for x in self.succ if x in starts and x in reach[m]]
         for k in range(m - 1, -1, -1):
             live = reach[k]
@@ -424,10 +428,11 @@ def opposite(a: DgCategory) -> DgCategory:
     so it keeps the tensor bookkeeping: every hom pair reversed and each
     factor replaced by its opposite."""
     f = a.field
-    homs = {(x, y): a.hom(y, x) for (x, y) in itertools.product(a.objects, repeat=2)}
+    homs = {(x, y): a.homs[(y, x)] for (x, y) in itertools.product(a.objects, repeat=2)}
     # kf in a.hom(y,x) composed after kg in a.hom(z,y) gives, for g in
-    # op-hom(y,z) and f in op-hom(x,y), g .op f := (-1)^{|f||g|} f .a g
-    comp = {(x, y, z): {(kg, kf): elem_scale(f, f.sign(kf[0] * kg[0]), prod)
+    # op-hom(y,z) and f in op-hom(x,y), g .op f := (-1)^{|f||g|} f .a g;
+    # a product with sign +1 is shared with a
+    comp = {(x, y, z): {(kg, kf): elem_scale(f, f.sign(1), prod) if kf[0] * kg[0] & 1 else prod
                         for (kf, kg), prod in table.items()}
             for (z, y, x), table in a.comp.items()}
     out = DgCategory(f, a.objects, homs, comp, dict(a.units),
@@ -464,36 +469,41 @@ def tensor(*cats: DgCategory) -> DgCategory:
             raise ValueError("field mismatch in tensor")
     info = TensorInfo(cats)
     objects = list(itertools.product(*(c.objects for c in cats)))
+    # a hom pair with a zero factor is zero: only a choice of a nonzero
+    # hom pair in every factor gets a tensor product of complexes
+    live = {tuple(zip(*pairs)): [c.homs[p] for c, p in zip(cats, pairs)]
+            for pairs in itertools.product(*[[p for p, h in c.homs.items() if h.spaces] for c in cats])}
     homs = {}
-    # a hom pair with a zero factor is zero: no product to expand
-    nonzero = [{pair for pair, h in c.homs.items() if h.total_dim()} for c in cats]
-    # pos[(x, y)]: the place of each key tuple in the basis order of hom(x, y)
-    pos = {}
+    # place[(x, y)]: the flat key of each key tuple of hom(x, y), and the
+    # place in its basis order of the first key of each degree
+    place = {}
+    zero = ChainComplex(field, {}, {})
     for x in objects:
         for y in objects:
-            if not all((xi, yi) in nz for nz, xi, yi in zip(nonzero, x, y)):
-                homs[(x, y)] = ChainComplex(field, {}, {})
+            factors = live.get((x, y))
+            if factors is None:
+                homs[(x, y)] = zero
                 info.keys[(x, y)] = info.index[(x, y)] = {}
                 continue
-            factors = [c.hom(xi, yi) for c, xi, yi in zip(cats, x, y)]
             hom = tensor_complex(field, factors)
             keys = info.keys[(x, y)] = hom.spaces
-            info.index[(x, y)] = {k: (d, i) for d, lst in keys.items() for i, k in enumerate(lst)}
-            pos[(x, y)] = {k: n for n, k in enumerate(k for lst in keys.values() for k in lst)}
+            index = info.index[(x, y)] = {k: (d, i) for d, lst in keys.items() for i, k in enumerate(lst)}
+            starts = itertools.accumulate(map(len, keys.values()), initial=0)
+            place[(x, y)] = index, dict(zip(keys, starts))
             # the labels are tuples of factor labels, as grammar.dumps prints them
-            hom.spaces = {d: tuple(tuple(c.labels(k[0])[k[1]] for c, k in zip(factors, combo))
+            hom.spaces = {d: tuple(tuple([c.spaces[k[0]][k[1]] for c, k in zip(factors, combo)])
                                    for combo in lst)
                           for d, lst in keys.items()}
             homs[(x, y)] = hom
     # a nonzero product of the tensor is a choice of a nonzero product
-    # (triple, kg, kf, terms) in every factor, terms the (key, scalar)
-    # pairs of kg.kf; they are listed by source object, then sorted by
-    # target objects and by the basis pair (g, f), g slowest
+    # (y, z, kg, kf, terms) in every factor, terms the (key, scalar) pairs
+    # of kg.kf; they are listed by source object, then sorted by target
+    # objects and by the place of (g, f) in the basis orders, g slowest
     by_source = [{} for _ in cats]
     for c, out_of in zip(cats, by_source):
-        for t, table in c.comp.items():
-            out_of.setdefault(t[0], []).extend(
-                (t, kg, kf, [((kg[0] + kf[0], ih), v) for ih, v in prod.items()])
+        for (x, y, z), table in c.comp.items():
+            out_of.setdefault(x, []).extend(
+                (y, z, kg, kf, [((kg[0] + kf[0], ih), v) for ih, v in prod.items()])
                 for (kg, kf), prod in table.items())
     rank = {x: n for n, x in enumerate(objects)}
     signs = (field.one(), field.of_int(-1))
@@ -501,23 +511,27 @@ def tensor(*cats: DgCategory) -> DgCategory:
     for x in objects:
         products = []
         for parts in itertools.product(*[out_of.get(xi, ()) for out_of, xi in zip(by_source, x)]):
-            triple, g, f, _ = zip(*parts)
-            _, y, z = zip(*triple)
-            products.append(((rank[y], rank[z], pos[(y, z)][g], pos[(x, y)][f]), y, z, g, f, parts))
-        products.sort(key=lambda e: e[0])
-        for _, y, z, g, f, parts in products:
+            y, z, g, f, terms = zip(*parts)
+            (index_g, start_g), (index_f, start_f) = place[(y, z)], place[(x, y)]
+            kg, kf = index_g[g], index_f[f]
             # the Koszul sign of g_j crossing f_i, i < j
             sign_exp = f_deg = 0
-            for kg, kf in zip(g, f):
-                sign_exp += kg[0] * f_deg
-                f_deg += kf[0]
-            idx_xz, out = info.index[(x, z)], {}
-            for terms in itertools.product(*[p[3] for p in parts]):
+            for gi, fi in zip(g, f):
+                sign_exp += gi[0] * f_deg
+                f_deg += fi[0]
+            out, index = {}, place[(x, z)][0]
+            # distinct choices of terms are distinct keys: nothing cancels
+            for combo in itertools.product(*terms):
                 val = signs[sign_exp & 1]
-                for _, v in terms:
+                for _, v in combo:
                     val = field.mul(val, v)
-                field.accumulate(out, idx_xz[tuple([k for k, _ in terms])][1], val)
-            comp.setdefault((x, y, z), {})[(info.index[(y, z)][g], info.index[(x, y)][f])] = out
+                out[index[tuple([k for k, _ in combo])][1]] = val
+            # (g, f) is unique per source, so the sort never compares past it
+            products.append(((rank[y], rank[z], start_g[kg[0]] + kg[1], start_f[kf[0]] + kf[1]),
+                             (x, y, z), (kg, kf), out))
+        products.sort()
+        for _, t, pair, out in products:
+            comp.setdefault(t, {})[pair] = out
     units = {}
     for x in objects:
         units[x] = expansion = {}

@@ -29,16 +29,15 @@ class DgModule:
 
     ``action[(x, y)]`` maps ((df, i_f), (dm, i_m)) with f in hom(x,y) and
     m in value(y) to the element m.f of value(x) as {index: scalar} in
-    degree df + dm; missing entries are zero.
+    degree df + dm; missing entries are zero.  Like ``DgCategory.comp``,
+    ``action`` is stored as given, clean (no empty table or product, no
+    zero scalar) and read-only after construction.
     """
 
     def __init__(self, base: DgCategory, values, action, name=""):
         self.base = base
         self.values = dict(values)
-        self.action = {k: {pk: {i: v for i, v in e.items() if v}
-                           for pk, e in tab.items() if any(e.values())}
-                       for k, tab in action.items()}
-        self.action = {k: t for k, t in self.action.items() if t}
+        self.action = action
         self.name = name
         for x in base.objects:
             if x not in self.values:
@@ -195,22 +194,23 @@ def tensor_action(base: DgCategory, values, act) -> dict:
     basis element of base.hom(xo, yo) whose key tuple over the factors is
     hk, as a sparse element {(degree, index): scalar} of values[xo]."""
     info = tensor_info(base)
+    # a pair whose source or target value is zero has nothing to act on
+    # or into; each value's keys are listed once
+    val_keys = {obj: [(d, i) for d in c.support() for i in range(c.dim(d))]
+                for obj, c in values.items() if c.spaces}
+    live = [obj for obj in base.objects if obj in val_keys]
     action = {}
-    for (xo, yo), hom_keys in info.keys.items():
-        c = values[yo]
-        # the product lies in values[xo]: nothing to act on or into
-        if not c.spaces or not values[xo].spaces:
-            continue
-        val_keys = [(d, i) for d in c.support() for i in range(c.dim(d))]
-        tab = {}
-        for dh, hlist in hom_keys.items():
-            for ih, hk in enumerate(hlist):
-                for vk in val_keys:
-                    res = act(xo, yo, hk, vk)
-                    if res:
-                        tab[((dh, ih), vk)] = {i: v for (_, i), v in res.items()}
-        if tab:
-            action[(xo, yo)] = tab
+    for xo in live:
+        for yo in live:
+            tab = {}
+            for dh, hlist in info.keys[(xo, yo)].items():
+                for ih, hk in enumerate(hlist):
+                    for vk in val_keys[yo]:
+                        res = act(xo, yo, hk, vk)
+                        if res:
+                            tab[((dh, ih), vk)] = {i: v for (_, i), v in res.items()}
+            if tab:
+                action[(xo, yo)] = tab
     return action
 
 

@@ -512,11 +512,14 @@ def tensor_complex(field: FieldSpec, factors) -> ChainComplex:
     key tuples (k_1, ..., k_n) of total degree d, k_i = (degree, index) in
     factor i, in itertools.product order (sorted, as each factor's keys
     are), and they are its basis labels; the differential is
-    d(k_1 (x) .. (x) k_n) = sum_i (-1)^{|k_1|+..+|k_{i-1}|} k_1 (x) .. (x) dk_i (x) .. (x) k_n."""
+    d(k_1 (x) .. (x) k_n) = sum_i (-1)^{|k_1|+..+|k_{i-1}|} k_1 (x) .. (x) dk_i (x) .. (x) k_n,
+    assembled only when some factor has a differential."""
     basis = {}
-    for keys in itertools.product(*([(d, i) for d in c.support() for i in range(c.dim(d))]
-                                    for c in factors)):
-        basis.setdefault(sum(k[0] for k in keys), []).append(keys)
+    per_factor = [[(d, i) for d in sorted(c.spaces) for i in range(len(c.spaces[d]))] for c in factors]
+    for keys in itertools.product(*per_factor):
+        basis.setdefault(sum([k[0] for k in keys]), []).append(keys)
+    if not any(c.diffs for c in factors):
+        return ChainComplex(field, basis, {})
 
     def d_of(keys):
         out = {}

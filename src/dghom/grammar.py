@@ -196,6 +196,12 @@ def _load_dgcat(lines) -> DgCategory:
             raise GrammarError("composition must preserve total degree", ln)
         table = comp.setdefault((x, y, z), {})
         field.accumulate(table.setdefault((kg, kf), {}), kh[1], _scalar(field, scalar, ln))
+    # a zero scalar, or lines that cancel, leave an empty product: the
+    # input that can break the no-zero rule of DgCategory.comp
+    for table in comp.values():
+        for pk in [pk for pk, e in table.items() if not e]:
+            del table[pk]
+    comp = {t: table for t, table in comp.items() if table}
     unit_elems = {}
     for x in objects:
         if x not in units:

@@ -348,6 +348,8 @@ def realize(p: Presentation, degree_bound: int, wordlength_bound: int):
                     if red:
                         table[((dg, ig), (df, if_))] = {
                             word_index[(x, z, dg + df, w)]: c for w, c in red.items()}
+    # a triple whose products all reduce to zero keeps no table
+    comp = {t: table for t, table in comp.items() if table}
 
     if truncated_products and not degree_overflow:
         n = truncated_products

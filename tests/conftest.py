@@ -42,6 +42,18 @@ def exterior_deg(field, degree):
     return cat
 
 
+def a3(degrees=(0, 0), ab_zero=False):
+    """The quiver 1 -a-> 2 -b-> 3 with the given arrow degrees, and with
+    the relation a.b = 0 when ab_zero."""
+    da, db = degrees
+    rels = [PathElement("1", "3", {("a", "b"): Q.one()})] if ab_zero else []
+    pres = from_quiver(Q, ["1", "2", "3"], [("a", "1", "2", da), ("b", "2", "3", db)], rels)
+    cat, cert = realize(pres, abs(da) + abs(db) + 2, 3)
+    assert cert.is_closed
+    cat.name = "A3/(ab)" if ab_zero else "A3"
+    return cat
+
+
 def matrix_category(field, c=1):
     """Two isomorphic objects with every hom the field in degree 0: the
     non-unit arrows 1 -> 2 -> 1 compose to c times a unit (a face of a

@@ -68,6 +68,26 @@ compose a a a e e e 1
 compose a a a f f f 1
 """
 
+# 1 -s-> 2 -t-> 1 with s.t = t.s = 0: no compose line for either product
+TWO_CYCLE_DG = """\
+dgcat
+field q
+object 1
+object 2
+basis 1 1 e1 0
+basis 2 2 e2 0
+basis 1 2 s 0
+basis 2 1 t 0
+unit 1 e1 1
+unit 2 e2 1
+compose 1 1 1 e1 e1 e1 1
+compose 2 2 2 e2 e2 e2 1
+compose 1 2 2 e2 s s 1
+compose 1 1 2 s e1 s 1
+compose 2 1 1 e1 t t 1
+compose 2 2 1 t e2 t 1
+"""
+
 KX2_F5_QUIVER = KX2_QUIVER.replace("field q", "field fp 5")
 
 # k[x]/(x^2) with |x| = 1, as a quiver and as a dg category file: no
@@ -159,6 +179,18 @@ class TestGrammar:
             "compose * * * t 1 1 1\n"
         with pytest.raises(grammar.GrammarError):
             grammar.loads(bad)
+
+    @pytest.mark.parametrize("extra", [
+        "compose 1 2 1 t s e1 0\n",
+        "compose 2 1 2 s t e2 1\ncompose 2 1 2 s t e2 -1\n",
+    ], ids=["zero-scalar", "cancelling-lines"])
+    def test_zero_products_dropped_at_load(self, extra):
+        # DgCategory keeps the tables it is given, so the loader drops
+        # the products that its input leaves empty
+        want, _ = grammar.loads(TWO_CYCLE_DG)
+        got, _ = grammar.loads(TWO_CYCLE_DG + extra)
+        assert got == want and validate(got).ok
+        assert all(table and all(table.values()) for table in got.comp.values())
 
     def test_d_squared_rejected(self):
         text = """\
@@ -287,6 +319,27 @@ class TestCli:
 
     def test_missing_file_exit_2(self):
         assert main(["hh", "/nonexistent/file.dg"]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["hh", "splitcorpus"], "cannot read "),
+        (["hh", "latin1.quiver"], "latin1.quiver: 'utf-8' codec can't decode"),
+        (["check", "--corpus", "dircorpus"], "cannot read "),
+        (["hh", "kx2.quiver", "--out", "splitcorpus"], "cannot write "),
+        (["hh", "kx2.quiver", "--out", "nodir/hh.json"], "cannot write "),
+        (["op", "unit.dg", "--out", "splitcorpus"], "cannot write "),
+    ], ids=["input-is-a-directory", "input-not-utf8", "corpus-entry-is-a-directory",
+            "out-is-a-directory", "out-parent-missing", "op-out-is-a-directory"])
+    def test_unreadable_input_or_unwritable_out_exit_2(self, argv, message, files, tmp_path,
+                                                       capsys):
+        (tmp_path / "latin1.quiver").write_bytes(KX2_QUIVER.replace("v", "\xe9").encode("latin-1"))
+        (tmp_path / "dircorpus" / "sub.quiver").mkdir(parents=True)
+        (tmp_path / "dircorpus" / "unit.dg").write_text(UNIT_TEXT)
+        argv = [str(tmp_path / a) if a in ("latin1.quiver", "dircorpus", "nodir/hh.json")
+                else files.get(a, a) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_hh_report(self, files, tmp_path, capsys):
         out = tmp_path / "hh.json"

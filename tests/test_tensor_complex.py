@@ -11,10 +11,13 @@ from dghom.exactfield import tensor_complex
 from dghom.dgcore import disk_cell, opposite, tensor, validate
 from dghom.dgmod import external_tensor_module, validate_module, yoneda_module
 from dghom.saturation import _triangle_modules
-from conftest import Q, F5, contractible_category, random_small_category
+from conftest import Q, F5, a3, contractible_category, random_small_category
 from oracles import reference_tensor_complex
 
 NM = list(itertools.product((1, 2), repeat=2))
+
+
+GRADED_A3 = a3((1, -1))
 
 
 def _same(got, want):
@@ -56,11 +59,20 @@ class TestAgainstReference:
         (disk_cell(2, Q), opposite(disk_cell(1, Q)), disk_cell(1, Q)),
         (contractible_category(Q), contractible_category(Q)),
         (contractible_category(F5), disk_cell(1, F5), contractible_category(F5)),
-    ], ids=["D1-D2", "D2-opD1-D1", "cone-cone", "cone-D1-cone-F5"])
+        (GRADED_A3, opposite(GRADED_A3), GRADED_A3),
+        (a3(), disk_cell(1, Q)),
+    ], ids=["D1-D2", "D2-opD1-D1", "cone-cone", "cone-D1-cone-F5", "gradedA3-op-A3", "A3-D1"])
     def test_fixed_factors(self, cats):
         field = cats[0].field
         for x, y, factors in _hom_triples(cats):
-            _same(tensor_complex(field, factors), reference_tensor_complex(field, factors))
+            got = tensor_complex(field, factors)
+            _same(got, reference_tensor_complex(field, factors))
+            # no differential is assembled unless a factor has one
+            closed = all(got.d_of((d, i)) == () for d in got.support() for i in range(got.dim(d)))
+            if not any(c.diffs for c in factors):
+                assert got.diffs == {} and closed
+            elif got.spaces:
+                assert not closed
 
     def test_random_draws(self, rng):
         for _ in range(25):

@@ -8,29 +8,17 @@ with left_spect = a^op and right_spect = a), and the modules must
 satisfy the dg module axioms when the arrows carry degrees, which is
 where every term of the double-diagonal sign shows."""
 
+import copy
 import itertools
 
 import pytest
 
-from dghom.dgcore import disk_cell, opposite
+from dghom.dgcore import disk_cell, opposite, tensor
 from dghom.dgmod import bar_composite, validate_module
-from dghom.presentation import PathElement, from_quiver, realize
 from dghom.saturation import _triangle_modules, triangle_identity_check
-from conftest import Q
+from conftest import Q, a3
 from oracles import (brute_bar_chain_keys, drop_degenerate, reference_bar_diff,
                      reference_triangle_modules)
-
-
-def a3(degrees=(0, 0), ab_zero=False):
-    """The quiver 1 -a-> 2 -b-> 3 with the given arrow degrees, and with
-    the relation a.b = 0 when ab_zero."""
-    da, db = degrees
-    rels = [PathElement("1", "3", {("a", "b"): Q.one()})] if ab_zero else []
-    pres = from_quiver(Q, ["1", "2", "3"], [("a", "1", "2", da), ("b", "2", "3", db)], rels)
-    cat, cert = realize(pres, abs(da) + abs(db) + 2, 3)
-    assert cert.is_closed
-    cat.name = "A3/(ab)" if ab_zero else "A3"
-    return cat
 
 
 def _cases(corpus):
@@ -80,3 +68,23 @@ def test_triangle_report_on_a3(ab_zero):
     res = triangle_identity_check(a3(ab_zero=ab_zero), (-2, 2))
     assert res.as_dict() == {"status": "pass", "evidence": "quasi-isomorphism",
                              "details": {"pairs": 9, "bar_bound": 3}}
+
+
+def _clean(tables):
+    """No empty table, no empty product and no zero scalar."""
+    return all(t and all(p and all(p.values()) for p in t.values()) for t in tables.values())
+
+
+def test_builders_leave_their_input_unchanged_and_emit_clean_tables(corpus):
+    # opposite and tensor share products with their inputs, so a table
+    # written after construction would change the input too; and the
+    # constructors store tables as given, so every builder must emit clean ones
+    for a in [*corpus.values(), a3((1, -1)), a3(ab_zero=True), disk_cell(1, Q)]:
+        comp, units = copy.deepcopy(a.comp), copy.deepcopy(a.units)
+        built = []
+        for build in (opposite, lambda a: tensor(a, opposite(a), a), _triangle_modules):
+            built.append(build(a))
+            assert a.comp == comp and a.units == units, a.name
+        op, mid, (X, Y, _) = built
+        assert _clean(a.comp) and _clean(op.comp) and _clean(mid.comp), a.name
+        assert all(_clean(m.action) for m in [*X.values(), *Y.values()]), a.name
