@@ -202,12 +202,6 @@ def _min_offset(mx: MixedComplex, n: int) -> int:
     return -((n - sup[0]) // 2) if n >= sup[0] else 0
 
 
-def hc_auto_bar_bound(a: DgCategory, n_max: int) -> int:
-    """The bar bound ``hc_dims`` takes on the bar when none is given."""
-    cap = a.bar_plan().bound_for_window(-(n_max + 1), 1)
-    return max(2, (cap if cap is not None else n_max + 1) + 1)
-
-
 def hc_dims(a: DgCategory, n_max: int, bar_bound: int | None = None) -> dict:
     """Cyclic homology dimensions HC_n, 0 <= n <= n_max, with
     exact/truncated status.
@@ -218,14 +212,16 @@ def hc_dims(a: DgCategory, n_max: int, bar_bound: int | None = None) -> dict:
     weight (``MonomialAlgebra.hc_dims``), and every degree is exact.
     Every other input, F_p, and an explicit ``bar_bound`` take the
     first-quadrant (b, B)-bicomplex of the normalized cyclic bar; degree
-    n uses columns 0..floor(n/2)."""
+    n uses columns 0..floor(n/2).  Its default bar bound is
+    ``BarPlan.bar_bound`` of the mixed complex over total degrees
+    -(n_max + 1) .. 1, the pieces those columns read."""
     if n_max < 0:
         raise CyclicError("n_max must be >= 0")
     if bar_bound is None:
         mono = monomial_algebra(a) if a.field.kind == 0 else None
         if mono is not None:
             return {n: (d, "exact") for n, d in enumerate(mono.hc_dims(n_max))}
-        bar_bound = hc_auto_bar_bound(a, n_max)
+        bar_bound = a.bar_plan().bar_bound(-(n_max + 1), 1, mixed=True)
     mx = MixedComplex(a, bar_bound)
     out = {}
     for n in range(n_max + 1):
@@ -320,16 +316,15 @@ def hcminus_hp_dims(a: DgCategory, n_window, max_levels: int,
     cyclic homology (columns (-inf, r]); "stabilized" is issued only with
     two agreeing consecutive levels and a chain-level vanishing
     certificate for everything beyond, otherwise "bound_limited" with
-    the lim^1 caveat attached."""
+    the lim^1 caveat attached.  The default bar bound is
+    ``BarPlan.bar_bound`` of the mixed complex over the pieces the
+    towers read, homological degrees n_lo - 1 .. n_hi + 1 + 2 max_levels."""
     n_lo, n_hi = n_window
     if max_levels < 2:
         raise CyclicError("max_levels must be >= 2")
     vanish = a.bar_plan().chain_support()[1]
     if bar_bound is None:
-        piece_lo = n_lo - 1
-        piece_hi = n_hi + 1 + 2 * max_levels
-        cap = a.bar_plan().bound_for_window(-piece_hi, -piece_lo)
-        bar_bound = max(2, cap + 1) if cap is not None else max(2, piece_hi - piece_lo + 2)
+        bar_bound = a.bar_plan().bar_bound(-(n_hi + 1 + 2 * max_levels), 1 - n_lo, mixed=True)
     mx = MixedComplex(a, bar_bound)
     hp = {}
     hcm = {}

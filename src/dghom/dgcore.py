@@ -254,6 +254,29 @@ class BarPlan:
         reach total degrees t_lo - 1 .. t_hi + 1, or None if unbounded."""
         return bar_degree_cap(self.outer, self.inner, self.max_bar, t_lo, t_hi)
 
+    def bar_bound(self, t_lo: int, t_hi: int, mixed: bool = False) -> int:
+        """The automatic bar bound: where a normalized cyclic bar is cut
+        for homology in total degrees t_lo .. t_hi.  ``bound_for_window``,
+        plus one for the mixed complex (``mixed``: B raises the bar
+        degree by one), at least 1, or 2 for the mixed complex.  With no
+        provable bound it is 1 - t_lo, and every degree the window reads
+        is then ``truncated``."""
+        cap = self.bound_for_window(t_lo, t_hi)
+        if cap is None:
+            return max(1 + mixed, 1 - t_lo)
+        return max(1 + mixed, cap + mixed)
+
+    def two_sided_bound(self, x_bounds, y_bounds, t_lo: int, t_hi: int):
+        """Largest bar degree of a two-sided bar chain over this category
+        that can reach total degrees t_lo - 1 .. t_hi + 1, between modules
+        whose values have degree bounds ``x_bounds`` and ``y_bounds``
+        (None: no value), or None if unbounded.  Every middle factor is
+        bounded by ``outer``, the degrees of all keys."""
+        if x_bounds is None or y_bounds is None:
+            return 0
+        return bar_degree_cap((x_bounds[0] + y_bounds[0], x_bounds[1] + y_bounds[1]),
+                              self.outer, self.max_bar, t_lo, t_hi)
+
     def status(self, t: int, bar_bound: int) -> str:
         """"exact" when homology at total degree t is unaffected by
         truncating the normalized cyclic bar at bar_bound, else

@@ -20,8 +20,8 @@ from __future__ import annotations
 import itertools
 
 from .exactfield import ChainComplex, Matrix, kernel_basis, operator_complex, tensor_complex
-from .dgcore import (DgCategory, ValidationReport, bar_degree_cap, elem_scale,
-                     elem_eq, opposite, tensor, tensor_info)
+from .dgcore import (DgCategory, ValidationReport, elem_scale, elem_eq, opposite, tensor,
+                     tensor_info)
 
 
 class DgModule:
@@ -298,25 +298,6 @@ class BarResult:
         self.bar_bound = bar_bound
 
 
-def _plan_bar_bound(x_bounds, y_bounds, hom_bounds, window_coh, bar_bound, chain_cap):
-    """Smallest bar bound P such that bar degrees > P cannot reach the
-    window closure, or None when neither the grading nor the chain
-    vanishing cap gives such a bound.  Every middle factor is bounded by
-    ``hom_bounds``, the degrees of all keys of the middle category."""
-    if x_bounds is None or y_bounds is None:
-        return 0, "exact"
-    p_exact = bar_degree_cap((x_bounds[0] + y_bounds[0], x_bounds[1] + y_bounds[1]),
-                             hom_bounds, chain_cap, *window_coh)
-    if bar_bound is None:
-        if p_exact is None:
-            raise BarWindowError(
-                "window not provably computable: hom degrees span both sides of the "
-                "grading bound; pass an explicit bar_bound for a truncated answer")
-        return p_exact, "exact"
-    flag = "exact" if (p_exact is not None and bar_bound >= p_exact) else "truncated"
-    return bar_bound, flag
-
-
 def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
                   window_coh, bar_bound=None) -> BarResult:
     """Normalized two-sided bar complex of X (x)^L_mid Y, windowed in
@@ -338,11 +319,20 @@ def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
                          "category to be a basis element with coefficient 1")
     f = mid.field
     plan = mid.bar_plan()
-    # with non-unit middle factors, bar chains vanish beyond the longest
-    # path in the non-unit digraph of the middle category
-    P, flag = _plan_bar_bound(X.support_bounds(), Y.support_bounds(), plan.outer,
-                              window_coh, bar_bound, plan.max_bar)
     w0, w1 = window_coh
+    x_bounds, y_bounds = X.support_bounds(), Y.support_bounds()
+    # bar degrees above cap cannot reach the window closure
+    cap = plan.two_sided_bound(x_bounds, y_bounds, w0, w1)
+    if x_bounds is None or y_bounds is None:
+        P, flag = 0, "exact"    # no chains at all
+    elif bar_bound is None:
+        if cap is None:
+            raise BarWindowError(
+                "window not provably computable: hom degrees span both sides of the "
+                "grading bound; pass an explicit bar_bound for a truncated answer")
+        P, flag = cap, "exact"
+    else:
+        P, flag = bar_bound, "exact" if cap is not None and bar_bound >= cap else "truncated"
     lo, hi = w0 - 1, w1 + 1
 
     # chain enumeration: key = (objs tuple (b_0..b_p), km, betas (a_p..a_1), kn),

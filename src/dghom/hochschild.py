@@ -202,13 +202,6 @@ class CyclicBar:
         return operator_complex(self.field, by_t, self.total_diff_of), by_t
 
 
-def auto_bar_bound(a: DgCategory, n_max: int) -> int:
-    bound = a.bar_plan().bound_for_window(-n_max, 0)
-    if bound is None:
-        return n_max + 1
-    return max(1, bound)
-
-
 def hh_dims(a: DgCategory, n_max: int, bar_bound: int | None = None) -> dict:
     """HH_n dimensions for 0 <= n <= n_max with exact/truncated status.
 
@@ -217,7 +210,8 @@ def hh_dims(a: DgCategory, n_max: int, bar_bound: int | None = None) -> dict:
     complex, |AP(n)| x (dim of a hom) chains in degree n, exact in every
     degree because it comes from a projective resolution of the
     diagonal; HH is the sum of its weight summands.  Every other input,
-    and an explicit ``bar_bound``, takes the normalized cyclic bar."""
+    and an explicit ``bar_bound``, takes the normalized cyclic bar, by
+    default cut at ``BarPlan.bar_bound`` of total degrees -n_max .. 0."""
     if n_max < 0:
         raise HochschildError("n_max must be >= 0")
     if bar_bound is None:
@@ -225,7 +219,7 @@ def hh_dims(a: DgCategory, n_max: int, bar_bound: int | None = None) -> dict:
         if mono is not None:
             by_weight = mono.hh_by_weight(n_max).values()
             return {n: (sum(hh[n] for hh in by_weight), "exact") for n in range(n_max + 1)}
-        bar_bound = auto_bar_bound(a, n_max)
+        bar_bound = a.bar_plan().bar_bound(-n_max, 0)
     elif bar_bound < 1:
         raise HochschildError("bar_bound must be >= 1")
     total, _ = CyclicBar(a, bar_bound).total_complex()
@@ -287,9 +281,10 @@ def ch0(a: DgCategory, x, e) -> Ch0Class:
                     f.accumulate(acc, kk, v)
             if not acc == {kk: v for kk, v in e[i][j].items() if v}:
                 raise ValueError("matrix is not idempotent")
-    bar_bound = max(2, auto_bar_bound(a, 1))
+    plan = a.bar_plan()
+    bar_bound = plan.bar_bound(-1, 0)
     total, _ = CyclicBar(a, bar_bound).total_complex()
-    if a.bar_plan().status(0, bar_bound) != "exact":
+    if plan.status(0, bar_bound) != "exact":
         raise HochschildError("HH_0 not exactly computable for this category")
     dim, _, project = homology_quotient(total.diff(-1), total.diff(0))
     index0 = {k: i for i, k in enumerate(total.labels(0))}

@@ -39,7 +39,7 @@ from .exactfield import (ChainComplex, Matrix, Subspace, homology_dims, homology
 from .dgcore import DgCategory, opposite, tensor
 from .dgmod import (BarWindowError, DgModule, _diagonal_over, bar_composite, diagonal_bimodule,
                     tensor_action, tor_dims)
-from .hochschild import CyclicBar, auto_bar_bound
+from .hochschild import CyclicBar
 from .monomial import monomial_algebra
 
 
@@ -232,17 +232,13 @@ def saturation_report(a: DgCategory, bound: int = 6) -> SaturationReport:
 # triangle identities
 
 class TriangleResult:
-    def __init__(self, status, evidence=None, details=None, required_bound=None):
+    def __init__(self, status, evidence=None, details=None):
         self.status = status          # "pass" | "fail" | "inconclusive"
         self.evidence = evidence      # "quasi-isomorphism" | "dims-match" | None
         self.details = details or {}
-        self.required_bound = required_bound
 
     def as_dict(self):
-        d = {"status": self.status, "evidence": self.evidence, "details": self.details}
-        if self.required_bound is not None:
-            d["required_bound"] = self.required_bound
-        return d
+        return {"status": self.status, "evidence": self.evidence, "details": self.details}
 
     def __repr__(self):
         return f"TriangleResult({self.status}, evidence={self.evidence})"
@@ -341,8 +337,7 @@ def triangle_identity_check(a: DgCategory, window,
         bars = {(x, w): bar_composite(X[x], Y[w], mid, window)
                 for (x, w) in sorted(itertools.product(X, Y), key=repr)}
     except BarWindowError as exc:
-        return TriangleResult("inconclusive", details={"reason": str(exc)},
-                              required_bound=_required_bound_estimate(a, window))
+        return TriangleResult("inconclusive", details={"reason": str(exc)})
     w0, w1 = window
     dims_ok = True
     mismatches = []
@@ -364,11 +359,6 @@ def triangle_identity_check(a: DgCategory, window,
     return TriangleResult("pass", evidence="quasi-isomorphism",
                           details={"pairs": len(bars),
                                    "bar_bound": max(res.bar_bound for res in bars.values())})
-
-
-def _required_bound_estimate(a, window):
-    cap = a.bar_plan().bound_for_window(*window)
-    return None if cap is None else cap + 2
 
 
 def _comparison_quasi_iso(a: DgCategory, bars, X, Y, window):
@@ -453,10 +443,11 @@ def _comparison_quasi_iso(a: DgCategory, bars, X, Y, window):
 def euler_via_hh(a: DgCategory, smooth: SmoothnessResult | None = None):
     """chi = alternating sum of the HH dims from the floor (negative for
     positively graded homs) to the top degree, all read from one
-    Hochschild complex whose bar bound covers that range; exact when the
-    chain support is certified finite or a smoothness certificate bounds
-    the resolution, and every degree of the range is exact in that
-    complex.  Otherwise the top degree is 4 and chi is bound_limited."""
+    Hochschild complex cut at ``BarPlan.bar_bound`` of that range; exact
+    when the chain support is certified finite or a smoothness
+    certificate bounds the resolution, and every degree of the range is
+    exact in that complex.  Otherwise the top degree is 4 and chi is
+    bound_limited."""
     plan = a.bar_plan()
     lo, top = plan.chain_support()
     if top is not None:
@@ -468,8 +459,7 @@ def euler_via_hh(a: DgCategory, smooth: SmoothnessResult | None = None):
     else:
         n_hi = 4
         status = "bound_limited"
-    cap = plan.bound_for_window(-n_hi, -lo)
-    bar_bound = auto_bar_bound(a, n_hi) if cap is None else max(1, cap)
+    bar_bound = plan.bar_bound(-n_hi, -lo)
     total, _ = CyclicBar(a, bar_bound).total_complex()
     dims = homology_dims(total, (-n_hi, -lo))
     if any(plan.status(t, bar_bound) != "exact" for t in dims):

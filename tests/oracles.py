@@ -21,7 +21,10 @@ The bar-degree planners the library once kept per module,
 `dgcore.bar_degree_cap`: they step through the bar degrees one at a
 time where the library solves for the largest one.  So does
 `reference_chain_support`, the two loops `BarPlan.chain_support`
-replaced by its closed form.
+replaced by its closed form.  The automatic bar bounds the commands
+once derived each for itself (`auto_bar_bound`, `hc_auto_bar_bound`,
+`reference_hp_bar_bound`, `reference_euler_hh_bar_bound`,
+`reference_ch0_bar_bound`) are references for `BarPlan.bar_bound`.
 `reference_smoothness_tor` computes the smoothness Tor over the
 enveloping category a (x) a^op, with `semisimple_quotient_left_module`,
 where the library bars over a alone.  `UnnormalizedCyclicBar` keeps
@@ -1004,6 +1007,43 @@ def reference_plan_bar_bound(x_bounds, y_bounds, hom_bounds, window_coh, bar_bou
         return p_exact, "exact"
     flag = "exact" if (p_exact is not None and bar_bound >= p_exact) else "truncated"
     return bar_bound, flag
+
+
+# The automatic bar bounds each command once worked out for itself, now
+# `BarPlan.bar_bound`; kept verbatim.
+
+def auto_bar_bound(a, n_max: int) -> int:
+    """hh_dims (window -n_max .. 0)."""
+    bound = a.bar_plan().bound_for_window(-n_max, 0)
+    if bound is None:
+        return n_max + 1
+    return max(1, bound)
+
+
+def hc_auto_bar_bound(a, n_max: int) -> int:
+    """hc_dims (mixed complex, window -(n_max + 1) .. 1)."""
+    cap = a.bar_plan().bound_for_window(-(n_max + 1), 1)
+    return max(2, (cap if cap is not None else n_max + 1) + 1)
+
+
+def reference_hp_bar_bound(a, n_window, max_levels: int) -> int:
+    """hcminus_hp_dims (mixed complex, the pieces the towers read)."""
+    n_lo, n_hi = n_window
+    piece_lo = n_lo - 1
+    piece_hi = n_hi + 1 + 2 * max_levels
+    cap = a.bar_plan().bound_for_window(-piece_hi, -piece_lo)
+    return max(2, cap + 1) if cap is not None else max(2, piece_hi - piece_lo + 2)
+
+
+def reference_euler_hh_bar_bound(a, lo: int, n_hi: int) -> int:
+    """euler_via_hh (homological degrees lo .. n_hi, n_hi >= 0)."""
+    cap = a.bar_plan().bound_for_window(-n_hi, -lo)
+    return auto_bar_bound(a, n_hi) if cap is None else max(1, cap)
+
+
+def reference_ch0_bar_bound(a) -> int:
+    """ch0 (HH_0)."""
+    return max(2, auto_bar_bound(a, 1))
 
 
 def reference_chain_support(a):

@@ -11,7 +11,7 @@ from dghom.exactfield import ChainComplex
 from dghom.dgcore import disk_cell, opposite, sphere_cell, tensor
 from dghom.dgmod import (ModuleMap, module_map_space, shift_module, sn_pack, sn_unpack,
                          tor_dims, validate_module, yoneda_module)
-from dghom.hochschild import HochschildError, ShuffleMap, auto_bar_bound, hh_dims
+from dghom.hochschild import HochschildError, ShuffleMap, hh_dims
 from dghom.cyclic import MixedComplex, hc_dims, hcminus_hp_dims
 from dghom.saturation import (euler_via_duality, euler_via_hh, properness_check,
                               saturation_report, smoothness_certify, triangle_identity_check)
@@ -185,7 +185,7 @@ def test_criterion_10_oracle_equivalence(corpus, rng):
     while checked < 6 and attempts < 20:
         attempts += 1
         cat = random_small_category(rng, max_dim=4)
-        bound = max(4, auto_bar_bound(cat, 3))
+        bound = max(4, cat.bar_plan().bar_bound(-3, 0))
         try:
             hn = hh_dims(cat, 3, bar_bound=bound)
         except HochschildError:

@@ -6,7 +6,10 @@ planner and of the chain-support loops (`oracles.ReferenceContributionPlan`,
 `oracles.reference_plan_bar_bound`, `oracles.reference_chain_support`),
 on categories and windows that together reach every branch of the grading arithmetic: no chains, no
 non-unit key, middle degrees <= 0, middle degrees >= 2, and mixed
-middle degrees with an acyclic or a cyclic non-unit digraph."""
+middle degrees with an acyclic or a cyclic non-unit digraph.
+`BarPlan.bar_bound` must give the automatic bar bounds the commands
+once derived each for itself (`oracles.auto_bar_bound` and its
+companions), except where those differed from the one rule."""
 
 import itertools
 import random
@@ -14,10 +17,14 @@ from pathlib import Path
 
 from dghom import dgcore, grammar, saturation
 from dghom.dgcore import DgCategory, disk_cell, opposite, sphere_cell, tensor
-from dghom.dgmod import BarWindowError, _plan_bar_bound
+from dghom.dgcore import bar_degree_cap
+from dghom.dgmod import BarWindowError, DgModule, bar_composite, yoneda_module
+from dghom.hochschild import CyclicBar
 from conftest import (Q, contractible_category, exterior_deg, matrix_category,
                       random_small_category)
-from oracles import (ReferenceContributionPlan, _factor_keys, reference_chain_support,
+from oracles import (ReferenceContributionPlan, _factor_keys, auto_bar_bound, hc_auto_bar_bound,
+                     reference_ch0_bar_bound, reference_chain_support,
+                     reference_euler_hh_bar_bound, reference_hp_bar_bound,
                      reference_longest_path_bound, reference_plan_bar_bound)
 from test_triangle_modules import a3
 
@@ -99,20 +106,100 @@ def _plan_answer(planner, *args):
         return str(exc)
 
 
+def _refused_as_none(answer):
+    return None if isinstance(answer, str) else answer
+
+
+def _planned(chains, cap, bar_bound):
+    """What ``bar_composite`` makes of a bound ``cap`` on the bar degrees
+    that reach the window, when both modules have a value (``chains``):
+    (bar bound, flag), or None where it refuses."""
+    if not chains:
+        return 0, "exact"
+    if bar_bound is None:
+        return None if cap is None else (cap, "exact")
+    return bar_bound, "exact" if cap is not None and bar_bound >= cap else "truncated"
+
+
 def test_plan_bar_bound_matches_reference(corpus):
     module_bounds = [None, (0, 0), (-2, 1), (1, 3), (-3, -1)]
-    hom_bounds = {a.bar_plan().outer: a.bar_plan().max_bar for a in _categories(corpus)}
+    plans = {(p.outer, p.max_bar): p for p in (a.bar_plan() for a in _categories(corpus))}
     # the all-key bounds of a category contain the unit degree 0, so the
-    # "middle degrees >= 2" branch needs synthetic bounds
-    hom_bounds.update({(2, 3): None, (1, 1): None, (-2, -1): 4})
+    # "middle degrees >= 2" branch needs synthetic bounds, which only
+    # bar_degree_cap can take
+    hom_bounds = list(plans) + [((2, 3), None), ((1, 1), None), ((-2, -1), 4)]
     hit = set()
     for (hb, cap), xb, yb, window, bar_bound in itertools.product(
-            hom_bounds.items(), module_bounds, module_bounds, WINDOWS, (None, 2)):
+            hom_bounds, module_bounds, module_bounds, WINDOWS, (None, 2)):
+        chains = None not in (xb, yb)
+        outer = (xb[0] + yb[0], xb[1] + yb[1]) if chains else None
         for chain_cap in (None, cap):
-            args = (xb, yb, hb, window, bar_bound, chain_cap)
-            assert _plan_answer(_plan_bar_bound, *args) == _plan_answer(reference_plan_bar_bound, *args)
-            hit.add("no chains" if None in (xb, yb) else _branch(xb, hb, chain_cap))
+            want = _plan_answer(reference_plan_bar_bound, xb, yb, hb, window, bar_bound, chain_cap)
+            got = _planned(chains, bar_degree_cap(outer, hb, chain_cap, *window), bar_bound)
+            assert got == _refused_as_none(want)
+            hit.add(_branch(xb, hb, chain_cap) if chains else "no chains")
+        if (hb, cap) in plans:
+            want = _plan_answer(reference_plan_bar_bound, xb, yb, hb, window, bar_bound, cap)
+            got = _planned(chains, plans[(hb, cap)].two_sided_bound(xb, yb, *window), bar_bound)
+            assert got == _refused_as_none(want)
     assert hit == ALL_BRANCHES
+
+
+def _bar_answer(X, Y, mid, window, bar_bound):
+    res = bar_composite(X, Y, mid, window, bar_bound)
+    return res.bar_bound, res.flag
+
+
+def test_bar_composite_matches_reference(corpus):
+    """bar_composite's bound, flag and refusal, on representable modules
+    and an empty one, are the reference planner's."""
+    hit = set()
+    for a in (corpus["kx2"], corpus["path12"], a3(), exterior_deg(Q, 1)):
+        plan, op = a.bar_plan(), opposite(a)
+        xs = [yoneda_module(a, x) for x in a.objects] + [DgModule(a, {}, {})]
+        ys = [yoneda_module(op, y) for y in op.objects]
+        for X, Y, window, bar_bound in itertools.product(xs, ys, [(-3, 0), (-1, 1)],
+                                                         (None, 0, 1, 2, 4)):
+            bounds = X.support_bounds(), Y.support_bounds()
+            want = _plan_answer(reference_plan_bar_bound, *bounds, plan.outer, window, bar_bound,
+                                plan.max_bar)
+            assert _plan_answer(_bar_answer, X, Y, a, window, bar_bound) == want
+            hit.add("no chains" if None in bounds else "refused" if isinstance(want, str)
+                    else want[1])
+    assert hit == {"no chains", "refused", "exact", "truncated"}
+
+
+def test_bar_bound_matches_command_rules(corpus):
+    """Every automatic bar bound is BarPlan.bar_bound.  Two rules differ
+    from it: hp without a provable bound took piece_hi - piece_lo + 2
+    where the shared rule takes 1 - t_lo, and ch0 took at least 2 where
+    bar degree 1 covers HH_0 (its chains in total degrees -1 .. 1 are
+    the same, so is its class)."""
+    branches = set()
+    for a in _categories(corpus):
+        plan = a.bar_plan()
+        for n in range(8):
+            assert plan.bar_bound(-n, 0) == auto_bar_bound(a, n), a
+            assert plan.bar_bound(-(n + 1), 1, mixed=True) == hc_auto_bar_bound(a, n), a
+        for t_lo, t_hi in WINDOWS:
+            if t_lo <= 0:
+                assert plan.bar_bound(t_lo, t_hi) == reference_euler_hh_bar_bound(a, -t_hi, -t_lo)
+        for (n_lo, n_hi), levels in itertools.product(WINDOWS, (2, 4)):
+            pieces = (-(n_hi + 1 + 2 * levels), 1 - n_lo)
+            got = plan.bar_bound(*pieces, mixed=True)
+            if plan.bound_for_window(*pieces) is None:
+                assert got == max(2, 1 - pieces[0]), a
+                branches.add("unbounded")
+            else:
+                assert got == reference_hp_bar_bound(a, (n_lo, n_hi), levels), a
+                branches.add("finite")
+        got, old = plan.bar_bound(-1, 0), reference_ch0_bar_bound(a)
+        if got != old:
+            assert got == 1 == old - 1 and plan.bound_for_window(-1, 0) <= 1, a
+            chains = [CyclicBar(a, b).chains_by_total() for b in (got, old)]
+            assert all(chains[0].get(t) == chains[1].get(t) for t in (-1, 0, 1)), a
+            branches.add("ch0 below 2")
+    assert branches == {"finite", "unbounded", "ch0 below 2"}
 
 
 def test_bar_plan_is_cached():

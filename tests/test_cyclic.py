@@ -4,8 +4,7 @@ from dghom import cyclic
 from dghom.exactfield import rank
 from dghom.dgcore import sphere_cell
 from dghom.cyclic import (CyclicError, MixedComplex, _column_homology, _column_total_dims,
-                          _column_total_matrix, hc_auto_bar_bound, hc_dims, hcminus_hp_dims,
-                          t_of_key)
+                          _column_total_matrix, hc_dims, hcminus_hp_dims, t_of_key)
 from dghom.hochschild import hh_dims
 from conftest import Q, F2, exterior_deg, identity
 from oracles import UnnormalizedCyclicBar, bprime_of, cyclic_operator
@@ -207,7 +206,7 @@ class TestColumnRanks:
         monkeypatch.setattr(cyclic, "rank", counting_rank)
         # an explicit bar bound keeps hc on the bar (over Q the automatic
         # one takes kx2, a monomial input, to Bardzell's complex)
-        bound = hc_auto_bar_bound(corpus["kx2"], 6)
+        bound = corpus["kx2"].bar_plan().bar_bound(-7, 1, mixed=True)
         for run in (lambda: hcminus_hp_dims(corpus["kx2"], (0, 1), 6),
                     lambda: hc_dims(corpus["kx2"], 6, bound)):
             built.clear()

@@ -384,6 +384,18 @@ class TestCli:
         assert "lim1_caveat" in rep["hp"]["0"]
         assert len(rep["hp"]["0"]["levels"]) == 3
 
+    def test_hp_without_a_provable_bar_bound(self, files, tmp_path):
+        # no bar-degree bound is provable for k[x]/(x^2) with |x| = 1, so
+        # the default window 0..1 at 4 levels takes BarPlan.bar_bound's
+        # 1 - t_lo = 1 + (1 + 1 + 2 * 4) and no tower can be certified
+        out = tmp_path / "hp.json"
+        assert main(["hp", files["ext1.quiver"], "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["bar_bound"] == 11
+        towers = list(rep["hp"].values()) + list(rep["hc_minus"].values())
+        assert len(towers) == 4
+        assert {t["status"] for t in towers} == {"bound_limited"}
+
     def test_tensor_round_trip_via_cli(self, files, tmp_path):
         out = tmp_path / "t.dg"
         assert main(["tensor", files["unit.dg"], files["kx2.quiver"], "--out", str(out)]) == 0

@@ -4,7 +4,7 @@ import pytest
 
 from dghom.exactfield import homology_quotient, Subspace
 from dghom.dgcore import disk_cell, sphere_cell, tensor
-from dghom.hochschild import CyclicBar, HochschildError, ShuffleMap, ch0, hh_dims, auto_bar_bound
+from dghom.hochschild import CyclicBar, HochschildError, ShuffleMap, ch0, hh_dims
 from conftest import Q, F2, F5, exterior_deg, random_small_category
 from oracles import (UnnormalizedCyclicBar, brute_hochschild_dims, convolution,
                      unnormalized_exact_hh_dims)
@@ -111,7 +111,7 @@ class TestHHDims:
         # has unit loops, so only the grading bounds its truncation
         for _ in range(4):
             cat = random_small_category(rng, max_dim=4)
-            bound = max(4, auto_bar_bound(cat, 3))
+            bound = max(4, cat.bar_plan().bar_bound(-3, 0))
             try:
                 hn = hh_dims(cat, 3, bar_bound=bound)
             except HochschildError:

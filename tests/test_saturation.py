@@ -183,6 +183,7 @@ class TestTriangle:
         res = triangle_identity_check(corpus["path12"], (-3, 3))
         assert res.status == "inconclusive"
         assert res.details["reason"] == "window not provably computable"
+        assert "required_bound" not in res.as_dict()
 
 
 class TestEuler:
