@@ -39,6 +39,10 @@ def elem_degree(a):
     return degs.pop()
 
 
+# the stored table of a triple or pair with no nonzero entry; never written
+_NO_TABLE = {}
+
+
 class DgCategory:
     """A finite dg category over an exact field.
 
@@ -46,15 +50,18 @@ class DgCategory:
     ordered pair, composition structure constants and a chosen closed
     degree-0 unit per object.
 
-    ``comp[(x, y, z)]`` maps a pair of basis keys ((dg, ig), (df, if))
-    with g in hom(y, z) and f in hom(x, y) to the element g.f of
-    hom(x, z); missing entries are zero products.
+    ``products(x, y, z)`` is the product table of one triple: it maps a
+    pair of basis keys ((dg, ig), (df, if)) with g in hom(y, z) and f in
+    hom(x, y) to the element g.f of hom(x, z) as {index: scalar};
+    missing entries are zero products.
 
-    ``comp`` is stored as given, and the builders give clean tables: no
-    empty table, no empty product, no zero scalar (the ``.dg`` loader
-    and ``realize`` drop what would be empty).  After construction every
-    table is read-only, since ``opposite`` and ``tensor`` share products
-    with their inputs.
+    ``comp`` is given as the dict of the nonempty tables by triple,
+    stored as it is (the ``.dg`` loader, ``realize``), or as a function
+    of one triple (``opposite``, ``tensor``), whose table is computed on
+    its first read and cached.  The ``comp`` property is the full view.
+    Tables are clean (no empty table or product, no zero scalar; the
+    loader and ``realize`` drop what would be empty) and read-only:
+    ``opposite`` and ``tensor`` share products with their inputs.
     """
 
     # not a field: the BarPlan, made on the first bar_plan call
@@ -65,7 +72,8 @@ class DgCategory:
         self.field = field
         self.objects = tuple(objects)
         self.homs = dict(homs)
-        self.comp = comp
+        # the stored tables, or the cache of a function of one triple
+        self._tables, self._compute = ({}, comp) if callable(comp) else (comp, None)
         self.units = dict(units)
         self.name = name
         self.closed = closed
@@ -75,6 +83,26 @@ class DgCategory:
         for x in self.objects:
             if x not in self.units:
                 raise ValueError(f"missing unit for object {x!r}")
+
+    def products(self, x, y, z) -> dict:
+        """The product table of (x, y, z), computed on its first read; one
+        dict lookup on stored tables."""
+        table = self._tables.get((x, y, z))
+        if table is None:
+            if self._compute is None:
+                return _NO_TABLE
+            table = self._tables[(x, y, z)] = self._compute(x, y, z)
+        return table
+
+    @property
+    def comp(self) -> dict:
+        """Every nonempty product table by triple, in object order when
+        computed: the first call computes them all and stores them."""
+        if self._compute is not None:
+            self._tables = {t: table for t in itertools.product(self.objects, repeat=3)
+                            if (table := self.products(*t))}
+            self._compute = None
+        return self._tables
 
     # -- basic access -------------------------------------------------------
 
@@ -99,7 +127,7 @@ class DgCategory:
     def compose_elems(self, x, y, z, g: dict, f_elem: dict) -> dict:
         """g.f for g in hom(y,z), f in hom(x,y); bilinear in both."""
         f = self.field
-        table = self.comp.get((x, y, z), {})
+        table = self.products(x, y, z)
         out = {}
         for kg, vg in g.items():
             for kf, vf in f_elem.items():
@@ -444,21 +472,25 @@ def disk_cell(n: int, field: FieldSpec) -> DgCategory:
 
 def opposite(a: DgCategory) -> DgCategory:
     """Same objects, hom(x,y) := a.hom(y,x), composition transposed with
-    the Koszul sign (-1)^{|f||g|}, read off the stored products of a.
+    the Koszul sign (-1)^{|f||g|}: the table of (x, y, z) is computed
+    from ``a.products(z, y, x)`` on its first read.
 
     The opposite of a tensor category A_1 (x) .. (x) A_n is
     A_1^op (x) .. (x) A_n^op key tuple for key tuple and sign for sign,
     so it keeps the tensor bookkeeping: every hom pair reversed and each
     factor replaced by its opposite."""
     f = a.field
+    minus = f.sign(1)
     homs = {(x, y): a.homs[(y, x)] for (x, y) in itertools.product(a.objects, repeat=2)}
-    # kf in a.hom(y,x) composed after kg in a.hom(z,y) gives, for g in
-    # op-hom(y,z) and f in op-hom(x,y), g .op f := (-1)^{|f||g|} f .a g;
-    # a product with sign +1 is shared with a
-    comp = {(x, y, z): {(kg, kf): elem_scale(f, f.sign(1), prod) if kf[0] * kg[0] & 1 else prod
-                        for (kf, kg), prod in table.items()}
-            for (z, y, x), table in a.comp.items()}
-    out = DgCategory(f, a.objects, homs, comp, dict(a.units),
+
+    def products(x, y, z):
+        # kf in a.hom(y,x) composed after kg in a.hom(z,y) gives, for g in
+        # op-hom(y,z) and f in op-hom(x,y), g .op f := (-1)^{|f||g|} f .a g;
+        # a product with sign +1 is shared with a
+        return {(kg, kf): elem_scale(f, minus, prod) if kf[0] * kg[0] & 1 else prod
+                for (kf, kg), prod in a.products(z, y, x).items()}
+
+    out = DgCategory(f, a.objects, homs, products, dict(a.units),
                      name=f"op({a.name})" if a.name else "", closed=a.closed)
     info = getattr(a, "_tensor", None)
     if info is not None:
@@ -482,8 +514,11 @@ class TensorInfo:
 def tensor(*cats: DgCategory) -> DgCategory:
     """Tensor product of dg categories: objects are tuples, hom complexes
     are tensor products of the factors' hom complexes, with Koszul signs
-    in differential and composition.  Carries basis bookkeeping for
-    module builders."""
+    in differential and composition.  The hom complexes are built here;
+    the product table of a triple is computed on its first read, from
+    the factors' tables at (x_i, y_i, z_i), in the order of the basis
+    pairs (g, f), g slowest.  Carries basis bookkeeping for module
+    builders."""
     if not cats:
         raise ValueError("tensor of no categories")
     field = cats[0].field
@@ -518,43 +553,43 @@ def tensor(*cats: DgCategory) -> DgCategory:
                                    for combo in lst)
                           for d, lst in keys.items()}
             homs[(x, y)] = hom
-    # a nonzero product of the tensor is a choice of a nonzero product
-    # (y, z, kg, kf, terms) in every factor, terms the (key, scalar) pairs
-    # of kg.kf; they are listed by source object, then sorted by target
-    # objects and by the place of (g, f) in the basis orders, g slowest
-    by_source = [{} for _ in cats]
-    for c, out_of in zip(cats, by_source):
-        for (x, y, z), table in c.comp.items():
-            out_of.setdefault(x, []).extend(
-                (y, z, kg, kf, [((kg[0] + kf[0], ih), v) for ih, v in prod.items()])
-                for (kg, kf), prod in table.items())
-    rank = {x: n for n, x in enumerate(objects)}
     signs = (field.one(), field.of_int(-1))
-    comp = {}
-    for x in objects:
-        products = []
-        for parts in itertools.product(*[out_of.get(xi, ()) for out_of, xi in zip(by_source, x)]):
-            y, z, g, f, terms = zip(*parts)
-            (index_g, start_g), (index_f, start_f) = place[(y, z)], place[(x, y)]
+
+    def products(x, y, z):
+        # a nonzero product of the tensor is a choice of a nonzero product
+        # (kg, kf, terms) in every factor's table at (x_i, y_i, z_i), terms
+        # the (key, scalar) pairs of kg.kf
+        tables = []
+        for c, xi, yi, zi in zip(cats, x, y, z):
+            table = c.products(xi, yi, zi)
+            if not table:
+                return {}
+            tables.append([(kg, kf, [((kg[0] + kf[0], ih), v) for ih, v in prod.items()])
+                           for (kg, kf), prod in table.items()])
+        (index_g, start_g), (index_f, start_f) = place[(y, z)], place[(x, y)]
+        index = place[(x, z)][0]
+        out = []
+        for parts in itertools.product(*tables):
+            g, f, terms = zip(*parts)
             kg, kf = index_g[g], index_f[f]
             # the Koszul sign of g_j crossing f_i, i < j
             sign_exp = f_deg = 0
             for gi, fi in zip(g, f):
                 sign_exp += gi[0] * f_deg
                 f_deg += fi[0]
-            out, index = {}, place[(x, z)][0]
+            prod = {}
             # distinct choices of terms are distinct keys: nothing cancels
             for combo in itertools.product(*terms):
                 val = signs[sign_exp & 1]
                 for _, v in combo:
                     val = field.mul(val, v)
-                out[index[tuple([k for k, _ in combo])][1]] = val
-            # (g, f) is unique per source, so the sort never compares past it
-            products.append(((rank[y], rank[z], start_g[kg[0]] + kg[1], start_f[kf[0]] + kf[1]),
-                             (x, y, z), (kg, kf), out))
-        products.sort()
-        for _, t, pair, out in products:
-            comp.setdefault(t, {})[pair] = out
+                prod[index[tuple([k for k, _ in combo])][1]] = val
+            out.append((start_g[kg[0]] + kg[1], start_f[kf[0]] + kf[1], (kg, kf), prod))
+        # in the order of the places of (g, f) in the basis orders, g
+        # slowest; the places are unique, so the sort never compares past them
+        out.sort()
+        return {pair: prod for _, _, pair, prod in out}
+
     units = {}
     for x in objects:
         units[x] = expansion = {}
@@ -564,7 +599,7 @@ def tensor(*cats: DgCategory) -> DgCategory:
                 val = field.mul(val, v)
             field.accumulate(expansion, info.index[(x, x)][tuple([k for k, _ in combo])], val)
     name = " (x) ".join(c.name or "?" for c in cats)
-    out = DgCategory(field, objects, homs, comp, units, name=name,
+    out = DgCategory(field, objects, homs, products, units, name=name,
                      closed=all(c.closed for c in cats))
     out._tensor = info
     return out

@@ -20,28 +20,52 @@ from __future__ import annotations
 import itertools
 
 from .exactfield import ChainComplex, Matrix, kernel_basis, operator_complex, tensor_complex
-from .dgcore import (DgCategory, ValidationReport, elem_scale, elem_eq, opposite, tensor,
-                     tensor_info)
+from .dgcore import (_NO_TABLE, DgCategory, ValidationReport, elem_scale, elem_eq, opposite,
+                     tensor, tensor_info)
 
 
 class DgModule:
     """Right dg module over a finite dg category.
 
-    ``action[(x, y)]`` maps ((df, i_f), (dm, i_m)) with f in hom(x,y) and
-    m in value(y) to the element m.f of value(x) as {index: scalar} in
-    degree df + dm; missing entries are zero.  Like ``DgCategory.comp``,
-    ``action`` is stored as given, clean (no empty table or product, no
-    zero scalar) and read-only after construction.
+    ``actions(x, y)`` is the action table of one pair: it maps
+    ((df, i_f), (dm, i_m)) with f in hom(x,y) and m in value(y) to the
+    element m.f of value(x) as {index: scalar} in degree df + dm;
+    missing entries are zero.  Like ``DgCategory.comp``, ``action`` is
+    given as the stored dict of the nonempty tables by pair, or as a
+    function of one pair (``tensor_action``) computed on its first read;
+    the ``action`` property is the full view.  Tables are clean and
+    read-only.
     """
 
     def __init__(self, base: DgCategory, values, action, name=""):
         self.base = base
         self.values = dict(values)
-        self.action = action
+        # the stored tables, or the cache of a function of one pair
+        self._tables, self._compute = ({}, action) if callable(action) else (action, None)
         self.name = name
         for x in base.objects:
             if x not in self.values:
                 self.values[x] = ChainComplex(base.field, {}, {})
+
+    def actions(self, x, y) -> dict:
+        """The action table of (x, y), computed on its first read; one dict
+        lookup on stored tables."""
+        table = self._tables.get((x, y))
+        if table is None:
+            if self._compute is None:
+                return _NO_TABLE
+            table = self._tables[(x, y)] = self._compute(x, y)
+        return table
+
+    @property
+    def action(self) -> dict:
+        """Every nonempty action table by pair, in object order when
+        computed: the first call computes them all and stores them."""
+        if self._compute is not None:
+            self._tables = {p: table for p in itertools.product(self.base.objects, repeat=2)
+                            if (table := self.actions(*p))}
+            self._compute = None
+        return self._tables
 
     def value(self, x) -> ChainComplex:
         return self.values[x]
@@ -71,7 +95,7 @@ class DgModule:
     def act(self, x, y, m_elem: dict, f_elem: dict) -> dict:
         """m.f for m in value(y), f in hom(x,y); bilinear."""
         f = self.base.field
-        tab = self.action.get((x, y), {})
+        tab = self.actions(x, y)
         out = {}
         for km, vm in m_elem.items():
             for kf, vf in f_elem.items():
@@ -187,31 +211,33 @@ def shift_module(m: DgModule, j: int) -> DgModule:
     return DgModule(m.base, values, action, name=f"{m.name}[{j}]" if m.name else "")
 
 
-def tensor_action(base: DgCategory, values, act) -> dict:
-    """The action table of a right module over the tensor category
-    ``base`` with value complexes ``values``: act(xo, yo, hk, vk) is the
-    product of the basis key vk = (degree, index) of values[yo] with the
-    basis element of base.hom(xo, yo) whose key tuple over the factors is
-    hk, as a sparse element {(degree, index): scalar} of values[xo]."""
+def tensor_action(base: DgCategory, values, act):
+    """The action of a right module over the tensor category ``base``
+    with value complexes ``values``, as a function of one pair (xo, yo)
+    giving its action table, for ``DgModule`` to compute on the first
+    read of the pair: act(xo, yo, hk, vk) is the product of the basis
+    key vk = (degree, index) of values[yo] with the basis element of
+    base.hom(xo, yo) whose key tuple over the factors is hk, as a sparse
+    element {(degree, index): scalar} of values[xo]."""
     info = tensor_info(base)
     # a pair whose source or target value is zero has nothing to act on
     # or into; each value's keys are listed once
     val_keys = {obj: [(d, i) for d in c.support() for i in range(c.dim(d))]
                 for obj, c in values.items() if c.spaces}
-    live = [obj for obj in base.objects if obj in val_keys]
-    action = {}
-    for xo in live:
-        for yo in live:
-            tab = {}
-            for dh, hlist in info.keys[(xo, yo)].items():
-                for ih, hk in enumerate(hlist):
-                    for vk in val_keys[yo]:
-                        res = act(xo, yo, hk, vk)
-                        if res:
-                            tab[((dh, ih), vk)] = {i: v for (_, i), v in res.items()}
-            if tab:
-                action[(xo, yo)] = tab
-    return action
+
+    def table(xo, yo):
+        tab = {}
+        if xo not in val_keys or yo not in val_keys:
+            return tab
+        for dh, hlist in info.keys[(xo, yo)].items():
+            for ih, hk in enumerate(hlist):
+                for vk in val_keys[yo]:
+                    res = act(xo, yo, hk, vk)
+                    if res:
+                        tab[((dh, ih), vk)] = {i: v for (_, i), v in res.items()}
+        return tab
+
+    return table
 
 
 def external_tensor_module(m: DgModule, n: DgModule) -> DgModule:
@@ -376,8 +402,8 @@ def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory):
     tables; the internal differential is skipped when neither the middle
     category nor a module value has one."""
     f = mid.field
-    comp, homs = mid.comp, mid.homs
-    x_action, y_action = X.action, Y.action
+    products, homs = mid.products, mid.homs
+    x_actions, y_actions = X.actions, Y.actions
     plan = mid.bar_plan()
     unit_keys = plan.unit_keys
     internal = plan.differential or any(
@@ -390,7 +416,7 @@ def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory):
         if p:
             # face 0: X-action by a_p
             a_p = betas[0]
-            prod = x_action.get((objs[p - 1], objs[p]), {}).get((a_p, km))
+            prod = x_actions(objs[p - 1], objs[p]).get((a_p, km))
             if prod:
                 head, rest, deg = objs[:p], betas[1:], a_p[0] + km[0]
                 for i, v in prod.items():
@@ -401,7 +427,7 @@ def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory):
             for i in range(1, p):
                 kg, kf = betas[i - 1], betas[i]
                 src, tgt = objs[p - i - 1], objs[p - i + 1]
-                prod = comp.get((src, objs[p - i], tgt), {}).get((kg, kf))
+                prod = products(src, objs[p - i], tgt).get((kg, kf))
                 if prod:
                     deg = kg[0] + kf[0]
                     unit = unit_keys[src] if src == tgt else None
@@ -415,7 +441,7 @@ def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory):
             # of the left-module dictionary g.n = (-1)^{|g||n|} n .op g;
             # a_1 in mid.hom(b_0, b_1) = opposite(mid).hom(b_1, b_0)
             a1 = betas[-1]
-            prod = y_action.get((objs[1], objs[0]), {}).get((a1, kn))
+            prod = y_actions(objs[1], objs[0]).get((a1, kn))
             if prod:
                 sgn = f.sign(p + a1[0] * kn[0])
                 tail, rest, deg = objs[1:], betas[:-1], a1[0] + kn[0]

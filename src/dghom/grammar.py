@@ -337,7 +337,7 @@ def dumps(a: DgCategory) -> str:
                 out.append(f"diff {names[x]} {names[y]} {label_names[(x, y, d, j)]} "
                            f"{label_names[(x, y, d + 1, i)]} {a.field.fmt(v)}")
     for (x, y, z) in itertools.product(a.objects, repeat=3):
-        table = a.comp.get((x, y, z))
+        table = a.products(x, y, z)
         if not table:
             continue
         for (kg, kf) in sorted(table):

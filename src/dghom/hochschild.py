@@ -132,7 +132,7 @@ class CyclicBar:
             new_objs = objs[:i] + objs[i + 1:]
             head, tail = keys[:pos], keys[pos + 2:]
             flip = 0
-        prod = self.a.comp.get((x, y, z), {}).get((kg, kf))
+        prod = self.a.products(x, y, z).get((kg, kf))
         if not prod:
             return {}
         deg = kg[0] + kf[0]

@@ -236,7 +236,7 @@ def monomial_algebra(a: DgCategory):
             for b in out_arrows.get(y, ()):
                 _y, z, kb = arrows[b]
                 wb = w + (b,)
-                prod = a.comp.get((x, y, z), {}).get((kb, k))
+                prod = a.products(x, y, z).get((kb, k))
                 if not prod:
                     if wb[1:] in words:
                         relations.append(wb)

@@ -130,7 +130,7 @@ def _degree_zero_hypotheses(a: DgCategory):
     unit_keys = plan.unit_keys
     # the span of non-unit basis vectors must be an ideal ...
     for (x, y, z) in itertools.product(a.objects, repeat=3):
-        table = a.comp.get((x, y, z), {})
+        table = a.products(x, y, z)
         for (kg, kf), prod in table.items():
             g_unit = (y == z and kg == unit_keys[y])
             f_unit = (x == y and kf == unit_keys[x])

@@ -9,6 +9,7 @@ from dghom.presentation import PathElement, from_quiver, realize
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
+F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
 
 

@@ -34,7 +34,9 @@ enumerates, on the library's face and differential code;
 truncation cannot reach; it walks the nonempty-hom digraph with
 `walks` and `hom_graph`, the walk enumerator the library kept before
 `BarPlan.walks`.  `reference_tensor` is the library's tensor before it
-built the composition factor by factor.  `bprime_of` (b' summed from the
+built the composition factor by factor; it and `reference_opposite` and
+`reference_diagonal_action` fill every table in one eager pass, as the
+library did before it computed a table on its first read.  `bprime_of` (b' summed from the
 library's faces) is a test helper the library no longer carries.  So
 are the functor section's `DgFunctor`, `validate_functor`,
 `swap_functor` and `pullback_module`, the role-swap reference for the
@@ -733,6 +735,48 @@ def reference_tensor(*cats: DgCategory) -> DgCategory:
                      closed=all(c.closed for c in cats))
     out._tensor = info
     return out
+
+
+def reference_opposite(a: DgCategory) -> DgCategory:
+    """The opposite category with every product table filled at once from
+    the full view of a, g .op f = (-1)^{|f||g|} f.g, the triples in
+    object order."""
+    f = a.field
+    homs = {(x, y): a.hom(y, x) for x, y in itertools.product(a.objects, repeat=2)}
+    comp = {}
+    for x, y, z in itertools.product(a.objects, repeat=3):
+        table = a.comp.get((z, y, x))
+        if table:
+            comp[(x, y, z)] = {(kg, kf): {i: f.mul(f.sign(kf[0] * kg[0]), v) for i, v in prod.items()}
+                               for (kf, kg), prod in table.items()}
+    return DgCategory(f, a.objects, homs, comp, a.units, name=f"op({a.name})" if a.name else "",
+                      closed=a.closed)
+
+
+def reference_diagonal_action(a: DgCategory) -> dict:
+    """The action table of the diagonal bimodule over
+    tensor(opposite(a), a), every pair filled at once through
+    compose_elems: m.(f (x) g) = (-1)^{|f||m|} f.m.g, m in hom(yp, xp)
+    at the object (xp, yp)."""
+    from dghom.dgcore import opposite
+    f = a.field
+    one = f.one()
+    base = tensor(opposite(a), a)
+    keys = tensor_info(base).keys
+    action = {}
+    for (x, y), (xp, yp) in itertools.product(base.objects, repeat=2):
+        table = {}
+        for dh, hlist in keys[((x, y), (xp, yp))].items():
+            for ih, (kf, kg) in enumerate(hlist):
+                for km in a.basis_keys(yp, xp):
+                    mg = a.compose_elems(y, yp, xp, {km: one}, {kg: one})
+                    fmg = a.compose_elems(y, xp, x, {kf: one}, mg)
+                    if fmg:
+                        table[((dh, ih), km)] = {i: f.mul(f.sign(kf[0] * km[0]), v)
+                                                 for (_, i), v in fmg.items()}
+        if table:
+            action[((x, y), (xp, yp))] = table
+    return action
 
 
 def reference_tensor_complex(field, factors):

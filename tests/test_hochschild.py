@@ -1,11 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from dghom.exactfield import homology_quotient, Subspace
-from dghom.dgcore import disk_cell, sphere_cell, tensor
+from dghom.dgcore import disk_cell, opposite, sphere_cell, tensor
 from dghom.hochschild import CyclicBar, HochschildError, ShuffleMap, ch0, hh_dims
-from conftest import Q, F2, F5, exterior_deg, random_small_category
+from conftest import (Q, F2, F3, F5, a3, contractible_category, exterior_deg, matrix_category,
+                      random_small_category)
 from oracles import (UnnormalizedCyclicBar, brute_hochschild_dims, convolution,
                      unnormalized_exact_hh_dims)
 
@@ -314,3 +316,26 @@ class TestCh0:
         d = disk_cell(2, Q)
         with pytest.raises(ValueError):
             ch0(d, "3", [[{(1, 0): Q.one()}]])
+
+
+def test_hh_of_the_opposite_category(corpus):
+    # HH(a) = HH(a^op): the Hochschild complex of a^op is that of a with
+    # every chain read backwards.  The opposite's tables are computed on
+    # their first read, here through the faces of its CyclicBar, once at
+    # the automatic bound (the monomial route where it applies) and once
+    # at an explicit one; only degrees both sides mark exact are compared
+    rng = random.Random(0x0B)
+    cats = list(corpus.values()) + [a3((1, -1)), a3(ab_zero=True), exterior_deg(F3, 1),
+                                    matrix_category(F3), contractible_category(Q)]
+    cats += [random_small_category(rng, field) for field in (Q, F3) for _ in range(20)]
+    compared = 0
+    for a in cats:
+        if not a.unit_is_basis():
+            continue
+        for bound in (None, 4):
+            # a fresh opposite each time: the monomial route reads its full comp
+            got, want = hh_dims(opposite(a), 4, bound), hh_dims(a, 4, bound)
+            both = [n for n in got if got[n][1] == want[n][1] == "exact"]
+            assert [got[n][0] for n in both] == [want[n][0] for n in both], (a, bound)
+            compared += len(both)
+    assert compared > 200

@@ -13,8 +13,8 @@ import itertools
 
 import pytest
 
-from dghom.dgcore import disk_cell, opposite, tensor
-from dghom.dgmod import bar_composite, validate_module
+from dghom.dgcore import DgCategory, disk_cell, opposite, tensor
+from dghom.dgmod import DgModule, bar_composite, validate_module
 from dghom.saturation import _triangle_modules, triangle_identity_check
 from conftest import Q, a3
 from oracles import (brute_bar_chain_keys, drop_degenerate, reference_bar_diff,
@@ -88,3 +88,42 @@ def test_builders_leave_their_input_unchanged_and_emit_clean_tables(corpus):
         op, mid, (X, Y, _) = built
         assert _clean(a.comp) and _clean(op.comp) and _clean(mid.comp), a.name
         assert all(_clean(m.action) for m in [*X.values(), *Y.values()]), a.name
+
+
+def test_triangle_set_up_computes_no_table(monkeypatch):
+    # tensor, opposite and tensor_action compute a table on its first
+    # read: building the triangle modules and the middle category's plan
+    # reads no product of a and no action table, and the 9 bars on A3
+    # compute only the tables their faces can reach; a full read of comp
+    # or action anywhere on the way computes every one of mid's 27^3 triples
+    a = a3()
+    reads = []
+    for cls, name in ((DgCategory, "products"), (DgModule, "actions")):
+        original = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda owner, *key, _read=original:
+                            reads.append((owner, key)) or _read(owner, *key))
+    X, Y, mid = _triangle_modules(a)
+    mid.bar_plan()
+    assert reads == []
+
+    computed = {}
+    for owner in [mid, *X.values(), *Y.values()]:
+        def compute(*key, _owner=owner, _compute=owner._compute):
+            computed.setdefault(id(_owner), []).append(key)
+            return _compute(*key)
+        owner._compute = compute
+    # the triples and pairs a face reads: the X-action (face 0), the
+    # middle compositions and the Y-action (face p) of every chain
+    reachable = {id(m): set() for m in [mid, *X.values(), *Y.values()]}
+    for x, w in itertools.product(X, Y):
+        res = bar_composite(X[x], Y[w], mid, (-2, 2))
+        for keys in res.chain_keys[()].values():
+            for objs, _km, betas, _kn in keys:
+                p = len(betas)
+                if p:
+                    reachable[id(X[x])].add((objs[p - 1], objs[p]))
+                    reachable[id(Y[w])].add((objs[1], objs[0]))
+                reachable[id(mid)].update(objs[i - 1:i + 2] for i in range(1, p))
+    for owner, keys in computed.items():
+        assert len(keys) == len(set(keys)) and set(keys) <= reachable[owner]
+    assert 0 < len(computed[id(mid)]) < len(mid.objects) ** 3

@@ -1,19 +1,23 @@
 """Chain bases enumerated along walks equal the brute-force enumeration
 over every object tuple, in the same order: walks in the lexicographic
 order of the objects, then the product of the slot bases.  The factorwise
-tensor equals the reference tensor, dict order included."""
+tensor equals the reference tensor, dict order included, and so do the
+tables that tensor, opposite and the tensor-built modules compute on
+their first read, whatever the order of the reads."""
 
 import itertools
+import random
 
 from dghom import saturation
 from dghom.dgcore import BarPlan, opposite, tensor, unit_category
-from dghom.dgmod import bar_composite, yoneda_module
+from dghom.dgmod import bar_composite, diagonal_bimodule, yoneda_module
 from dghom.hochschild import CyclicBar
 from dghom.saturation import _triangle_modules, triangle_identity_check
 from dghom.presentation import PathElement, from_quiver, realize
 from conftest import Q, random_small_category
 from oracles import (UnnormalizedCyclicBar, brute_bar_chain_keys, brute_cyclic_keys,
-                     brute_tensor_comp_shape, reference_tensor)
+                     brute_tensor_comp_shape, reference_diagonal_action, reference_opposite,
+                     reference_tensor, reference_triangle_modules)
 
 
 def two_cycle():
@@ -161,3 +165,65 @@ def test_tensor_matches_reference(corpus, rng):
         assert _ordered(got._tensor.keys) == _ordered(want._tensor.keys)
         assert _ordered(got._tensor.index) == _ordered(want._tensor.index)
         assert got == want
+
+
+def _spectator_slice(ref, slot, unit_key, split):
+    """The action of a spectator-slot triangle module ``ref`` with its
+    spectator object fixed (``slot`` maps an object of the library
+    module to one of ``ref``) and its spectator hom factor at the unit
+    key: the tables of the library module, keyed by the middle flat key.
+    ``split`` turns a key tuple of ref's base into (spectator key,
+    middle key)."""
+    keys = ref.base._tensor.keys
+
+    def table(xo, yo):
+        pair = (slot(xo), slot(yo))
+        out = {}
+        for ((d, i), vk), prod in ref.actions(*pair).items():
+            k_spect, k_mid = split(keys[pair][d][i])
+            if k_spect == unit_key:
+                out[(k_mid, vk)] = prod
+        return out
+    return table
+
+
+def _read_shuffled(read, keys, rng, want):
+    """Read every key through the accessor in a shuffled order; each
+    table equals the reference's."""
+    keys = list(keys)
+    rng.shuffle(keys)
+    for key in keys:
+        assert read(*key) == want(*key), key
+
+
+def test_tables_on_demand_equal_the_eager_reference():
+    # each table is computed on its first read, so the reads run in a
+    # shuffled order; the full view must still list the tables in object
+    # order, equal to the eager reference dict for dict
+    rng = random.Random(0x7AB)
+    for a in (linear_quiver(3), linear_quiver(3, [1, -1]), two_cycle()):
+        want_mid = reference_tensor(a, opposite(a), a)
+        cats = [(tensor(a, opposite(a), a), want_mid), (opposite(a), reference_opposite(a)),
+                (opposite(tensor(a, opposite(a), a)), reference_opposite(want_mid))]
+        for got, want in cats:
+            triples = itertools.product(got.objects, repeat=3)
+            _read_shuffled(got.products, triples, rng, lambda *t: want.comp.get(t, {}))
+            assert _ordered(got.comp) == _ordered(want.comp), (a, got)
+
+        X, Y, _mid = _triangle_modules(a)
+        Xr, Yr, _ = reference_triangle_modules(a)
+        # X[x] is Xr at the objects (x, o), Y[w] is Yr at (o, w)
+        sides = [(X, Xr, lambda s, o: (s, o), opposite(a).unit_key, lambda k: k),
+                 (Y, Yr, lambda s, o: (o, s), a.unit_key, lambda k: k[::-1])]
+        for modules, ref, slot, unit_key, split in sides:
+            for s, module in modules.items():
+                want = _spectator_slice(ref, lambda o: slot(s, o), unit_key(s), split)
+                pairs = list(itertools.product(module.base.objects, repeat=2))
+                _read_shuffled(module.actions, pairs, rng, want)
+                full = {p: t for p in pairs if (t := want(*p))}
+                assert _ordered(module.action) == _ordered(full), (a, module)
+
+        diag, want = diagonal_bimodule(a), reference_diagonal_action(a)
+        _read_shuffled(diag.actions, itertools.product(diag.base.objects, repeat=2), rng,
+                       lambda *p: want.get(p, {}))
+        assert _ordered(diag.action) == _ordered(want), a
