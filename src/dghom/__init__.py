@@ -17,8 +17,10 @@ Layers, bottom up:
   complexes, HC, HC^-, HP towers.
 * ``monomial`` -- monomial inputs: Anick's chains AP(n) and Bardzell's
   complex, the fast route of HH and Tor.
-* ``saturation`` -- properness/smoothness certificates, triangle
-  identities, Euler characteristics by two routes.
+* ``smoothness`` -- properness and smoothness certificates: Tor against
+  the semisimple quotient, from AP(n) or the one-sided bar.
+* ``saturation`` -- triangle identities, Euler characteristics by two
+  routes; re-exports the certificates of ``smoothness``.
 * ``cli`` -- command-line front end emitting JSON reports.
 """
 

@@ -10,7 +10,8 @@ error.
 Only the layers every command needs are imported here; each command
 imports the rest of its stack itself, so a run loads and compiles only
 the modules it uses (``hh`` never loads ``cyclic``, ``dgmod`` or
-``saturation``).
+``saturation``, and ``saturate`` on a monomial input loads neither
+``dgmod`` nor ``saturation``).
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ def cmd_cell(args):
 
 
 def cmd_saturate(args):
-    from .saturation import saturation_report
+    from .smoothness import saturation_report
     _require_at_least(args, bound=0)
     cat, cert = _load(args.input)
     _require_closed(cat, cert, args.input)

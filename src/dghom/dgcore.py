@@ -66,6 +66,8 @@ class DgCategory:
 
     # not a field: the BarPlan, made on the first bar_plan call
     _bar_plan = None
+    # not a field: the category this one is the ``opposite`` of
+    op_source = None
 
     def __init__(self, field: FieldSpec, objects, homs, comp, units,
                  name: str = "", closed: bool = True):
@@ -478,7 +480,8 @@ def opposite(a: DgCategory) -> DgCategory:
     The opposite of a tensor category A_1 (x) .. (x) A_n is
     A_1^op (x) .. (x) A_n^op key tuple for key tuple and sign for sign,
     so it keeps the tensor bookkeeping: every hom pair reversed and each
-    factor replaced by its opposite."""
+    factor replaced by its opposite.  ``op_source`` of the result is a,
+    so a reader can tell an opposite(a) without comparing tables."""
     f = a.field
     minus = f.sign(1)
     homs = {(x, y): a.homs[(y, x)] for (x, y) in itertools.product(a.objects, repeat=2)}
@@ -492,6 +495,7 @@ def opposite(a: DgCategory) -> DgCategory:
 
     out = DgCategory(f, a.objects, homs, products, dict(a.units),
                      name=f"op({a.name})" if a.name else "", closed=a.closed)
+    out.op_source = a
     info = getattr(a, "_tensor", None)
     if info is not None:
         out._tensor = TensorInfo(opposite(c) for c in info.factors)

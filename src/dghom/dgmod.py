@@ -471,6 +471,17 @@ def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory):
     return diff
 
 
+def top_module(a: DgCategory) -> DgModule:
+    """A0 = a/rad as a right a-module: a 1-dim value at each object, units
+    acting by 1 and non-units by 0 (a module when the non-unit span is
+    an ideal)."""
+    f = a.field
+    unit_keys = a.bar_plan().unit_keys
+    values = {x: ChainComplex(f, {0: (f"s:{x}",)}, {}) for x in a.objects}
+    action = {(x, x): {(unit_keys[x], (0, 0)): {0: f.one()}} for x in a.objects}
+    return DgModule(a, values, action, name=f"A0({a.name or '?'})")
+
+
 def tor_dims(m: DgModule, n: DgModule, window, bar_bound=None) -> dict:
     """Tor of a right module m over A against a left module n (stored as
     a right module over opposite(A)) in the homological window, read
@@ -478,7 +489,9 @@ def tor_dims(m: DgModule, n: DgModule, window, bar_bound=None) -> dict:
     where flag == "exact"."""
     from .exactfield import homology_dims
     a = m.base
-    if n.base != opposite(a):
+    # an opposite(a) equals opposite(a): only another base is compared,
+    # which computes every product table of both sides
+    if n.base.op_source is not a and n.base != opposite(a):
         raise ValueError("second argument must be a module over the opposite category")
     h_lo, h_hi = window
     if h_lo > h_hi:

@@ -37,6 +37,8 @@ def _cases():
     cases["cell.disk.2.dg"] = ["cell", "disk", "2"]
     for name in ("binomial.quiver", "graded_path.quiver"):
         cases[f"op.{name}.dg"] = ["op", f"tests/golden/{name}"]
+    # a saturate input that is not monomial: Tor from the one-sided bar
+    cases["binomial.quiver.saturate.json"] = ["saturate", "tests/golden/binomial.quiver", "--bound", "4"]
     # graded inputs: a negative chain-support floor, and (ext_minus1, a
     # loop of degree -1) a non-unit cycle with no bar-degree cap
     for name in ("graded_path.quiver", "cell.sphere.1.dg", "cell.disk.2.dg", "ext_minus1.quiver"):

@@ -8,8 +8,10 @@ rest of its stack itself, and no library module pulls in `dataclasses`
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,9 @@ arrow x v v
 relation 1 x.x.x
 """
 
+# k<x, y>/(x^2, y^2, 2xy - yx): not monomial, so Tor comes from the bar
+BINOMIAL_QUIVER = Path(__file__).resolve().parent / "golden" / "binomial.quiver"
+
 LAZY = ["dghom.cyclic", "dghom.dgmod", "dghom.saturation", "dghom.corpus"]
 
 
@@ -34,18 +39,23 @@ def run_cli(argv):
 
 # scenario -> (child code, modules it must leave unloaded)
 SCENARIOS = {
-    "import-cli": ("import dghom.cli\n", LAZY + ["dataclasses"]),
+    "import-cli": ("import dghom.cli\n", LAZY + ["dghom.smoothness", "dataclasses"]),
     "hh": (run_cli(["hh", "kx3.quiver", "--n-max", "2"]),
            ["dghom.cyclic", "dghom.dgmod", "dghom.saturation", "dataclasses"]),
     "hc": (run_cli(["hc", "kx3.quiver", "--n-max", "2"]),
            ["dghom.dgmod", "dghom.saturation", "dataclasses"]),
     "hp": (run_cli(["hp", "kx3.quiver", "--levels", "2"]),
            ["dghom.dgmod", "dghom.saturation", "dataclasses"]),
+    # smoothness on a monomial input counts AP(n): no bar, no dgmod
+    "saturate": (run_cli(["saturate", "kx3.quiver", "--bound", "4"]), LAZY + ["dataclasses"]),
+    # only the bar branch of smoothness_certify imports dgmod
+    "saturate-bar": (run_cli(["saturate", "binomial.quiver", "--bound", "2"]),
+                     ["dghom.cyclic", "dghom.saturation", "dghom.corpus", "dataclasses"]),
     "setup": ("from dghom import grammar, validate\n"
               "cat, cert = grammar.load_path('kx3.quiver')\n"
               "assert validate(cat).ok and cert.is_closed\n", ["dataclasses"]),
     "every-module": ("from dghom import (cli, corpus, cyclic, dgcore, dgmod, exactfield, grammar,\n"
-                     "                   hochschild, monomial, presentation, saturation)\n",
+                     "                   hochschild, monomial, presentation, saturation, smoothness)\n",
                      ["dataclasses"]),
 }
 
@@ -68,8 +78,11 @@ def loaded_by(code, cwd):
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_command_loads_only_its_layers(scenario, tmp_path):
     (tmp_path / "kx3.quiver").write_text(KX3_QUIVER)
+    shutil.copy(BINOMIAL_QUIVER, tmp_path / "binomial.quiver")
     code, absent = SCENARIOS[scenario]
     loaded = loaded_by(code, tmp_path)
     assert "dghom.exactfield" in loaded
     assert sorted(loaded & set(absent)) == []
+    if scenario == "saturate-bar":
+        assert {"dghom.smoothness", "dghom.dgmod"} <= loaded
 

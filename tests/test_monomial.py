@@ -8,13 +8,13 @@ on the bar."""
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from dghom import cyclic, dgmod, hochschild, monomial, saturation
+from dghom import cyclic, dgmod, hochschild, monomial, smoothness
 from dghom.cyclic import hc_dims
 from dghom.dgcore import validate
 from dghom.grammar import loads
 from dghom.hochschild import hh_dims
 from dghom.monomial import monomial_algebra
-from dghom.saturation import smoothness_certify
+from dghom.smoothness import smoothness_certify
 
 FIELDS = ["q", "fp 2", "fp 3"]
 A3 = [("a", "1", "2"), ("b", "2", "3")]
@@ -60,7 +60,7 @@ def bar_answers(monkeypatch, cat, hh_n, tor_bound):
     hh_dims and smoothness_certify take the bar."""
     with monkeypatch.context() as m:
         m.setattr(hochschild, "monomial_algebra", lambda a: None)
-        m.setattr(saturation, "monomial_algebra", lambda a: None)
+        m.setattr(smoothness, "monomial_algebra", lambda a: None)
         return answers(cat, hh_n, tor_bound)
 
 
@@ -232,7 +232,6 @@ def test_kx3_to_degree_40_builds_no_bar(monkeypatch):
         raise AssertionError("a bar was built")
     monkeypatch.setattr(hochschild.CyclicBar, "__init__", no_bar)
     monkeypatch.setattr(dgmod, "bar_composite", no_bar)
-    monkeypatch.setattr(saturation, "bar_composite", no_bar)
     # HH of k[x]/(x^3) over Q: 3 in degree 0, 2 in every degree above
     assert hh_dims(cat, 40) == {n: (3 if n == 0 else 2, "exact") for n in range(41)}
     r = smoothness_certify(cat, 40)
@@ -276,7 +275,7 @@ def test_radical_square_zero_tor_without_a_bar(monkeypatch):
 
     def no_bar(*args, **kwargs):
         raise AssertionError("a bar was built")
-    monkeypatch.setattr(saturation, "bar_composite", no_bar)
+    monkeypatch.setattr(dgmod, "bar_composite", no_bar)
     r = smoothness_certify(cat, 11)
     assert r.status == "inconclusive"
     assert r.tor_dims == {n: 2 ** n for n in range(13)}

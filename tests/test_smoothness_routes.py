@@ -6,11 +6,15 @@ agree (Cartan-Eilenberg, Homological Algebra, IX.4), and for monomial
 algebras both match Bardzell's closed forms (J. Algebra 188, 1997),
 which the library reaches at bounds the two-sided bar cannot."""
 
+from pathlib import Path
+
 import pytest
 
 from dghom.cli import main
-from dghom.grammar import loads
-from dghom.saturation import _degree_zero_hypotheses, smoothness_certify
+from dghom.dgcore import DgCategory, opposite
+from dghom.dgmod import top_module, tor_dims
+from dghom.grammar import load_path, loads
+from dghom.smoothness import _degree_zero_hypotheses, smoothness_certify
 from conftest import Q, F2, F5, random_small_category
 from oracles import reference_smoothness_tor
 
@@ -112,3 +116,50 @@ def test_saturate_kx3_bound_6_via_cli(tmp_path, capsys):
     assert main(["saturate", str(path), "--bound", "6"]) == 0
     out = capsys.readouterr().out
     assert "smooth: inconclusive(6)" in out
+
+
+# k<x, y>/(x^2, y^2, 2xy - yx): not monomial, so Tor comes from the bar
+BINOMIAL = Path(__file__).resolve().parent / "golden" / "binomial.quiver"
+# the square 1 -> 2 -> 4, 1 -> 3 -> 4 with a.b = c.d: not monomial either
+SQUARE = quiver("q", ["1", "2", "3", "4"],
+                [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")],
+                ["a.b -1 c.d"])
+
+
+@pytest.mark.parametrize("name, tor", [
+    ("square", {0: 4, 1: 4, 2: 1, 3: 0, 4: 0, 5: 0}),
+    ("binomial", {n: n + 1 for n in range(6)}),
+])
+def test_bar_route_computes_no_opposite_table(name, tor, monkeypatch):
+    # the one-sided bar reads no product of opposite(a), and tor_dims
+    # knows a module over opposite(a) by its base's op_source: comparing
+    # it with a fresh opposite(a) would compute both sides' tables
+    a = load(SQUARE) if name == "square" else load_path(BINOMIAL)[0]
+    owners = []
+    products = DgCategory.products
+    monkeypatch.setattr(DgCategory, "products",
+                        lambda owner, *key: owners.append(owner) or products(owner, *key))
+    assert smoothness_certify(a, 4).tor_dims == tor
+    assert owners and all(owner is a for owner in owners)
+
+
+def test_tor_refuses_a_base_one_product_off_the_opposite():
+    a, _cert = load_path(BINOMIAL)
+    op = opposite(a)
+    want = tor_dims(top_module(a), top_module(op), (0, 2))
+
+    def with_one_product_dropped(cat):
+        (triple, table), *rest = cat.comp.items()
+        key = next(iter(table))
+        comp = {triple: {k: v for k, v in table.items() if k != key}, **dict(rest)}
+        return DgCategory(cat.field, cat.objects, cat.homs, comp, cat.units)
+
+    # an equal base that is not an opposite(a) passes by full comparison
+    equal = DgCategory(op.field, op.objects, op.homs, op.comp, op.units)
+    assert equal.op_source is None
+    assert tor_dims(top_module(a), top_module(equal), (0, 2)) == want
+    # a base one product off, built by hand or as the opposite of another
+    # category, is refused
+    for base in (with_one_product_dropped(op), opposite(with_one_product_dropped(a))):
+        with pytest.raises(ValueError, match="opposite category"):
+            tor_dims(top_module(a), top_module(base), (0, 2))

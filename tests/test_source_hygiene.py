@@ -3,9 +3,11 @@ used in that module (or listed in its ``__all__``), every private
 (``_``-prefixed) module-level function, class or method is referenced
 somewhere in src/dghom, and every public one somewhere in src/dghom, in
 perfbench/ or in a code span of README.md.  Tests do not count as
-callers: a definition only a test reaches belongs in the tests."""
+callers: a definition only a test reaches belongs in the tests.  Every
+name the benchmark's tracer wraps still resolves."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -66,3 +68,22 @@ def test_every_public_definition_is_referenced():
         for defined in _definitions(tree):
             if not defined.startswith("_"):
                 assert defined in used, f"{name}: {defined} is never referenced"
+
+
+def _tracer_targets():
+    """The (module, attr) pairs of perfbench/tracer.py's TARGETS, read
+    from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    node = next(n for n in tree.body if isinstance(n, ast.Assign)
+                and any(getattr(t, "id", None) == "TARGETS" for t in n.targets))
+    return [(elt.elts[0].value, elt.elts[1].value) for elt in node.value.elts]
+
+
+def test_every_tracer_target_resolves():
+    targets = _tracer_targets()
+    assert targets
+    for module, attr in targets:
+        owner = importlib.import_module(f"dghom.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module}.{attr}"
