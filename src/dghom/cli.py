@@ -22,7 +22,7 @@ import json
 import os
 import sys
 
-from .exactfield import FieldError, FieldSpec
+from .exactfield import FieldError, FieldSpec, kernel_basis
 from .dgcore import opposite, tensor, unit_category, validate
 from .presentation import PathElement, Presentation, pushout_attach, realize
 from . import grammar
@@ -270,35 +270,26 @@ def cmd_euler(args):
 # ---------------------------------------------------------------------------
 # the proposition checker
 
-def _random_module_map(maps, rng, field):
-    from .dgmod import ModuleMap
-    coeffs = [field.of_int(rng.randrange(-2, 3)) for _ in maps]
-    if not any(coeffs):
-        coeffs[0] = field.one()
-    combined = {}
-    for c, mp in zip(coeffs, maps):
-        if not c:
-            continue
-        for x, tab in mp.maps.items():
-            dst = combined.setdefault(x, {})
-            for km, e in tab.items():
-                cell = dst.setdefault(km, {})
-                for j, v in e.items():
-                    field.accumulate(cell, j, field.mul(c, v))
-    return ModuleMap(maps[0].src, maps[0].dst, maps[0].degree, combined)
-
-
 def _check_prop31(cat, rng):
-    from .dgmod import module_map_space, shift_module, sn_pack, sn_unpack, validate_module, yoneda_module
+    from .dgmod import shift_module, sn_pack, sn_unpack, validate_module, yoneda_map, yoneda_module
+    field = cat.field
     trials = 0
     for n in (0, 1):
         for x in cat.objects:
-            m = yoneda_module(cat, x)
-            m2 = shift_module(m, -n)
-            maps = module_map_space(m, m2, n)
-            if not maps:
+            # a random degree-n map h(x) -> h(x)[-n]: by the Yoneda lemma,
+            # a random cycle of h(x)[-n](x) in degree n, the image of 1_x
+            m2 = shift_module(yoneda_module(cat, x), -n)
+            cycles = kernel_basis(m2.value(x).diff(n))
+            if not cycles.cols:
                 continue
-            fmap = _random_module_map(maps, rng, cat.field)
+            coeffs = [field.of_int(rng.randrange(-2, 3)) for _ in range(cycles.cols)]
+            if not any(coeffs):
+                coeffs[0] = field.one()
+            e = {}
+            for (i, j), v in cycles.entries.items():
+                field.accumulate(e, (n, i), field.mul(coeffs[j], v))
+            fmap = yoneda_map(cat, x, m2, n, e)
+            m = fmap.src
             packed = sn_pack(m, m2, fmap)
             if not validate_module(packed).ok:
                 return "FAIL", "packed module failed validation"

@@ -13,13 +13,17 @@ Tor is computed by the two-sided bar construction with per-window
 truncation: the "exact"/"truncated" soundness flag records whether the
 grading bounds prove that no higher bar degree can contribute inside the
 requested window.
+
+A degree-n module map out of a representable h(x) is fixed by the image
+of 1_x, a cycle (dg Yoneda lemma), so ``yoneda_map`` builds the maps that
+``sn_pack`` packs with their ends over opposite(S(n)) (x) A.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .exactfield import ChainComplex, Matrix, kernel_basis, operator_complex, tensor_complex
+from .exactfield import ChainComplex, operator_complex, tensor_complex
 from .dgcore import (_NO_TABLE, DgCategory, ValidationReport, elem_scale, elem_eq, opposite,
                      tensor, tensor_info)
 
@@ -502,7 +506,8 @@ def tor_dims(m: DgModule, n: DgModule, window, bar_bound=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# module maps and the sphere-module packing
+# module maps and the sphere-module packing; a map out of h(x) is a
+# cycle of the target at x (yoneda_map)
 
 class ModuleMap:
     """A degree-n map of right modules f: m -> m2 satisfying the
@@ -554,76 +559,23 @@ class ModuleMap:
         return self
 
 
-def module_map_space(src: DgModule, dst: DgModule, n: int):
-    """Basis of the space of valid degree-n module maps src -> dst, found
-    by exact kernel computation on the chain + linearity constraints."""
-    a = src.base
+def yoneda_map(a: DgCategory, x, dst: DgModule, n: int, e: dict) -> ModuleMap:
+    """The degree-n map yoneda_module(a, x) -> dst sending 1_x to e, a
+    closed element {(n, i): scalar} of dst.value(x): u -> (-1)^{n|u|} e.u.
+
+    By the dg Yoneda lemma every degree-n map f is one of these:
+    f(u) = f(1_x.u) = (-1)^{n|u|} f(1_x).u, and d.f = f.d at 1_x forces
+    d f(1_x) = 0.  So the degree-n maps are the cycles of dst.value(x)
+    in degree n."""
     f = a.field
-    unknowns = []
-    index = {}
-    for x in a.objects:
-        for km in src.basis_keys(x):
-            tgt = dst.value(x)
-            d_out = km[0] + n
-            for j in range(tgt.dim(d_out)):
-                index[(x, km, j)] = len(unknowns)
-                unknowns.append((x, km, j))
-    rows = []
-
-    def add_row(coeffs: dict):
-        if coeffs:
-            rows.append(coeffs)
-
-    # chain condition: for each x, km: d(f(km)) - f(d(km)) = 0
-    for x in a.objects:
-        tgt = dst.value(x)
-        for km in src.basis_keys(x):
-            d_out = km[0] + n
-            # components indexed by dst basis at degree d_out + 1
-            comps = {}
-            mat = tgt.diffs.get(d_out)
-            if mat is not None:
-                for (i, j), v in mat.entries.items():
-                    comps.setdefault(i, {})[index[(x, km, j)]] = v
-            for km2, v in src.d_value(x, {km: f.one()}).items():
-                for j in range(tgt.dim(km2[0] + n)):
-                    f.accumulate(comps.setdefault(j, {}), index[(x, km2, j)], f.neg(v))
-            for comp in comps.values():
-                add_row(comp)
-    # linearity: f(m.a) - (-1)^{n|a|} f(m).a = 0
-    for (x, y) in itertools.product(a.objects, repeat=2):
-        for kf in a.basis_keys(x, y):
-            fe = {kf: f.one()}
-            sgn = f.sign(n * kf[0])
-            for km in src.basis_keys(y):
-                acted = src.act(x, y, {km: f.one()}, fe)
-                comps = {}
-                for km2, v in acted.items():
-                    for j in range(dst.value(x).dim(km2[0] + n)):
-                        f.accumulate(comps.setdefault((km2[0] + n, j), {}), index[(x, km2, j)], v)
-                for j in range(dst.value(y).dim(km[0] + n)):
-                    out = dst.act(x, y, {(km[0] + n, j): f.one()}, fe)
-                    for kk, v in out.items():
-                        f.accumulate(comps.setdefault(kk, {}), index[(y, km, j)], f.neg(f.mul(sgn, v)))
-                for comp in comps.values():
-                    add_row(comp)
-
-    mat_entries = {}
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            mat_entries[(r, c)] = v
-    mat = Matrix(f, len(rows), len(unknowns), mat_entries)
-    ker = kernel_basis(mat)
-    out = []
-    for col in range(ker.cols):
-        maps = {}
-        for (i, jj), v in ker.entries.items():
-            if jj != col:
-                continue
-            x, km, j = unknowns[i]
-            maps.setdefault(x, {}).setdefault(km, {})[j] = v
-        out.append(ModuleMap(src, dst, n, maps))
-    return out
+    src = yoneda_module(a, x)
+    maps = {}
+    for y in a.objects:
+        tab = maps[y] = {}
+        for km in src.basis_keys(y):
+            img = dst.act(y, x, e, {km: f.sign(n * km[0])})
+            tab[km] = {j: v for (_, j), v in img.items()}
+    return ModuleMap(src, dst, n, maps)
 
 
 def sn_pack(m: DgModule, m2: DgModule, fmap: ModuleMap):
@@ -661,51 +613,41 @@ def sn_pack(m: DgModule, m2: DgModule, fmap: ModuleMap):
 
 
 def sn_unpack(X: DgModule):
-    """Recover (m, m2, f) from a module over opposite(S(n)) (x) A."""
-    e_cat = X.base
-    info = tensor_info(e_cat)
-    sph_op = info.factors[0]
-    a = info.factors[1]
-    f = a.field
+    """Recover (m, m2, f) from a module over opposite(S(n)) (x) A, read off
+    X's action tables: each eye keeps the entries at its unit (x) a, and
+    f the entries at s (x) 1_y."""
+    info = tensor_info(X.base)
+    sph_op, a = info.factors[0], info.factors[1]
     s_support = sph_op.hom("2", "1").support()
     if len(s_support) != 1:
         raise ValueError("base is not a sphere tensor category")
     n = s_support[0]
     s_key = (n, 0)
 
+    def entries(xo, yo):
+        # the table of (xo, yo) as (sphere key, a key, value key, product)
+        keys = info.keys[(xo, yo)]
+        for ((dh, ih), km), prod in X.actions(xo, yo).items():
+            ks, ka = keys[dh][ih]
+            yield ks, ka, km, prod
+
     def slice_module(i_obj):
-        values = {y: X.value((i_obj, y)) for y in a.objects}
+        unit_key = sph_op.unit_key(i_obj)
         action = {}
         for (x, y) in itertools.product(a.objects, repeat=2):
-            index = info.index[((i_obj, x), (i_obj, y))]
-            tab = {}
-            unit_key = sph_op.unit_key(i_obj)
-            for ka in a.basis_keys(x, y):
-                d, i = index[(unit_key, ka)]
-                fe = {(d, i): f.one()}
-                for km in X.basis_keys((i_obj, y)):
-                    res = X.act((i_obj, x), (i_obj, y), {km: f.one()}, fe)
-                    if res:
-                        tab[(ka, km)] = {ii: v for (dd, ii), v in res.items()}
+            tab = {(ka, km): prod for ks, ka, km, prod in entries((i_obj, x), (i_obj, y))
+                   if ks == unit_key}
             if tab:
                 action[(x, y)] = tab
-        return DgModule(a, values, action)
+        return DgModule(a, {y: X.value((i_obj, y)) for y in a.objects}, action)
 
     m = slice_module("1")
     m2 = slice_module("2")
     maps = {}
     for y in a.objects:
-        index = info.index[(("2", y), ("1", y))]
         unit_key = a.unit_key(y)
         if unit_key is None:
             raise ValueError("sn_unpack needs unit-basis coefficients")
-        d, i = index[(s_key, unit_key)]
-        fe = {(d, i): f.one()}
-        tab = {}
-        for km in X.basis_keys(("1", y)):
-            res = X.act(("2", y), ("1", y), {km: f.one()}, fe)
-            if res:
-                tab[km] = {ii: v for (dd, ii), v in res.items()}
-        maps[y] = tab
-    fmap = ModuleMap(m, m2, n, maps)
-    return m, m2, fmap
+        maps[y] = {km: prod for ks, ka, km, prod in entries(("2", y), ("1", y))
+                   if (ks, ka) == (s_key, unit_key)}
+    return m, m2, ModuleMap(m, m2, n, maps)

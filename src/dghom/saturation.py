@@ -171,18 +171,15 @@ def triangle_identity_check(a: DgCategory, window,
     except BarWindowError as exc:
         return TriangleResult("inconclusive", details={"reason": str(exc)})
     w0, w1 = window
-    dims_ok = True
     mismatches = []
     for (x, w), res in bars.items():
         hd = homology_dims(res.complexes[()], window)
-        target = a.hom(w, x)
+        want = homology_dims(a.hom(w, x), window)
         for t in range(w0, w1 + 1):
-            want = homology_dims(target, (t, t))[t] if target.spaces else 0
-            if hd[t] != want:
-                dims_ok = False
+            if hd[t] != want[t]:
                 mismatches.append({"pair": [str(x), str(w)], "degree": t,
-                                   "got": hd[t], "want": want})
-    if not dims_ok:
+                                   "got": hd[t], "want": want[t]})
+    if mismatches:
         return TriangleResult("fail", evidence="dims-match",
                               details={"mismatches": mismatches})
     qi_ok, qi_detail = _comparison_quasi_iso(a, bars, X, Y, window)
@@ -244,12 +241,10 @@ def _comparison_quasi_iso(a: DgCategory, bars, X, Y, window):
             rhs = target.diff(t).mul(c_mats[t])
             if not lhs.sub(rhs).is_zero():
                 return False, {"reason": f"comparison map is not a chain map at {pair}, degree {t}"}
-        # induced map on homology bijective in the window
+        # induced map on homology bijective in the window; the caller has
+        # matched the homology dimensions of cx and target already
         for t in range(w0, w1 + 1):
             h_dim = homology_dims(cx, (t, t))[t]
-            target_h = homology_dims(target, (t, t))[t] if target.spaces else 0
-            if h_dim != target_h:
-                return False, {"reason": "homology dims changed between checks"}
             if h_dim == 0:
                 continue
             dim_t, reps, project = homology_quotient(target.diff(t - 1), target.diff(t))

@@ -43,7 +43,11 @@ are the functor section's `DgFunctor`, `validate_functor`,
 twisted module of `euler_via_duality` (the diagonal pulled back along
 the tensor swap), `restrict` (one slot of a diagonal bimodule fixed)
 and `cyclic_operator` (the matrix of t on unnormalized bar chains);
-they share the library's conventions.
+they share the library's conventions.  `module_map_space` solves the
+chain and Koszul-linearity conditions of a degree-n module map as one
+linear system, a reference for `dgmod.yoneda_map`, which reads the maps
+out of a representable from the cycles of the target; it takes its
+kernel with the library's `kernel_basis`.
 """
 
 import itertools
@@ -51,8 +55,9 @@ import itertools
 from dghom.cyclic import CyclicError, t_of_key
 from dghom.dgcore import (DgCategory, TensorInfo, ValidationReport, bar_degree_cap, elem_eq,
                           tensor, tensor_info)
-from dghom.dgmod import DgModule
-from dghom.exactfield import FieldSpec, Matrix, homology_dims, operator_matrix, tensor_complex
+from dghom.dgmod import DgModule, ModuleMap
+from dghom.exactfield import (FieldSpec, Matrix, homology_dims, kernel_basis, operator_matrix,
+                               tensor_complex)
 from dghom.hochschild import CyclicBar
 
 
@@ -1322,3 +1327,78 @@ def cyclic_operator(a: DgCategory, n: int) -> Matrix:
     keys = UnnormalizedCyclicBar(a, n - 1).keys_by_bar[n - 1]
     index = {k: i for i, k in enumerate(keys)}
     return operator_matrix(a.field, keys, index, lambda key: dict([t_of_key(a, key)]))
+
+
+# ---------------------------------------------------------------------------
+# the module-map solver, which the library no longer carries
+
+def module_map_space(src: DgModule, dst: DgModule, n: int):
+    """Basis of the space of valid degree-n module maps src -> dst, found
+    by exact kernel computation on the chain + linearity constraints."""
+    a = src.base
+    f = a.field
+    unknowns = []
+    index = {}
+    for x in a.objects:
+        for km in src.basis_keys(x):
+            tgt = dst.value(x)
+            d_out = km[0] + n
+            for j in range(tgt.dim(d_out)):
+                index[(x, km, j)] = len(unknowns)
+                unknowns.append((x, km, j))
+    rows = []
+
+    def add_row(coeffs: dict):
+        if coeffs:
+            rows.append(coeffs)
+
+    # chain condition: for each x, km: d(f(km)) - f(d(km)) = 0
+    for x in a.objects:
+        tgt = dst.value(x)
+        for km in src.basis_keys(x):
+            d_out = km[0] + n
+            # components indexed by dst basis at degree d_out + 1
+            comps = {}
+            mat = tgt.diffs.get(d_out)
+            if mat is not None:
+                for (i, j), v in mat.entries.items():
+                    comps.setdefault(i, {})[index[(x, km, j)]] = v
+            for km2, v in src.d_value(x, {km: f.one()}).items():
+                for j in range(tgt.dim(km2[0] + n)):
+                    f.accumulate(comps.setdefault(j, {}), index[(x, km2, j)], f.neg(v))
+            for comp in comps.values():
+                add_row(comp)
+    # linearity: f(m.a) - (-1)^{n|a|} f(m).a = 0
+    for (x, y) in itertools.product(a.objects, repeat=2):
+        for kf in a.basis_keys(x, y):
+            fe = {kf: f.one()}
+            sgn = f.sign(n * kf[0])
+            for km in src.basis_keys(y):
+                acted = src.act(x, y, {km: f.one()}, fe)
+                comps = {}
+                for km2, v in acted.items():
+                    for j in range(dst.value(x).dim(km2[0] + n)):
+                        f.accumulate(comps.setdefault((km2[0] + n, j), {}), index[(x, km2, j)], v)
+                for j in range(dst.value(y).dim(km[0] + n)):
+                    out = dst.act(x, y, {(km[0] + n, j): f.one()}, fe)
+                    for kk, v in out.items():
+                        f.accumulate(comps.setdefault(kk, {}), index[(y, km, j)], f.neg(f.mul(sgn, v)))
+                for comp in comps.values():
+                    add_row(comp)
+
+    mat_entries = {}
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            mat_entries[(r, c)] = v
+    mat = Matrix(f, len(rows), len(unknowns), mat_entries)
+    ker = kernel_basis(mat)
+    out = []
+    for col in range(ker.cols):
+        maps = {}
+        for (i, jj), v in ker.entries.items():
+            if jj != col:
+                continue
+            x, km, j = unknowns[i]
+            maps.setdefault(x, {}).setdefault(km, {})[j] = v
+        out.append(ModuleMap(src, dst, n, maps))
+    return out

@@ -9,14 +9,14 @@ import time
 
 from dghom.exactfield import ChainComplex
 from dghom.dgcore import disk_cell, opposite, sphere_cell, tensor
-from dghom.dgmod import (ModuleMap, module_map_space, shift_module, sn_pack, sn_unpack,
-                         tor_dims, validate_module, yoneda_module)
+from dghom.dgmod import (ModuleMap, shift_module, sn_pack, sn_unpack, tor_dims, validate_module,
+                         yoneda_module)
 from dghom.hochschild import HochschildError, ShuffleMap, hh_dims
 from dghom.cyclic import MixedComplex, hc_dims, hcminus_hp_dims
 from dghom.saturation import (euler_via_duality, euler_via_hh, properness_check,
                               saturation_report, smoothness_certify, triangle_identity_check)
 from conftest import Q, random_small_category
-from oracles import convolution, unnormalized_exact_hh_dims
+from oracles import convolution, module_map_space, unnormalized_exact_hh_dims
 
 PASS = "ACCEPTANCE {}: PASS - {}"
 

@@ -1,12 +1,15 @@
+import itertools
+
 import pytest
 
-from dghom.exactfield import ChainComplex, homology_dims
-from dghom.dgcore import opposite, sphere_cell, unit_category
+from dghom.corpus import builtin_corpus
+from dghom.exactfield import ChainComplex, homology_dims, kernel_basis
+from dghom.dgcore import disk_cell, opposite, sphere_cell, unit_category
 from dghom.dgmod import (DgModule, ModuleMap, bar_composite, diagonal_bimodule,
-                         external_tensor_module, module_map_space, shift_module, sn_pack,
-                         sn_unpack, tor_dims, validate_module, yoneda_module, BarWindowError)
-from conftest import Q, random_small_category, exterior_deg
-from oracles import brute_tor_dims, restrict
+                         external_tensor_module, shift_module, sn_pack, sn_unpack, tor_dims,
+                         validate_module, yoneda_map, yoneda_module, BarWindowError)
+from conftest import F3, Q, a3, contractible_category, random_small_category, exterior_deg
+from oracles import brute_tor_dims, dense_rank, module_map_space, restrict
 
 
 def simple_module(cat, vertex):
@@ -258,3 +261,42 @@ class TestSnPack:
                     assert mb == m and m2b == m2 and fb.maps == fmap.maps
                     count += 1
         assert count >= 12
+
+
+def _yoneda_span_categories(rng):
+    cats = [a3((1, -1))]
+    for field in (Q, F3):
+        cats += list(builtin_corpus(field).values())
+        cats += [exterior_deg(field, 1), exterior_deg(field, -1), contractible_category(field)]
+        cats += [sphere_cell(n, field) for n in (-1, 0, 1, 2)]
+        cats += [disk_cell(n, field) for n in (0, 1, 2)]
+    cats += [random_small_category(rng, field) for _ in range(75) for field in (Q, F3)]
+    return cats
+
+
+class TestYonedaMap:
+    def test_cycles_span_the_solver_space(self, rng):
+        # yoneda_map over a basis of the degree-n cycles of dst.value(x)
+        # gives valid maps spanning what the linear-system solver finds
+        nonzero = 0
+        for cat in _yoneda_span_categories(rng):
+            f = cat.field
+            h = {x: yoneda_module(cat, x) for x in cat.objects}
+            for n, x, y in itertools.product(range(-2, 3), cat.objects, cat.objects):
+                for dst in (h[y], shift_module(h[y], -n)):
+                    cycles = kernel_basis(dst.value(x).diff(n)).columns()
+                    maps = [yoneda_map(cat, x, dst, n, {(n, i): v for i, v in z.items()}).check()
+                            for z in cycles.values()]
+                    ref = module_map_space(h[x], dst, n)
+                    assert len(maps) == len(ref)
+                    if not ref:
+                        continue
+                    nonzero += 1
+                    slots = list({(obj, km, j) for mp in maps + ref
+                                  for obj, tab in mp.maps.items()
+                                  for km, e in tab.items() for j in e})
+                    rows = [[mp.maps.get(obj, {}).get(km, {}).get(j, f.zero())
+                             for obj, km, j in slots] for mp in maps + ref]
+                    assert dense_rank(rows[:len(maps)], f) == len(maps)
+                    assert dense_rank(rows, f) == len(ref)
+        assert nonzero > 1000
