@@ -9,9 +9,9 @@ error.
 
 Only the layers every command needs are imported here; each command
 imports the rest of its stack itself, so a run loads and compiles only
-the modules it uses (``hh`` never loads ``cyclic``, ``dgmod`` or
-``saturation``, and ``saturate`` on a monomial input loads neither
-``dgmod`` nor ``saturation``).
+the modules it uses.  ``hh`` and ``hc`` on a monomial input (over Q for
+``hc``) load neither ``hochschild`` nor ``cyclic``, ``saturate`` never
+loads ``hochschild``, and the proposition checks live in ``corpus``.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ import json
 import os
 import sys
 
-from .exactfield import FieldError, FieldSpec, kernel_basis
-from .dgcore import opposite, tensor, unit_category, validate
+from .exactfield import FieldError, FieldSpec
+from .dgcore import opposite, tensor, validate
 from .presentation import PathElement, Presentation, pushout_attach, realize
 from . import grammar
-from .hochschild import hh_dims, ShuffleMap, HochschildError
+from .monomial import HochschildError, hc_dims, hh_dims
 
 
 class InputError(Exception):
@@ -146,11 +146,7 @@ def cmd_validate(args):
 def cmd_homology(args):
     """`hh` or `hc`, as ``args.command`` names: the dimensions up to
     --n-max, each with its status."""
-    if args.command == "hc":
-        from .cyclic import hc_dims as dims_of
-        least_bar_bound = 2
-    else:
-        dims_of, least_bar_bound = hh_dims, 1
+    dims_of, least_bar_bound = (hc_dims, 2) if args.command == "hc" else (hh_dims, 1)
     _require_at_least(args, n_max=0, bar_bound=least_bar_bound)
     cat, cert = _load(args.input)
     _require_closed(cat, cert, args.input)
@@ -267,84 +263,9 @@ def cmd_euler(args):
     return 0
 
 
-# ---------------------------------------------------------------------------
-# the proposition checker
-
-def _check_prop31(cat, rng):
-    from .dgmod import shift_module, sn_pack, sn_unpack, validate_module, yoneda_map, yoneda_module
-    field = cat.field
-    trials = 0
-    for n in (0, 1):
-        for x in cat.objects:
-            # a random degree-n map h(x) -> h(x)[-n]: by the Yoneda lemma,
-            # a random cycle of h(x)[-n](x) in degree n, the image of 1_x
-            m2 = shift_module(yoneda_module(cat, x), -n)
-            cycles = kernel_basis(m2.value(x).diff(n))
-            if not cycles.cols:
-                continue
-            coeffs = [field.of_int(rng.randrange(-2, 3)) for _ in range(cycles.cols)]
-            if not any(coeffs):
-                coeffs[0] = field.one()
-            e = {}
-            for (i, j), v in cycles.entries.items():
-                field.accumulate(e, (n, i), field.mul(coeffs[j], v))
-            fmap = yoneda_map(cat, x, m2, n, e)
-            m = fmap.src
-            packed = sn_pack(m, m2, fmap)
-            if not validate_module(packed).ok:
-                return "FAIL", "packed module failed validation"
-            m_back, m2_back, f_back = sn_unpack(packed)
-            if not (m_back == m and m2_back == m2 and f_back.maps == fmap.maps):
-                return "FAIL", "roundtrip differs"
-            trials += 1
-    return "PASS", f"{trials} roundtrips"
-
-
-def _check_triangle(cat, sat):
-    from .saturation import triangle_identity_check
-    res = triangle_identity_check(cat, (-3, 3), saturation=sat)
-    if res.status == "pass":
-        return "PASS", f"evidence: {res.evidence}"
-    if res.status == "inconclusive":
-        return "INCONCLUSIVE", str(res.details.get("reason", ""))
-    return "FAIL", json.dumps(res.details, sort_keys=True)
-
-
-def _check_chi(cat, sat):
-    from .saturation import euler_report
-    if not sat.saturated:
-        return "SKIPPED", "not certified saturated; chi equality undefined here"
-    rep = euler_report(cat, sat.smooth)
-    if rep.agree:
-        return "PASS", f"chi = {rep.chi_hh} by both routes"
-    return "FAIL", json.dumps(rep.as_dict(), sort_keys=True)
-
-
-def _check_kunneth(cat):
-    field = cat.field
-    one = unit_category(field)
-    try:
-        sh = ShuffleMap(one, cat, (-3, 0))
-    except HochschildError as exc:
-        return "INCONCLUSIVE", str(exc)
-    try:
-        sh.check_certificate()
-    except HochschildError as exc:
-        return "FAIL", str(exc)
-    dims_a = hh_dims(cat, 2)
-    dims_t = hh_dims(tensor(one, cat), 2)
-    for n in range(3):
-        if dims_a[n][1] != "exact" or dims_t[n][1] != "exact":
-            return "INCONCLUSIVE", f"degree {n} not exact"
-        if dims_a[n][0] != dims_t[n][0]:
-            return "FAIL", f"Kunneth with the unit fails at degree {n}"
-    return "PASS", "shuffle certificate + unit Kunneth"
-
-
 def cmd_check(args):
     import random
-    from .corpus import builtin_corpus
-    from .saturation import saturation_report
+    from .corpus import builtin_corpus, check_category
     _require_at_least(args, bound=0)
     rng = random.Random(20260811)
     if args.corpus:
@@ -369,13 +290,7 @@ def cmd_check(args):
     failures = 0
     checks = 0
     for name, cat in items:
-        sat = saturation_report(cat, args.bound)
-        results = {
-            "prop31_roundtrip": _check_prop31(cat, rng),
-            "triangle_identities": _check_triangle(cat, sat),
-            "chi_equality": _check_chi(cat, sat),
-            "kunneth_shuffle": _check_kunneth(cat),
-        }
+        results = check_category(cat, args.bound, rng)
         summary[name] = {k: {"status": s, "detail": d} for k, (s, d) in results.items()}
         for k, (s, d) in sorted(results.items()):
             print(f"{name}: {k}: {s}" + (f" ({d})" if d else ""))

@@ -16,6 +16,9 @@ them exhaustively on the realized ranges):
 * norm N = 1 + t + ... + t^m;
 * Connes operator on bar degree m:  B = (-1)^{m+1} (1 - t) s N,
   projected to the normalized complex.
+
+``hc_dims`` and ``CyclicError`` are re-exported from ``monomial``, whose
+``hc_dims`` imports ``MixedComplex`` only on its bicomplex fallback.
 """
 
 from __future__ import annotations
@@ -23,11 +26,10 @@ from __future__ import annotations
 from .exactfield import Matrix, operator_matrix, rank
 from .dgcore import DgCategory
 from .hochschild import CyclicBar
-from .monomial import monomial_algebra
+from .monomial import CyclicError, hc_dims
 
-
-class CyclicError(ValueError):
-    pass
+__all__ = ["CyclicError", "hc_dims", "t_of_key", "s_of_key", "MixedComplex", "DegreeTower",
+           "TowerReport", "hcminus_hp_dims"]
 
 
 # ---------------------------------------------------------------------------
@@ -200,38 +202,6 @@ def _min_offset(mx: MixedComplex, n: int) -> int:
     if not sup:
         return 0
     return -((n - sup[0]) // 2) if n >= sup[0] else 0
-
-
-def hc_dims(a: DgCategory, n_max: int, bar_bound: int | None = None) -> dict:
-    """Cyclic homology dimensions HC_n, 0 <= n <= n_max, with
-    exact/truncated status.
-
-    Over Q with the automatic bar bound, a monomial input
-    (``monomial_algebra``) takes the weight pieces of Bardzell's complex:
-    there Goodwillie's theorem splits Connes' SBI sequence weight by
-    weight (``MonomialAlgebra.hc_dims``), and every degree is exact.
-    Every other input, F_p, and an explicit ``bar_bound`` take the
-    first-quadrant (b, B)-bicomplex of the normalized cyclic bar; degree
-    n uses columns 0..floor(n/2).  Its default bar bound is
-    ``BarPlan.bar_bound`` of the mixed complex over total degrees
-    -(n_max + 1) .. 1, the pieces those columns read."""
-    if n_max < 0:
-        raise CyclicError("n_max must be >= 0")
-    if bar_bound is None:
-        mono = monomial_algebra(a) if a.field.kind == 0 else None
-        if mono is not None:
-            return {n: (d, "exact") for n, d in enumerate(mono.hc_dims(n_max))}
-        bar_bound = a.bar_plan().bar_bound(-(n_max + 1), 1, mixed=True)
-    mx = MixedComplex(a, bar_bound)
-    out = {}
-    for n in range(n_max + 1):
-        # columns j >= 0 hold M_{n-2j}: offsets q = -j <= 0
-        q_lo = min(_min_offset(mx, n - 1), _min_offset(mx, n), _min_offset(mx, n + 1), 0)
-        dim = _column_homology(mx, n, q_lo, 0)
-        pieces = {nn + 2 * q for q in range(q_lo, 1) for nn in (n - 1, n, n + 1)}
-        exact = all(mx.plan.status(-k, bar_bound) == "exact" for k in pieces)
-        out[n] = (dim, "exact" if exact else "truncated")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,19 +18,20 @@ The normalized complex quotients the degeneracy images: inner factors
 requires the category to have unit basis vectors.  The total complex is
 cohomological with deg(chain) = (internal degree) - (bar degree); the
 reported HH_n is homology in total degree -n.
+
+``hh_dims`` and ``HochschildError`` are re-exported from ``monomial``,
+whose ``hh_dims`` imports ``CyclicBar`` only on its bar fallback.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .exactfield import homology_dims, homology_quotient, operator_complex
+from .exactfield import homology_quotient, operator_complex
 from .dgcore import DgCategory, tensor, tensor_info
-from .monomial import monomial_algebra
+from .monomial import HochschildError, hh_dims
 
-
-class HochschildError(ValueError):
-    pass
+__all__ = ["HochschildError", "hh_dims", "CyclicBar", "Ch0Class", "ch0", "ShuffleMap"]
 
 
 def _require_unit_basis(a: DgCategory):
@@ -200,32 +201,6 @@ class CyclicBar:
         D never raises the bar degree, so no image leaves the assembly."""
         by_t = self.chains_by_total()
         return operator_complex(self.field, by_t, self.total_diff_of), by_t
-
-
-def hh_dims(a: DgCategory, n_max: int, bar_bound: int | None = None) -> dict:
-    """HH_n dimensions for 0 <= n <= n_max with exact/truncated status.
-
-    With the automatic bar bound, a monomial input (``monomial_algebra``:
-    a closed degree-0 kQ/I with I spanned by paths) takes Bardzell's
-    complex, |AP(n)| x (dim of a hom) chains in degree n, exact in every
-    degree because it comes from a projective resolution of the
-    diagonal; HH is the sum of its weight summands.  Every other input,
-    and an explicit ``bar_bound``, takes the normalized cyclic bar, by
-    default cut at ``BarPlan.bar_bound`` of total degrees -n_max .. 0."""
-    if n_max < 0:
-        raise HochschildError("n_max must be >= 0")
-    if bar_bound is None:
-        mono = monomial_algebra(a)
-        if mono is not None:
-            by_weight = mono.hh_by_weight(n_max).values()
-            return {n: (sum(hh[n] for hh in by_weight), "exact") for n in range(n_max + 1)}
-        bar_bound = a.bar_plan().bar_bound(-n_max, 0)
-    elif bar_bound < 1:
-        raise HochschildError("bar_bound must be >= 1")
-    total, _ = CyclicBar(a, bar_bound).total_complex()
-    plan = a.bar_plan()
-    dims = homology_dims(total, (-n_max, 0))
-    return {n: (dims[-n], plan.status(-n, bar_bound)) for n in range(n_max + 1)}
 
 
 # ---------------------------------------------------------------------------

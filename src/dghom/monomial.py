@@ -14,6 +14,10 @@ over Q cyclic homology follows weight by weight from Goodwillie's
 theorem (``MonomialAlgebra.hc_dims``).  The bar routes stay the
 references.
 
+``hh_dims`` and ``hc_dims``, the entry points for HH and HC of any
+input, try this route first and import a bar engine only to fall back,
+so an answer read off AP(n) loads neither ``hochschild`` nor ``cyclic``.
+
 Paths are words of arrow indices in diagram order: (a_1, ..., a_l)
 traverses a_1 first and is the morphism a_l ... a_1.  Chains of AP(n)
 are (source, target, word, last), where ``last`` is the final piece of
@@ -31,6 +35,14 @@ from __future__ import annotations
 
 from .exactfield import homology_dims, operator_complex
 from .dgcore import DgCategory
+
+
+class HochschildError(ValueError):
+    pass
+
+
+class CyclicError(ValueError):
+    pass
 
 
 class MonomialAlgebra:
@@ -251,3 +263,63 @@ def monomial_algebra(a: DgCategory):
     if len(words) != sum(map(len, plan.nonunit.values())):
         return None
     return MonomialAlgebra(a, arrows, words, relations)
+
+
+def hh_dims(a: DgCategory, n_max: int, bar_bound: int | None = None) -> dict:
+    """HH_n dimensions for 0 <= n <= n_max with exact/truncated status.
+
+    With the automatic bar bound, a monomial input (``monomial_algebra``:
+    a closed degree-0 kQ/I with I spanned by paths) takes Bardzell's
+    complex, |AP(n)| x (dim of a hom) chains in degree n, exact in every
+    degree because it comes from a projective resolution of the
+    diagonal; HH is the sum of its weight summands.  Every other input,
+    and an explicit ``bar_bound``, takes the normalized cyclic bar, by
+    default cut at ``BarPlan.bar_bound`` of total degrees -n_max .. 0."""
+    if n_max < 0:
+        raise HochschildError("n_max must be >= 0")
+    if bar_bound is None:
+        mono = monomial_algebra(a)
+        if mono is not None:
+            by_weight = mono.hh_by_weight(n_max).values()
+            return {n: (sum(hh[n] for hh in by_weight), "exact") for n in range(n_max + 1)}
+        bar_bound = a.bar_plan().bar_bound(-n_max, 0)
+    elif bar_bound < 1:
+        raise HochschildError("bar_bound must be >= 1")
+    from .hochschild import CyclicBar
+    total, _ = CyclicBar(a, bar_bound).total_complex()
+    plan = a.bar_plan()
+    dims = homology_dims(total, (-n_max, 0))
+    return {n: (dims[-n], plan.status(-n, bar_bound)) for n in range(n_max + 1)}
+
+
+def hc_dims(a: DgCategory, n_max: int, bar_bound: int | None = None) -> dict:
+    """Cyclic homology dimensions HC_n, 0 <= n <= n_max, with
+    exact/truncated status.
+
+    Over Q with the automatic bar bound, a monomial input
+    (``monomial_algebra``) takes the weight pieces of Bardzell's complex:
+    there Goodwillie's theorem splits Connes' SBI sequence weight by
+    weight (``MonomialAlgebra.hc_dims``), and every degree is exact.
+    Every other input, F_p, and an explicit ``bar_bound`` take the
+    first-quadrant (b, B)-bicomplex of the normalized cyclic bar; degree
+    n uses columns 0..floor(n/2).  Its default bar bound is
+    ``BarPlan.bar_bound`` of the mixed complex over total degrees
+    -(n_max + 1) .. 1, the pieces those columns read."""
+    if n_max < 0:
+        raise CyclicError("n_max must be >= 0")
+    if bar_bound is None:
+        mono = monomial_algebra(a) if a.field.kind == 0 else None
+        if mono is not None:
+            return {n: (d, "exact") for n, d in enumerate(mono.hc_dims(n_max))}
+        bar_bound = a.bar_plan().bar_bound(-(n_max + 1), 1, mixed=True)
+    from .cyclic import MixedComplex, _column_homology, _min_offset
+    mx = MixedComplex(a, bar_bound)
+    out = {}
+    for n in range(n_max + 1):
+        # columns j >= 0 hold M_{n-2j}: offsets q = -j <= 0
+        q_lo = min(_min_offset(mx, n - 1), _min_offset(mx, n), _min_offset(mx, n + 1), 0)
+        dim = _column_homology(mx, n, q_lo, 0)
+        pieces = {nn + 2 * q for q in range(q_lo, 1) for nn in (n - 1, n, n + 1)}
+        exact = all(mx.plan.status(-k, bar_bound) == "exact" for k in pieces)
+        out[n] = (dim, "exact" if exact else "truncated")
+    return out

@@ -305,17 +305,32 @@ class TestCli:
         (["euler", "nocompose.dg"], "nocompose.dg: not a dg category: unit axiom"),
         (["hh", "split.dg"], "need every unit to be a basis element"),
         (["hc", "split.dg"], "need every unit to be a basis element"),
+        (["hp", "split.dg"], "need every unit to be a basis element"),
         (["euler", "split.dg"], "need every unit to be a basis element"),
         (["check", "--corpus", "splitcorpus"],
          "split.dg: the checks need every unit to be a basis element"),
     ], ids=["tensor-field-mismatch", "hh-invalid-dg", "hc-invalid-dg", "hp-invalid-dg",
             "saturate-invalid-dg", "euler-invalid-dg", "hh-split-unit", "hc-split-unit",
-            "euler-split-unit", "check-split-unit"])
+            "hp-split-unit", "euler-split-unit", "check-split-unit"])
     def test_bad_input_file_exit_2(self, argv, message, files, capsys):
         argv = [files.get(a, a) for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["hh", "hc", "hp"])
+    def test_split_unit_exit_2_in_a_fresh_interpreter(self, command, files):
+        # the bar engine that refuses the input is imported only on the
+        # fallback, so its error must still reach main's handler when the
+        # child has loaded nothing but the modules the command routes to
+        src = os.path.dirname(os.path.dirname(dghom.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "dghom.cli", command, files["split.dg"]],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("input error: ")
+        assert "need every unit to be a basis element" in proc.stderr
 
     def test_missing_file_exit_2(self):
         assert main(["hh", "/nonexistent/file.dg"]) == 2

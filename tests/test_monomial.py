@@ -55,13 +55,31 @@ def answers(cat, hh_n, tor_bound):
     return hh_dims(cat, hh_n), smoothness_certify(cat, tor_bound).as_dict()
 
 
+def constructions(m, cls):
+    """The argument tuples of every ``cls(...)`` built while the
+    monkeypatch context ``m`` is open."""
+    built = []
+    real = cls.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+    m.setattr(cls, "__init__", recording)
+    return built
+
+
 def bar_answers(monkeypatch, cat, hh_n, tor_bound):
     """The same answers with no input recognized as monomial, so that
-    hh_dims and smoothness_certify take the bar."""
+    hh_dims and smoothness_certify take the bar.  hh_dims must build a
+    CyclicBar: a patch that misses the name hh_dims reads would
+    otherwise compare the monomial route with itself."""
     with monkeypatch.context() as m:
-        m.setattr(hochschild, "monomial_algebra", lambda a: None)
+        m.setattr(monomial, "monomial_algebra", lambda a: None)
         m.setattr(smoothness, "monomial_algebra", lambda a: None)
-        return answers(cat, hh_n, tor_bound)
+        bars = constructions(m, hochschild.CyclicBar)
+        out = answers(cat, hh_n, tor_bound)
+    assert bars, "hh_dims never built a CyclicBar"
+    return out
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -74,10 +92,22 @@ def test_ap_route_matches_bar(name, field, monkeypatch):
 
 
 def bar_hc(monkeypatch, cat, n_max):
-    """hc_dims with no input recognized as monomial, so on the bar."""
+    """hc_dims with no input recognized as monomial, so on the bar, which
+    must build a MixedComplex."""
     with monkeypatch.context() as m:
-        m.setattr(cyclic, "monomial_algebra", lambda a: None)
-        return hc_dims(cat, n_max)
+        m.setattr(monomial, "monomial_algebra", lambda a: None)
+        mixed = constructions(m, cyclic.MixedComplex)
+        out = hc_dims(cat, n_max)
+    assert len(mixed) == 1, "hc_dims did not build one MixedComplex"
+    return out
+
+
+def test_bar_modules_re_export_the_entry_points():
+    # every import and except clause sees one object, whichever module it names
+    assert hochschild.HochschildError is monomial.HochschildError
+    assert hochschild.hh_dims is monomial.hh_dims
+    assert cyclic.CyclicError is monomial.CyclicError
+    assert cyclic.hc_dims is monomial.hc_dims
 
 
 @pytest.mark.parametrize("name", sorted(QUIVERS))
@@ -90,16 +120,10 @@ def test_weight_route_hc_matches_bar(name, monkeypatch):
 @pytest.mark.parametrize("name", ["kx3", "cycle_ab_ba"])
 def test_hc_over_fp_or_with_a_bar_bound_stays_on_the_bar(name, field, bar_bound, monkeypatch):
     cat = load(quiver_text(field, *QUIVERS[name]))
-    built = []
-    real = cyclic.MixedComplex.__init__
-
-    def recording(self, *args):
-        built.append(args)
-        real(self, *args)
 
     def refuse(*args):
         raise AssertionError("the weight route was taken")
-    monkeypatch.setattr(cyclic.MixedComplex, "__init__", recording)
+    built = constructions(monkeypatch, cyclic.MixedComplex)
     monkeypatch.setattr(monomial.MonomialAlgebra, "hc_dims", refuse)
     assert len(hc_dims(cat, 4, bar_bound)) == 5
     assert len(built) == 1
@@ -221,7 +245,7 @@ def test_explicit_bar_bound_stays_on_the_bar(monkeypatch):
 
     def refuse(a):
         raise AssertionError("an explicit bar bound must not look for AP chains")
-    monkeypatch.setattr(hochschild, "monomial_algebra", refuse)
+    monkeypatch.setattr(monomial, "monomial_algebra", refuse)
     assert hh_dims(cat, 4, bar_bound=5) == want
 
 
