@@ -244,7 +244,8 @@ def cmd_saturate(args):
 
 def cmd_euler(args):
     from .dgmod import BarWindowError
-    from .saturation import euler_report, saturation_report
+    from .saturation import euler_report
+    from .smoothness import saturation_report
     _require_at_least(args, bound=0, bar_bound=1)
     cat, cert = _load(args.input)
     _require_closed(cat, cert, args.input)

@@ -131,7 +131,7 @@ def _check_kunneth(cat):
 
 def check_category(cat, bound: int, rng) -> dict:
     """{check name: (status, detail)} of the four proposition checks."""
-    from .saturation import saturation_report
+    from .smoothness import saturation_report
     sat = saturation_report(cat, bound)
     return {
         "prop31_roundtrip": _check_prop31(cat, rng),

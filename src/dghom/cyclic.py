@@ -16,9 +16,6 @@ them exhaustively on the realized ranges):
 * norm N = 1 + t + ... + t^m;
 * Connes operator on bar degree m:  B = (-1)^{m+1} (1 - t) s N,
   projected to the normalized complex.
-
-``hc_dims`` and ``CyclicError`` are re-exported from ``monomial``, whose
-``hc_dims`` imports ``MixedComplex`` only on its bicomplex fallback.
 """
 
 from __future__ import annotations
@@ -26,10 +23,7 @@ from __future__ import annotations
 from .exactfield import Matrix, operator_matrix, rank
 from .dgcore import DgCategory
 from .hochschild import CyclicBar
-from .monomial import CyclicError, hc_dims
-
-__all__ = ["CyclicError", "hc_dims", "t_of_key", "s_of_key", "MixedComplex", "DegreeTower",
-           "TowerReport", "hcminus_hp_dims"]
+from .monomial import CyclicError
 
 
 # ---------------------------------------------------------------------------

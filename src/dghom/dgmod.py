@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 
-from .exactfield import ChainComplex, operator_complex, tensor_complex
+from .exactfield import ChainComplex, operator_complex
 from .dgcore import (_NO_TABLE, DgCategory, ValidationReport, elem_scale, elem_eq, opposite,
                      tensor, tensor_info)
 
@@ -242,35 +242,6 @@ def tensor_action(base: DgCategory, values, act):
         return tab
 
     return table
-
-
-def external_tensor_module(m: DgModule, n: DgModule) -> DgModule:
-    """m (x) n over tensor(m.base, n.base):
-    (u (x) v).(f (x) g) = (-1)^{|f||v|} (u.f) (x) (v.g).
-    The basis labels of a value are the key pairs of tensor_complex."""
-    f = m.base.field
-    one = f.one()
-    base = tensor(m.base, n.base)
-    values = {(x, y): tensor_complex(f, (m.value(x), n.value(y))) for (x, y) in base.objects}
-    index = {obj: {k: (d, i) for d, lst in c.spaces.items() for i, k in enumerate(lst)}
-             for obj, c in values.items()}
-
-    def act(xo, yo, hk, vk):
-        kf, kg = hk
-        km, kn = values[yo].labels(vk[0])[vk[1]]
-        u = m.act(xo[0], yo[0], {km: one}, {kf: one})
-        if not u:
-            return {}
-        v = n.act(xo[1], yo[1], {kn: one}, {kg: one})
-        sgn = f.sign(kf[0] * kn[0])
-        out = {}
-        for ku, cu in u.items():
-            for kv, cv in v.items():
-                f.accumulate(out, index[xo][(ku, kv)], f.mul(sgn, f.mul(cu, cv)))
-        return out
-
-    return DgModule(base, values, tensor_action(base, values, act),
-                    name=f"{m.name} (x) {n.name}" if (m.name and n.name) else "")
 
 
 # ---------------------------------------------------------------------------

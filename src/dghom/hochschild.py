@@ -18,9 +18,6 @@ The normalized complex quotients the degeneracy images: inner factors
 requires the category to have unit basis vectors.  The total complex is
 cohomological with deg(chain) = (internal degree) - (bar degree); the
 reported HH_n is homology in total degree -n.
-
-``hh_dims`` and ``HochschildError`` are re-exported from ``monomial``,
-whose ``hh_dims`` imports ``CyclicBar`` only on its bar fallback.
 """
 
 from __future__ import annotations
@@ -29,9 +26,7 @@ import itertools
 
 from .exactfield import homology_quotient, operator_complex
 from .dgcore import DgCategory, tensor, tensor_info
-from .monomial import HochschildError, hh_dims
-
-__all__ = ["HochschildError", "hh_dims", "CyclicBar", "Ch0Class", "ch0", "ShuffleMap"]
+from .monomial import HochschildError
 
 
 def _require_unit_basis(a: DgCategory):

@@ -265,31 +265,33 @@ def monomial_algebra(a: DgCategory):
     return MonomialAlgebra(a, arrows, words, relations)
 
 
-def hh_dims(a: DgCategory, n_max: int, bar_bound: int | None = None) -> dict:
-    """HH_n dimensions for 0 <= n <= n_max with exact/truncated status.
+def hh_dims(a: DgCategory, n_max: int, bar_bound: int | None = None, n_min: int = 0) -> dict:
+    """HH_n dimensions for n_min <= n <= n_max with exact/truncated status.
 
-    With the automatic bar bound, a monomial input (``monomial_algebra``:
-    a closed degree-0 kQ/I with I spanned by paths) takes Bardzell's
-    complex, |AP(n)| x (dim of a hom) chains in degree n, exact in every
-    degree because it comes from a projective resolution of the
-    diagonal; HH is the sum of its weight summands.  Every other input,
-    and an explicit ``bar_bound``, takes the normalized cyclic bar, by
-    default cut at ``BarPlan.bar_bound`` of total degrees -n_max .. 0."""
-    if n_max < 0:
-        raise HochschildError("n_max must be >= 0")
+    With the automatic bar bound and n_min = 0, a monomial input
+    (``monomial_algebra``: a closed degree-0 kQ/I with I spanned by
+    paths) takes Bardzell's complex, |AP(n)| x (dim of a hom) chains in
+    degree n, exact in every degree because it comes from a projective
+    resolution of the diagonal; HH is the sum of its weight summands.
+    Every other input, a negative n_min (the floor of a graded input's
+    chain support), and an explicit ``bar_bound`` take the normalized
+    cyclic bar, by default cut at ``BarPlan.bar_bound`` of total degrees
+    -n_max .. -n_min."""
+    if n_max < max(n_min, 0):
+        raise HochschildError("n_max must be >= max(n_min, 0)")
     if bar_bound is None:
-        mono = monomial_algebra(a)
+        mono = monomial_algebra(a) if n_min == 0 else None
         if mono is not None:
             by_weight = mono.hh_by_weight(n_max).values()
             return {n: (sum(hh[n] for hh in by_weight), "exact") for n in range(n_max + 1)}
-        bar_bound = a.bar_plan().bar_bound(-n_max, 0)
+        bar_bound = a.bar_plan().bar_bound(-n_max, -n_min)
     elif bar_bound < 1:
         raise HochschildError("bar_bound must be >= 1")
     from .hochschild import CyclicBar
     total, _ = CyclicBar(a, bar_bound).total_complex()
     plan = a.bar_plan()
-    dims = homology_dims(total, (-n_max, 0))
-    return {n: (dims[-n], plan.status(-n, bar_bound)) for n in range(n_max + 1)}
+    dims = homology_dims(total, (-n_max, -n_min))
+    return {n: (dims[-n], plan.status(-n, bar_bound)) for n in range(n_min, n_max + 1)}
 
 
 def hc_dims(a: DgCategory, n_max: int, bar_bound: int | None = None) -> dict:

@@ -3,7 +3,8 @@ computed by two independent routes.  The dual of a is opposite(a), and
 evaluation and coevaluation are both carried by the diagonal bimodule,
 so no separate record of the dual data is kept: the triangle check and
 the duality route of the Euler characteristic build the modules they
-need directly.  The bar-degree bounds of the Euler routes come from the
+need directly.  The HH route of the Euler characteristic is
+``monomial.hh_dims``; the bar-degree bounds of both routes come from the
 category's ``BarPlan``.
 
 The triangle-identity check computes the derived composite
@@ -15,8 +16,7 @@ verified to be a quasi-isomorphism.  A "pass"
 additionally requires the smoothness certificate of ``smoothness`` (the
 coevaluation is a legitimate Morita morphism only for a perfect
 diagonal), so non-smooth inputs are reported inconclusive rather than
-falsely certified.  The properness and smoothness names are re-exported
-here.
+falsely certified.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ from .exactfield import Matrix, Subspace, homology_dims, homology_quotient, tens
 from .dgcore import DgCategory, opposite, tensor
 from .dgmod import (BarWindowError, DgModule, _diagonal_over, bar_composite, diagonal_bimodule,
                     tensor_action)
-from .hochschild import CyclicBar
+from .monomial import hh_dims
 from .smoothness import (SaturationReport, SmoothnessResult, properness_check, saturation_report,
                          smoothness_certify)
 
-__all__ = ["SaturationReport", "SmoothnessResult", "properness_check", "saturation_report",
-           "smoothness_certify", "EulerReport", "TriangleResult", "triangle_identity_check",
-           "euler_via_hh", "euler_via_duality", "euler_report"]
+# perfbench/tracer.py wraps smoothness_certify under this module's name
+__all__ = ["smoothness_certify"]
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +267,12 @@ def _comparison_quasi_iso(a: DgCategory, bars, X, Y, window):
 # Euler characteristics, two routes
 
 def euler_via_hh(a: DgCategory, smooth: SmoothnessResult | None = None):
-    """chi = alternating sum of the HH dims from the floor (negative for
-    positively graded homs) to the top degree, all read from one
-    Hochschild complex cut at ``BarPlan.bar_bound`` of that range; exact
-    when the chain support is certified finite or a smoothness
-    certificate bounds the resolution, and every degree of the range is
-    exact in that complex.  Otherwise the top degree is 4 and chi is
-    bound_limited."""
-    plan = a.bar_plan()
-    lo, top = plan.chain_support()
+    """chi = alternating sum of the HH dims (``hh_dims``) from the floor
+    (negative for positively graded homs) to the top degree; exact when
+    the chain support is certified finite or a smoothness certificate
+    bounds the resolution, and every degree of the range is exact.
+    Otherwise the top degree is 4 and chi is bound_limited."""
+    lo, top = a.bar_plan().chain_support()
     if top is not None:
         n_hi = max(top, 0)
         status = "exact"
@@ -286,12 +282,10 @@ def euler_via_hh(a: DgCategory, smooth: SmoothnessResult | None = None):
     else:
         n_hi = 4
         status = "bound_limited"
-    bar_bound = plan.bar_bound(-n_hi, -lo)
-    total, _ = CyclicBar(a, bar_bound).total_complex()
-    dims = homology_dims(total, (-n_hi, -lo))
-    if any(plan.status(t, bar_bound) != "exact" for t in dims):
+    dims = hh_dims(a, n_hi, n_min=lo)
+    if any(s != "exact" for _d, s in dims.values()):
         status = "bound_limited"
-    chi = sum((-1) ** (t % 2) * d for t, d in dims.items())
+    chi = sum((-1) ** (n % 2) * d for n, (d, _s) in dims.items())
     return chi, (lo, n_hi), status
 
 

@@ -37,8 +37,9 @@ truncation cannot reach; it walks the nonempty-hom digraph with
 built the composition factor by factor; it and `reference_opposite` and
 `reference_diagonal_action` fill every table in one eager pass, as the
 library did before it computed a table on its first read.  `bprime_of` (b' summed from the
-library's faces) is a test helper the library no longer carries.  So
-are the functor section's `DgFunctor`, `validate_functor`,
+library's faces) and `external_tensor_module` (m (x) n over the tensor
+of the bases, built on `dgmod.tensor_action`) are test helpers the
+library no longer carries.  So are the functor section's `DgFunctor`, `validate_functor`,
 `swap_functor` and `pullback_module`, the role-swap reference for the
 twisted module of `euler_via_duality` (the diagonal pulled back along
 the tensor swap), `restrict` (one slot of a diagonal bimodule fixed)
@@ -55,7 +56,7 @@ import itertools
 from dghom.cyclic import CyclicError, t_of_key
 from dghom.dgcore import (DgCategory, TensorInfo, ValidationReport, bar_degree_cap, elem_eq,
                           tensor, tensor_info)
-from dghom.dgmod import DgModule, ModuleMap
+from dghom.dgmod import DgModule, ModuleMap, tensor_action
 from dghom.exactfield import (FieldSpec, Matrix, homology_dims, kernel_basis, operator_matrix,
                                tensor_complex)
 from dghom.hochschild import CyclicBar
@@ -816,6 +817,35 @@ def reference_tensor_complex(field, factors):
         if entries:
             diffs[d] = Matrix(field, len(by_degree.get(d + 1, ())), len(combos), entries)
     return ChainComplex(field, by_degree, diffs)
+
+
+def external_tensor_module(m: DgModule, n: DgModule) -> DgModule:
+    """m (x) n over tensor(m.base, n.base):
+    (u (x) v).(f (x) g) = (-1)^{|f||v|} (u.f) (x) (v.g).
+    The basis labels of a value are the key pairs of tensor_complex."""
+    f = m.base.field
+    one = f.one()
+    base = tensor(m.base, n.base)
+    values = {(x, y): tensor_complex(f, (m.value(x), n.value(y))) for (x, y) in base.objects}
+    index = {obj: {k: (d, i) for d, lst in c.spaces.items() for i, k in enumerate(lst)}
+             for obj, c in values.items()}
+
+    def act(xo, yo, hk, vk):
+        kf, kg = hk
+        km, kn = values[yo].labels(vk[0])[vk[1]]
+        u = m.act(xo[0], yo[0], {km: one}, {kf: one})
+        if not u:
+            return {}
+        v = n.act(xo[1], yo[1], {kn: one}, {kg: one})
+        sgn = f.sign(kf[0] * kn[0])
+        out = {}
+        for ku, cu in u.items():
+            for kv, cv in v.items():
+                f.accumulate(out, index[xo][(ku, kv)], f.mul(sgn, f.mul(cu, cv)))
+        return out
+
+    return DgModule(base, values, tensor_action(base, values, act),
+                    name=f"{m.name} (x) {n.name}" if (m.name and n.name) else "")
 
 
 # ---------------------------------------------------------------------------

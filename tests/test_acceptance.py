@@ -11,10 +11,11 @@ from dghom.exactfield import ChainComplex
 from dghom.dgcore import disk_cell, opposite, sphere_cell, tensor
 from dghom.dgmod import (ModuleMap, shift_module, sn_pack, sn_unpack, tor_dims, validate_module,
                          yoneda_module)
-from dghom.hochschild import HochschildError, ShuffleMap, hh_dims
-from dghom.cyclic import MixedComplex, hc_dims, hcminus_hp_dims
-from dghom.saturation import (euler_via_duality, euler_via_hh, properness_check,
-                              saturation_report, smoothness_certify, triangle_identity_check)
+from dghom.hochschild import ShuffleMap
+from dghom.cyclic import MixedComplex, hcminus_hp_dims
+from dghom.monomial import HochschildError, hc_dims, hh_dims
+from dghom.saturation import euler_via_duality, euler_via_hh, triangle_identity_check
+from dghom.smoothness import properness_check, saturation_report, smoothness_certify
 from conftest import Q, random_small_category
 from oracles import convolution, module_map_space, unnormalized_exact_hh_dims
 

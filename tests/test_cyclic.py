@@ -4,8 +4,8 @@ from dghom import cyclic
 from dghom.exactfield import rank
 from dghom.dgcore import sphere_cell
 from dghom.cyclic import (CyclicError, MixedComplex, _column_homology, _column_total_dims,
-                          _column_total_matrix, hc_dims, hcminus_hp_dims, t_of_key)
-from dghom.hochschild import hh_dims
+                          _column_total_matrix, hcminus_hp_dims, t_of_key)
+from dghom.monomial import hc_dims, hh_dims
 from conftest import Q, F2, exterior_deg, identity
 from oracles import UnnormalizedCyclicBar, bprime_of, cyclic_operator
 

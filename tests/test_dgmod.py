@@ -5,11 +5,11 @@ import pytest
 from dghom.corpus import builtin_corpus
 from dghom.exactfield import ChainComplex, homology_dims, kernel_basis
 from dghom.dgcore import disk_cell, opposite, sphere_cell, unit_category
-from dghom.dgmod import (DgModule, ModuleMap, bar_composite, diagonal_bimodule,
-                         external_tensor_module, shift_module, sn_pack, sn_unpack, tor_dims,
-                         validate_module, yoneda_map, yoneda_module, BarWindowError)
+from dghom.dgmod import (DgModule, ModuleMap, bar_composite, diagonal_bimodule, shift_module,
+                         sn_pack, sn_unpack, tor_dims, validate_module, yoneda_map, yoneda_module,
+                         BarWindowError)
 from conftest import F3, Q, a3, contractible_category, random_small_category, exterior_deg
-from oracles import brute_tor_dims, dense_rank, module_map_space, restrict
+from oracles import brute_tor_dims, dense_rank, external_tensor_module, module_map_space, restrict
 
 
 def simple_module(cat, vertex):

@@ -5,7 +5,8 @@ import pytest
 
 from dghom.exactfield import homology_quotient, Subspace
 from dghom.dgcore import disk_cell, opposite, sphere_cell, tensor
-from dghom.hochschild import CyclicBar, HochschildError, ShuffleMap, ch0, hh_dims
+from dghom.hochschild import CyclicBar, ShuffleMap, ch0
+from dghom.monomial import HochschildError, hh_dims
 from conftest import (Q, F2, F3, F5, a3, contractible_category, exterior_deg, matrix_category,
                       random_small_category)
 from oracles import (UnnormalizedCyclicBar, brute_hochschild_dims, convolution,

@@ -5,7 +5,8 @@ process has already imported every dghom module.
 rest of its stack itself, and no library module pulls in `dataclasses`
 (with its `inspect`), so a run compiles only the modules it executes.
 `hh` and `hc` enter through `monomial`, which imports the bar engines
-(`hochschild`, `cyclic`) only when an input falls back to them.
+(`hochschild`, `cyclic`) only when an input falls back to them; so does
+the HH route of `euler`, which is `hh_dims`.
 """
 
 import json
@@ -32,6 +33,9 @@ KX3_F3_QUIVER = KX3_QUIVER.replace("field q", "field fp 3")
 
 # k<x, y>/(x^2, y^2, 2xy - yx): not monomial, so HH, HC and Tor come from the bar
 BINOMIAL_QUIVER = Path(__file__).resolve().parent / "golden" / "binomial.quiver"
+
+# arrows in degrees 1 and -1: the chain-support floor is -1, so HH comes from the bar
+GRADED_PATH_QUIVER = Path(__file__).resolve().parent / "golden" / "graded_path.quiver"
 
 A3_QUIVER = """\
 quiver
@@ -63,8 +67,8 @@ TRIANGLE = (f"import sys\nsys.path.insert(0, {str(PERFBENCH)!r})\nimport child\n
 # the dghom modules the triangle op loaded when this test was written: a
 # change that moves code between modules must not make it compile more
 TRIANGLE_MODULES = {"dghom", "dghom.dgcore", "dghom.dgmod", "dghom.exactfield", "dghom.grammar",
-                    "dghom.hochschild", "dghom.monomial", "dghom.presentation",
-                    "dghom.saturation", "dghom.smoothness"}
+                    "dghom.monomial", "dghom.presentation", "dghom.saturation",
+                    "dghom.smoothness"}
 
 # scenario -> (child code, modules it must leave unloaded, modules it must load)
 SCENARIOS = {
@@ -92,7 +96,12 @@ SCENARIOS = {
     "saturate-bar": (run_cli(["saturate", "binomial.quiver", "--bound", "2"]),
                      BARS + ["dghom.saturation", "dghom.corpus", "dataclasses"],
                      ["dghom.smoothness", "dghom.dgmod"]),
-    "triangle": (TRIANGLE, ["dataclasses"], sorted(TRIANGLE_MODULES)),
+    # A3 and A3/(ab) are monomial: the Euler HH route takes Bardzell's complex
+    "triangle": (TRIANGLE, BARS + ["dataclasses"], sorted(TRIANGLE_MODULES)),
+    "euler": (run_cli(["euler", "a3.quiver"]),
+              BARS + ["dghom.corpus", "dataclasses"], ["dghom.monomial", "dghom.saturation"]),
+    "euler-bar": (run_cli(["euler", "graded_path.quiver"]),
+                  ["dghom.cyclic", "dghom.corpus", "dataclasses"], ["dghom.hochschild"]),
     "setup": ("from dghom import grammar, validate\n"
               "cat, cert = grammar.load_path('kx3.quiver')\n"
               "assert validate(cat).ok and cert.is_closed\n", ["dataclasses"], []),
@@ -124,6 +133,7 @@ def test_command_loads_only_its_layers(scenario, tmp_path):
     (tmp_path / "a3.quiver").write_text(A3_QUIVER)
     (tmp_path / "a3_ab.quiver").write_text(A3_QUIVER + "relation 1 a.b\n")
     shutil.copy(BINOMIAL_QUIVER, tmp_path / "binomial.quiver")
+    shutil.copy(GRADED_PATH_QUIVER, tmp_path / "graded_path.quiver")
     code, absent, present = SCENARIOS[scenario]
     loaded = loaded_by(code, tmp_path)
     assert "dghom.exactfield" in loaded

@@ -1,15 +1,28 @@
+import random
+
 import pytest
 
 from dghom import dgcore, dgmod, hochschild, saturation
+from dghom.exactfield import homology_dims
 from dghom.dgcore import disk_cell, opposite, sphere_cell, tensor
 from dghom.dgmod import BarWindowError, _diagonal_over, diagonal_bimodule, validate_module
-from dghom.hochschild import hh_dims
+from dghom.monomial import HochschildError, hh_dims
 from dghom.presentation import from_quiver, realize
-from dghom.saturation import (euler_report, euler_via_duality, euler_via_hh, properness_check,
-                              saturation_report, smoothness_certify, triangle_identity_check)
-from conftest import Q, hom_dims
+from dghom.saturation import euler_report, euler_via_duality, euler_via_hh, triangle_identity_check
+from dghom.smoothness import properness_check, saturation_report, smoothness_certify
+from conftest import F3, Q, hom_dims, random_small_category
 from oracles import pullback_module, semisimple_quotient_left_module, swap_functor
 from test_triangle_modules import a3
+
+
+def graded_path4():
+    """Path 1 -> 2 -> 3 -> 4 with every arrow in degree 2: its HH reaches
+    down to degree -21."""
+    pres = from_quiver(Q, ["1", "2", "3", "4"],
+                       [("a", "1", "2", 2), ("b", "2", "3", 2), ("c", "3", "4", 2)])
+    cat, cert = realize(pres, 10, 5)
+    assert cert.is_closed
+    return cat
 
 
 class TestProperness:
@@ -230,13 +243,10 @@ class TestEuler:
         assert status_d == "exact" and chi_d == 2
 
     def test_hh_route_reads_every_degree_from_one_complex(self, monkeypatch):
-        """Path 1 -> 2 -> 3 -> 4 with every arrow in degree 2: HH_-21 ..
-        HH_0 come from one Hochschild complex whose bar bound covers all
-        of them, and the route says exact because each is exact there."""
-        pres = from_quiver(Q, ["1", "2", "3", "4"],
-                           [("a", "1", "2", 2), ("b", "2", "3", 2), ("c", "3", "4", 2)])
-        cat, cert = realize(pres, 10, 5)
-        assert cert.is_closed
+        """On graded_path4, HH_-21 .. HH_0 come from one Hochschild
+        complex whose bar bound covers all of them, and the route says
+        exact because each is exact there."""
+        cat = graded_path4()
         built = []
 
         class CountedBar(hochschild.CyclicBar):
@@ -244,9 +254,53 @@ class TestEuler:
                 built.append(args)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(saturation, "CyclicBar", CountedBar)
+        monkeypatch.setattr(hochschild, "CyclicBar", CountedBar)
         assert euler_via_hh(cat) == (4, (-21, 0), "exact")
         assert len(built) == 1
+
+    @pytest.mark.parametrize("field,seed", [(Q, 2601), (F3, 2602)], ids=["Q", "F3"])
+    def test_routes_agree_on_random_categories(self, field, seed):
+        """Wherever both routes are exact, chi agrees.  On a monomial
+        input the HH route reads Bardzell's resolution and the duality
+        route the two-sided bar, so they share no complex."""
+        rng = random.Random(seed)
+        exact = 0
+        for _ in range(60):
+            cat = random_small_category(rng, field)
+            try:
+                chi_dual, _, dual_status = euler_via_duality(cat)
+            except BarWindowError:
+                continue
+            chi_hh, _, hh_status = euler_via_hh(cat)
+            if hh_status == dual_status == "exact":
+                assert chi_hh == chi_dual, cat.name
+                exact += 1
+        assert exact >= 30
+
+
+class TestHHLowerDegree:
+    """hh_dims from a negative lower degree, the Euler HH route's floor."""
+
+    @pytest.mark.parametrize("build", [lambda: sphere_cell(1, Q), graded_path4],
+                             ids=["sphere1", "graded_path4"])
+    def test_matches_one_cyclic_bar(self, build):
+        cat = build()
+        plan = cat.bar_plan()
+        n_min, top = plan.chain_support()
+        n_max = max(top, 0)
+        assert n_min < 0
+        bar_bound = plan.bar_bound(-n_max, -n_min)
+        total, _ = hochschild.CyclicBar(cat, bar_bound).total_complex()
+        dims = homology_dims(total, (-n_max, -n_min))
+        got = hh_dims(cat, n_max, n_min=n_min)
+        assert sorted(got) == list(range(n_min, n_max + 1))
+        for n, value in got.items():
+            assert value == (dims[-n], plan.status(-n, bar_bound)), n
+
+    @pytest.mark.parametrize("n_min,n_max", [(3, 2), (-3, -1), (0, -1)])
+    def test_empty_range_refused(self, n_min, n_max):
+        with pytest.raises(HochschildError, match="n_max must be"):
+            hh_dims(sphere_cell(1, Q), n_max, n_min=n_min)
 
 
 class TestReportShapes:

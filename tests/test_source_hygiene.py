@@ -4,11 +4,15 @@ used in that module (or listed in its ``__all__``), every private
 somewhere in src/dghom, and every public one somewhere in src/dghom, in
 perfbench/ or in a code span of README.md.  Tests do not count as
 callers: a definition only a test reaches belongs in the tests.  Every
-name the benchmark's tracer wraps still resolves."""
+name the benchmark's tracer wraps still resolves, and README's library
+tour runs."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,3 +91,16 @@ def test_every_tracer_target_resolves():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), f"{module}.{attr}"
+
+
+def test_readme_library_tour_runs(tmp_path):
+    """The python block under README's "## Library tour", in a fresh
+    interpreter: a stale import path there fails here."""
+    text = (ROOT / "README.md").read_text()
+    tour = text[text.index("## Library tour"):]
+    code = re.search(r"```python\n(.*?)```", tour, flags=re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -9,10 +9,10 @@ import pytest
 
 from dghom.exactfield import tensor_complex
 from dghom.dgcore import disk_cell, opposite, tensor, validate
-from dghom.dgmod import external_tensor_module, validate_module, yoneda_module
+from dghom.dgmod import validate_module, yoneda_module
 from dghom.saturation import _triangle_modules
 from conftest import Q, F5, a3, contractible_category, random_small_category
-from oracles import reference_tensor_complex
+from oracles import external_tensor_module, reference_tensor_complex
 
 NM = list(itertools.product((1, 2), repeat=2))
 
