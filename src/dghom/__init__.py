@@ -9,8 +9,9 @@ certificate.
 Layers, bottom up:
 
 * ``exactfield`` -- fields, sparse matrices, chain complexes.
-* ``dgcore`` / ``presentation`` -- dg categories, cells, tensor products,
-  presentations and their realizations.
+* ``dgcore`` / ``presentation`` / ``cells`` -- dg categories, tensor
+  products, presentations and their realizations; the unit category and
+  the sphere and disk cells.
 * ``dgmod`` -- dg modules, the diagonal bimodule, the two-sided bar
   construction.
 * ``hochschild`` / ``cyclic`` -- cyclic-bar machinery: HH, mixed
@@ -25,8 +26,17 @@ Layers, bottom up:
 """
 
 from .exactfield import FieldSpec, Matrix, ChainComplex, rank, kernel_basis, homology_dims, euler_char
-from .dgcore import DgCategory, validate, unit_category, sphere_cell, disk_cell, opposite, tensor
+from .dgcore import DgCategory, validate, opposite, tensor
 from .presentation import Presentation, pushout_attach, pushout_attach_object, realize
+
+
+def __getattr__(name):
+    # the cells load on their first use: no command but check builds one
+    if name in ("unit_category", "sphere_cell", "disk_cell"):
+        from . import cells
+        return getattr(cells, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "FieldSpec", "Matrix", "ChainComplex", "rank", "kernel_basis",

@@ -7,7 +7,8 @@ from __future__ import annotations
 import json
 
 from .exactfield import FieldSpec, kernel_basis
-from .dgcore import tensor, unit_category
+from .dgcore import tensor
+from .cells import unit_category
 from .monomial import HochschildError, hh_dims
 from .presentation import PathElement, from_quiver, realize
 

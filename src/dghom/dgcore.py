@@ -1,4 +1,4 @@
-"""Finite dg categories: construction, validation, opposite, tensor, cells.
+"""Finite dg categories: construction, validation, opposite, tensor.
 
 Conventions, fixed once and pinned by ``validate``:
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from .exactfield import ChainComplex, FieldSpec, Matrix, tensor_complex
+from .exactfield import ChainComplex, FieldSpec, tensor_complex
 
 
 # ---------------------------------------------------------------------------
@@ -43,12 +43,29 @@ def elem_degree(a):
 _NO_TABLE = {}
 
 
+class _OnRead(dict):
+    """A dict that computes a missing value as ``fill(*key)`` on its
+    first read and keeps it."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(*key)
+        return value
+
+
 class DgCategory:
     """A finite dg category over an exact field.
 
     Data: ordered objects, a bounded finite-dimensional hom complex per
     ordered pair, composition structure constants and a chosen closed
     degree-0 unit per object.
+
+    ``homs`` is given as a dict by pair, stored as it is (a missing pair
+    is zero), or as a function of one pair (``opposite``, ``tensor``),
+    whose complex is built on its first read (``hom``) and cached.  The
+    ``homs`` property is the full view.
 
     ``products(x, y, z)`` is the product table of one triple: it maps a
     pair of basis keys ((dg, ig), (df, if)) with g in hom(y, z) and f in
@@ -73,15 +90,19 @@ class DgCategory:
                  name: str = "", closed: bool = True):
         self.field = field
         self.objects = tuple(objects)
-        self.homs = dict(homs)
+        # the stored complexes, or the cache of a function of one pair
+        if callable(homs):
+            self._homs = _OnRead(homs)
+        else:
+            self._homs = dict(homs)
+            for pair in itertools.product(self.objects, repeat=2):
+                if pair not in self._homs:
+                    self._homs[pair] = ChainComplex(field, {}, {})
         # the stored tables, or the cache of a function of one triple
         self._tables, self._compute = ({}, comp) if callable(comp) else (comp, None)
         self.units = dict(units)
         self.name = name
         self.closed = closed
-        for pair in itertools.product(self.objects, repeat=2):
-            if pair not in self.homs:
-                self.homs[pair] = ChainComplex(field, {}, {})
         for x in self.objects:
             if x not in self.units:
                 raise ValueError(f"missing unit for object {x!r}")
@@ -106,10 +127,17 @@ class DgCategory:
             self._compute = None
         return self._tables
 
-    # -- basic access -------------------------------------------------------
-
     def hom(self, x, y) -> ChainComplex:
-        return self.homs[(x, y)]
+        """The hom complex of (x, y), built on its first read."""
+        return self._homs[(x, y)]
+
+    @property
+    def homs(self) -> dict:
+        """Every hom complex by pair, in object order when built: the
+        first call builds them all and stores them."""
+        if type(self._homs) is _OnRead:
+            self._homs = {p: self._homs[p] for p in itertools.product(self.objects, repeat=2)}
+        return self._homs
 
     def unit(self, x) -> dict:
         return self.units[x]
@@ -239,30 +267,70 @@ class BarPlan:
     category (``DgCategory.bar_plan``): both bar engines and every
     bar-degree certificate read it.
 
-    ``unit_keys[x]`` is the unit key of x (None when the unit is not a
-    basis element); ``nonunit[(x, y)]`` the basis keys of hom(x, y) in
-    order, minus the unit key of a loop: the middle factors of a
-    normalized bar; ``succ[x]`` the objects y with a non-unit key in
-    hom(x, y), in object order: the non-unit digraph; ``max_bar`` its
-    longest path (normalized chains vanish beyond it), None when it has
-    a cycle; ``inner`` and ``outer`` the (min, max) degrees of the
-    non-unit keys and of all keys; ``differential`` whether any hom
-    complex has a nonzero differential (the bars skip their internal
-    differential when none has)."""
+    ``shapes[(x, y)]`` is the dimension by degree of hom(x, y), for the
+    nonzero pairs in object order; ``unit_keys[x]`` the unit key of x
+    (None when the unit is not a basis element); ``nonunit[(x, y)]``,
+    listed on its first read, the basis keys of hom(x, y) in order,
+    minus the unit key of a loop: the middle factors of a normalized
+    bar; ``succ[x]`` the objects y with a non-unit key in hom(x, y), in
+    object order: the non-unit digraph; ``max_bar`` its longest path
+    (normalized chains vanish beyond it), None when it has a cycle;
+    ``inner`` and ``outer`` the (min, max) degrees of the non-unit keys
+    and of all keys; ``differential`` whether any hom complex has a
+    nonzero differential (the bars skip their internal differential
+    when none has).
+
+    A tensor category is planned from its factors' plans: its nonzero
+    pairs are the choices of a nonzero pair in every factor, with the
+    convolution of their shapes, and it has a differential when a factor
+    has one.  So its plan builds no hom complex but the loops its unit
+    keys read."""
 
     def __init__(self, a: DgCategory):
         self.unit_keys = {x: a.unit_key(x) for x in a.objects}
-        self.nonunit = {}
-        for x, y in itertools.product(a.objects, repeat=2):
-            unit = self.unit_keys[x] if x == y else None
-            spaces = a.homs[(x, y)].spaces
-            self.nonunit[(x, y)] = [(d, i) for d in sorted(spaces) for i in range(len(spaces[d]))
-                                    if (d, i) != unit]
-        self.succ = {x: [y for y in a.objects if self.nonunit[(x, y)]] for x in a.objects}
+        info = getattr(a, "_tensor", None)
+        if info is None:
+            self.shapes = {p: {d: len(labels) for d, labels in c.spaces.items()}
+                           for p in itertools.product(a.objects, repeat=2)
+                           if (c := a.hom(*p)).spaces}
+            self.differential = any(a.hom(*p).diffs for p in self.shapes)
+        else:
+            plans = [c.bar_plan() for c in info.factors]
+            # per factor, the objects y with hom(x, y) nonzero, by x
+            nonzero = [{} for _ in plans]
+            for targets, plan in zip(nonzero, plans):
+                for x, y in plan.shapes:
+                    targets.setdefault(x, []).append(y)
+            self.shapes = {}
+            for x in a.objects:
+                for y in itertools.product(*[t.get(xi, ()) for t, xi in zip(nonzero, x)]):
+                    shape = {0: 1}
+                    for plan, xi, yi in zip(plans, x, y):
+                        conv = {}
+                        for d, n in shape.items():
+                            for e, m in plan.shapes[(xi, yi)].items():
+                                conv[d + e] = conv.get(d + e, 0) + n * m
+                        shape = conv
+                    self.shapes[(x, y)] = shape
+            self.differential = bool(self.shapes) and any(p.differential for p in plans)
+        self.nonunit = _OnRead(self._nonunit)
+        self.succ = {x: [] for x in a.objects}
+        inner = []
+        for (x, y), shape in self.shapes.items():
+            # the unit key is one key of degree 0
+            degrees = [d for d, n in shape.items()
+                       if x != y or d or n > 1 or self.unit_keys[x] is None]
+            if degrees:
+                self.succ[x].append(y)
+                inner += degrees
         self.max_bar = _longest_path(self.succ)
-        self.inner = _bounds(k[0] for keys in self.nonunit.values() for k in keys)
-        self.outer = _bounds(d for c in a.homs.values() for d in c.spaces)
-        self.differential = any(c.diffs for c in a.homs.values())
+        self.inner = _bounds(inner)
+        self.outer = _bounds(d for shape in self.shapes.values() for d in shape)
+
+    def _nonunit(self, x, y):
+        shape = self.shapes.get((x, y), {})
+        unit = self.unit_keys[x] if x == y else None
+        return [(d, i) for d in sorted(shape) for i in range(shape[d]) if (d, i) != unit]
 
     def walks(self, m: int, starts, ends):
         """The walks (x_0, ..., x_m) of the non-unit digraph from
@@ -300,12 +368,12 @@ class BarPlan:
         """Largest bar degree of a two-sided bar chain over this category
         that can reach total degrees t_lo - 1 .. t_hi + 1, between modules
         whose values have degree bounds ``x_bounds`` and ``y_bounds``
-        (None: no value), or None if unbounded.  Every middle factor is
-        bounded by ``outer``, the degrees of all keys."""
+        (None: no value), or None if unbounded.  Every middle factor is a
+        non-unit key, so ``inner`` bounds its degree."""
         if x_bounds is None or y_bounds is None:
             return 0
         return bar_degree_cap((x_bounds[0] + y_bounds[0], x_bounds[1] + y_bounds[1]),
-                              self.outer, self.max_bar, t_lo, t_hi)
+                              self.inner, self.max_bar, t_lo, t_hi)
 
     def status(self, t: int, bar_bound: int) -> str:
         """"exact" when homology at total degree t is unaffected by
@@ -414,68 +482,13 @@ def validate(a: DgCategory) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# constructors
-
-def _one_dim_hom(field, label, degree):
-    return ChainComplex(field, {degree: (label,)}, {})
-
-
-def unit_category(field: FieldSpec) -> DgCategory:
-    """One object, hom = the field in degree 0."""
-    one = field.one()
-    homs = {("*", "*"): _one_dim_hom(field, "1", 0)}
-    comp = {("*", "*", "*"): {(((0, 0), (0, 0))): {0: one}}}
-    units = {"*": {(0, 0): one}}
-    return DgCategory(field, ("*",), homs, comp, units, name="unit")
-
-
-def _two_object_cell(field, obj_a, obj_b, arrow_complex, arrow_units_action):
-    """Shared shape of the sphere and disk cells: two objects, scalar
-    endomorphisms, all morphisms from the first to the second."""
-    one = field.one()
-    homs = {
-        (obj_a, obj_a): _one_dim_hom(field, "1", 0),
-        (obj_b, obj_b): _one_dim_hom(field, "1", 0),
-        (obj_a, obj_b): arrow_complex,
-        (obj_b, obj_a): ChainComplex(field, {}, {}),
-    }
-    comp = {
-        (obj_a, obj_a, obj_a): {((0, 0), (0, 0)): {0: one}},
-        (obj_b, obj_b, obj_b): {((0, 0), (0, 0)): {0: one}},
-    }
-    comp[(obj_a, obj_a, obj_b)] = {((d, i), (0, 0)): {i: one} for (d, i) in arrow_units_action}
-    comp[(obj_a, obj_b, obj_b)] = {((0, 0), (d, i)): {i: one} for (d, i) in arrow_units_action}
-    units = {obj_a: {(0, 0): one}, obj_b: {(0, 0): one}}
-    return DgCategory(field, (obj_a, obj_b), homs, comp, units)
-
-
-def sphere_cell(n: int, field: FieldSpec) -> DgCategory:
-    """Two objects 1, 2; hom(1,2) is the field in degree n; no morphisms
-    back; scalar endomorphisms."""
-    arrow = _one_dim_hom(field, "s", n)
-    cat = _two_object_cell(field, "1", "2", arrow, [(n, 0)])
-    cat.name = f"S({n})"
-    return cat
-
-
-def disk_cell(n: int, field: FieldSpec) -> DgCategory:
-    """Two objects 3, 4; hom(3,4) is the acyclic two-term complex
-    k --id--> k in degrees n-2, n-1 (the cone direction places the new
-    generator one degree below its boundary)."""
-    arrow = ChainComplex(
-        field,
-        {n - 2: ("h",), n - 1: ("c",)},
-        {n - 2: Matrix(field, 1, 1, {(0, 0): field.one()})},
-    )
-    cat = _two_object_cell(field, "3", "4", arrow, [(n - 2, 0), (n - 1, 0)])
-    cat.name = f"D({n})"
-    return cat
-
+# opposite and tensor
 
 def opposite(a: DgCategory) -> DgCategory:
     """Same objects, hom(x,y) := a.hom(y,x), composition transposed with
     the Koszul sign (-1)^{|f||g|}: the table of (x, y, z) is computed
-    from ``a.products(z, y, x)`` on its first read.
+    from ``a.products(z, y, x)`` on its first read, and the hom pair on
+    its first read too.
 
     The opposite of a tensor category A_1 (x) .. (x) A_n is
     A_1^op (x) .. (x) A_n^op key tuple for key tuple and sign for sign,
@@ -484,7 +497,6 @@ def opposite(a: DgCategory) -> DgCategory:
     so a reader can tell an opposite(a) without comparing tables."""
     f = a.field
     minus = f.sign(1)
-    homs = {(x, y): a.homs[(y, x)] for (x, y) in itertools.product(a.objects, repeat=2)}
 
     def products(x, y, z):
         # kf in a.hom(y,x) composed after kg in a.hom(z,y) gives, for g in
@@ -493,71 +505,80 @@ def opposite(a: DgCategory) -> DgCategory:
         return {(kg, kf): elem_scale(f, minus, prod) if kf[0] * kg[0] & 1 else prod
                 for (kf, kg), prod in a.products(z, y, x).items()}
 
-    out = DgCategory(f, a.objects, homs, products, dict(a.units),
+    out = DgCategory(f, a.objects, lambda x, y: a.hom(y, x), products, dict(a.units),
                      name=f"op({a.name})" if a.name else "", closed=a.closed)
     out.op_source = a
     info = getattr(a, "_tensor", None)
     if info is not None:
-        out._tensor = TensorInfo(opposite(c) for c in info.factors)
-        out._tensor.keys = {(x, y): info.keys[(y, x)] for (x, y) in homs}
-        out._tensor.index = {(x, y): info.index[(y, x)] for (x, y) in homs}
+        out._tensor = TensorInfo((opposite(c) for c in info.factors), a.objects,
+                                 lambda x, y: info.pair(y, x))
     return out
 
 
 class TensorInfo:
-    """Basis bookkeeping of a tensor category, filled by ``tensor``: per
-    hom pair, the key tuples over the factors by degree (the hom basis in
-    order) and the flat key (degree, index) of each key tuple."""
+    """Basis bookkeeping of a tensor category (``tensor``).  ``pair(x, y)``
+    is (hom(x, y), its key tuples over the factors by degree, the flat
+    key (degree, index) of each key tuple), made by the function ``pair``
+    on the first read of the pair; the key tuples list the hom basis in
+    order.  ``keys`` and ``index`` are the full views by pair, in object
+    order."""
 
-    def __init__(self, factors):
+    def __init__(self, factors, objects, pair):
         self.factors = tuple(factors)
-        self.keys = {}       # (x, y) -> {degree: (keytuple, ...)}
-        self.index = {}      # (x, y) -> {keytuple: (degree, idx)}
+        self.objects = tuple(objects)
+        self._pairs = _OnRead(pair)
+
+    def pair(self, x, y):
+        return self._pairs[(x, y)]
+
+    @property
+    def keys(self) -> dict:
+        return {p: self._pairs[p][1] for p in itertools.product(self.objects, repeat=2)}
+
+    @property
+    def index(self) -> dict:
+        return {p: self._pairs[p][2] for p in itertools.product(self.objects, repeat=2)}
 
 
 def tensor(*cats: DgCategory) -> DgCategory:
     """Tensor product of dg categories: objects are tuples, hom complexes
     are tensor products of the factors' hom complexes, with Koszul signs
-    in differential and composition.  The hom complexes are built here;
-    the product table of a triple is computed on its first read, from
-    the factors' tables at (x_i, y_i, z_i), in the order of the basis
-    pairs (g, f), g slowest.  Carries basis bookkeeping for module
-    builders."""
+    in differential and composition.  A hom complex and its basis
+    bookkeeping (``TensorInfo``, for module builders) are built on the
+    first read of the pair; the product table of a triple is computed
+    on its first read, from the factors' tables at (x_i, y_i, z_i), in
+    the order of the basis pairs (g, f), g slowest.  Its BarPlan comes
+    from the factors' plans."""
     if not cats:
         raise ValueError("tensor of no categories")
     field = cats[0].field
     for c in cats[1:]:
         if c.field != field:
             raise ValueError("field mismatch in tensor")
-    info = TensorInfo(cats)
     objects = list(itertools.product(*(c.objects for c in cats)))
-    # a hom pair with a zero factor is zero: only a choice of a nonzero
-    # hom pair in every factor gets a tensor product of complexes
-    live = {tuple(zip(*pairs)): [c.homs[p] for c, p in zip(cats, pairs)]
-            for pairs in itertools.product(*[[p for p, h in c.homs.items() if h.spaces] for c in cats])}
-    homs = {}
-    # place[(x, y)]: the flat key of each key tuple of hom(x, y), and the
-    # place in its basis order of the first key of each degree
-    place = {}
-    zero = ChainComplex(field, {}, {})
-    for x in objects:
-        for y in objects:
-            factors = live.get((x, y))
-            if factors is None:
-                homs[(x, y)] = zero
-                info.keys[(x, y)] = info.index[(x, y)] = {}
-                continue
-            hom = tensor_complex(field, factors)
-            keys = info.keys[(x, y)] = hom.spaces
-            index = info.index[(x, y)] = {k: (d, i) for d, lst in keys.items() for i, k in enumerate(lst)}
-            starts = itertools.accumulate(map(len, keys.values()), initial=0)
-            place[(x, y)] = index, dict(zip(keys, starts))
-            # the labels are tuples of factor labels, as grammar.dumps prints them
-            hom.spaces = {d: tuple(tuple([c.spaces[k[0]][k[1]] for c, k in zip(factors, combo)])
-                                   for combo in lst)
-                          for d, lst in keys.items()}
-            homs[(x, y)] = hom
+    zero = ChainComplex(field, {}, {}), {}, {}
+
+    def pair(x, y):
+        factors = [c.hom(xi, yi) for c, xi, yi in zip(cats, x, y)]
+        # a hom pair with a zero factor is zero
+        if not all(h.spaces for h in factors):
+            return zero
+        hom = tensor_complex(field, factors)
+        keys = hom.spaces
+        # the labels are tuples of factor labels, as grammar.dumps prints them
+        hom.spaces = {d: tuple(tuple([c.spaces[k[0]][k[1]] for c, k in zip(factors, combo)])
+                               for combo in lst)
+                      for d, lst in keys.items()}
+        return hom, keys, {k: (d, i) for d, lst in keys.items() for i, k in enumerate(lst)}
+
+    info = TensorInfo(cats, objects, pair)
     signs = (field.one(), field.of_int(-1))
+
+    def place(x, y):
+        # the flat key of each key tuple of hom(x, y), and the place in its
+        # basis order of the first key of each degree
+        _, keys, index = info.pair(x, y)
+        return index, dict(zip(keys, itertools.accumulate(map(len, keys.values()), initial=0)))
 
     def products(x, y, z):
         # a nonzero product of the tensor is a choice of a nonzero product
@@ -570,8 +591,8 @@ def tensor(*cats: DgCategory) -> DgCategory:
                 return {}
             tables.append([(kg, kf, [((kg[0] + kf[0], ih), v) for ih, v in prod.items()])
                            for (kg, kf), prod in table.items()])
-        (index_g, start_g), (index_f, start_f) = place[(y, z)], place[(x, y)]
-        index = place[(x, z)][0]
+        (index_g, start_g), (index_f, start_f) = place(y, z), place(x, y)
+        index = info.pair(x, z)[2]
         out = []
         for parts in itertools.product(*tables):
             g, f, terms = zip(*parts)
@@ -592,18 +613,19 @@ def tensor(*cats: DgCategory) -> DgCategory:
         # in the order of the places of (g, f) in the basis orders, g
         # slowest; the places are unique, so the sort never compares past them
         out.sort()
-        return {pair: prod for _, _, pair, prod in out}
+        return {gf: prod for _, _, gf, prod in out}
 
     units = {}
     for x in objects:
         units[x] = expansion = {}
+        index = info.pair(x, x)[2]
         for combo in itertools.product(*[c.unit(xi).items() for c, xi in zip(cats, x)]):
             val = field.one()
             for _, v in combo:
                 val = field.mul(val, v)
-            field.accumulate(expansion, info.index[(x, x)][tuple([k for k, _ in combo])], val)
+            field.accumulate(expansion, index[tuple([k for k, _ in combo])], val)
     name = " (x) ".join(c.name or "?" for c in cats)
-    out = DgCategory(field, objects, homs, products, units, name=name,
+    out = DgCategory(field, objects, lambda x, y: info.pair(x, y)[0], products, units, name=name,
                      closed=all(c.closed for c in cats))
     out._tensor = info
     return out

@@ -233,7 +233,7 @@ def tensor_action(base: DgCategory, values, act):
         tab = {}
         if xo not in val_keys or yo not in val_keys:
             return tab
-        for dh, hlist in info.keys[(xo, yo)].items():
+        for dh, hlist in info.pair(xo, yo)[1].items():
             for ih, hk in enumerate(hlist):
                 for vk in val_keys[yo]:
                     res = act(xo, yo, hk, vk)
@@ -377,7 +377,7 @@ def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory):
     tables; the internal differential is skipped when neither the middle
     category nor a module value has one."""
     f = mid.field
-    products, homs = mid.products, mid.homs
+    products, hom = mid.products, mid.hom
     x_actions, y_actions = X.actions, Y.actions
     plan = mid.bar_plan()
     unit_keys = plan.unit_keys
@@ -434,7 +434,7 @@ def _bar_differential(X: DgModule, Y: DgModule, mid: DgCategory):
             # beta_i spans hom(objs[p-i-1], objs[p-i])
             src, tgt = objs[p - i - 1], objs[p - i]
             unit = unit_keys[src] if src == tgt else None
-            for bk2, v in homs[(src, tgt)].d_of(bk):
+            for bk2, v in hom(src, tgt).d_of(bk):
                 if bk2 != unit:
                     f.accumulate(out, (objs, km, betas[:i] + (bk2,) + betas[i + 1:], kn),
                                  f.neg(v) if sign_accum & 1 else v)
@@ -552,7 +552,7 @@ def yoneda_map(a: DgCategory, x, dst: DgModule, n: int, e: dict) -> ModuleMap:
 def sn_pack(m: DgModule, m2: DgModule, fmap: ModuleMap):
     """Package (m, m2, f) as a right module over opposite(S(n)) (x) A,
     where n = fmap.degree.  Inverse to sn_unpack on the nose."""
-    from .dgcore import sphere_cell
+    from .cells import sphere_cell
     if fmap.src is not m and fmap.src != m:
         raise ValueError("map source mismatch")
     if fmap.dst is not m2 and fmap.dst != m2:
@@ -597,7 +597,7 @@ def sn_unpack(X: DgModule):
 
     def entries(xo, yo):
         # the table of (xo, yo) as (sphere key, a key, value key, product)
-        keys = info.keys[(xo, yo)]
+        keys = info.pair(xo, yo)[1]
         for ((dh, ih), km), prod in X.actions(xo, yo).items():
             ks, ka = keys[dh][ih]
             yield ks, ka, km, prod

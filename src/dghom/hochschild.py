@@ -306,7 +306,7 @@ class ShuffleMap:
 
     def _pair_hom_key(self, xa, ya, ka, xb, yb, kb):
         """Flat key of ka (x) kb in the tensor category."""
-        return self.info.index[((xa, xb), (ya, yb))][(ka, kb)]
+        return self.info.pair((xa, xb), (ya, yb))[2][(ka, kb)]
 
     def apply_pair(self, key_a, key_b) -> dict:
         """sh on a pair of chains; output {ab-chain key: scalar}.

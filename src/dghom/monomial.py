@@ -231,7 +231,7 @@ def monomial_algebra(a: DgCategory):
             f_unit = x == y and kf == unit_keys[x]
             if not (g_unit or f_unit):
                 products.add((x, z, (0, next(iter(prod)))))
-    arrows = [(x, y, k) for (x, y), nonunit in plan.nonunit.items() for k in nonunit
+    arrows = [(x, y, k) for x, ys in plan.succ.items() for y in ys for k in plan.nonunit[(x, y)]
               if (x, y, k) not in products]
     out_arrows = {}
     for i, (x, _y, _k) in enumerate(arrows):
@@ -260,7 +260,7 @@ def monomial_algebra(a: DgCategory):
                 words[wb] = node
                 nxt.append(wb)
         layer = nxt
-    if len(words) != sum(map(len, plan.nonunit.values())):
+    if len(words) != sum(len(plan.nonunit[(x, y)]) for x, ys in plan.succ.items() for y in ys):
         return None
     return MonomialAlgebra(a, arrows, words, relations)
 

@@ -101,7 +101,8 @@ def _degree_zero_hypotheses(a: DgCategory):
             if x == z and prod.get(unit_keys[x][1]):
                 return "non-unit span is not an ideal (a product hits a unit)"
     # ... and nilpotent (admissibility)
-    spans = {pair: [{k: f.one()} for k in keys] for pair, keys in plan.nonunit.items() if keys}
+    spans = {(x, y): [{k: f.one()} for k in plan.nonunit[(x, y)]]
+             for x, ys in plan.succ.items() for y in ys}
     current = spans
     for _ in range(a.total_dim() + 1):
         if not current:

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from dghom.cells import disk_cell, sphere_cell
 from dghom.exactfield import ChainComplex, FieldSpec, Matrix
 from dghom.corpus import builtin_corpus, kx2, path12, product_kk, unit
-from dghom.dgcore import DgCategory, disk_cell, opposite, sphere_cell, tensor
+from dghom.dgcore import DgCategory, opposite, tensor
 from dghom.presentation import PathElement, from_quiver, realize
 
 Q = FieldSpec.rationals()

@@ -576,7 +576,7 @@ def reference_bar_diff(X, Y, mid, key, la=None, rc=None, left_spect=None, right_
             return X.act(b_new, b_old, xelem, {beta_key: one})
         src, dst = (la, b_new), (la, b_old)
         info = tensor_info(X.base)
-        fe = {info.index[(src, dst)][(ku, beta_key)]: cu for ku, cu in left_spect.unit(la).items()}
+        fe = {info.pair(src, dst)[2][(ku, beta_key)]: cu for ku, cu in left_spect.unit(la).items()}
         return X.act(src, dst, xelem, fe)
 
     def y_act(b_new, b_old, yelem, beta_key):
@@ -584,7 +584,7 @@ def reference_bar_diff(X, Y, mid, key, la=None, rc=None, left_spect=None, right_
             return Y.act(b_new, b_old, yelem, {beta_key: one})
         src, dst = (b_new, rc), (b_old, rc)
         info = tensor_info(Y.base)
-        fe = {info.index[(src, dst)][(beta_key, ku)]: cu for ku, cu in right_spect.unit(rc).items()}
+        fe = {info.pair(src, dst)[2][(beta_key, ku)]: cu for ku, cu in right_spect.unit(rc).items()}
         return Y.act(src, dst, yelem, fe)
 
     objs, km, betas, kn = key
@@ -662,23 +662,23 @@ def reference_tensor(*cats: DgCategory) -> DgCategory:
 
     The library's tensor before it built the composition factor by
     factor: every basis pair (g, f) over every walk of length 2 of the
-    nonempty-hom digraph, kept when each factor's product is nonzero."""
+    nonempty-hom digraph, kept when each factor's product is nonzero.
+    Every hom complex and its bookkeeping is built here, at once."""
     if not cats:
         raise ValueError("tensor of no categories")
     field = cats[0].field
     for c in cats[1:]:
         if c.field != field:
             raise ValueError("field mismatch in tensor")
-    info = TensorInfo(cats)
     objects = list(itertools.product(*(c.objects for c in cats)))
-    homs = {}
+    homs, info_keys, info_index = {}, {}, {}
     neg_one = field.of_int(-1)
     for x in objects:
         for y in objects:
             factors = [c.hom(xi, yi) for c, xi, yi in zip(cats, x, y)]
             hom = tensor_complex(field, factors)
-            keys = info.keys[(x, y)] = hom.spaces
-            info.index[(x, y)] = {k: (d, i) for d, lst in keys.items() for i, k in enumerate(lst)}
+            keys = info_keys[(x, y)] = hom.spaces
+            info_index[(x, y)] = {k: (d, i) for d, lst in keys.items() for i, k in enumerate(lst)}
             # the labels are tuples of factor labels, as grammar.dumps prints them
             hom.spaces = {d: tuple(tuple(c.labels(k[0])[k[1]] for c, k in zip(factors, combo))
                                    for combo in lst)
@@ -686,9 +686,9 @@ def reference_tensor(*cats: DgCategory) -> DgCategory:
             homs[(x, y)] = hom
     comp = {}
     for x, y, z in walks(objects, hom_graph(homs), 2):
-        xy = info.keys[(x, y)]
-        yz = info.keys[(y, z)]
-        idx_xz = info.index[(x, z)]
+        xy = info_keys[(x, y)]
+        yz = info_keys[(y, z)]
+        idx_xz = info_index[(x, z)]
         table = {}
         for dg, gcombos in yz.items():
             for ig, gcombo in enumerate(gcombos):
@@ -726,7 +726,7 @@ def reference_tensor(*cats: DgCategory) -> DgCategory:
             comp[(x, y, z)] = table
     units = {}
     for x in objects:
-        index = info.index[(x, x)]
+        index = info_index[(x, x)]
         expansion = {}
         for combo in itertools.product(*[[(k, v) for k, v in cats[i].unit(x[i]).items()]
                                          for i in range(len(cats))]):
@@ -739,7 +739,8 @@ def reference_tensor(*cats: DgCategory) -> DgCategory:
     name = " (x) ".join(c.name or "?" for c in cats)
     out = DgCategory(field, objects, homs, comp, units, name=name,
                      closed=all(c.closed for c in cats))
-    out._tensor = info
+    out._tensor = TensorInfo(cats, objects,
+                             lambda x, y: (homs[(x, y)], info_keys[(x, y)], info_index[(x, y)]))
     return out
 
 
@@ -899,11 +900,11 @@ def reference_triangle_modules(a):
     def _flat_components(role, flat, xo, yo):
         if role == "X":
             k1, kmid = flat
-            k2, k3, k4 = mid_info.keys[(xo[1], yo[1])][kmid[0]][kmid[1]]
+            k2, k3, k4 = mid_info.pair(xo[1], yo[1])[1][kmid[0]][kmid[1]]
             return k1, k2, k3, k4
         kmid, k4 = flat
         # hom of opposite(mid) decomposes with the same flat keys as mid
-        k1, k2, k3 = mid_info.keys[(yo[0], xo[0])][kmid[0]][kmid[1]]
+        k1, k2, k3 = mid_info.pair(yo[0], xo[0])[1][kmid[0]][kmid[1]]
         return k1, k2, k3, k4
 
     def _dd_act(cat, f, role, xo, yo, k1, k2, k3, k4, km, kn):
@@ -1178,7 +1179,7 @@ def semisimple_quotient_left_module(a):
     action = {}
     for obj in base.objects:
         x, y = obj
-        index = info.index[(obj, obj)]
+        index = info.pair(obj, obj)[2]
         key = index[(unit_keys[x], unit_keys[y])]
         action[(obj, obj)] = {(key, (0, 0)): {0: f.one()}}
     return DgModule(base, values, action, name=f"S({a.name or '?'})")
@@ -1277,7 +1278,7 @@ def swap_functor(a: DgCategory, b: DgCategory) -> DgFunctor:
     for x in src.objects:
         for y in src.objects:
             sx, sy = object_map[x], object_map[y]
-            by_degree = info_s.keys[(x, y)]
+            by_degree = info_s.pair(x, y)[1]
             idx_t = info_t.index[(sx, sy)]
             maps = {}
             for d, combos in by_degree.items():
@@ -1286,7 +1287,7 @@ def swap_functor(a: DgCategory, b: DgCategory) -> DgFunctor:
                     dd, row = idx_t[(kb, ka)]
                     sgn = field.sign(ka[0] * kb[0])
                     entries[(row, col)] = sgn
-                n_rows = len(info_t.keys[(sx, sy)].get(d, ()))
+                n_rows = len(info_t.pair(sx, sy)[1].get(d, ()))
                 if entries:
                     maps[d] = Matrix(field, n_rows, len(combos), entries)
             hom_maps[(x, y)] = maps
@@ -1331,7 +1332,7 @@ def restrict(x, diag: DgModule) -> DgModule:
     values = {y: diag.value((x, y)) for y in a.objects}
     action = {}
     for (y, yp) in itertools.product(a.objects, repeat=2):
-        index = info.index[((x, y), (x, yp))]
+        index = info.pair((x, y), (x, yp))[2]
         tab = {}
         for kg in a.basis_keys(y, yp):
             # element 1_x (x) g of base.hom((x,y),(x,yp))

@@ -7,8 +7,9 @@ stated wall-clock budgets are asserted where the criterion pins one.
 
 import time
 
+from dghom.cells import disk_cell, sphere_cell
 from dghom.exactfield import ChainComplex
-from dghom.dgcore import disk_cell, opposite, sphere_cell, tensor
+from dghom.dgcore import opposite, tensor
 from dghom.dgmod import (ModuleMap, shift_module, sn_pack, sn_unpack, tor_dims, validate_module,
                          yoneda_module)
 from dghom.hochschild import ShuffleMap

@@ -16,17 +16,21 @@ import random
 from pathlib import Path
 
 from dghom import dgcore, grammar, saturation
-from dghom.dgcore import DgCategory, disk_cell, opposite, sphere_cell, tensor
+from dghom.cells import disk_cell, sphere_cell
+from dghom.dgcore import BarPlan, DgCategory, opposite, tensor
 from dghom.dgcore import bar_degree_cap
 from dghom.dgmod import BarWindowError, DgModule, bar_composite, yoneda_module
+from dghom.exactfield import ChainComplex
 from dghom.hochschild import CyclicBar
-from conftest import (Q, contractible_category, exterior_deg, matrix_category,
+from conftest import (F3, Q, contractible_category, exterior_deg, matrix_category,
                       random_small_category)
 from oracles import (ReferenceContributionPlan, _factor_keys, auto_bar_bound, hc_auto_bar_bound,
                      reference_ch0_bar_bound, reference_chain_support,
                      reference_euler_hh_bar_bound, reference_hp_bar_bound,
-                     reference_longest_path_bound, reference_plan_bar_bound)
+                     reference_longest_path_bound, reference_opposite, reference_plan_bar_bound,
+                     reference_tensor)
 from test_triangle_modules import a3
+from test_walks import two_cycle
 
 WINDOWS = [(lo, lo + w) for lo in range(-6, 5) for w in range(4)]
 BAR_BOUNDS = [0, 1, 2, 4]
@@ -78,6 +82,72 @@ def test_plan_matches_contribution_plan(corpus):
     assert hit == ALL_BRANCHES
 
 
+def _scaled_unit(c):
+    """One object whose hom is the field on e, with e.e = e/c: the unit
+    c.e is not a basis element with coefficient 1 unless c = 1."""
+    e = (0, 0)
+    return DgCategory(Q, ("*",), {("*", "*"): ChainComplex(Q, {0: ("e",)}, {})},
+                      {("*", "*", "*"): {(e, e): {0: Q.div(Q.one(), c)}}}, {"*": {e: c}},
+                      name=f"unit*{c}")
+
+
+def _tensor_cases(corpus):
+    cats = list(corpus.values())
+    cases = [(a, b) for a in cats for b in cats]
+    cases += [tuple(cats[:3]), (cats[1], opposite(cats[2]), cats[1])]
+    cases += [(a, opposite(a), a) for a in (a3((1, -1)), two_cycle())]
+    cases += [(opposite(a), a) for a in (a3((1, -1)), two_cycle())]
+    cells = [disk_cell(1, Q), sphere_cell(1, Q)]
+    cases += [tuple(cells), (cells[1], opposite(cells[1]), cells[0]), (cells[0], cells[0])]
+    # degrees that add up alike: several key tuples per degree, the unit one of them
+    cases.append((exterior_deg(Q, 1), exterior_deg(Q, -1)))
+    rng = random.Random(27)
+    for field in (Q, F3):
+        draws = [random_small_category(rng, field) for _ in range(12)]
+        cases += list(zip(draws[::2], draws[1::2])) + [tuple(draws[:3])]
+    # tensor units that are not basis elements, and one that is while
+    # neither factor's is; a non-unit cycle beside a differential
+    two, half = _scaled_unit(Q.of_int(2)), _scaled_unit(Q.div(Q.one(), Q.of_int(2)))
+    cases += [(two, corpus["kx2"]), (two, corpus["path12"]), (corpus["path12"], half, two), (two, half),
+              (matrix_category(Q), contractible_category(Q))]
+    return cases
+
+
+def _plan_fields(plan):
+    return (list(plan.shapes.items()), plan.unit_keys, plan.succ, plan.max_bar, plan.inner,
+            plan.outer, plan.differential)
+
+
+def test_tensor_plan_comes_from_the_factors(corpus):
+    """A tensor category, and its opposite, plans from its factors'
+    plans; the plan must be the one read pair by pair off the eager
+    reference's hom complexes, field for field and every nonunit list,
+    and agree with the loops over the reference's keys."""
+    seen = set()
+    for factors in _tensor_cases(corpus):
+        t, ref = tensor(*factors), reference_tensor(*factors)
+        for got, want in ((t, ref), (opposite(t), reference_opposite(ref))):
+            plan = got.bar_plan()
+            # the reference without its tensor bookkeeping is planned pair by pair
+            eager = BarPlan(DgCategory(want.field, want.objects, want.homs, want.comp, want.units))
+            assert _plan_fields(plan) == _plan_fields(eager), got
+            loops = ReferenceContributionPlan(want)
+            assert (plan.max_bar, plan.inner, plan.outer) == (loops.max_bar, loops.inner, loops.outer)
+            assert plan.differential == any(c.diffs for c in want.homs.values())
+            for x, y in itertools.product(got.objects, repeat=2):
+                keys = _factor_keys(want, x, y, True)
+                assert plan.nonunit[(x, y)] == eager.nonunit[(x, y)] == keys
+                assert (y in plan.succ[x]) == bool(keys)
+            seen.add("cycle" if plan.max_bar is None else "acyclic")
+            seen.add("differential" if plan.differential else "no differential")
+            if None in plan.unit_keys.values():
+                seen.add("no unit key")
+            if any(None in c.bar_plan().unit_keys.values() for c in factors):
+                seen.add("factor without unit key")
+    assert seen == {"cycle", "acyclic", "differential", "no differential", "no unit key",
+                    "factor without unit key"}
+
+
 def test_chain_support_matches_loops(corpus):
     golden = Path(__file__).resolve().parent / "golden"
     rng = random.Random(801)
@@ -123,10 +193,10 @@ def _planned(chains, cap, bar_bound):
 
 def test_plan_bar_bound_matches_reference(corpus):
     module_bounds = [None, (0, 0), (-2, 1), (1, 3), (-3, -1)]
-    plans = {(p.outer, p.max_bar): p for p in (a.bar_plan() for a in _categories(corpus))}
-    # the all-key bounds of a category contain the unit degree 0, so the
-    # "middle degrees >= 2" branch needs synthetic bounds, which only
-    # bar_degree_cap can take
+    # the middle factors of a two-sided bar are non-unit keys, so a plan is
+    # keyed by their degree bounds, ``inner``; the synthetic bounds add hom
+    # bounds without a chain cap, which only bar_degree_cap can take
+    plans = {(p.inner, p.max_bar): p for p in (a.bar_plan() for a in _categories(corpus))}
     hom_bounds = list(plans) + [((2, 3), None), ((1, 1), None), ((-2, -1), 4)]
     hit = set()
     for (hb, cap), xb, yb, window, bar_bound in itertools.product(
@@ -161,7 +231,7 @@ def test_bar_composite_matches_reference(corpus):
         for X, Y, window, bar_bound in itertools.product(xs, ys, [(-3, 0), (-1, 1)],
                                                          (None, 0, 1, 2, 4)):
             bounds = X.support_bounds(), Y.support_bounds()
-            want = _plan_answer(reference_plan_bar_bound, *bounds, plan.outer, window, bar_bound,
+            want = _plan_answer(reference_plan_bar_bound, *bounds, plan.inner, window, bar_bound,
                                 plan.max_bar)
             assert _plan_answer(_bar_answer, X, Y, a, window, bar_bound) == want
             hit.add("no chains" if None in bounds else "refused" if isinstance(want, str)

@@ -1,8 +1,8 @@
 import pytest
 
 from dghom import cyclic
+from dghom.cells import sphere_cell
 from dghom.exactfield import rank
-from dghom.dgcore import sphere_cell
 from dghom.cyclic import (CyclicError, MixedComplex, _column_homology, _column_total_dims,
                           _column_total_matrix, hcminus_hp_dims, t_of_key)
 from dghom.monomial import hc_dims, hh_dims

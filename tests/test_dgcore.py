@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
+from dghom.cells import disk_cell, sphere_cell, unit_category
 from dghom.exactfield import homology_dims, rank
-from dghom.dgcore import (DgCategory, disk_cell, opposite, sphere_cell, tensor, unit_category,
-                          validate)
+from dghom.dgcore import DgCategory, opposite, tensor, validate
 from conftest import Q, F2, hom_dims, random_small_category
 from oracles import swap_functor, validate_functor
 

@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 
+from dghom.cells import disk_cell, sphere_cell, unit_category
 from dghom.corpus import builtin_corpus
 from dghom.exactfield import ChainComplex, homology_dims, kernel_basis
-from dghom.dgcore import disk_cell, opposite, sphere_cell, unit_category
+from dghom.dgcore import opposite
 from dghom.dgmod import (DgModule, ModuleMap, bar_composite, diagonal_bimodule, shift_module,
                          sn_pack, sn_unpack, tor_dims, validate_module, yoneda_map, yoneda_module,
                          BarWindowError)

@@ -7,8 +7,9 @@ import pytest
 
 import dghom
 from dghom import grammar
+from dghom.cells import sphere_cell
 from dghom.cli import main
-from dghom.dgcore import sphere_cell, tensor, validate
+from dghom.dgcore import tensor, validate
 from conftest import Q, hom_dims
 
 UNIT_TEXT = """\
@@ -461,6 +462,17 @@ class TestCli:
         rep = json.loads(out.read_text())
         assert (rep["chi_hh"], rep["hh_status"], rep["chi_dual"], rep["dual_status"]) == \
             (0, "bound_limited", 4, "bound_limited")
+
+    def test_euler_bar_bounds_middle_factors_by_their_degrees(self, tmp_path, capsys):
+        # k[x]/(x^2) with |x| = 2: the middle factors of the duality bar over
+        # a^op (x) a are its non-unit keys, in degrees 2 and 4, so a bar
+        # degree bound certifies the window; only the unit sits in degree 0
+        path = tmp_path / "kx2_deg2.quiver"
+        path.write_text("quiver\nfield q\nwordlength 4\nvertex v\narrow x v v 2\n"
+                        "relation 1 x.x\n")
+        assert main(["euler", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "chi_hh = 1 [bound_limited]", "chi_dual = 1 [bound_limited]", "agree: None"]
 
     def test_check_uncertifiable_shuffle_window_inconclusive(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"

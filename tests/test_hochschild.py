@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from dghom.cells import disk_cell, sphere_cell
 from dghom.exactfield import homology_quotient, Subspace
-from dghom.dgcore import disk_cell, opposite, sphere_cell, tensor
+from dghom.dgcore import opposite, tensor
 from dghom.hochschild import CyclicBar, ShuffleMap, ch0
 from dghom.monomial import HochschildError, hh_dims
 from conftest import (Q, F2, F3, F5, a3, contractible_category, exterior_deg, matrix_category,

@@ -6,7 +6,9 @@ rest of its stack itself, and no library module pulls in `dataclasses`
 (with its `inspect`), so a run compiles only the modules it executes.
 `hh` and `hc` enter through `monomial`, which imports the bar engines
 (`hochschild`, `cyclic`) only when an input falls back to them; so does
-the HH route of `euler`, which is `hh_dims`.
+the HH route of `euler`, which is `hh_dims`.  The package exports the
+cells (`dghom.cells`) but loads them on first use, which only `check`
+makes.
 """
 
 import json
@@ -50,7 +52,7 @@ arrow b 2 3
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-LAZY = ["dghom.cyclic", "dghom.dgmod", "dghom.saturation", "dghom.corpus"]
+LAZY = ["dghom.cyclic", "dghom.dgmod", "dghom.saturation", "dghom.corpus", "dghom.cells"]
 BARS = ["dghom.hochschild", "dghom.cyclic"]
 
 
@@ -104,7 +106,12 @@ SCENARIOS = {
                   ["dghom.cyclic", "dghom.corpus", "dataclasses"], ["dghom.hochschild"]),
     "setup": ("from dghom import grammar, validate\n"
               "cat, cert = grammar.load_path('kx3.quiver')\n"
-              "assert validate(cat).ok and cert.is_closed\n", ["dataclasses"], []),
+              "assert validate(cat).ok and cert.is_closed\n", ["dghom.cells", "dataclasses"], []),
+    # the package's cell names load the cells module when first read
+    "package-cells": ("import dghom\nfrom dghom import disk_cell, sphere_cell, unit_category\n"
+                      "assert sphere_cell is dghom.cells.sphere_cell\n"
+                      "assert not hasattr(dghom, 'no_such_name')\n",
+                      ["dataclasses"], ["dghom.cells"]),
     "every-module": ("from dghom import (cli, corpus, cyclic, dgcore, dgmod, exactfield, grammar,\n"
                      "                   hochschild, monomial, presentation, saturation, smoothness)\n",
                      ["dataclasses"], []),

@@ -5,7 +5,8 @@ the triangle modules Y live over opposite(a (x) a^op (x) a)."""
 
 import itertools
 
-from dghom.dgcore import disk_cell, opposite, sphere_cell, tensor, tensor_info
+from dghom.cells import disk_cell, sphere_cell
+from dghom.dgcore import opposite, tensor, tensor_info
 from conftest import Q, random_small_category
 
 

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dghom import grammar
+from dghom.cells import disk_cell, sphere_cell
 from dghom.exactfield import FieldSpec, homology_dims
-from dghom.dgcore import disk_cell, sphere_cell, validate
+from dghom.dgcore import validate
 from dghom.presentation import (PathElement, Presentation, PresentationError, RealizeCertificate,
                                 from_quiver, pushout_attach, pushout_attach_object, realize)
 from conftest import Q, hom_dims

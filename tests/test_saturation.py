@@ -3,8 +3,9 @@ import random
 import pytest
 
 from dghom import dgcore, dgmod, hochschild, saturation
+from dghom.cells import disk_cell, sphere_cell
 from dghom.exactfield import homology_dims
-from dghom.dgcore import disk_cell, opposite, sphere_cell, tensor
+from dghom.dgcore import opposite, tensor
 from dghom.dgmod import BarWindowError, _diagonal_over, diagonal_bimodule, validate_module
 from dghom.monomial import HochschildError, hh_dims
 from dghom.presentation import from_quiver, realize

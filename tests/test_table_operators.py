@@ -5,7 +5,8 @@ bilinear calls on singleton elements, on every chain."""
 
 import itertools
 
-from dghom.dgcore import disk_cell, opposite, tensor, validate
+from dghom.cells import disk_cell
+from dghom.dgcore import opposite, tensor, validate
 from dghom.exactfield import ChainComplex
 from dghom.cyclic import MixedComplex
 from dghom.dgmod import _bar_differential, bar_composite, diagonal_bimodule, yoneda_module

@@ -7,8 +7,9 @@ import itertools
 
 import pytest
 
+from dghom.cells import disk_cell
 from dghom.exactfield import tensor_complex
-from dghom.dgcore import disk_cell, opposite, tensor, validate
+from dghom.dgcore import opposite, tensor, validate
 from dghom.dgmod import validate_module, yoneda_module
 from dghom.saturation import _triangle_modules
 from conftest import Q, F5, a3, contractible_category, random_small_category

@@ -13,7 +13,8 @@ import itertools
 
 import pytest
 
-from dghom.dgcore import DgCategory, disk_cell, opposite, tensor
+from dghom.cells import disk_cell
+from dghom.dgcore import DgCategory, opposite, tensor
 from dghom.dgmod import DgModule, bar_composite, validate_module
 from dghom.saturation import _triangle_modules, triangle_identity_check
 from conftest import Q, a3
@@ -95,7 +96,10 @@ def test_triangle_set_up_computes_no_table(monkeypatch):
     # read: building the triangle modules and the middle category's plan
     # reads no product of a and no action table, and the 9 bars on A3
     # compute only the tables their faces can reach; a full read of comp
-    # or action anywhere on the way computes every one of mid's 27^3 triples
+    # or action anywhere on the way computes every one of mid's 27^3 triples.
+    # A hom pair of mid is built on its first read too: the set-up and the
+    # plan (made from the factors' plans) build only the loops the units
+    # read, and a full read of mid.homs would build all 27^2 pairs
     a = a3()
     reads = []
     for cls, name in ((DgCategory, "products"), (DgModule, "actions")):
@@ -105,6 +109,9 @@ def test_triangle_set_up_computes_no_table(monkeypatch):
     X, Y, mid = _triangle_modules(a)
     mid.bar_plan()
     assert reads == []
+    loops = {(u, u) for u in mid.objects}
+    built = mid._tensor._pairs
+    assert set(built) <= loops
 
     computed = {}
     for owner in [mid, *X.values(), *Y.values()]:
@@ -114,7 +121,10 @@ def test_triangle_set_up_computes_no_table(monkeypatch):
         owner._compute = compute
     # the triples and pairs a face reads: the X-action (face 0), the
     # middle compositions and the Y-action (face p) of every chain
+    # and the hom pairs: the loops, the pairs of those tables, and the
+    # targets of the middle compositions
     reachable = {id(m): set() for m in [mid, *X.values(), *Y.values()]}
+    reachable_homs = set(loops)
     for x, w in itertools.product(X, Y):
         res = bar_composite(X[x], Y[w], mid, (-2, 2))
         for keys in res.chain_keys[()].values():
@@ -123,7 +133,12 @@ def test_triangle_set_up_computes_no_table(monkeypatch):
                 if p:
                     reachable[id(X[x])].add((objs[p - 1], objs[p]))
                     reachable[id(Y[w])].add((objs[1], objs[0]))
+                    reachable_homs.update({(objs[p - 1], objs[p]), (objs[0], objs[1])})
                 reachable[id(mid)].update(objs[i - 1:i + 2] for i in range(1, p))
+                for i in range(1, p):
+                    reachable_homs.update(itertools.combinations(objs[i - 1:i + 2], 2))
     for owner, keys in computed.items():
         assert len(keys) == len(set(keys)) and set(keys) <= reachable[owner]
     assert 0 < len(computed[id(mid)]) < len(mid.objects) ** 3
+    assert set(built) <= reachable_homs
+    assert len(built) == 45, len(built)

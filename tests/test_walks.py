@@ -9,7 +9,8 @@ import itertools
 import random
 
 from dghom import saturation
-from dghom.dgcore import BarPlan, opposite, tensor, unit_category
+from dghom.cells import unit_category
+from dghom.dgcore import BarPlan, opposite, tensor
 from dghom.dgmod import bar_composite, diagonal_bimodule, yoneda_module
 from dghom.hochschild import CyclicBar
 from dghom.saturation import _triangle_modules, triangle_identity_check
