@@ -21,7 +21,8 @@ Layers, bottom up:
 * ``smoothness`` -- properness and smoothness certificates: Tor against
   the semisimple quotient, from AP(n) or the one-sided bar.
 * ``saturation`` -- triangle identities, Euler characteristics by two
-  routes; re-exports the certificates of ``smoothness``.
+  routes; exports ``smoothness_certify``, which the benchmark's tracer
+  wraps under this module's name.
 * ``cli`` -- command-line front end emitting JSON reports.
 """
 

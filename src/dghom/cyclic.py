@@ -198,6 +198,28 @@ def _min_offset(mx: MixedComplex, n: int) -> int:
     return -((n - sup[0]) // 2) if n >= sup[0] else 0
 
 
+def _first_column(mx: MixedComplex, n: int) -> int:
+    """The lowest column offset that degrees n - 1 .. n + 1 reach, at most 0."""
+    return min(_min_offset(mx, n - 1), _min_offset(mx, n), _min_offset(mx, n + 1), 0)
+
+
+def hc_bar_dims(a: DgCategory, n_max: int, bar_bound: int) -> dict:
+    """HC_n, 0 <= n <= n_max, with exact/truncated status, from the
+    first-quadrant (b, B)-bicomplex of the normalized cyclic bar cut at
+    ``bar_bound``: the bar route of ``monomial.hc_dims``.  Degree n uses
+    columns 0..floor(n/2)."""
+    mx = MixedComplex(a, bar_bound)
+    out = {}
+    for n in range(n_max + 1):
+        # columns j >= 0 hold M_{n-2j}: offsets q = -j <= 0
+        q_lo = _first_column(mx, n)
+        dim = _column_homology(mx, n, q_lo, 0)
+        pieces = {nn + 2 * q for q in range(q_lo, 1) for nn in (n - 1, n, n + 1)}
+        exact = all(mx.plan.status(-k, bar_bound) == "exact" for k in pieces)
+        out[n] = (dim, "exact" if exact else "truncated")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # towers for negative and periodic cyclic homology
 
@@ -253,7 +275,7 @@ _LIM1_CAVEAT = ("tower not certified Mittag-Leffler: the reported value is the "
 def _tower_for_degree(mx: MixedComplex, n: int, max_levels: int, vanish_bound,
                       kind: str) -> DegreeTower:
     levels = []
-    q_lo = min(_min_offset(mx, n - 1), _min_offset(mx, n), _min_offset(mx, n + 1), 0)
+    q_lo = _first_column(mx, n)
     for r in range(1, max_levels + 1):
         if kind == "hp":
             dim = _column_homology(mx, n, q_lo, r)

@@ -39,20 +39,57 @@ def elem_degree(a):
     return degs.pop()
 
 
+def elem_product(field, table, left: dict, right: dict) -> dict:
+    """The bilinear product of two elements through ``table``, which maps
+    a pair of basis keys (kl, kr) to their product {index: scalar} in
+    degree |kl| + |kr|; a missing pair is a zero product."""
+    out = {}
+    for kl, vl in left.items():
+        for kr, vr in right.items():
+            prod = table.get((kl, kr))
+            if not prod:
+                continue
+            c = field.mul(vl, vr)
+            deg = kl[0] + kr[0]
+            for i, w in prod.items():
+                field.accumulate(out, (deg, i), field.mul(c, w))
+    return out
+
+
 # the stored table of a triple or pair with no nonzero entry; never written
 _NO_TABLE = {}
 
 
-class _OnRead(dict):
-    """A dict that computes a missing value as ``fill(*key)`` on its
-    first read and keeps it."""
+class Table:
+    """Structure data by key, read as ``table(*key)``.
 
-    def __init__(self, fill):
-        self.fill = fill
+    Given a dict, the table stores it as it is: a missing key reads as
+    ``empty`` and is never written.  Given a function, it computes a
+    key's value as ``fill(*key)`` on the key's first read and keeps it
+    in ``stored``."""
 
-    def __missing__(self, key):
-        value = self[key] = self.fill(*key)
+    __slots__ = ("stored", "fill", "empty")
+
+    def __init__(self, given, empty=_NO_TABLE):
+        self.stored, self.fill = ({}, given) if callable(given) else (given, None)
+        self.empty = empty
+
+    def __call__(self, *key):
+        value = self.stored.get(key)
+        if value is None:
+            if self.fill is None:
+                return self.empty
+            value = self.stored[key] = self.fill(*key)
         return value
+
+    def full(self, keys) -> dict:
+        """The full view: the given dict; or else the value of every key
+        in ``keys``, in that order, leaving out empty tables.  The first
+        call on a function computes them all and stores them."""
+        if self.fill is not None:
+            self.stored = {key: value for key in keys if (value := self(*key))}
+            self.fill = None
+        return self.stored
 
 
 class DgCategory:
@@ -62,23 +99,21 @@ class DgCategory:
     ordered pair, composition structure constants and a chosen closed
     degree-0 unit per object.
 
-    ``homs`` is given as a dict by pair, stored as it is (a missing pair
-    is zero), or as a function of one pair (``opposite``, ``tensor``),
-    whose complex is built on its first read (``hom``) and cached.  The
-    ``homs`` property is the full view.
+    ``hom(x, y)`` is the hom complex of one pair, a ``Table`` of
+    ``homs``: the dict of the complexes by pair (a missing pair is zero)
+    or a function of one pair (``opposite``, ``tensor``).  The ``homs``
+    property is the full view.
 
-    ``products(x, y, z)`` is the product table of one triple: it maps a
-    pair of basis keys ((dg, ig), (df, if)) with g in hom(y, z) and f in
-    hom(x, y) to the element g.f of hom(x, z) as {index: scalar};
-    missing entries are zero products.
-
-    ``comp`` is given as the dict of the nonempty tables by triple,
-    stored as it is (the ``.dg`` loader, ``realize``), or as a function
-    of one triple (``opposite``, ``tensor``), whose table is computed on
-    its first read and cached.  The ``comp`` property is the full view.
-    Tables are clean (no empty table or product, no zero scalar; the
-    loader and ``realize`` drop what would be empty) and read-only:
-    ``opposite`` and ``tensor`` share products with their inputs.
+    ``products(x, y, z)`` is the product table of one triple, a
+    ``Table`` of ``comp``: the dict of the nonempty tables by triple
+    (the ``.dg`` loader, ``realize``) or a function of one triple
+    (``opposite``, ``tensor``).  A product table maps a pair of basis
+    keys ((dg, ig), (df, if)) with g in hom(y, z) and f in hom(x, y) to
+    the element g.f of hom(x, z) as {index: scalar}; missing entries are
+    zero products.  The ``comp`` property is the full view.  Tables are
+    clean (no empty table or product, no zero scalar; the loader and
+    ``realize`` drop what would be empty) and read-only: ``opposite``
+    and ``tensor`` share products with their inputs.
     """
 
     # not a field: the BarPlan, made on the first bar_plan call
@@ -90,16 +125,8 @@ class DgCategory:
                  name: str = "", closed: bool = True):
         self.field = field
         self.objects = tuple(objects)
-        # the stored complexes, or the cache of a function of one pair
-        if callable(homs):
-            self._homs = _OnRead(homs)
-        else:
-            self._homs = dict(homs)
-            for pair in itertools.product(self.objects, repeat=2):
-                if pair not in self._homs:
-                    self._homs[pair] = ChainComplex(field, {}, {})
-        # the stored tables, or the cache of a function of one triple
-        self._tables, self._compute = ({}, comp) if callable(comp) else (comp, None)
+        self.hom = Table(homs, ChainComplex(field, {}, {}))
+        self.products = Table(comp)
         self.units = dict(units)
         self.name = name
         self.closed = closed
@@ -107,37 +134,15 @@ class DgCategory:
             if x not in self.units:
                 raise ValueError(f"missing unit for object {x!r}")
 
-    def products(self, x, y, z) -> dict:
-        """The product table of (x, y, z), computed on its first read; one
-        dict lookup on stored tables."""
-        table = self._tables.get((x, y, z))
-        if table is None:
-            if self._compute is None:
-                return _NO_TABLE
-            table = self._tables[(x, y, z)] = self._compute(x, y, z)
-        return table
-
     @property
     def comp(self) -> dict:
-        """Every nonempty product table by triple, in object order when
-        computed: the first call computes them all and stores them."""
-        if self._compute is not None:
-            self._tables = {t: table for t in itertools.product(self.objects, repeat=3)
-                            if (table := self.products(*t))}
-            self._compute = None
-        return self._tables
-
-    def hom(self, x, y) -> ChainComplex:
-        """The hom complex of (x, y), built on its first read."""
-        return self._homs[(x, y)]
+        """Every nonempty product table by triple."""
+        return self.products.full(itertools.product(self.objects, repeat=3))
 
     @property
     def homs(self) -> dict:
-        """Every hom complex by pair, in object order when built: the
-        first call builds them all and stores them."""
-        if type(self._homs) is _OnRead:
-            self._homs = {p: self._homs[p] for p in itertools.product(self.objects, repeat=2)}
-        return self._homs
+        """The hom complexes by pair."""
+        return self.hom.full(itertools.product(self.objects, repeat=2))
 
     def unit(self, x) -> dict:
         return self.units[x]
@@ -145,36 +150,9 @@ class DgCategory:
     def total_dim(self) -> int:
         return sum(c.total_dim() for c in self.homs.values())
 
-    def d_elem(self, x, y, elem: dict) -> dict:
-        f = self.field
-        c = self.hom(x, y)
-        out = {}
-        for key, v in elem.items():
-            for k2, w in c.d_of(key):
-                f.accumulate(out, k2, f.mul(w, v))
-        return out
-
     def compose_elems(self, x, y, z, g: dict, f_elem: dict) -> dict:
         """g.f for g in hom(y,z), f in hom(x,y); bilinear in both."""
-        f = self.field
-        table = self.products(x, y, z)
-        out = {}
-        for kg, vg in g.items():
-            for kf, vf in f_elem.items():
-                prod = table.get((kg, kf))
-                if not prod:
-                    continue
-                c = f.mul(vg, vf)
-                deg = kg[0] + kf[0]
-                for ih, w in prod.items():
-                    f.accumulate(out, (deg, ih), f.mul(c, w))
-        return out
-
-    def basis_keys(self, x, y):
-        c = self.hom(x, y)
-        for d in c.support():
-            for i in range(c.dim(d)):
-                yield (d, i)
+        return elem_product(self.field, self.products(x, y, z), g, f_elem)
 
     def unit_key(self, x):
         """The (deg, idx) key when the unit is a single basis element of
@@ -201,9 +179,10 @@ class DgCategory:
     def __eq__(self, other):
         if not isinstance(other, DgCategory):
             return NotImplemented
+        pairs = list(itertools.product(self.objects, repeat=2))
         return (self.field == other.field and self.objects == other.objects
-                and {k: (v.spaces, v.diffs) for k, v in self.homs.items()}
-                    == {k: (v.spaces, v.diffs) for k, v in other.homs.items()}
+                and [(self.hom(*p).spaces, self.hom(*p).diffs) for p in pairs]
+                    == [(other.hom(*p).spaces, other.hom(*p).diffs) for p in pairs]
                 and self.comp == other.comp and self.units == other.units)
 
     def __repr__(self):
@@ -269,10 +248,10 @@ class BarPlan:
 
     ``shapes[(x, y)]`` is the dimension by degree of hom(x, y), for the
     nonzero pairs in object order; ``unit_keys[x]`` the unit key of x
-    (None when the unit is not a basis element); ``nonunit[(x, y)]``,
-    listed on its first read, the basis keys of hom(x, y) in order,
-    minus the unit key of a loop: the middle factors of a normalized
-    bar; ``succ[x]`` the objects y with a non-unit key in hom(x, y), in
+    (None when the unit is not a basis element); ``nonunit(x, y)``, a
+    ``Table`` listed on its first read, the basis keys of hom(x, y) in
+    order, minus the unit key of a loop: the middle factors of a
+    normalized bar; ``succ[x]`` the objects y with a non-unit key in hom(x, y), in
     object order: the non-unit digraph; ``max_bar`` its longest path
     (normalized chains vanish beyond it), None when it has a cycle;
     ``inner`` and ``outer`` the (min, max) degrees of the non-unit keys
@@ -313,7 +292,7 @@ class BarPlan:
                         shape = conv
                     self.shapes[(x, y)] = shape
             self.differential = bool(self.shapes) and any(p.differential for p in plans)
-        self.nonunit = _OnRead(self._nonunit)
+        self.nonunit = Table(self._nonunit)
         self.succ = {x: [] for x in a.objects}
         inner = []
         for (x, y), shape in self.shapes.items():
@@ -440,30 +419,30 @@ def validate(a: DgCategory) -> ValidationReport:
         u = a.unit(x)
         if elem_degree(u) not in (0, None):
             rep.add("unit degree", (x,), "unit not concentrated in degree 0")
-        if a.d_elem(x, x, u):
+        if a.hom(x, x).d_elem(u):
             rep.add("unit closed", (x,), "d(unit) != 0")
     # Leibniz: d(g.f) = (dg).f + (-1)^{|g|} g.(df)
     for (x, y, z) in itertools.product(a.objects, repeat=3):
-        for kg in a.basis_keys(y, z):
+        for kg in a.hom(y, z).basis_keys():
             g = {kg: f.one()}
-            dg = a.d_elem(y, z, g)
+            dg = a.hom(y, z).d_elem(g)
             sign = f.sign(kg[0])
-            for kf in a.basis_keys(x, y):
+            for kf in a.hom(x, y).basis_keys():
                 fe = {kf: f.one()}
-                lhs = a.d_elem(x, z, a.compose_elems(x, y, z, g, fe))
+                lhs = a.hom(x, z).d_elem(a.compose_elems(x, y, z, g, fe))
                 rhs = a.compose_elems(x, y, z, dg, fe)
-                for k, v in a.compose_elems(x, y, z, g, a.d_elem(x, y, fe)).items():
+                for k, v in a.compose_elems(x, y, z, g, a.hom(x, y).d_elem(fe)).items():
                     f.accumulate(rhs, k, f.mul(sign, v))
                 if not elem_eq(lhs, rhs):
                     rep.add("Leibniz", (x, y, z, kg, kf))
     # associativity on basis triples
     for (w, x, y, z) in itertools.product(a.objects, repeat=4):
-        for kh in a.basis_keys(y, z):
+        for kh in a.hom(y, z).basis_keys():
             h = {kh: f.one()}
-            for kg in a.basis_keys(x, y):
+            for kg in a.hom(x, y).basis_keys():
                 g = {kg: f.one()}
                 hg = a.compose_elems(x, y, z, h, g)
-                for kf in a.basis_keys(w, x):
+                for kf in a.hom(w, x).basis_keys():
                     fe = {kf: f.one()}
                     lhs = a.compose_elems(w, x, z, hg, fe)
                     rhs = a.compose_elems(w, y, z, h, a.compose_elems(w, x, y, g, fe))
@@ -472,7 +451,7 @@ def validate(a: DgCategory) -> ValidationReport:
     # unit law
     for (x, y) in itertools.product(a.objects, repeat=2):
         uy, ux = a.unit(y), a.unit(x)
-        for kf in a.basis_keys(x, y):
+        for kf in a.hom(x, y).basis_keys():
             fe = {kf: f.one()}
             if not elem_eq(a.compose_elems(x, y, y, uy, fe), fe):
                 rep.add("unit axiom", (x, y, kf), "left unit")
@@ -510,34 +489,19 @@ def opposite(a: DgCategory) -> DgCategory:
     out.op_source = a
     info = getattr(a, "_tensor", None)
     if info is not None:
-        out._tensor = TensorInfo((opposite(c) for c in info.factors), a.objects,
-                                 lambda x, y: info.pair(y, x))
+        out._tensor = TensorInfo((opposite(c) for c in info.factors), lambda x, y: info.pair(y, x))
     return out
 
 
 class TensorInfo:
     """Basis bookkeeping of a tensor category (``tensor``).  ``pair(x, y)``
     is (hom(x, y), its key tuples over the factors by degree, the flat
-    key (degree, index) of each key tuple), made by the function ``pair``
-    on the first read of the pair; the key tuples list the hom basis in
-    order.  ``keys`` and ``index`` are the full views by pair, in object
-    order."""
+    key (degree, index) of each key tuple), a ``Table`` of the function
+    ``pair``; the key tuples list the hom basis in order."""
 
-    def __init__(self, factors, objects, pair):
+    def __init__(self, factors, pair):
         self.factors = tuple(factors)
-        self.objects = tuple(objects)
-        self._pairs = _OnRead(pair)
-
-    def pair(self, x, y):
-        return self._pairs[(x, y)]
-
-    @property
-    def keys(self) -> dict:
-        return {p: self._pairs[p][1] for p in itertools.product(self.objects, repeat=2)}
-
-    @property
-    def index(self) -> dict:
-        return {p: self._pairs[p][2] for p in itertools.product(self.objects, repeat=2)}
+        self.pair = Table(pair)
 
 
 def tensor(*cats: DgCategory) -> DgCategory:
@@ -571,7 +535,7 @@ def tensor(*cats: DgCategory) -> DgCategory:
                       for d, lst in keys.items()}
         return hom, keys, {k: (d, i) for d, lst in keys.items() for i, k in enumerate(lst)}
 
-    info = TensorInfo(cats, objects, pair)
+    info = TensorInfo(cats, pair)
     signs = (field.one(), field.of_int(-1))
 
     def place(x, y):

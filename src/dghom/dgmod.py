@@ -24,52 +24,35 @@ from __future__ import annotations
 import itertools
 
 from .exactfield import ChainComplex, operator_complex
-from .dgcore import (_NO_TABLE, DgCategory, ValidationReport, elem_scale, elem_eq, opposite,
-                     tensor, tensor_info)
+from .dgcore import (DgCategory, Table, ValidationReport, elem_eq, elem_product, elem_scale,
+                     opposite, tensor, tensor_info)
 
 
 class DgModule:
     """Right dg module over a finite dg category.
 
-    ``actions(x, y)`` is the action table of one pair: it maps
-    ((df, i_f), (dm, i_m)) with f in hom(x,y) and m in value(y) to the
-    element m.f of value(x) as {index: scalar} in degree df + dm;
-    missing entries are zero.  Like ``DgCategory.comp``, ``action`` is
-    given as the stored dict of the nonempty tables by pair, or as a
-    function of one pair (``tensor_action``) computed on its first read;
-    the ``action`` property is the full view.  Tables are clean and
-    read-only.
+    ``actions(x, y)`` is the action table of one pair, a ``Table`` of
+    ``action``: the dict of the nonempty tables by pair, or a function
+    of one pair (``yoneda_module``, ``tensor_action``).  An action table
+    maps ((df, i_f), (dm, i_m)) with f in hom(x,y) and m in value(y) to
+    the element m.f of value(x) as {index: scalar} in degree df + dm;
+    missing entries are zero.  The ``action`` property is the full view.
+    Tables are clean and read-only.
     """
 
     def __init__(self, base: DgCategory, values, action, name=""):
         self.base = base
         self.values = dict(values)
-        # the stored tables, or the cache of a function of one pair
-        self._tables, self._compute = ({}, action) if callable(action) else (action, None)
+        self.actions = Table(action)
         self.name = name
         for x in base.objects:
             if x not in self.values:
                 self.values[x] = ChainComplex(base.field, {}, {})
 
-    def actions(self, x, y) -> dict:
-        """The action table of (x, y), computed on its first read; one dict
-        lookup on stored tables."""
-        table = self._tables.get((x, y))
-        if table is None:
-            if self._compute is None:
-                return _NO_TABLE
-            table = self._tables[(x, y)] = self._compute(x, y)
-        return table
-
     @property
     def action(self) -> dict:
-        """Every nonempty action table by pair, in object order when
-        computed: the first call computes them all and stores them."""
-        if self._compute is not None:
-            self._tables = {p: table for p in itertools.product(self.base.objects, repeat=2)
-                            if (table := self.actions(*p))}
-            self._compute = None
-        return self._tables
+        """Every nonempty action table by pair."""
+        return self.actions.full(itertools.product(self.base.objects, repeat=2))
 
     def value(self, x) -> ChainComplex:
         return self.values[x]
@@ -81,36 +64,9 @@ class DgModule:
     def total_dim(self) -> int:
         return sum(c.total_dim() for c in self.values.values())
 
-    def basis_keys(self, x):
-        c = self.value(x)
-        for d in c.support():
-            for i in range(c.dim(d)):
-                yield (d, i)
-
-    def d_value(self, x, elem: dict) -> dict:
-        f = self.base.field
-        c = self.value(x)
-        out = {}
-        for key, v in elem.items():
-            for k2, w in c.d_of(key):
-                f.accumulate(out, k2, f.mul(w, v))
-        return out
-
     def act(self, x, y, m_elem: dict, f_elem: dict) -> dict:
         """m.f for m in value(y), f in hom(x,y); bilinear."""
-        f = self.base.field
-        tab = self.actions(x, y)
-        out = {}
-        for km, vm in m_elem.items():
-            for kf, vf in f_elem.items():
-                prod = tab.get((kf, km))
-                if not prod:
-                    continue
-                c = f.mul(vm, vf)
-                deg = kf[0] + km[0]
-                for i, w in prod.items():
-                    f.accumulate(out, (deg, i), f.mul(c, w))
-        return out
+        return elem_product(self.base.field, self.actions(x, y), f_elem, m_elem)
 
     def support_bounds(self):
         degs = [d for c in self.values.values() for d in c.support()]
@@ -140,30 +96,30 @@ def validate_module(m: DgModule) -> ValidationReport:
             m.value(x).verify()
         except ValueError as exc:
             rep.add("module d^2", (x,), str(exc))
-        for km in m.basis_keys(x):
+        for km in m.value(x).basis_keys():
             e = {km: f.one()}
             if not elem_eq(m.act(x, x, e, a.unit(x)), e):
                 rep.add("module unit", (x, km))
     for (x, y) in itertools.product(a.objects, repeat=2):
-        for kf in a.basis_keys(x, y):
+        for kf in a.hom(x, y).basis_keys():
             fe = {kf: f.one()}
-            dfe = a.d_elem(x, y, fe)
-            for km in m.basis_keys(y):
+            dfe = a.hom(x, y).d_elem(fe)
+            for km in m.value(y).basis_keys():
                 me = {km: f.one()}
-                lhs = m.d_value(x, m.act(x, y, me, fe))
+                lhs = m.value(x).d_elem(m.act(x, y, me, fe))
                 sign = f.sign(km[0])
-                rhs = m.act(x, y, m.d_value(y, me), fe)
+                rhs = m.act(x, y, m.value(y).d_elem(me), fe)
                 for k, v in m.act(x, y, me, dfe).items():
                     f.accumulate(rhs, k, f.mul(sign, v))
                 if not elem_eq(lhs, rhs):
                     rep.add("module chain map", (x, y, kf, km))
     for (x, y, z) in itertools.product(a.objects, repeat=3):
-        for kg in a.basis_keys(y, z):
+        for kg in a.hom(y, z).basis_keys():
             g = {kg: f.one()}
-            for kf in a.basis_keys(x, y):
+            for kf in a.hom(x, y).basis_keys():
                 fe = {kf: f.one()}
                 gf = a.compose_elems(x, y, z, g, fe)
-                for km in m.basis_keys(z):
+                for km in m.value(z).basis_keys():
                     me = {km: f.one()}
                     lhs = m.act(x, y, m.act(y, z, me, g), fe)
                     rhs = m.act(x, z, me, gf)
@@ -176,23 +132,16 @@ def validate_module(m: DgModule) -> ValidationReport:
 # constructions
 
 def yoneda_module(a: DgCategory, x) -> DgModule:
-    """The representable module y -> hom(y, x) with action by composition."""
+    """The representable module y -> hom(y, x) with action by composition:
+    the action table of (z, y) is a's product table of (z, y, x) with its
+    key pairs swapped, made on its first read."""
     if x not in a.objects:
         raise ValueError(f"unknown object {x!r}")
-    f = a.field
     values = {y: a.hom(y, x) for y in a.objects}
-    action = {}
-    for (z, y) in itertools.product(a.objects, repeat=2):
-        tab = {}
-        for kf in a.basis_keys(z, y):
-            fe = {kf: f.one()}
-            for km in a.basis_keys(y, x):
-                me = {km: f.one()}
-                prod = a.compose_elems(z, y, x, me, fe)
-                if prod:
-                    tab[(kf, km)] = {i: v for (d, i), v in prod.items()}
-        if tab:
-            action[(z, y)] = tab
+
+    def action(z, y):
+        return {(kf, km): prod for (km, kf), prod in a.products(z, y, x).items()}
+
     return DgModule(a, values, action, name=f"h({x})")
 
 
@@ -226,8 +175,7 @@ def tensor_action(base: DgCategory, values, act):
     info = tensor_info(base)
     # a pair whose source or target value is zero has nothing to act on
     # or into; each value's keys are listed once
-    val_keys = {obj: [(d, i) for d in c.support() for i in range(c.dim(d))]
-                for obj, c in values.items() if c.spaces}
+    val_keys = {obj: c.basis_keys() for obj, c in values.items() if c.spaces}
 
     def table(xo, yo):
         tab = {}
@@ -344,11 +292,10 @@ def bar_composite(X: DgModule, Y: DgModule, mid: DgCategory,
     for p in range(P + 1):
         for objs in plan.walks(p, starts, ends):
             # objs = (b_0, ..., b_p); betas a_i in hom(b_{i-1}, b_i)
-            beta_lists = [plan.nonunit[(objs[i - 1], objs[i])] for i in range(1, p + 1)]
-            xv = X.value(objs[p])
-            yv = Y.value(objs[0])
-            for km in [(d, i) for d in xv.support() for i in range(xv.dim(d))]:
-                for kn in [(d, i) for d in yv.support() for i in range(yv.dim(d))]:
+            beta_lists = [plan.nonunit(objs[i - 1], objs[i]) for i in range(1, p + 1)]
+            kns = Y.value(objs[0]).basis_keys()
+            for km in X.value(objs[p]).basis_keys():
+                for kn in kns:
                     base_deg = km[0] + kn[0]
                     # product yields (a_1, ..., a_p); chains store (a_p, ..., a_1)
                     for betas in itertools.product(*beta_lists):
@@ -512,16 +459,16 @@ class ModuleMap:
         f = a.field
         n = self.degree
         for x in a.objects:
-            for km in self.src.basis_keys(x):
+            for km in self.src.value(x).basis_keys():
                 e = {km: f.one()}
-                if not elem_eq(self.dst.d_value(x, self.apply(x, e)),
-                               self.apply(x, self.src.d_value(x, e))):
+                if not elem_eq(self.dst.value(x).d_elem(self.apply(x, e)),
+                               self.apply(x, self.src.value(x).d_elem(e))):
                     raise ValueError(f"module map fails d.f = f.d at {x}, {km}")
         for (x, y) in itertools.product(a.objects, repeat=2):
-            for kf in a.basis_keys(x, y):
+            for kf in a.hom(x, y).basis_keys():
                 fe = {kf: f.one()}
                 sgn = f.sign(n * kf[0])
-                for km in self.src.basis_keys(y):
+                for km in self.src.value(y).basis_keys():
                     me = {km: f.one()}
                     lhs = self.apply(x, self.src.act(x, y, me, fe))
                     rhs = elem_scale(f, sgn, self.dst.act(x, y, self.apply(y, me), fe))
@@ -543,7 +490,7 @@ def yoneda_map(a: DgCategory, x, dst: DgModule, n: int, e: dict) -> ModuleMap:
     maps = {}
     for y in a.objects:
         tab = maps[y] = {}
-        for km in src.basis_keys(y):
+        for km in src.value(y).basis_keys():
             img = dst.act(y, x, e, {km: f.sign(n * km[0])})
             tab[km] = {j: v for (_, j), v in img.items()}
     return ModuleMap(src, dst, n, maps)

@@ -465,8 +465,21 @@ class ChainComplex:
             self._d_cols = cols
         return self._d_cols.get(key, ())
 
+    def d_elem(self, elem: dict) -> dict:
+        """The differential of a sparse element {(degree, index): scalar}."""
+        f = self.field
+        out = {}
+        for key, v in elem.items():
+            for k2, w in self.d_of(key):
+                f.accumulate(out, k2, f.mul(w, v))
+        return out
+
     def support(self):
         return sorted(self.spaces)
+
+    def basis_keys(self) -> list:
+        """The basis keys (degree, index), by degree, then by index."""
+        return [(d, i) for d in sorted(self.spaces) for i in range(len(self.spaces[d]))]
 
     def total_dim(self) -> int:
         return sum(len(v) for v in self.spaces.values())
@@ -515,8 +528,7 @@ def tensor_complex(field: FieldSpec, factors) -> ChainComplex:
     d(k_1 (x) .. (x) k_n) = sum_i (-1)^{|k_1|+..+|k_{i-1}|} k_1 (x) .. (x) dk_i (x) .. (x) k_n,
     assembled only when some factor has a differential."""
     basis = {}
-    per_factor = [[(d, i) for d in sorted(c.spaces) for i in range(len(c.spaces[d]))] for c in factors]
-    for keys in itertools.product(*per_factor):
+    for keys in itertools.product(*[c.basis_keys() for c in factors]):
         basis.setdefault(sum([k[0] for k in keys]), []).append(keys)
     if not any(c.diffs for c in factors):
         return ChainComplex(field, basis, {})

@@ -71,8 +71,8 @@ class CyclicBar:
             # where the wrap-around f_m: x_m -> x_0 has a basis key
             back = {y for y in a.objects if a.hom(y, x0).spaces}
             for objs in plan.walks(m, (x0,), back):
-                inner_lists = [plan.nonunit[(objs[j], objs[j + 1])] for j in range(m)]
-                for kf_m in a.basis_keys(objs[m], x0):
+                inner_lists = [plan.nonunit(objs[j], objs[j + 1]) for j in range(m)]
+                for kf_m in a.hom(objs[m], x0).basis_keys():
                     # tuple order (f_m, f_{m-1}, ..., f_0)
                     for inner_keys in itertools.product(*reversed(inner_lists)):
                         yield (objs, (kf_m,) + inner_keys)
@@ -241,7 +241,7 @@ def ch0(a: DgCategory, x, e) -> Ch0Class:
             for (d, _), v in e[i][j].items():
                 if v and d != 0:
                     raise ValueError("matrix entries must be of degree 0")
-            if a.d_elem(x, x, e[i][j]):
+            if a.hom(x, x).d_elem(e[i][j]):
                 raise ValueError("matrix entries must be closed")
     for i in range(n):
         for j in range(n):

@@ -119,7 +119,7 @@ class MonomialAlgebra:
         basis = {}
         for n, ps in enumerate(aps):
             for i, (s, t, w, _l) in enumerate(ps):
-                for b in self.a.basis_keys(t, s):
+                for b in self.a.hom(t, s).basis_keys():
                     weight = len(w) + len(self.word_of[(t, s, b)])
                     basis.setdefault(weight, {}).setdefault(-n, []).append((n, i, b))
         # per chain: (index of q in AP(n-1), R, L, sign) with image (q, R.b.L)
@@ -231,7 +231,7 @@ def monomial_algebra(a: DgCategory):
             f_unit = x == y and kf == unit_keys[x]
             if not (g_unit or f_unit):
                 products.add((x, z, (0, next(iter(prod)))))
-    arrows = [(x, y, k) for x, ys in plan.succ.items() for y in ys for k in plan.nonunit[(x, y)]
+    arrows = [(x, y, k) for x, ys in plan.succ.items() for y in ys for k in plan.nonunit(x, y)
               if (x, y, k) not in products]
     out_arrows = {}
     for i, (x, _y, _k) in enumerate(arrows):
@@ -260,7 +260,7 @@ def monomial_algebra(a: DgCategory):
                 words[wb] = node
                 nxt.append(wb)
         layer = nxt
-    if len(words) != sum(len(plan.nonunit[(x, y)]) for x, ys in plan.succ.items() for y in ys):
+    if len(words) != sum(len(plan.nonunit(x, y)) for x, ys in plan.succ.items() for y in ys):
         return None
     return MonomialAlgebra(a, arrows, words, relations)
 
@@ -303,8 +303,8 @@ def hc_dims(a: DgCategory, n_max: int, bar_bound: int | None = None) -> dict:
     there Goodwillie's theorem splits Connes' SBI sequence weight by
     weight (``MonomialAlgebra.hc_dims``), and every degree is exact.
     Every other input, F_p, and an explicit ``bar_bound`` take the
-    first-quadrant (b, B)-bicomplex of the normalized cyclic bar; degree
-    n uses columns 0..floor(n/2).  Its default bar bound is
+    first-quadrant (b, B)-bicomplex of the normalized cyclic bar
+    (``cyclic.hc_bar_dims``).  Its default bar bound is
     ``BarPlan.bar_bound`` of the mixed complex over total degrees
     -(n_max + 1) .. 1, the pieces those columns read."""
     if n_max < 0:
@@ -314,14 +314,5 @@ def hc_dims(a: DgCategory, n_max: int, bar_bound: int | None = None) -> dict:
         if mono is not None:
             return {n: (d, "exact") for n, d in enumerate(mono.hc_dims(n_max))}
         bar_bound = a.bar_plan().bar_bound(-(n_max + 1), 1, mixed=True)
-    from .cyclic import MixedComplex, _column_homology, _min_offset
-    mx = MixedComplex(a, bar_bound)
-    out = {}
-    for n in range(n_max + 1):
-        # columns j >= 0 hold M_{n-2j}: offsets q = -j <= 0
-        q_lo = min(_min_offset(mx, n - 1), _min_offset(mx, n), _min_offset(mx, n + 1), 0)
-        dim = _column_homology(mx, n, q_lo, 0)
-        pieces = {nn + 2 * q for q in range(q_lo, 1) for nn in (n - 1, n, n + 1)}
-        exact = all(mx.plan.status(-k, bar_bound) == "exact" for k in pieces)
-        out[n] = (dim, "exact" if exact else "truncated")
-    return out
+    from .cyclic import hc_bar_dims
+    return hc_bar_dims(a, n_max, bar_bound)

@@ -69,9 +69,7 @@ class SaturationReport:
 def properness_check(a: DgCategory):
     """Every hom complex bounded with finite total dimension; automatic
     for closed realizations, refused for truncated ones."""
-    detail = {}
-    for (x, y), c in a.homs.items():
-        detail[f"{x}->{y}"] = c.total_dim()
+    detail = {f"{x}->{y}": a.hom(x, y).total_dim() for x, y in itertools.product(a.objects, repeat=2)}
     return a.closed, detail
 
 
@@ -101,7 +99,7 @@ def _degree_zero_hypotheses(a: DgCategory):
             if x == z and prod.get(unit_keys[x][1]):
                 return "non-unit span is not an ideal (a product hits a unit)"
     # ... and nilpotent (admissibility)
-    spans = {(x, y): [{k: f.one()} for k in plan.nonunit[(x, y)]]
+    spans = {(x, y): [{k: f.one()} for k in plan.nonunit(x, y)]
              for x, ys in plan.succ.items() for y in ys}
     current = spans
     for _ in range(a.total_dim() + 1):

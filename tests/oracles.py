@@ -34,9 +34,11 @@ enumerates, on the library's face and differential code;
 truncation cannot reach; it walks the nonempty-hom digraph with
 `walks` and `hom_graph`, the walk enumerator the library kept before
 `BarPlan.walks`.  `reference_tensor` is the library's tensor before it
-built the composition factor by factor; it and `reference_opposite` and
-`reference_diagonal_action` fill every table in one eager pass, as the
-library did before it computed a table on its first read.  `bprime_of` (b' summed from the
+built the composition factor by factor; it and `reference_opposite`,
+`reference_diagonal_action` and `reference_yoneda_action` fill every
+table in one eager pass, as the library did before it computed a table
+on its first read; `tensor_key_views` lists a tensor category's key
+tuples and flat keys for every hom pair.  `bprime_of` (b' summed from the
 library's faces) and `external_tensor_module` (m (x) n over the tensor
 of the bases, built on `dgmod.tensor_action`) are test helpers the
 library no longer carries.  So are the functor section's `DgFunctor`, `validate_functor`,
@@ -406,8 +408,8 @@ class UnnormalizedCyclicBar(CyclicBar):
     def _walk_chains(self, m, edges):
         a = self.a
         for objs in walks(a.objects, edges, m):
-            inner_lists = [list(a.basis_keys(objs[j], objs[j + 1])) for j in range(m)]
-            for kf_m in a.basis_keys(objs[m], objs[0]):
+            inner_lists = [a.hom(objs[j], objs[j + 1]).basis_keys() for j in range(m)]
+            for kf_m in a.hom(objs[m], objs[0]).basis_keys():
                 for inner_keys in itertools.product(*reversed(inner_lists)):
                     yield (objs, (kf_m,) + inner_keys)
 
@@ -739,9 +741,17 @@ def reference_tensor(*cats: DgCategory) -> DgCategory:
     name = " (x) ".join(c.name or "?" for c in cats)
     out = DgCategory(field, objects, homs, comp, units, name=name,
                      closed=all(c.closed for c in cats))
-    out._tensor = TensorInfo(cats, objects,
-                             lambda x, y: (homs[(x, y)], info_keys[(x, y)], info_index[(x, y)]))
+    out._tensor = TensorInfo(cats, lambda x, y: (homs[(x, y)], info_keys[(x, y)], info_index[(x, y)]))
     return out
+
+
+def tensor_key_views(cat: DgCategory):
+    """The key tuples and the flat keys of every hom pair of a tensor
+    category, as two dicts by pair in object order, read through
+    ``TensorInfo.pair``."""
+    info = tensor_info(cat)
+    pairs = {p: info.pair(*p) for p in itertools.product(cat.objects, repeat=2)}
+    return {p: v[1] for p, v in pairs.items()}, {p: v[2] for p, v in pairs.items()}
 
 
 def reference_opposite(a: DgCategory) -> DgCategory:
@@ -760,6 +770,26 @@ def reference_opposite(a: DgCategory) -> DgCategory:
                       closed=a.closed)
 
 
+def reference_yoneda_action(a: DgCategory, x) -> dict:
+    """The action of yoneda_module(a, x), every pair filled at once
+    through compose_elems on singleton elements, where the library reads
+    a's product table of (z, y, x) with its key pairs swapped."""
+    f = a.field
+    action = {}
+    for (z, y) in itertools.product(a.objects, repeat=2):
+        tab = {}
+        for kf in a.hom(z, y).basis_keys():
+            fe = {kf: f.one()}
+            for km in a.hom(y, x).basis_keys():
+                me = {km: f.one()}
+                prod = a.compose_elems(z, y, x, me, fe)
+                if prod:
+                    tab[(kf, km)] = {i: v for (d, i), v in prod.items()}
+        if tab:
+            action[(z, y)] = tab
+    return action
+
+
 def reference_diagonal_action(a: DgCategory) -> dict:
     """The action table of the diagonal bimodule over
     tensor(opposite(a), a), every pair filled at once through
@@ -769,13 +799,13 @@ def reference_diagonal_action(a: DgCategory) -> dict:
     f = a.field
     one = f.one()
     base = tensor(opposite(a), a)
-    keys = tensor_info(base).keys
+    info = tensor_info(base)
     action = {}
     for (x, y), (xp, yp) in itertools.product(base.objects, repeat=2):
         table = {}
-        for dh, hlist in keys[((x, y), (xp, yp))].items():
+        for dh, hlist in info.pair((x, y), (xp, yp))[1].items():
             for ih, (kf, kg) in enumerate(hlist):
-                for km in a.basis_keys(yp, xp):
+                for km in a.hom(yp, xp).basis_keys():
                     mg = a.compose_elems(y, yp, xp, {km: one}, {kg: one})
                     fmg = a.compose_elems(y, xp, x, {kf: one}, mg)
                     if fmg:
@@ -1245,18 +1275,18 @@ def validate_functor(F: DgFunctor) -> ValidationReport:
             rep.add("functor unit", (x,))
     for (x, y) in itertools.product(a.objects, repeat=2):
         Fx, Fy = F.on_object(x), F.on_object(y)
-        for k in a.basis_keys(x, y):
+        for k in a.hom(x, y).basis_keys():
             e = {k: f.one()}
-            lhs = F.apply_elem(x, y, a.d_elem(x, y, e))
-            rhs = b.d_elem(Fx, Fy, F.apply_elem(x, y, e))
+            lhs = F.apply_elem(x, y, a.hom(x, y).d_elem(e))
+            rhs = b.hom(Fx, Fy).d_elem(F.apply_elem(x, y, e))
             if not elem_eq(lhs, rhs):
                 rep.add("functor chain map", (x, y, k))
     for (x, y, z) in itertools.product(a.objects, repeat=3):
         Fx, Fy, Fz = F.on_object(x), F.on_object(y), F.on_object(z)
-        for kg in a.basis_keys(y, z):
+        for kg in a.hom(y, z).basis_keys():
             g = {kg: f.one()}
             Fg = F.apply_elem(y, z, g)
-            for kf in a.basis_keys(x, y):
+            for kf in a.hom(x, y).basis_keys():
                 fe = {kf: f.one()}
                 lhs = F.apply_elem(x, z, a.compose_elems(x, y, z, g, fe))
                 rhs = b.compose_elems(Fx, Fy, Fz, Fg, F.apply_elem(x, y, fe))
@@ -1279,7 +1309,7 @@ def swap_functor(a: DgCategory, b: DgCategory) -> DgFunctor:
         for y in src.objects:
             sx, sy = object_map[x], object_map[y]
             by_degree = info_s.pair(x, y)[1]
-            idx_t = info_t.index[(sx, sy)]
+            idx_t = info_t.pair(sx, sy)[2]
             maps = {}
             for d, combos in by_degree.items():
                 entries = {}
@@ -1306,11 +1336,11 @@ def pullback_module(F: DgFunctor, m: DgModule) -> DgModule:
     for (x, y) in itertools.product(a.objects, repeat=2):
         Fx, Fy = F.on_object(x), F.on_object(y)
         tab = {}
-        for kf in a.basis_keys(x, y):
+        for kf in a.hom(x, y).basis_keys():
             fe = F.apply_elem(x, y, {kf: f.one()})
             if not fe:
                 continue
-            for km in m.basis_keys(Fy):
+            for km in m.value(Fy).basis_keys():
                 out = m.act(Fx, Fy, {km: f.one()}, fe)
                 if out:
                     tab[(kf, km)] = {i: v for (d, i), v in out.items()}
@@ -1334,13 +1364,13 @@ def restrict(x, diag: DgModule) -> DgModule:
     for (y, yp) in itertools.product(a.objects, repeat=2):
         index = info.pair((x, y), (x, yp))[2]
         tab = {}
-        for kg in a.basis_keys(y, yp):
+        for kg in a.hom(y, yp).basis_keys():
             # element 1_x (x) g of base.hom((x,y),(x,yp))
             fe = {}
             for ku, cu in opp_unit.items():
                 d, i = index[(ku, kg)]
                 fe[(d, i)] = cu
-            for km in diag.basis_keys((x, yp)):
+            for km in diag.value((x, yp)).basis_keys():
                 out = diag.act((x, y), (x, yp), {km: f.one()}, fe)
                 if out:
                     tab[(kg, km)] = {i: v for (d, i), v in out.items()}
@@ -1371,7 +1401,7 @@ def module_map_space(src: DgModule, dst: DgModule, n: int):
     unknowns = []
     index = {}
     for x in a.objects:
-        for km in src.basis_keys(x):
+        for km in src.value(x).basis_keys():
             tgt = dst.value(x)
             d_out = km[0] + n
             for j in range(tgt.dim(d_out)):
@@ -1386,7 +1416,7 @@ def module_map_space(src: DgModule, dst: DgModule, n: int):
     # chain condition: for each x, km: d(f(km)) - f(d(km)) = 0
     for x in a.objects:
         tgt = dst.value(x)
-        for km in src.basis_keys(x):
+        for km in src.value(x).basis_keys():
             d_out = km[0] + n
             # components indexed by dst basis at degree d_out + 1
             comps = {}
@@ -1394,17 +1424,17 @@ def module_map_space(src: DgModule, dst: DgModule, n: int):
             if mat is not None:
                 for (i, j), v in mat.entries.items():
                     comps.setdefault(i, {})[index[(x, km, j)]] = v
-            for km2, v in src.d_value(x, {km: f.one()}).items():
+            for km2, v in src.value(x).d_elem({km: f.one()}).items():
                 for j in range(tgt.dim(km2[0] + n)):
                     f.accumulate(comps.setdefault(j, {}), index[(x, km2, j)], f.neg(v))
             for comp in comps.values():
                 add_row(comp)
     # linearity: f(m.a) - (-1)^{n|a|} f(m).a = 0
     for (x, y) in itertools.product(a.objects, repeat=2):
-        for kf in a.basis_keys(x, y):
+        for kf in a.hom(x, y).basis_keys():
             fe = {kf: f.one()}
             sgn = f.sign(n * kf[0])
-            for km in src.basis_keys(y):
+            for km in src.value(y).basis_keys():
                 acted = src.act(x, y, {km: f.one()}, fe)
                 comps = {}
                 for km2, v in acted.items():

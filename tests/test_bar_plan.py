@@ -71,8 +71,8 @@ def test_plan_matches_contribution_plan(corpus):
         assert plan.max_bar == reference_longest_path_bound(a)
         assert plan.unit_keys == {x: a.unit_key(x) for x in a.objects}
         for x, y in itertools.product(a.objects, repeat=2):
-            assert plan.nonunit[(x, y)] == _factor_keys(a, x, y, True)
-            assert (y in plan.succ[x]) == bool(plan.nonunit[(x, y)])
+            assert plan.nonunit(x, y) == _factor_keys(a, x, y, True)
+            assert (y in plan.succ[x]) == bool(plan.nonunit(x, y))
         for t_lo, t_hi in WINDOWS:
             assert plan.bound_for_window(t_lo, t_hi) == ref.bound_for_window(t_lo, t_hi), a
         for t, bar_bound in itertools.product(range(-7, 6), BAR_BOUNDS):
@@ -136,7 +136,7 @@ def test_tensor_plan_comes_from_the_factors(corpus):
             assert plan.differential == any(c.diffs for c in want.homs.values())
             for x, y in itertools.product(got.objects, repeat=2):
                 keys = _factor_keys(want, x, y, True)
-                assert plan.nonunit[(x, y)] == eager.nonunit[(x, y)] == keys
+                assert plan.nonunit(x, y) == eager.nonunit(x, y) == keys
                 assert (y in plan.succ[x]) == bool(keys)
             seen.add("cycle" if plan.max_bar is None else "acyclic")
             seen.add("differential" if plan.differential else "no differential")

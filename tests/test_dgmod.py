@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,7 +11,8 @@ from dghom.dgmod import (DgModule, ModuleMap, bar_composite, diagonal_bimodule, 
                          sn_pack, sn_unpack, tor_dims, validate_module, yoneda_map, yoneda_module,
                          BarWindowError)
 from conftest import F3, Q, a3, contractible_category, random_small_category, exterior_deg
-from oracles import brute_tor_dims, dense_rank, external_tensor_module, module_map_space, restrict
+from oracles import (brute_tor_dims, dense_rank, external_tensor_module, module_map_space,
+                     reference_yoneda_action, restrict)
 
 
 def simple_module(cat, vertex):
@@ -27,6 +29,27 @@ class TestModules:
         m = yoneda_module(u, "*")
         assert validate_module(m).ok
         assert m.dims("*") == {0: 1}
+
+    def test_yoneda_action_equals_the_eager_reference(self, corpus):
+        # the action of h(x) is a's product table with its key pairs
+        # swapped, read pair by pair; it must equal the eager loop through
+        # compose_elems table for table, and be a module
+        rng = random.Random(0x40E)
+        cats = [*corpus.values(), a3((1, -1))]
+        cats += [sphere_cell(n, Q) for n in (-1, 0, 1, 2)] + [disk_cell(n, Q) for n in (0, 1, 2)]
+        cats += [random_small_category(rng, field) for field in (Q, F3) for _ in range(12)]
+        tables = 0
+        for a in cats:
+            for x in a.objects:
+                m, want = yoneda_module(a, x), reference_yoneda_action(a, x)
+                tables += len(want)
+                pairs = list(itertools.product(a.objects, repeat=2))
+                rng.shuffle(pairs)
+                for pair in pairs:
+                    assert m.actions(*pair) == want.get(pair, {}), (a, x, pair)
+                assert m.action == want, (a, x)
+                assert validate_module(m).ok, (a, x)
+        assert tables >= 100
 
     def test_yoneda_sphere(self):
         s = sphere_cell(2, Q)
@@ -197,7 +220,7 @@ class TestSnPack:
             for n in (0, 1, 2):
                 # the relabelling identity m -> m[-n] as a degree-n map
                 fmap = ModuleMap(m, shift_module(m, -n), n,
-                                 {x: {km: {km[1]: cat.field.one()} for km in m.basis_keys(x)}
+                                 {x: {km: {km[1]: cat.field.one()} for km in m.value(x).basis_keys()}
                                   for x in cat.objects})
                 fmap.check()
                 packed = sn_pack(m, fmap.dst, fmap)

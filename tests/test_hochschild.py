@@ -133,7 +133,7 @@ class TestHHDims:
             endo_basis = []
             index = {}
             for x in cat.objects:
-                for k in cat.basis_keys(x, x):
+                for k in cat.hom(x, x).basis_keys():
                     if k[0] != 0:
                         continue
                     index[(x, k)] = len(endo_basis)
@@ -141,8 +141,8 @@ class TestHHDims:
             comm = Subspace(f)
             rank_comm = 0
             for (x, y) in itertools.product(cat.objects, repeat=2):
-                for kf in cat.basis_keys(x, y):
-                    for kg in cat.basis_keys(y, x):
+                for kf in cat.hom(x, y).basis_keys():
+                    for kg in cat.hom(y, x).basis_keys():
                         if kf[0] + kg[0] != 0:
                             continue
                         gf = cat.compose_elems(x, y, x, {kg: f.one()}, {kf: f.one()})

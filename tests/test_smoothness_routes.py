@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from dghom.cli import main
-from dghom.dgcore import DgCategory, opposite
+from dghom.dgcore import DgCategory, Table, opposite
 from dghom.dgmod import top_module, tor_dims
 from dghom.grammar import load_path, loads
 from dghom.smoothness import _degree_zero_hypotheses, smoothness_certify
@@ -135,11 +135,15 @@ def test_bar_route_computes_no_opposite_table(name, tor, monkeypatch):
     # knows a module over opposite(a) by its base's op_source: comparing
     # it with a fresh opposite(a) would compute both sides' tables
     a = load(SQUARE) if name == "square" else load_path(BINOMIAL)[0]
-    owners = []
-    products = DgCategory.products
-    monkeypatch.setattr(DgCategory, "products",
-                        lambda owner, *key: owners.append(owner) or products(owner, *key))
+    tables, cats = [], [a]
+    read, init = Table.__call__, DgCategory.__init__
+    monkeypatch.setattr(Table, "__call__", lambda table, *key: tables.append(table)
+                        or read(table, *key))
+    monkeypatch.setattr(DgCategory, "__init__", lambda cat, *args, **kwargs: cats.append(cat)
+                        or init(cat, *args, **kwargs))
     assert smoothness_certify(a, 4).tor_dims == tor
+    # the categories whose product tables were read
+    owners = [c for t in tables for c in cats if t is c.products]
     assert owners and all(owner is a for owner in owners)
 
 

@@ -14,8 +14,8 @@ import itertools
 import pytest
 
 from dghom.cells import disk_cell
-from dghom.dgcore import DgCategory, opposite, tensor
-from dghom.dgmod import DgModule, bar_composite, validate_module
+from dghom.dgcore import DgCategory, Table, opposite, tensor, tensor_info
+from dghom.dgmod import bar_composite, validate_module
 from dghom.saturation import _triangle_modules, triangle_identity_check
 from conftest import Q, a3
 from oracles import (brute_bar_chain_keys, drop_degenerate, reference_bar_diff,
@@ -101,24 +101,29 @@ def test_triangle_set_up_computes_no_table(monkeypatch):
     # plan (made from the factors' plans) build only the loops the units
     # read, and a full read of mid.homs would build all 27^2 pairs
     a = a3()
-    reads = []
-    for cls, name in ((DgCategory, "products"), (DgModule, "actions")):
-        original = getattr(cls, name)
-        monkeypatch.setattr(cls, name, lambda owner, *key, _read=original:
-                            reads.append((owner, key)) or _read(owner, *key))
+    reads, cats = [], [a]
+    read, init = Table.__call__, DgCategory.__init__
+    monkeypatch.setattr(Table, "__call__", lambda table, *key: reads.append((table, key))
+                        or read(table, *key))
+    monkeypatch.setattr(DgCategory, "__init__", lambda cat, *args, **kwargs: cats.append(cat)
+                        or init(cat, *args, **kwargs))
     X, Y, mid = _triangle_modules(a)
     mid.bar_plan()
-    assert reads == []
+    # the product tables of every category made on the way, and the
+    # modules' action tables
+    tables = [c.products for c in cats] + [m.actions for m in [*X.values(), *Y.values()]]
+    assert [(table, key) for table, key in reads if any(table is t for t in tables)] == []
     loops = {(u, u) for u in mid.objects}
-    built = mid._tensor._pairs
+    built = tensor_info(mid).pair.stored
     assert set(built) <= loops
 
     computed = {}
     for owner in [mid, *X.values(), *Y.values()]:
-        def compute(*key, _owner=owner, _compute=owner._compute):
+        table = owner.products if owner is mid else owner.actions
+        def compute(*key, _owner=owner, _fill=table.fill):
             computed.setdefault(id(_owner), []).append(key)
-            return _compute(*key)
-        owner._compute = compute
+            return _fill(*key)
+        table.fill = compute
     # the triples and pairs a face reads: the X-action (face 0), the
     # middle compositions and the Y-action (face p) of every chain
     # and the hom pairs: the loops, the pairs of those tables, and the

@@ -7,18 +7,21 @@ their first read, whatever the order of the reads."""
 
 import itertools
 import random
+from pathlib import Path
 
 from dghom import saturation
 from dghom.cells import unit_category
-from dghom.dgcore import BarPlan, opposite, tensor
-from dghom.dgmod import bar_composite, diagonal_bimodule, yoneda_module
+from dghom.dgcore import BarPlan, DgCategory, opposite, tensor, tensor_info
+from dghom.dgmod import DgModule, bar_composite, diagonal_bimodule, yoneda_module
+from dghom.grammar import load_path
 from dghom.hochschild import CyclicBar
 from dghom.saturation import _triangle_modules, triangle_identity_check
 from dghom.presentation import PathElement, from_quiver, realize
-from conftest import Q, random_small_category
+from conftest import Q, a3, random_small_category
 from oracles import (UnnormalizedCyclicBar, brute_bar_chain_keys, brute_cyclic_keys,
                      brute_tensor_comp_shape, reference_diagonal_action, reference_opposite,
-                     reference_tensor, reference_triangle_modules)
+                     reference_tensor, reference_triangle_modules, reference_yoneda_action,
+                     tensor_key_views)
 
 
 def two_cycle():
@@ -163,8 +166,9 @@ def test_tensor_matches_reference(corpus, rng):
         assert {k: c.diffs for k, c in got.homs.items()} == {k: c.diffs for k, c in want.homs.items()}
         assert _ordered(got.comp) == _ordered(want.comp), factors
         assert _ordered(got.units) == _ordered(want.units)
-        assert _ordered(got._tensor.keys) == _ordered(want._tensor.keys)
-        assert _ordered(got._tensor.index) == _ordered(want._tensor.index)
+        (got_keys, got_index), (want_keys, want_index) = map(tensor_key_views, (got, want))
+        assert _ordered(got_keys) == _ordered(want_keys)
+        assert _ordered(got_index) == _ordered(want_index)
         assert got == want
 
 
@@ -175,13 +179,14 @@ def _spectator_slice(ref, slot, unit_key, split):
     key: the tables of the library module, keyed by the middle flat key.
     ``split`` turns a key tuple of ref's base into (spectator key,
     middle key)."""
-    keys = ref.base._tensor.keys
+    info = tensor_info(ref.base)
 
     def table(xo, yo):
         pair = (slot(xo), slot(yo))
+        keys = info.pair(*pair)[1]
         out = {}
         for ((d, i), vk), prod in ref.actions(*pair).items():
-            k_spect, k_mid = split(keys[pair][d][i])
+            k_spect, k_mid = split(keys[d][i])
             if k_spect == unit_key:
                 out[(k_mid, vk)] = prod
         return out
@@ -228,3 +233,47 @@ def test_tables_on_demand_equal_the_eager_reference():
         _read_shuffled(diag.actions, itertools.product(diag.base.objects, repeat=2), rng,
                        lambda *p: want.get(p, {}))
         assert _ordered(diag.action) == _ordered(want), a
+
+
+def _hom_data(homs):
+    return {pair: (c.spaces, c.diffs) for pair, c in homs.items()}
+
+
+def test_stored_tables_are_the_given_dicts(corpus):
+    # a loaded or realized input gives its hom complexes and product
+    # tables as dicts, and a module its action tables: each is stored as
+    # the given object, a missing key reads as empty and is never
+    # written, and partial reads in any order leave the full views equal
+    # to the given dicts
+    rng = random.Random(0x5707)
+    golden = Path(__file__).resolve().parent / "golden"
+    loaded = [load_path(p)[0] for p in sorted(golden.glob("*.dg")) + sorted(golden.glob("*.quiver"))]
+    missing_read = 0
+    for a in [*corpus.values(), a3(), a3((1, -1), ab_zero=True), *loaded]:
+        homs, comp = dict(a.homs), dict(a.comp)
+        cat = DgCategory(a.field, a.objects, homs, comp, a.units)
+        want_homs, want_comp = _hom_data(homs), dict(comp)
+        pairs = list(itertools.product(a.objects, repeat=2))
+        triples = list(itertools.product(a.objects, repeat=3))
+        missing_read += sum(p not in homs for p in pairs) + sum(t not in comp for t in triples)
+        rng.shuffle(pairs)
+        rng.shuffle(triples)
+        for pair in pairs[:len(pairs) // 2 + 1]:
+            c = cat.hom(*pair)
+            assert (c.spaces, c.diffs) == want_homs.get(pair, ({}, {}))
+        _read_shuffled(cat.products, triples[:len(triples) // 2 + 1], rng,
+                       lambda *t: want_comp.get(t, {}))
+        assert cat.homs is homs and _hom_data(cat.homs) == want_homs, a
+        assert cat.comp is comp and cat.comp == want_comp, a
+
+        for x in a.objects:
+            action = reference_yoneda_action(a, x)
+            module = DgModule(a, {y: a.hom(y, x) for y in a.objects}, action)
+            want = dict(action)
+            pairs = list(itertools.product(a.objects, repeat=2))
+            missing_read += sum(p not in action for p in pairs)
+            rng.shuffle(pairs)
+            _read_shuffled(module.actions, pairs[:len(pairs) // 2 + 1], rng,
+                           lambda *p: want.get(p, {}))
+            assert module.action is action and module.action == want, (a, x)
+    assert missing_read > 100
