@@ -1,7 +1,7 @@
 """Exact linear algebra over Q and prime fields.
 
 Everything downstream reduces to the primitives here: sparse matrices of
-field scalars, rank/kernel via exact Gaussian elimination, and bounded
+field scalars, one exact elimination (``Subspace``), and bounded
 chain complexes in the cohomological convention (the differential raises
 the degree by one).  Homological degrees are reported at higher layers
 as H_n := H^{-n}.
@@ -156,7 +156,8 @@ class FieldSpec:
 
 
 class Matrix:
-    """Sparse matrix over a field: entries maps (row, col) to a nonzero scalar."""
+    """Sparse matrix over a field: entries maps (row, col) to a nonzero
+    scalar, reduced mod p over F_p as it enters."""
 
     __slots__ = ("field", "rows", "cols", "entries")
 
@@ -166,9 +167,12 @@ class Matrix:
         self.cols = cols
         self.entries = {}
         if entries:
+            p = field.kind
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise IndexError(f"entry ({i},{j}) out of range {rows}x{cols}")
+                if p:
+                    v %= p
                 if v:
                     self.entries[(i, j)] = v
 
@@ -196,16 +200,6 @@ class Matrix:
             f.accumulate(out, k, v)
         return Matrix(f, self.rows, self.cols, out)
 
-    def scale(self, c) -> "Matrix":
-        f = self.field
-        if not c:
-            return Matrix(f, self.rows, self.cols)
-        return Matrix(f, self.rows, self.cols,
-                      {k: f.mul(c, v) for k, v in self.entries.items()})
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        return self.add(other.scale(self.field.neg(self.field.one())))
-
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
@@ -228,106 +222,90 @@ class Matrix:
         return by_col
 
 
-def _plain(v):
-    """An integral Fraction as an int, for scalars leaving this module."""
-    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
-
-
 class Subspace:
-    """Incremental row space kept as a fully reduced echelon basis.
-
-    Vectors are sparse dicts {index: scalar}; stored zeros in an input
-    are dropped.  Each row is scaled to 1 at its pivot, its smallest
-    index, and is zero at every other pivot.  ``residual`` reduces a
-    vector modulo the space.  Callers that need the combination of
-    inserted vectors behind a reduction (kernels, quotient coordinates)
-    append a tag coordinate past the real ones to each vector, the
-    textbook [A | I] augmentation: the tags of a reduced vector record
-    its combination.  ``rank`` needs no basis and does not use this.
+    """Incremental row space kept as an echelon: one row per leading
+    column (its pivot), never back-substituted.  Vectors are sparse
+    dicts {index: scalar} and enter in the echelon's scalars: reduced mod
+    p, zeros dropped, over F_p, where rows lead with 1; coprime integers
+    over Q, reduced fraction-free (Bareiss 1968).  One loop, ``_reduce``,
+    serves every caller.  Callers that need the combination of inserted
+    vectors behind a reduction (kernels, quotient coordinates) append a
+    tag coordinate past the real ones to each vector, the textbook
+    [A | I] augmentation: the tags of a reduced vector record its
+    combination.
     """
 
     def __init__(self, field: FieldSpec):
         self.field = field
-        self.pivot_rows = {}      # pivot index -> reduced row (dict)
+        self.pivot_rows = {}      # pivot index -> echelon row (dict)
 
     @property
     def dim(self) -> int:
         return len(self.pivot_rows)
 
-    def _add_row(self, vec: dict, c, row: dict):
-        """vec += c * row in place (accumulate reduces mod p)."""
-        acc = self.field.accumulate
-        for j, v in row.items():
-            acc(vec, j, c * v)
+    def _scalars(self, vec: dict) -> dict:
+        """A fresh copy of vec in the echelon's scalars, without zeros."""
+        p = self.field.kind
+        if p:
+            return {j: w for j, v in vec.items() if (w := v % p)}
+        den = lcm(*(v.denominator for v in vec.values()))
+        return _primitive({j: v.numerator * (den // v.denominator) for j, v in vec.items() if v})
 
-    def _reduce(self, vec: dict) -> dict:
-        """A reduced copy of vec, without zeros.  Rows are zero at each
-        other's pivots, so one pass over the pivots vec starts with
-        suffices."""
-        f = self.field
-        vec = {k: v for k, v in vec.items() if v}
-        for p in sorted(vec.keys() & self.pivot_rows.keys()):
-            self._add_row(vec, f.neg(vec[p]), self.pivot_rows[p])
+    def _reduce(self, vec: dict, full: bool = False) -> dict:
+        """The one elimination loop: clear the leading column of vec with
+        the row stored there while there is one; with ``full``, clear
+        the smallest column of vec that holds a row while any does."""
+        p = self.field.kind
+        rows = self.pivot_rows
+        while vec:
+            c = min([j for j in vec if j in rows], default=None) if full else min(vec)
+            prow = rows.get(c)
+            if prow is None:
+                return vec
+            vec = _eliminate_mod(vec, prow, c, p) if p else _eliminate_int(vec, prow, c)
         return vec
 
-    def _store(self, vec: dict):
-        """Add a nonzero reduced vector as a row, back-substituting it
-        into the rows that hold its pivot."""
-        f = self.field
-        p = min(vec)
-        c = f.inv(vec[p])
-        row = {k: f.mul(c, v) for k, v in vec.items()}
-        for qrow in self.pivot_rows.values():
-            if p in qrow:
-                self._add_row(qrow, f.neg(qrow[p]), row)
-        self.pivot_rows[p] = row
+    def _over(self, vec: dict, s) -> dict:
+        """vec / s, exact: mod p, or an int where integral and else a
+        Fraction over Q (never ``/``: an int quotient is a float)."""
+        if s == 1:
+            return vec
+        p = self.field.kind
+        if p:
+            s = pow(s, p - 2, p)
+            return {j: v * s % p for j, v in vec.items()}
+        return {j: v // s if v % s == 0 else Fraction(v, s) for j, v in vec.items()}
+
+    def _keep(self, vec: dict):
+        """Store a nonzero reduced vector as the row at its leading column."""
+        c = min(vec)
+        self.pivot_rows[c] = self._over(vec, vec[c]) if self.field.kind else vec
 
     def insert(self, vec: dict) -> bool:
         """Insert a generator; returns True if it enlarged the space."""
-        vec = self._reduce(vec)
+        vec = self._reduce(self._scalars(vec))
         if vec:
-            self._store(vec)
+            self._keep(vec)
         return bool(vec)
 
     def residual(self, vec: dict) -> dict:
-        """Reduce vec modulo the subspace; zero dict iff vec is a member."""
-        return {k: _plain(v) for k, v in self._reduce(vec).items()}
+        """vec reduced modulo the subspace, zero at every pivot: the zero
+        dict iff vec is a member.  Fraction-free elimination scales vec;
+        the tag None records the factor, divided out once at the end."""
+        vec = self._reduce(self._scalars({**vec, None: 1}), full=True)
+        return self._over(vec, vec.pop(None))
 
 
 def rank(m: Matrix) -> int:
-    """Rank by rank-only sparse elimination.
-
-    Nothing is tracked and nothing back-substituted: each row is reduced
-    by the pivot row at its leading column until that column holds no
-    pivot yet, and then becomes the pivot row there.  Over Q every row is
-    first cleared of denominators and reduced fraction-free on integers
-    (Bareiss 1968); over F_p pivot rows are scaled to lead with 1.
-    """
-    p = m.field.kind
+    """The number of rows a Subspace keeps when the rows of m are
+    inserted in order."""
+    sp = Subspace(m.field)
     rows = {}
     for (i, j), v in m.entries.items():
         rows.setdefault(i, {})[j] = v
-    pivots = {}
     for i in sorted(rows):
-        vec = rows[i] if p else _integer_row(rows[i])
-        while vec:
-            c = min(vec)
-            prow = pivots.get(c)
-            if prow is None:
-                if p:
-                    inv = pow(vec[c], p - 2, p)
-                    vec = {j: v * inv % p for j, v in vec.items()}
-                pivots[c] = vec
-                break
-            vec = _eliminate_mod(vec, prow, c, p) if p else _eliminate_int(vec, prow, c)
-    return len(pivots)
-
-
-def _integer_row(row: dict) -> dict:
-    """A rational row scaled to coprime integer entries."""
-    den = lcm(*(v.denominator for v in row.values()))
-    vec = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
-    return _primitive(vec)
+        sp.insert(rows[i])
+    return sp.dim
 
 
 def _primitive(vec: dict) -> dict:
@@ -378,17 +356,19 @@ def kernel_basis(m: Matrix) -> Matrix:
 def _kernel_vectors(m: Matrix) -> list:
     """A basis of the null space of m as sparse vectors.  Column j is
     reduced with the tag coordinate m.rows + j; a column whose real part
-    vanishes is a kernel vector, the combination its tags record."""
+    vanishes is a kernel vector, the combination its tags record, scaled
+    to 1 at its own tag: e_j minus the one combination of the earlier
+    independent columns that equals column j."""
     sp = Subspace(m.field)
     members = []
     by_col = m.columns()
     r = m.rows
     for j in range(m.cols):
-        vec = sp._reduce({**by_col.get(j, {}), r + j: 1})
+        vec = sp._reduce(sp._scalars({**by_col.get(j, {}), r + j: 1}))
         if min(vec) < r:
-            sp._store(vec)
+            sp._keep(vec)
         else:
-            members.append({i - r: v for i, v in vec.items()})
+            members.append({i - r: v for i, v in sp._over(vec, vec[r + j]).items()})
     return members
 
 
@@ -573,34 +553,34 @@ def homology_quotient(d_in: Matrix, d_out: Matrix):
 
     Returns (dim, cycle_columns, project) where cycle_columns is a list of
     sparse cycle vectors forming a basis of H modulo boundaries and
-    project maps a cycle vector to its coordinates in that basis.  The
-    residual modulo boundaries of the k-th representative is stored with
-    the tag coordinate dim V + k, so a cycle's coordinates are read off
-    the tags of its reduction; project raises ValueError on a vector
-    that is not a cycle or has an index outside V.
+    project maps a cycle vector to its coordinates in that basis.  One
+    Subspace holds the boundaries and, past them, each representative
+    with the tag coordinate dim V + k: a kernel vector becomes the k-th
+    representative when its real part is independent of the rows before
+    it.  A cycle's coordinates are read off the tags of its residual;
+    project raises ValueError on a vector that is not a cycle or has an
+    index outside V.
     """
     f = d_in.field
     n = d_out.cols
-    bound = image_basis(d_in)
+    sp = image_basis(d_in)
     reps = []
-    quot = Subspace(f)
-    # residuals of kernel vectors modulo boundaries; keep the independent ones
     for vec in _kernel_vectors(d_out):
-        res = quot._reduce({**bound.residual(vec), n + len(reps): 1})
+        res = sp._reduce(sp._scalars({**vec, n + len(reps): 1}))
         if min(res) < n:
-            quot._store(res)
+            sp._keep(res)
             reps.append(vec)
 
     def project(vec: dict) -> list:
         if any(not 0 <= i < n for i in vec):
             raise ValueError(f"vector has an index outside 0..{n - 1}")
-        red = quot._reduce(bound.residual(vec))
+        red = sp.residual(vec)
         if red and min(red) < n:
             raise ValueError("vector is not a cycle modulo boundaries")
         # only tags are left: red[n + k] = -coords[k]
         coords = [f.zero()] * len(reps)
         for g, v in red.items():
-            coords[g - n] = _plain(f.neg(v))
+            coords[g - n] = f.neg(v)
         return coords
 
     return len(reps), reps, project

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 
-from .exactfield import Matrix, Subspace, homology_dims, homology_quotient, tensor_complex
+from .exactfield import Matrix, homology_dims, homology_quotient, rank, tensor_complex
 from .dgcore import DgCategory, opposite, tensor
 from .dgmod import (BarWindowError, DgModule, _diagonal_over, bar_composite, diagonal_bimodule,
                     tensor_action)
@@ -238,7 +238,7 @@ def _comparison_quasi_iso(a: DgCategory, bars, X, Y, window):
                 continue
             lhs = c_mats.get(t + 1, Matrix(f, target.dim(t + 1), cx.dim(t + 1))).mul(cx.diff(t))
             rhs = target.diff(t).mul(c_mats[t])
-            if not lhs.sub(rhs).is_zero():
+            if lhs != rhs:
                 return False, {"reason": f"comparison map is not a chain map at {pair}, degree {t}"}
         # induced map on homology bijective in the window; the caller has
         # matched the homology dimensions of cx and target already
@@ -246,19 +246,15 @@ def _comparison_quasi_iso(a: DgCategory, bars, X, Y, window):
             h_dim = homology_dims(cx, (t, t))[t]
             if h_dim == 0:
                 continue
-            dim_t, reps, project = homology_quotient(target.diff(t - 1), target.diff(t))
-            dim_c, reps_c, _ = homology_quotient(cx.diff(t - 1), cx.diff(t))
+            dim_t, _, project = homology_quotient(target.diff(t - 1), target.diff(t))
+            _, reps_c, _ = homology_quotient(cx.diff(t - 1), cx.diff(t))
             # images of all representatives in one product, indexed once
             reps_mat = Matrix(f, cx.dim(t), len(reps_c),
                               {(i, k): v for k, vec in enumerate(reps_c) for i, v in vec.items()})
             imgs = c_mats[t].mul(reps_mat).columns()
-            image = Subspace(f)
-            img_rank = 0
-            for k in range(len(reps_c)):
-                coords = project(imgs.get(k, {}))
-                if image.insert({i: c for i, c in enumerate(coords) if c}):
-                    img_rank += 1
-            if img_rank != h_dim:
+            coords = {(i, k): c for k in range(len(reps_c))
+                      for i, c in enumerate(project(imgs.get(k, {})))}
+            if rank(Matrix(f, dim_t, len(reps_c), coords)) != h_dim:
                 return False, {"reason": f"comparison map not surjective on homology at {pair}, degree {t}"}
     return True, {}
 

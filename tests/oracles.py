@@ -3,10 +3,14 @@
 Everything here deliberately avoids the library's own linear algebra and
 sign conventions: dense Gaussian elimination, textbook bar complexes in
 the a_0 (x) ... (x) a_n orientation, and direct convolution counting.
-Two exceptions: `subspace_rank` checks `rank` against the library's
-other elimination, the echelon-basis `Subspace`; and the bar
-operator references at the end (`reference_face`, `reference_bar_diff`
-and their companions) share the library's sign conventions but reach
+Two exceptions: the elimination references are the library's own two
+elimination paths from before `Subspace` became its one echelon, kept
+unchanged: `reference_rank`, a rank-only fraction-free loop, and
+`ReferenceSubspace` with `reference_kernel_vectors`,
+`reference_image_basis` and `reference_homology_quotient`, a fully
+reduced Fraction/F_p basis, which `subspace_rank` ranks through; and
+the bar operator references at the end (`reference_face`,
+`reference_bar_diff` and their companions) share the library's sign conventions but reach
 every product, action and differential through the generic bilinear
 calls on singleton elements, which the library's bar operators bypass;
 `drop_degenerate` projects `reference_bar_diff` onto the normalized
@@ -54,6 +58,8 @@ kernel with the library's `kernel_basis`.
 """
 
 import itertools
+from fractions import Fraction
+from math import gcd, lcm
 
 from dghom.cyclic import CyclicError, t_of_key
 from dghom.dgcore import (DgCategory, TensorInfo, ValidationReport, bar_degree_cap, elem_eq,
@@ -95,17 +101,222 @@ def dense_rank(rows, field: FieldSpec) -> int:
 
 
 def subspace_rank(m) -> int:
-    """Rank through the library's other elimination: insert every row
-    into a `Subspace`, which reduces it in Fraction/F_p arithmetic and
-    keeps a fully reduced basis.  An elimination independent of `rank`."""
-    from dghom.exactfield import Subspace
-    sp = Subspace(m.field)
+    """Rank through the reference fully reduced basis: insert every row
+    into a `ReferenceSubspace`, which reduces it in Fraction/F_p
+    arithmetic.  An elimination independent of `rank`."""
+    sp = ReferenceSubspace(m.field)
     rows = {}
     for (i, j), v in m.entries.items():
         rows.setdefault(i, {})[j] = v
     for i in sorted(rows):
         sp.insert(rows[i])
     return sp.dim
+
+
+# ---------------------------------------------------------------------------
+# the library's two elimination paths before `Subspace` became its one
+# echelon: a fully reduced Fraction/F_p basis and a rank-only
+# fraction-free loop, kept unchanged as references
+
+def _plain(v):
+    """An integral Fraction as an int, for scalars leaving this module."""
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
+
+
+class ReferenceSubspace:
+    """Incremental row space kept as a fully reduced echelon basis.
+
+    Vectors are sparse dicts {index: scalar}; stored zeros in an input
+    are dropped.  Each row is scaled to 1 at its pivot, its smallest
+    index, and is zero at every other pivot.  ``residual`` reduces a
+    vector modulo the space.  Callers that need the combination of
+    inserted vectors behind a reduction (kernels, quotient coordinates)
+    append a tag coordinate past the real ones to each vector, the
+    textbook [A | I] augmentation: the tags of a reduced vector record
+    its combination.  ``rank`` needs no basis and does not use this.
+    """
+
+    def __init__(self, field: FieldSpec):
+        self.field = field
+        self.pivot_rows = {}      # pivot index -> reduced row (dict)
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivot_rows)
+
+    def _add_row(self, vec: dict, c, row: dict):
+        """vec += c * row in place (accumulate reduces mod p)."""
+        acc = self.field.accumulate
+        for j, v in row.items():
+            acc(vec, j, c * v)
+
+    def _reduce(self, vec: dict) -> dict:
+        """A reduced copy of vec, without zeros.  Rows are zero at each
+        other's pivots, so one pass over the pivots vec starts with
+        suffices."""
+        f = self.field
+        vec = {k: v for k, v in vec.items() if v}
+        for p in sorted(vec.keys() & self.pivot_rows.keys()):
+            self._add_row(vec, f.neg(vec[p]), self.pivot_rows[p])
+        return vec
+
+    def _store(self, vec: dict):
+        """Add a nonzero reduced vector as a row, back-substituting it
+        into the rows that hold its pivot."""
+        f = self.field
+        p = min(vec)
+        c = f.inv(vec[p])
+        row = {k: f.mul(c, v) for k, v in vec.items()}
+        for qrow in self.pivot_rows.values():
+            if p in qrow:
+                self._add_row(qrow, f.neg(qrow[p]), row)
+        self.pivot_rows[p] = row
+
+    def insert(self, vec: dict) -> bool:
+        """Insert a generator; returns True if it enlarged the space."""
+        vec = self._reduce(vec)
+        if vec:
+            self._store(vec)
+        return bool(vec)
+
+    def residual(self, vec: dict) -> dict:
+        """Reduce vec modulo the subspace; zero dict iff vec is a member."""
+        return {k: _plain(v) for k, v in self._reduce(vec).items()}
+
+
+def reference_rank(m: Matrix) -> int:
+    """Rank by rank-only sparse elimination.
+
+    Nothing is tracked and nothing back-substituted: each row is reduced
+    by the pivot row at its leading column until that column holds no
+    pivot yet, and then becomes the pivot row there.  Over Q every row is
+    first cleared of denominators and reduced fraction-free on integers
+    (Bareiss 1968); over F_p pivot rows are scaled to lead with 1.
+    """
+    p = m.field.kind
+    rows = {}
+    for (i, j), v in m.entries.items():
+        rows.setdefault(i, {})[j] = v
+    pivots = {}
+    for i in sorted(rows):
+        vec = rows[i] if p else _integer_row(rows[i])
+        while vec:
+            c = min(vec)
+            prow = pivots.get(c)
+            if prow is None:
+                if p:
+                    inv = pow(vec[c], p - 2, p)
+                    vec = {j: v * inv % p for j, v in vec.items()}
+                pivots[c] = vec
+                break
+            vec = _eliminate_mod(vec, prow, c, p) if p else _eliminate_int(vec, prow, c)
+    return len(pivots)
+
+
+def _integer_row(row: dict) -> dict:
+    """A rational row scaled to coprime integer entries."""
+    den = lcm(*(v.denominator for v in row.values()))
+    vec = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+    return _primitive(vec)
+
+
+def _primitive(vec: dict) -> dict:
+    """Divide an integer row by the gcd of its entries, which keeps the
+    entries of fraction-free elimination small."""
+    g = gcd(*vec.values())
+    return {j: v // g for j, v in vec.items()} if g > 1 else vec
+
+
+def _eliminate_int(vec: dict, prow: dict, c: int) -> dict:
+    """a*vec - b*prow with a, b the coprime cofactors that clear column c."""
+    a, b = prow[c], vec[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        vec = {j: a * v for j, v in vec.items()}
+    for j, v in prow.items():
+        w = vec.get(j, 0) - b * v
+        if w:
+            vec[j] = w
+        else:
+            del vec[j]
+    return _primitive(vec)
+
+
+def _eliminate_mod(vec: dict, prow: dict, c: int, p: int) -> dict:
+    """vec - vec[c]*prow mod p, for a pivot row leading with 1 at column c."""
+    b = vec[c]
+    for j, v in prow.items():
+        w = (vec.get(j, 0) - b * v) % p
+        if w:
+            vec[j] = w
+        else:
+            del vec[j]
+    return vec
+
+
+def reference_kernel_vectors(m: Matrix) -> list:
+    """A basis of the null space of m as sparse vectors.  Column j is
+    reduced with the tag coordinate m.rows + j; a column whose real part
+    vanishes is a kernel vector, the combination its tags record."""
+    sp = ReferenceSubspace(m.field)
+    members = []
+    by_col = m.columns()
+    r = m.rows
+    for j in range(m.cols):
+        vec = sp._reduce({**by_col.get(j, {}), r + j: 1})
+        if min(vec) < r:
+            sp._store(vec)
+        else:
+            members.append({i - r: v for i, v in vec.items()})
+    return members
+
+
+def reference_image_basis(m: Matrix) -> ReferenceSubspace:
+    """Column space of m as an incremental Subspace."""
+    sp = ReferenceSubspace(m.field)
+    by_col = m.columns()
+    for j in sorted(by_col):
+        sp.insert(by_col[j])
+    return sp
+
+
+def reference_homology_quotient(d_in: Matrix, d_out: Matrix):
+    """Homology at the middle of  . --d_in--> V --d_out--> .
+
+    Returns (dim, cycle_columns, project) where cycle_columns is a list of
+    sparse cycle vectors forming a basis of H modulo boundaries and
+    project maps a cycle vector to its coordinates in that basis.  The
+    residual modulo boundaries of the k-th representative is stored with
+    the tag coordinate dim V + k, so a cycle's coordinates are read off
+    the tags of its reduction; project raises ValueError on a vector
+    that is not a cycle or has an index outside V.
+    """
+    f = d_in.field
+    n = d_out.cols
+    bound = reference_image_basis(d_in)
+    reps = []
+    quot = ReferenceSubspace(f)
+    # residuals of kernel vectors modulo boundaries; keep the independent ones
+    for vec in reference_kernel_vectors(d_out):
+        res = quot._reduce({**bound.residual(vec), n + len(reps): 1})
+        if min(res) < n:
+            quot._store(res)
+            reps.append(vec)
+
+    def project(vec: dict) -> list:
+        if any(not 0 <= i < n for i in vec):
+            raise ValueError(f"vector has an index outside 0..{n - 1}")
+        red = quot._reduce(bound.residual(vec))
+        if red and min(red) < n:
+            raise ValueError("vector is not a cycle modulo boundaries")
+        # only tags are left: red[n + k] = -coords[k]
+        coords = [f.zero()] * len(reps)
+        for g, v in red.items():
+            coords[g - n] = _plain(f.neg(v))
+        return coords
+
+    return len(reps), reps, project
 
 
 def matrix_to_dense(m):

@@ -292,7 +292,7 @@ def split_complex(rng, field, u, h, w):
         eye = identity(field, n)
         nil = Matrix(field, n, n, shear)
         d_in = eye.add(nil).mul(d_in)
-        d_out = d_out.mul(eye.sub(nil))
+        d_out = d_out.mul(eye.add(Matrix(field, n, n, {k: field.neg(v) for k, v in shear.items()})))
     return d_in, d_out
 
 
